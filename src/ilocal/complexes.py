@@ -13,6 +13,15 @@ represented by ``tau``.  The skeleton is not required to come from an
 actual cell complex: any degree -1 differential over F2 is allowed, which
 keeps the class closed under dualization.
 
+Because every ``gr`` lies in ``tau + 2Z``, all gradings of a validated
+complex share the reduced denominator ``q`` of ``tau = p/q``, and
+``gr - tau`` lies in 2Z exactly when ``gr.denominator == q`` and
+``gr.numerator - p`` is divisible by 2q.  Validation checks this once; after
+it, grading comparisons and gaps are exact integer operations on the
+numerators.  The width (the minimal boundary gap) is recorded by the same
+validation pass and stored, since complexes never change after
+construction.
+
 A split complex adds a cell-level involution J commuting with the boundary
 and fixing exactly one cell.  Instances are immutable; every operation here
 returns a fresh, fully validated complex.
@@ -44,7 +53,8 @@ class Cell:
             raise InvalidComplex(f"cell id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.dim, int):
             raise InvalidComplex(f"cell {self.id!r} has non-integer dimension {self.dim!r}")
-        object.__setattr__(self, "gr", Fraction(self.gr))
+        if type(self.gr) is not Fraction:
+            object.__setattr__(self, "gr", Fraction(self.gr))
 
     @property
     def maslov(self) -> Grading:
@@ -75,34 +85,47 @@ class GeometricComplex:
         self._validate()
 
     def _validate(self):
-        for cid, c in self.cells.items():
-            if (c.gr - self.tau) % 2 != 0:
+        # every gr shares tau's reduced denominator q (see the module
+        # docstring), so the checks below compare integer numerators
+        p, q = self.tau.numerator, self.tau.denominator
+        cells, bdry = self.cells, self.bdry
+        num: Dict[str, int] = {}
+        for cid, c in cells.items():
+            gr = c.gr
+            if gr.denominator != q or (gr.numerator - p) % (2 * q):
                 raise InvalidComplex(
-                    f"cell {cid!r} has gr {c.gr} outside the coset tau={self.tau} + 2Z"
+                    f"cell {cid!r} has gr {gr} outside the coset tau={self.tau} + 2Z"
                 )
-        for cid, targets in self.bdry.items():
-            e = self.cells[cid]
+            num[cid] = gr.numerator
+        min_gap = None
+        for cid, targets in bdry.items():
+            e_dim, e_num = cells[cid].dim - 1, num[cid]
             for tid in targets:
-                t = self.cells.get(tid)
+                t = cells.get(tid)
                 if t is None:
                     raise InvalidComplex(f"boundary of {cid!r} mentions unknown cell {tid!r}")
-                if t.dim != e.dim - 1:
+                if t.dim != e_dim:
                     raise InvalidComplex(
                         f"boundary pair ({cid!r}, {tid!r}) is not of dimensional degree -1"
                     )
-                if t.gr < e.gr:
+                gap = num[tid] - e_num
+                if gap < 0:
                     raise InvalidComplex(
                         f"grading decreases along boundary pair ({cid!r}, {tid!r})"
                     )
+                if min_gap is None or gap < min_gap:
+                    min_gap = gap
         # bdry o bdry = 0 over F2
-        for cid in self.cells:
+        for cid in cells:
             acc: Chain = frozenset()
-            for tid in self.bdry[cid]:
-                acc ^= self.bdry[tid]
+            for tid in bdry[cid]:
+                acc ^= bdry[tid]
             if acc:
                 raise InvalidComplex(
                     f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
                 )
+        self._num = num
+        self._width = INFINITE if min_gap is None else min_gap // q
 
     # -- basic accessors ------------------------------------------------
 
@@ -126,10 +149,11 @@ class GeometricComplex:
 
     def u_exponent(self, src: str, tgt: str) -> int:
         """U-power on ``tgt`` in the derived differential of ``src``."""
-        gap = self.cells[tgt].gr - self.cells[src].gr
-        if gap < 0 or gap % 2 != 0:
+        gap = self._num[tgt] - self._num[src]  # q times the grading gap
+        two_q = 2 * self.tau.denominator
+        if gap < 0 or gap % two_q:
             raise InvalidComplex(f"invalid grading gap on boundary pair ({src!r}, {tgt!r})")
-        return int(gap / 2)
+        return gap // two_q
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""
@@ -137,12 +161,7 @@ class GeometricComplex:
 
     def width(self) -> Union[int, float]:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
-        gaps = [
-            self.cells[tid].gr - self.cells[cid].gr
-            for cid in self.cells
-            for tid in self.bdry[cid]
-        ]
-        return int(min(gaps)) if gaps else INFINITE
+        return self._width
 
     def relabeled(self, mapping: Mapping[str, str]) -> "GeometricComplex":
         m = dict(mapping)
@@ -165,8 +184,8 @@ class SplitComplex:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
             if self.J[jid] != cid:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
-            c, jc = base.cells[cid], base.cells[jid]
-            if c.dim != jc.dim or c.gr != jc.gr:
+            # gradings of the validated base share one denominator
+            if (base.cells[cid].dim, base._num[cid]) != (base.cells[jid].dim, base._num[jid]):
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
             if jid == cid:
                 fixed.append(cid)
@@ -174,7 +193,7 @@ class SplitComplex:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         self.fixed = fixed[0]
         for cid in base.cells:
-            image = frozenset(self.J[t] for t in base.bdry[cid])
+            image = frozenset(map(self.J.__getitem__, base.bdry[cid]))
             if image != base.bdry[self.J[cid]]:
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
 
@@ -269,14 +288,17 @@ def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
     for cid in chain:
         if cid not in sc.base:
             raise ValueError(f"chain mentions unknown cell {cid!r}")
+    J = sc.J
+    touched = {cid for cid in chain if cid in chosen}
+    touched.update(J[cid] for cid in chain if J[cid] in chosen)
     a, b = set(), set()
-    for c in chosen:
-        in_c, in_j = c in chain, sc.J[c] in chain
+    for c in touched:
+        in_c, in_j = c in chain, J[c] in chain
         if in_c and in_j:
             b.add(c)
         elif in_c:
             a.add(c)
-        elif in_j:
+        else:
             a.add(c)
             b.add(c)
     eps = 1 if sc.fixed in chain else 0
@@ -368,14 +390,17 @@ def dual(c: AnyComplex) -> AnyComplex:
     """
     b = base_of(c)
     n = b.max_dim()
-    cells = [Cell(cid + "*", n - cell.dim, -cell.gr - n) for cid, cell in b.cells.items()]
-    bdry = {
-        cid + "*": frozenset(src + "*" for src in b.ids() if cid in b.bdry[src])
-        for cid in b.ids()
-    }
-    g = GeometricComplex(cells, bdry, (-b.tau - n) % 2)
+    star = {cid: cid + "*" for cid in b.cells}
+    cells = [Cell(star[cid], n - cell.dim, -n - cell.gr) for cid, cell in b.cells.items()]
+    # transpose in one pass over the edges, visiting sources in cell order
+    sources = {cid: [] for cid in b.cells}
+    for src in b.cells:
+        for tid in b.bdry[src]:
+            sources[tid].append(star[src])
+    bdry = {star[cid]: frozenset(srcs) for cid, srcs in sources.items()}
+    g = GeometricComplex(cells, bdry, (-n - b.tau) % 2)
     if isinstance(c, SplitComplex):
-        return SplitComplex(g, {cid + "*": c.J[cid] + "*" for cid in b.ids()})
+        return SplitComplex(g, {star[cid]: star[c.J[cid]] for cid in b.ids()})
     return g
 
 
@@ -426,20 +451,45 @@ def complex_to_json(c: AnyComplex) -> dict:
     return out
 
 
+def _grading_from_json(value, what: str) -> Grading:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidComplex(f"{what} has invalid grading {value!r}") from None
+
+
+def _pairs_from_json(obj: dict, key: str) -> list:
+    pairs = obj.get(key, [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in pairs
+    ):
+        raise InvalidComplex(f"{key!r} must be a list of [id, id] pairs")
+    return pairs
+
+
 def complex_from_json(obj: dict) -> AnyComplex:
-    cells = [Cell(e["id"], int(e["dim"]), Fraction(e["gr"])) for e in obj["cells"]]
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
+        raise InvalidComplex("a complex must be a JSON object with a 'cells' list")
+    cells = []
+    for k, e in enumerate(obj["cells"]):
+        if not isinstance(e, dict) or not {"id", "dim", "gr"} <= e.keys():
+            raise InvalidComplex(f"cells[{k}] must be an object with 'id', 'dim' and 'gr'")
+        cells.append(Cell(e["id"], e["dim"], _grading_from_json(e["gr"], f"cell {e['id']!r}")))
     bdry: Dict[str, set] = {}
-    for src, tgt in obj.get("bdry", ()):
+    for src, tgt in _pairs_from_json(obj, "bdry"):
         bdry.setdefault(src, set()).add(tgt)
-    tau = Fraction(obj["tau"]) if "tau" in obj else None
+    tau = _grading_from_json(obj["tau"], "tau") if "tau" in obj else None
     g = GeometricComplex(cells, bdry, tau)
     if "J" not in obj and "fixed" not in obj:
         return g
     J = {}
-    for a, jb in obj.get("J", ()):
+    for a, jb in _pairs_from_json(obj, "J"):
         J[a] = jb
         J[jb] = a
     fixed = obj.get("fixed")
     if fixed is not None:
+        if not isinstance(fixed, str):
+            raise InvalidComplex(f"'fixed' must be a cell id, got {fixed!r}")
         J[fixed] = fixed
     return SplitComplex(g, J)

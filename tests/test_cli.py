@@ -160,6 +160,24 @@ class TestRenderAndSuite:
         code, out, err = run(capsys, "connected", "--expr", "X0")
         assert code == 1 and "offset" in err
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"cells": [{"id": "x", "dim": 0.5, "gr": "0"}]}, "non-integer dimension 0.5"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "1/0"}]}, "invalid grading '1/0'"),
+            ({"cells": 5}, "'cells' list"),
+            ([], "'cells' list"),
+        ],
+        ids=["fractional-dim", "zero-denominator-gr", "cells-not-a-list", "top-level-list"],
+    )
+    def test_malformed_complex_file_is_domain_error(self, capsys, tmp_path, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "homology", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_missing_file_is_domain_error(self, capsys):
         code, out, err = run(capsys, "homology", "--file", "/nonexistent.json")
         assert code == 1

@@ -92,6 +92,31 @@ class TestValidation:
         with pytest.raises(InvalidComplex, match="duplicate"):
             GeometricComplex([Cell("x", 0, F(0)), Cell("x", 0, F(0))], {})
 
+    def test_fractional_tau_coset(self):
+        with pytest.raises(InvalidComplex, match="outside the coset"):
+            GeometricComplex([Cell("x", 0, F(1, 2)), Cell("y", 0, F(1, 3))], {})
+        with pytest.raises(InvalidComplex, match="outside the coset"):
+            GeometricComplex([Cell("x", 0, F(1, 2)), Cell("y", 0, F(3, 2))], {})
+        g = GeometricComplex([Cell("x", 1, F(1, 2)), Cell("y", 0, F(5, 2))], {"x": {"y"}})
+        assert g.tau == F(1, 2)
+        assert g.width() == 2 and g.fu_bdry("x") == {"y": 1}
+
+    def test_unknown_boundary_target_rejected(self):
+        with pytest.raises(InvalidComplex, match="boundary of 'x' mentions unknown cell 'z'"):
+            GeometricComplex([Cell("x", 1, F(0)), Cell("y", 0, F(0))], {"x": {"y", "z"}})
+
+    def test_j_must_preserve_gradings(self):
+        cells = [Cell("x", 0, F(1, 2)), Cell("y", 0, F(5, 2)), Cell("e", 0, F(1, 2))]
+        g = GeometricComplex(cells, {})
+        with pytest.raises(NotSplit, match="does not preserve the gradings"):
+            SplitComplex(g, {"x": "y", "y": "x", "e": "e"})
+
+    def test_u_exponent_rejects_negative_gap(self):
+        x = build_xi(2)
+        assert x.base.u_exponent("b", "a") == 2
+        with pytest.raises(InvalidComplex, match="invalid grading gap"):
+            x.base.u_exponent("a", "b")
+
     def test_two_fixed_cells_rejected(self):
         cells = [Cell("x", 0, F(0)), Cell("y", 0, F(0))]
         g = GeometricComplex(cells, {})

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ilocal import (
     Tower,
     UP,
     FUModule,
+    complex_to_json,
     connect_sum,
     connected_homology,
     decode,
@@ -146,6 +149,17 @@ class TestRepresentative:
         for _ in range(40):
             lc = random_combination(rng, 5, 7, allow_cancelling=rng.random() < 0.4)
             assert homology(representative(lc)).module.torsion() == place_towers(lc)
+
+    def test_json_matches_golden_bytes(self):
+        # six fixed combinations of up to 30 terms and mixed signs; the file
+        # holds the representative JSON as first written, byte for byte
+        golden = (Path(__file__).parent / "fixtures" / "representative_golden.json").read_text()
+        cases = []
+        for case in json.loads(golden):
+            rep = representative(LC.from_json(case["terms"]))
+            cases.append({"terms": case["terms"], "complex": complex_to_json(rep)})
+        assert max(len(case["terms"]) for case in cases) == 30
+        assert json.dumps(cases, indent=2) + "\n" == golden
 
 
 class TestDecode:
