@@ -23,7 +23,7 @@ from .errors import ExpressionError
 from .expr import format_expression, parse_expression
 from .homology import homology
 from .render import render
-from .towers import FUModule, grading_to_str
+from .towers import FUModule, grading_from_json, grading_to_str
 
 
 def _emit(obj) -> None:
@@ -112,7 +112,9 @@ def _cmd_sum(parser, args) -> int:
     classes = []
     for path in args.file:
         obj = _read_json(path)
-        classes.append((FUModule.from_json(obj["module"]), Fraction(obj["d"])))
+        if not isinstance(obj, dict) or not {"module", "d"} <= obj.keys():
+            raise ValueError(f"{path}: a class must be a JSON object with 'module' and 'd'")
+        classes.append((FUModule.from_json(obj["module"]), grading_from_json(obj["d"], "'d'")))
     total = classes[0]
     for other in classes[1:]:
         total = cn.connect_sum(total, other)

@@ -22,9 +22,12 @@ numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
 construction.
 
-A split complex adds a cell-level involution J commuting with the boundary
-and fixing exactly one cell.  Instances are immutable; every operation here
-returns a fresh, fully validated complex.
+A split complex is a geometric complex with a cell-level involution J
+commuting with the boundary and fixing exactly one cell, so every operation
+here accepts either kind.  It is built from an already validated geometric
+complex and reuses that validation: it takes over the cells, boundary and
+grading data and checks only J.  Instances are immutable; every operation
+here returns a fresh, fully validated complex.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
-from .towers import INFINITE, Grading, grading_to_str
+from .towers import INFINITE, Grading, grading_from_json, grading_to_str
 
 #: An F2 chain in a skeleton: the set of cells with coefficient 1.
 Chain = FrozenSet[str]
@@ -163,74 +166,39 @@ class GeometricComplex:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
         return self._width
 
-    def relabeled(self, mapping: Mapping[str, str]) -> "GeometricComplex":
-        m = dict(mapping)
-        cells = [Cell(m[c.id], c.dim, c.gr) for c in self.cells.values()]
-        bdry = {m[cid]: frozenset(m[t] for t in ts) for cid, ts in self.bdry.items()}
-        return GeometricComplex(cells, bdry, self.tau)
 
+class SplitComplex(GeometricComplex):
+    """A geometric complex with an involution J having exactly one fixed cell.
 
-class SplitComplex:
-    """A geometric complex with an involution J having exactly one fixed cell."""
+    The cells, boundary and grading data are taken over from ``base``, which
+    its own construction has already validated; only J is checked here.
+    """
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
-        self.base = base
+        self.cells, self.bdry, self.tau = base.cells, base.bdry, base.tau
+        self._num, self._width = base._num, base._width
         self.J = dict(J)
-        if set(self.J) != set(base.cells):
+        cells, num = self.cells, self._num
+        if set(self.J) != set(cells):
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
         for cid, jid in self.J.items():
-            if jid not in base.cells:
+            if jid not in cells:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
             if self.J[jid] != cid:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
             # gradings of the validated base share one denominator
-            if (base.cells[cid].dim, base._num[cid]) != (base.cells[jid].dim, base._num[jid]):
+            if (cells[cid].dim, num[cid]) != (cells[jid].dim, num[jid]):
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
             if jid == cid:
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         self.fixed = fixed[0]
-        for cid in base.cells:
-            image = frozenset(map(self.J.__getitem__, base.bdry[cid]))
-            if image != base.bdry[self.J[cid]]:
+        for cid in cells:
+            image = frozenset(map(self.J.__getitem__, self.bdry[cid]))
+            if image != self.bdry[self.J[cid]]:
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
-
-    # -- delegation to the underlying complex ---------------------------
-
-    @property
-    def cells(self) -> Dict[str, Cell]:
-        return self.base.cells
-
-    @property
-    def bdry(self) -> Dict[str, Chain]:
-        return self.base.bdry
-
-    @property
-    def tau(self) -> Grading:
-        return self.base.tau
-
-    def ids(self) -> Tuple[str, ...]:
-        return self.base.ids()
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __contains__(self, cid: str) -> bool:
-        return cid in self.base
-
-    def cell(self, cid: str) -> Cell:
-        return self.base.cell(cid)
-
-    def maslov(self, cid: str) -> Grading:
-        return self.base.maslov(cid)
-
-    def max_dim(self) -> int:
-        return self.base.max_dim()
-
-    def width(self) -> Union[int, float]:
-        return self.base.width()
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """The two-element J-orbits, each reported once as (min, max)."""
@@ -238,20 +206,13 @@ class SplitComplex:
             if cid < jid:
                 yield cid, jid
 
-    def relabeled(self, mapping: Mapping[str, str]) -> "SplitComplex":
-        m = dict(mapping)
-        return SplitComplex(self.base.relabeled(m), {m[a]: m[b] for a, b in self.J.items()})
 
-
-AnyComplex = Union[GeometricComplex, SplitComplex]
-
-
-def base_of(c: AnyComplex) -> GeometricComplex:
-    return c.base if isinstance(c, SplitComplex) else c
+#: Every split complex is a geometric complex; the name is kept for callers.
+AnyComplex = GeometricComplex
 
 
 def width(c: AnyComplex) -> Union[int, float]:
-    return base_of(c).width()
+    return c.width()
 
 
 # -- splittings ---------------------------------------------------------
@@ -267,11 +228,11 @@ def validate_splitting(sc: SplitComplex, chosen: Iterable[str]) -> FrozenSet[str
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
     for cid in chosen:
-        if cid not in sc.base:
+        if cid not in sc:
             raise ValueError(f"splitting mentions unknown cell {cid!r}")
         if sc.J[cid] in chosen:
             raise ValueError(f"splitting contains both members of the pair ({cid!r}, {sc.J[cid]!r})")
-    if len(chosen) * 2 + 1 != len(sc.base):
+    if len(chosen) * 2 + 1 != len(sc):
         raise ValueError("splitting must pick exactly one cell from each J-pair")
     return chosen
 
@@ -286,7 +247,7 @@ def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
     chain = frozenset(chain)
     chosen = frozenset(chosen)
     for cid in chain:
-        if cid not in sc.base:
+        if cid not in sc:
             raise ValueError(f"chain mentions unknown cell {cid!r}")
     J = sc.J
     touched = {cid for cid in chain if cid in chosen}
@@ -358,24 +319,22 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     If both factors are split the product is split with J acting
     coordinatewise; its fixed cell is the pair of fixed cells.
     """
-    b1, b2 = base_of(c1), base_of(c2)
-
     def pid(u: str, v: str) -> str:
         return f"{u}{TENSOR_SEP}{v}"
 
     cells = [
         Cell(pid(u.id, v.id), u.dim + v.dim, u.gr + v.gr)
-        for u in b1.cells.values()
-        for v in b2.cells.values()
+        for u in c1.cells.values()
+        for v in c2.cells.values()
     ]
     bdry = {}
-    for u in b1.ids():
-        for v in b2.ids():
-            terms = {pid(du, v) for du in b1.bdry[u]} | {pid(u, dv) for dv in b2.bdry[v]}
+    for u in c1.ids():
+        for v in c2.ids():
+            terms = {pid(du, v) for du in c1.bdry[u]} | {pid(u, dv) for dv in c2.bdry[v]}
             bdry[pid(u, v)] = terms
-    g = GeometricComplex(cells, bdry, (b1.tau + b2.tau) % 2)
+    g = GeometricComplex(cells, bdry, (c1.tau + c2.tau) % 2)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        J = {pid(u, v): pid(c1.J[u], c2.J[v]) for u in b1.ids() for v in b2.ids()}
+        J = {pid(u, v): pid(c1.J[u], c2.J[v]) for u in c1.ids() for v in c2.ids()}
         return SplitComplex(g, J)
     return g
 
@@ -388,19 +347,18 @@ def dual(c: AnyComplex) -> AnyComplex:
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
     F2[U]-complex unchanged.
     """
-    b = base_of(c)
-    n = b.max_dim()
-    star = {cid: cid + "*" for cid in b.cells}
-    cells = [Cell(star[cid], n - cell.dim, -n - cell.gr) for cid, cell in b.cells.items()]
+    n = c.max_dim()
+    star = {cid: cid + "*" for cid in c.cells}
+    cells = [Cell(star[cid], n - cell.dim, -n - cell.gr) for cid, cell in c.cells.items()]
     # transpose in one pass over the edges, visiting sources in cell order
-    sources = {cid: [] for cid in b.cells}
-    for src in b.cells:
-        for tid in b.bdry[src]:
+    sources = {cid: [] for cid in c.cells}
+    for src in c.cells:
+        for tid in c.bdry[src]:
             sources[tid].append(star[src])
     bdry = {star[cid]: frozenset(srcs) for cid, srcs in sources.items()}
-    g = GeometricComplex(cells, bdry, (-n - b.tau) % 2)
+    g = GeometricComplex(cells, bdry, (-n - c.tau) % 2)
     if isinstance(c, SplitComplex):
-        return SplitComplex(g, {star[cid]: star[c.J[cid]] for cid in b.ids()})
+        return SplitComplex(g, {star[cid]: star[c.J[cid]] for cid in c.ids()})
     return g
 
 
@@ -418,44 +376,35 @@ class FUMatrix:
 
 def to_fu_matrices(c: AnyComplex) -> Dict[int, FUMatrix]:
     """Graded monomial boundary matrices, one per dimensional degree present."""
-    b = base_of(c)
     by_dim: Dict[int, list] = {}
-    for cid, cell in b.cells.items():
+    for cid, cell in c.cells.items():
         by_dim.setdefault(cell.dim, []).append(cid)
     matrices = {}
     for d in sorted(by_dim):
         cols = tuple(by_dim[d])
         rows = tuple(by_dim.get(d - 1, ()))
         entries = {
-            (tid, cid): b.u_exponent(cid, tid)
+            (tid, cid): c.u_exponent(cid, tid)
             for cid in cols
-            for tid in b.bdry[cid]
+            for tid in c.bdry[cid]
         }
         matrices[d] = FUMatrix(rows, cols, entries)
     return matrices
 
 
 def complex_to_json(c: AnyComplex) -> dict:
-    b = base_of(c)
     out = {
-        "tau": grading_to_str(b.tau),
+        "tau": grading_to_str(c.tau),
         "cells": [
             {"id": cell.id, "dim": cell.dim, "gr": grading_to_str(cell.gr)}
-            for cell in b.cells.values()
+            for cell in c.cells.values()
         ],
-        "bdry": sorted([src, tgt] for src in b.ids() for tgt in b.bdry[src]),
+        "bdry": sorted([src, tgt] for src in c.ids() for tgt in c.bdry[src]),
     }
     if isinstance(c, SplitComplex):
         out["J"] = sorted([a, j] for a, j in c.pairs())
         out["fixed"] = c.fixed
     return out
-
-
-def _grading_from_json(value, what: str) -> Grading:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidComplex(f"{what} has invalid grading {value!r}") from None
 
 
 def _pairs_from_json(obj: dict, key: str) -> list:
@@ -475,11 +424,12 @@ def complex_from_json(obj: dict) -> AnyComplex:
     for k, e in enumerate(obj["cells"]):
         if not isinstance(e, dict) or not {"id", "dim", "gr"} <= e.keys():
             raise InvalidComplex(f"cells[{k}] must be an object with 'id', 'dim' and 'gr'")
-        cells.append(Cell(e["id"], e["dim"], _grading_from_json(e["gr"], f"cell {e['id']!r}")))
+        gr = grading_from_json(e["gr"], f"cell {e['id']!r}", InvalidComplex)
+        cells.append(Cell(e["id"], e["dim"], gr))
     bdry: Dict[str, set] = {}
     for src, tgt in _pairs_from_json(obj, "bdry"):
         bdry.setdefault(src, set()).add(tgt)
-    tau = _grading_from_json(obj["tau"], "tau") if "tau" in obj else None
+    tau = grading_from_json(obj["tau"], "tau", InvalidComplex) if "tau" in obj else None
     g = GeometricComplex(cells, bdry, tau)
     if "J" not in obj and "fixed" not in obj:
         return g

@@ -25,12 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .complexes import SplitComplex, build_trivial, dual
 from .doubling import double
 from .errors import NotInXForm, NotSimplified
-from .towers import DOWN, UP, FUModule, Grading, Tower, grading_to_str, shift, signed_rank
+from .towers import (
+    DOWN,
+    UP,
+    FUModule,
+    Grading,
+    Tower,
+    grading_from_json,
+    grading_to_str,
+    shift,
+    signed_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class LinearCombination:
         for sign, index in terms:
             if sign not in (1, -1):
                 raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
-            if not isinstance(index, int) or index < 1:
+            if type(index) is not int or index < 1:
                 raise ValueError(f"term index must be a positive integer, got {index!r}")
         object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: (-t[1], -t[0]))))
 
@@ -76,13 +86,17 @@ class LinearCombination:
         return [{"sign": "+" if s > 0 else "-", "index": i} for s, i in self.terms]
 
     @staticmethod
-    def from_json(obj: Iterable[dict]) -> "LinearCombination":
+    def from_json(obj: list) -> "LinearCombination":
+        if not isinstance(obj, list):
+            raise ValueError("terms must be a JSON list")
         terms = []
-        for entry in obj:
+        for k, entry in enumerate(obj):
+            if not isinstance(entry, dict) or not {"sign", "index"} <= entry.keys():
+                raise ValueError(f"terms[{k}] must be an object with 'sign' and 'index'")
             sign = entry["sign"]
             if sign not in ("+", "-"):
                 raise ValueError(f"term sign must be '+' or '-', got {sign!r}")
-            terms.append((1 if sign == "+" else -1, int(entry["index"])))
+            terms.append((1 if sign == "+" else -1, entry["index"]))
         return LinearCombination(tuple(terms))
 
 
@@ -101,7 +115,10 @@ class LocalClass:
 
     @staticmethod
     def from_json(obj: dict) -> "LocalClass":
-        return LocalClass(LinearCombination.from_json(obj["terms"]), Fraction(obj["d"]))
+        if not isinstance(obj, dict) or not {"terms", "d"} <= obj.keys():
+            raise ValueError("a local class must be a JSON object with 'terms' and 'd'")
+        d = grading_from_json(obj["d"], "'d'")
+        return LocalClass(LinearCombination.from_json(obj["terms"]), d)
 
 
 def simplify(lc: LinearCombination) -> LinearCombination:

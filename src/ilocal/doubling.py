@@ -145,7 +145,6 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
 
 def half(x: SplitComplex, delta: int) -> SplitComplex:
     """The operation dual to doubling; models adding the dual basis complex."""
-    _check_delta(x, delta)
     return dual(double(dual(x), delta).complex)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .complexes import AnyComplex, GeometricComplex, SplitComplex, base_of
+from .complexes import AnyComplex, GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
 from .towers import INFINITE, FUModule, Grading, Tower, grading_to_str
 
@@ -125,10 +125,7 @@ class ReductionResult:
 
 def homology(c: AnyComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction."""
-    base = base_of(c)
-    order = tuple(
-        sorted(base.ids(), key=lambda cid: (-base.cells[cid].gr, base.cells[cid].dim, cid))
-    )
+    order = tuple(sorted(c.ids(), key=lambda cid: (-c.cells[cid].gr, c.cells[cid].dim, cid)))
     pos = {cid: i for i, cid in enumerate(order)}
     n = len(order)
 
@@ -137,7 +134,7 @@ def homology(c: AnyComplex) -> ReductionResult:
         while vec:
             b = vec.bit_length() - 1
             vec ^= 1 << b
-            gap = base.maslov(order[b]) - degree
+            gap = c.maslov(order[b]) - degree
             ch[order[b]] = int(gap / 2)
         return ch
 
@@ -146,7 +143,7 @@ def homology(c: AnyComplex) -> ReductionResult:
     owner: Dict[int, int] = {}
     for j, cid in enumerate(order):
         col = 0
-        for tid in base.bdry[cid]:
+        for tid in c.bdry[cid]:
             col |= 1 << pos[tid]
         v = 1 << j
         while col:
@@ -168,11 +165,11 @@ def homology(c: AnyComplex) -> ReductionResult:
         if not R[j]:
             continue
         i = R[j].bit_length() - 1
-        k = base.u_exponent(order[j], order[i])
-        degree = base.maslov(order[i])
+        k = c.u_exponent(order[j], order[i])
+        degree = c.maslov(order[i])
         if k > 0:
             torsion_pairs.append(
-                (chain_of(V[j], base.maslov(order[j])), chain_of(R[j], degree), k)
+                (chain_of(V[j], c.maslov(order[j])), chain_of(R[j], degree), k)
             )
             basis[i] = _BasisCycle(i, R[j], degree, "torsion", len(torsion_pairs) - 1, k)
             towers.append(Tower(degree, k))
@@ -181,13 +178,13 @@ def homology(c: AnyComplex) -> ReductionResult:
     for j in range(n):
         if R[j] or j in owner:
             continue
-        degree = base.maslov(order[j])
+        degree = c.maslov(order[j])
         free_cycles.append((degree, chain_of(V[j], degree)))
         basis[j] = _BasisCycle(j, V[j], degree, "free", len(free_cycles) - 1, INFINITE)
         towers.append(Tower(degree, INFINITE))
     module = FUModule(tuple(towers)).canonical()
     return ReductionResult(
-        complex=base,
+        complex=c,
         module=module,
         free_cycles=tuple(free_cycles),
         torsion_pairs=tuple(torsion_pairs),
@@ -205,11 +202,10 @@ def _terms_of(chain: HomogeneousChain) -> TermSet:
 
 
 def _bdry_terms(c: AnyComplex, terms: TermSet) -> TermSet:
-    base = base_of(c)
     acc = set()
     for cid, e in terms:
-        for tid in base.bdry[cid]:
-            acc ^= {(tid, e + base.u_exponent(cid, tid))}
+        for tid in c.bdry[cid]:
+            acc ^= {(tid, e + c.u_exponent(cid, tid))}
     return frozenset(acc)
 
 
@@ -226,7 +222,7 @@ class ChainMap:
     assignment: Mapping[str, TermSet]
 
     def __post_init__(self):
-        src, tgt = base_of(self.source), base_of(self.target)
+        src, tgt = self.source, self.target
         norm = {}
         for cid in self.assignment:
             if cid not in src.cells:
@@ -243,7 +239,7 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c: AnyComplex) -> "ChainMap":
-        return cls(c, c, {cid: {(cid, 0)} for cid in base_of(c).ids()})
+        return cls(c, c, {cid: {(cid, 0)} for cid in c.ids()})
 
     def __call__(self, cid: str) -> TermSet:
         return self.assignment[cid]
@@ -258,7 +254,7 @@ class ChainMap:
     # -- checks; each returns None or a witness dict ---------------------
 
     def grading_witness(self) -> Optional[dict]:
-        src, tgt = base_of(self.source), base_of(self.target)
+        src, tgt = self.source, self.target
         for cid in src.ids():
             m = src.maslov(cid)
             for tid, exp in sorted(self.assignment[cid]):
@@ -271,8 +267,7 @@ class ChainMap:
         return None
 
     def chain_witness(self) -> Optional[dict]:
-        src = base_of(self.source)
-        for cid in src.ids():
+        for cid in self.source.ids():
             lhs = self.apply(_bdry_terms(self.source, frozenset({(cid, 0)})))
             rhs = _bdry_terms(self.target, self.assignment[cid])
             if lhs != rhs:
@@ -305,10 +300,10 @@ class ChainMap:
             raise NotAChainMap(str(w))
 
     def identity_witness(self) -> Optional[dict]:
-        src, tgt = base_of(self.source), base_of(self.target)
-        if src.ids() != tgt.ids():
+        ids = self.source.ids()
+        if ids != self.target.ids():
             return {"reason": "source and target cells differ"}
-        for cid in src.ids():
+        for cid in ids:
             if self.assignment[cid] != frozenset({(cid, 0)}):
                 return {
                     "cell": cid,
@@ -320,10 +315,9 @@ class ChainMap:
 
 def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
     """The composite outer o inner."""
-    mid_out = set(base_of(outer.source).ids())
-    if not set(base_of(inner.target).ids()) <= mid_out:
+    if not set(inner.target.ids()) <= set(outer.source.ids()):
         raise ValueError("maps are not composable: middle complexes disagree")
-    assignment = {cid: outer.apply(inner(cid)) for cid in base_of(inner.source).ids()}
+    assignment = {cid: outer.apply(inner(cid)) for cid in inner.source.ids()}
     return ChainMap(inner.source, outer.target, assignment)
 
 

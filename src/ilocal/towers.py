@@ -26,14 +26,17 @@ INFINITE = float("inf")
 Length = Union[int, float]
 
 
-def as_grading(value) -> Grading:
-    """Coerce ints, Fractions, and strings like ``-3/2`` to an exact grading."""
-    return Fraction(value)
-
-
 def grading_to_str(g: Grading) -> str:
     g = Fraction(g)
     return f"{g.numerator}/{g.denominator}"
+
+
+def grading_from_json(value, what: str, error=ValueError) -> Grading:
+    """Parse a JSON grading (int, float or string like ``-3/2``) or raise ``error``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise error(f"{what} has invalid grading {value!r}") from None
 
 
 class Orientation(enum.Enum):
@@ -61,7 +64,7 @@ class Tower:
         if self.is_free:
             if self.orientation is not None:
                 raise ValueError("free towers are always unoriented")
-        elif not (isinstance(self.length, int) and self.length > 0):
+        elif not (type(self.length) is int and self.length > 0):
             raise ValueError(
                 f"tower length must be a positive integer or INFINITE, got {self.length!r}"
             )
@@ -119,10 +122,14 @@ class Tower:
 
     @staticmethod
     def from_json(obj: dict) -> "Tower":
+        if not isinstance(obj, dict) or not {"top", "length"} <= obj.keys():
+            raise ValueError("a tower must be a JSON object with 'top' and 'length'")
         length = obj["length"]
-        length = INFINITE if length == "inf" else int(length)
+        if length == "inf":
+            length = INFINITE
         orient = obj.get("orientation")
-        return Tower(Fraction(obj["top"]), length, Orientation(orient) if orient else None)
+        top = grading_from_json(obj["top"], "tower top")
+        return Tower(top, length, Orientation(orient) if orient else None)
 
 
 def _sort_key(t: Tower):
@@ -198,6 +205,8 @@ class FUModule:
 
     @staticmethod
     def from_json(obj: dict) -> "FUModule":
+        if not isinstance(obj, dict) or not isinstance(obj.get("towers"), list):
+            raise ValueError("a module must be a JSON object with a 'towers' list")
         return FUModule(tuple(Tower.from_json(t) for t in obj["towers"]))
 
 

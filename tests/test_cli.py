@@ -98,6 +98,52 @@ class TestConnectedDecodeSum:
             ("-8/1", 3),
         }
 
+    @pytest.mark.parametrize(
+        "command, obj, message",
+        [
+            ("decode", {"towers": 5}, "'towers' list"),
+            ("render", [], "'towers' list"),
+            ("sum", {"module": {"towers": 5}, "d": "0"}, "'towers' list"),
+            ("sum", [], "'module' and 'd'"),
+            ("connected", {"towers": 5}, "'terms' and 'd'"),
+            ("connected", [], "'terms' and 'd'"),
+            ("decode", {"towers": [{"top": "1/0", "length": 1}]}, "invalid grading '1/0'"),
+            ("sum", {"module": {"towers": []}, "d": "1/0"}, "invalid grading '1/0'"),
+            ("connected", {"terms": [], "d": "1/0"}, "invalid grading '1/0'"),
+            ("decode", {"towers": [{"top": "0", "length": 1.5}]}, "got 1.5"),
+            ("render", {"towers": [{"top": "0", "length": True}]}, "got True"),
+            ("connected", {"terms": [{"sign": "+", "index": 2.5}], "d": "0"}, "got 2.5"),
+        ],
+        ids=[
+            "decode-towers-not-a-list",
+            "render-top-level-list",
+            "sum-towers-not-a-list",
+            "sum-top-level-list",
+            "connected-towers-object",
+            "connected-top-level-list",
+            "decode-zero-denominator-top",
+            "sum-zero-denominator-d",
+            "connected-zero-denominator-d",
+            "decode-fractional-length",
+            "render-boolean-length",
+            "connected-fractional-index",
+        ],
+    )
+    def test_malformed_class_file_is_domain_error(self, capsys, tmp_path, command, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        argv = [command, "--file", str(path)]
+        if command == "sum":
+            ok = tmp_path / "ok.json"
+            ok.write_text(json.dumps({"module": {"towers": []}, "d": "0"}))
+            argv += ["--file", str(ok)]
+        elif command in ("decode", "render"):
+            argv += ["--d", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and message in err
+
 
 class TestComplexOps:
     def test_double_half_dual(self, capsys, tmp_path):

@@ -16,6 +16,7 @@ from ilocal import (
     complex_from_json,
     complex_to_json,
     decompose,
+    double,
     dual,
     tensor,
     to_fu_matrices,
@@ -32,7 +33,7 @@ class TestBuilders:
 
     def test_xi_differential(self):
         x1 = build_xi(1)
-        assert x1.base.fu_bdry("b") == {"a": 1, "Ja": 1}
+        assert x1.fu_bdry("b") == {"a": 1, "Ja": 1}
 
     def test_xi_width(self):
         for i in (1, 3, 7):
@@ -50,8 +51,8 @@ class TestBuilders:
 
     def test_misordered(self):
         m = build_misordered(1, 2)
-        assert m.base.fu_bdry("e1") == {"e0": 1, "Je0": 1}
-        assert m.base.fu_bdry("e2") == {"e1": 2, "Je1": 2}
+        assert m.fu_bdry("e1") == {"e0": 1, "Je0": 1}
+        assert m.fu_bdry("e2") == {"e1": 2, "Je1": 2}
         assert width(m) == 2
 
     def test_misordered_rejects_bad_orders(self):
@@ -113,9 +114,9 @@ class TestValidation:
 
     def test_u_exponent_rejects_negative_gap(self):
         x = build_xi(2)
-        assert x.base.u_exponent("b", "a") == 2
+        assert x.u_exponent("b", "a") == 2
         with pytest.raises(InvalidComplex, match="invalid grading gap"):
-            x.base.u_exponent("a", "b")
+            x.u_exponent("a", "b")
 
     def test_two_fixed_cells_rejected(self):
         cells = [Cell("x", 0, F(0)), Cell("y", 0, F(0))]
@@ -142,6 +143,28 @@ class TestValidation:
         with pytest.raises(NotSplit, match="commute"):
             SplitComplex(g, J)
 
+    def test_split_results_are_validated_once(self, monkeypatch):
+        # a split complex reuses the validation of its base instead of
+        # running it again
+        calls = []
+        validate = GeometricComplex._validate
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(GeometricComplex, "_validate", counting)
+        x = build_xi(2)
+        for make in (
+            lambda: build_xi(3),
+            lambda: dual(x),
+            lambda: tensor(x, x),
+            lambda: double(x, 1).complex,
+        ):
+            calls.clear()
+            assert isinstance(make(), SplitComplex)
+            assert len(calls) == 1
+
 
 class TestTensor:
     def test_cell_count(self):
@@ -163,15 +186,15 @@ class TestTensor:
 
     def test_plain_factor_gives_plain_product(self):
         g = GeometricComplex([Cell("x", 0, F(0))], {})
-        assert isinstance(tensor(g, build_xi(1)), GeometricComplex)
+        assert not isinstance(tensor(g, build_xi(1)), SplitComplex)
 
 
 class TestDual:
     def test_dual_xi_differential(self):
         d = dual(build_xi(4))
-        assert d.base.fu_bdry("a*") == {"b*": 4}
-        assert d.base.fu_bdry("Ja*") == {"b*": 4}
-        assert d.base.fu_bdry("b*") == {}
+        assert d.fu_bdry("a*") == {"b*": 4}
+        assert d.fu_bdry("Ja*") == {"b*": 4}
+        assert d.fu_bdry("b*") == {}
 
     def test_maslov_negates(self):
         c = build_misordered(1, 3)
@@ -259,7 +282,7 @@ class TestJson:
     def test_round_trip_plain(self):
         g = GeometricComplex([Cell("x", 0, F(1, 2)), Cell("y", 1, F(-3, 2))], {"y": {"x"}})
         back = complex_from_json(complex_to_json(g))
-        assert isinstance(back, GeometricComplex)
+        assert not isinstance(back, SplitComplex)
         assert back.cells["x"].gr == F(1, 2)
 
     def test_invalid_json_names_cells(self):

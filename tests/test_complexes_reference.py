@@ -93,11 +93,10 @@ def outcome(fn, *args):
 def test_width_and_u_exponent_match_fraction_formulas(seed):
     _, cs = complexes_of(seed)
     for c in cs:
-        b = c.base
-        assert c.width() == ref_width(b)
-        for src in b.ids():  # every ordered pair, so negative and odd gaps occur
-            for tgt in b.ids():
-                assert outcome(b.u_exponent, src, tgt) == outcome(ref_u_exponent, b, src, tgt)
+        assert c.width() == ref_width(c)
+        for src in c.ids():  # every ordered pair, so negative and odd gaps occur
+            for tgt in c.ids():
+                assert outcome(c.u_exponent, src, tgt) == outcome(ref_u_exponent, c, src, tgt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,11 +105,11 @@ def test_dual_matches_quadratic_transpose(seed):
     _, cs = complexes_of(seed)
     for c in cs:
         d = dual(c)
-        cells, bdry = ref_dual(c.base)
+        cells, bdry = ref_dual(c)
         assert {cid: (cell.dim, cell.gr) for cid, cell in d.cells.items()} == cells
         assert list(d.cells) == list(cells)
         assert d.bdry == bdry
-        assert d.width() == ref_width(d.base)
+        assert d.width() == ref_width(d)
 
 
 @settings(max_examples=60, deadline=None)

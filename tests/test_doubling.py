@@ -37,7 +37,7 @@ def signature(sc):
 
     def cell_sig(cid):
         c = sc.cell(cid)
-        return (c.dim, c.gr, sc.J[cid] == cid, sorted(sc.base.fu_bdry(cid).values()))
+        return (c.dim, c.gr, sc.J[cid] == cid, sorted(sc.fu_bdry(cid).values()))
 
     return sorted(cell_sig(cid) for cid in sc.ids())
 
@@ -101,7 +101,7 @@ class TestDouble:
         # by doubling a complex whose fixed cell sits in low dimension
         b = dual(build_misordered(1, 2))
         dr = double(b, 1)
-        assert dr.complex.base.width() == 2
+        assert dr.complex.width() == 2
 
 
 class TestHalf:
@@ -120,7 +120,7 @@ class TestHalf:
         def shape(sc):
             lo = min(c.dim for c in sc.cells.values())
             return sorted(
-                (c.maslov, c.dim - lo, sorted(sc.base.fu_bdry(c.id).values()))
+                (c.maslov, c.dim - lo, sorted(sc.fu_bdry(c.id).values()))
                 for c in sc.cells.values()
             )
 
