@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import complexes as cx
 from . import connected as cn
@@ -49,13 +48,6 @@ def _require_split(c: cx.AnyComplex) -> cx.SplitComplex:
     return c
 
 
-def _parse_d(value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid grading {value!r}: {exc}") from None
-
-
 def _add_complex_source(sub, expr_help="combination expression, e.g. 'X5 - X4 + X2'"):
     sub.add_argument("--expr", help=expr_help)
     sub.add_argument("--file", help="path to a complex JSON file")
@@ -85,7 +77,7 @@ def _cmd_connected(parser, args) -> int:
     else:
         parser.error("provide --expr or --file")
     if args.d is not None:
-        d = _parse_d(args.d)
+        d = grading_from_json(args.d, "--d")
     lc = cn.simplify(lc)
     module = cn.hf_conn(lc, d) if d is not None else cn.connected_homology(lc)
     _emit(module.to_json())
@@ -94,7 +86,7 @@ def _cmd_connected(parser, args) -> int:
 
 def _cmd_decode(parser, args) -> int:
     module = FUModule.from_json(_read_json(args.file))
-    d = _parse_d(args.d)
+    d = grading_from_json(args.d, "--d")
     lc = cn.decode(module, d)
     _emit(
         {
@@ -164,7 +156,7 @@ def _cmd_render(parser, args) -> int:
     elif args.expr:
         lc = cn.simplify(parse_expression(args.expr))
         if args.d is not None:
-            module = cn.hf_conn(lc, _parse_d(args.d))
+            module = cn.hf_conn(lc, grading_from_json(args.d, "--d"))
         else:
             module = cn.connected_homology(lc)
     else:
@@ -178,21 +170,20 @@ def _cmd_suite(parser, args) -> int:
     env_seed = os.environ.get("ILOCAL_SEED")
     if env_seed is not None:
         seed = int(env_seed)
-    config = st.SuiteConfig(
-        max_terms=args.max_terms, max_index=args.max_index, max_cells=args.max_cells
-    )
+    counts = {}
     if args.cases is not None:
-        config = st.SuiteConfig(
-            kunneth_cases=args.cases,
-            doubling_cases=args.cases,
-            local_cases=max(1, args.cases // 2),
-            representative_cases=args.cases,
-            roundtrip_cases=4 * args.cases,
-            duality_cases=args.cases,
-            max_terms=args.max_terms,
-            max_index=args.max_index,
-            max_cells=args.max_cells,
+        n = args.cases
+        counts = dict(
+            kunneth_cases=n,
+            doubling_cases=n,
+            local_cases=max(1, n // 2),
+            representative_cases=n,
+            roundtrip_cases=4 * n,
+            duality_cases=n,
         )
+    config = st.SuiteConfig(
+        max_terms=args.max_terms, max_index=args.max_index, max_cells=args.max_cells, **counts
+    )
     report = st.run_suite(seed, config)
     _emit(report.to_json())
     if not report.passed:

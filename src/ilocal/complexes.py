@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
 from .towers import INFINITE, Grading, grading_from_json, grading_to_str
@@ -223,7 +223,10 @@ def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
     return frozenset(a for a, _ in sc.pairs())
 
 
-def validate_splitting(sc: SplitComplex, chosen: Iterable[str]) -> FrozenSet[str]:
+def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
+    """The checked splitting ``chosen``; ``None`` stands for the canonical one."""
+    if chosen is None:
+        return canonical_splitting(sc)
     chosen = frozenset(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")

@@ -41,7 +41,6 @@ from .complexes import (
     SplitComplex,
     TENSOR_SEP,
     _xi_complex,
-    canonical_splitting,
     decompose,
     dual,
     tensor,
@@ -112,9 +111,7 @@ def _doubled_boundary(x: SplitComplex, chosen, eta: str, omega: str) -> dict:
 def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None) -> DoubleResult:
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
-    chosen = (
-        validate_splitting(x, splitting) if splitting is not None else canonical_splitting(x)
-    )
+    chosen = validate_splitting(x, splitting)
     eta = x.fixed
     eta_cell = x.cell(eta)
     _, zeta, _ = decompose(x, x.bdry[eta], chosen)
@@ -168,9 +165,7 @@ def local_map_f(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the double to the tensor with the basis complex."""
-    chosen = (
-        validate_splitting(x, splitting) if splitting is not None else canonical_splitting(x)
-    )
+    chosen = validate_splitting(x, splitting)
     dr = double(x, delta, chosen)
     src = dr.complex
     tgt = tensor(x, _xi_complex(delta))
@@ -196,9 +191,7 @@ def local_map_g(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the tensor with the basis complex back to the double."""
-    chosen = (
-        validate_splitting(x, splitting) if splitting is not None else canonical_splitting(x)
-    )
+    chosen = validate_splitting(x, splitting)
     dr = double(x, delta, chosen)
     tgt = dr.complex
     src = tensor(x, _xi_complex(delta))

@@ -123,6 +123,29 @@ class ReductionResult:
         }
 
 
+def _reduce(columns: List[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
+    """Reduce F2 column bitmasks: R[j] = sum of the columns in V[j], owner[pivot] = j.
+
+    The V[j] with R[j] == 0 are a basis of the nullspace.
+    """
+    R: List[int] = []
+    V: List[int] = []
+    owner: Dict[int, int] = {}
+    for j, col in enumerate(columns):
+        v = 1 << j
+        while col:
+            i = col.bit_length() - 1
+            if i not in owner:
+                break
+            col ^= R[owner[i]]
+            v ^= V[owner[i]]
+        R.append(col)
+        V.append(v)
+        if col:
+            owner[i] = j
+    return R, V, owner
+
+
 def homology(c: AnyComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction."""
     order = tuple(sorted(c.ids(), key=lambda cid: (-c.cells[cid].gr, c.cells[cid].dim, cid)))
@@ -138,24 +161,7 @@ def homology(c: AnyComplex) -> ReductionResult:
             ch[order[b]] = int(gap / 2)
         return ch
 
-    R: List[int] = []
-    V: List[int] = []
-    owner: Dict[int, int] = {}
-    for j, cid in enumerate(order):
-        col = 0
-        for tid in c.bdry[cid]:
-            col |= 1 << pos[tid]
-        v = 1 << j
-        while col:
-            i = col.bit_length() - 1
-            if i not in owner:
-                break
-            col ^= R[owner[i]]
-            v ^= V[owner[i]]
-        R.append(col)
-        V.append(v)
-        if col:
-            owner[i] = j
+    R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
 
     free_cycles = []
     torsion_pairs = []

@@ -1,9 +1,12 @@
 """Seeded randomized verification suites and the generators backing them.
 
-Each suite draws its cases from a ``random.Random`` seeded once, checks a
-structural identity, and reports counterexamples as JSON-able dicts; a
-clean run is the expected outcome, so any failure indicates a bug in the
-operations (or a deliberately mutated one under test).
+Each structural identity is stated once, as a ``check_*`` function that
+returns ``None`` or a JSON-able witness dict; the acceptance and property
+tests call the same functions on their own corpora.  ``_SUITES`` pairs each
+check with a draw that yields its cases from a ``random.Random`` seeded
+once per suite.  A clean run is the expected outcome, so any failure
+indicates a bug in the operations (or a deliberately mutated one under
+test).
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional
 
 from . import complexes as cx
 from . import connected as cn
 from . import doubling as db
 from . import towers as tw
-from .homology import homology
+from .homology import _reduce, homology
 
 # -- random objects -------------------------------------------------------
 
@@ -39,26 +43,6 @@ def random_even_d(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
     return Fraction(2 * rng.randint(lo // 2, hi // 2))
 
 
-def _cycle_space(masks: List[int]) -> List[int]:
-    """Combination-tracking nullspace of an F2 matrix given as column masks."""
-    pivots: Dict[int, tuple] = {}
-    cycles = []
-    for j, col in enumerate(masks):
-        combo = 1 << j
-        while col:
-            p = col.bit_length() - 1
-            if p not in pivots:
-                break
-            pc, pcombo = pivots[p]
-            col ^= pc
-            combo ^= pcombo
-        if col:
-            pivots[col.bit_length() - 1] = (col, combo)
-        else:
-            cycles.append(combo)
-    return cycles
-
-
 def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.GeometricComplex:
     """A random valid complex grown cell by cell; every boundary is a cycle."""
     n0 = rng.randint(1, 3)
@@ -71,8 +55,8 @@ def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.Geom
         layer = [c for c in cells if c.dim == base_dim]
         lower = [c for c in cells if c.dim == base_dim - 1]
         lpos = {c.id: i for i, c in enumerate(lower)}
-        masks = [sum(1 << lpos[t] for t in bdry.get(c.id, ())) for c in layer]
-        cycles = _cycle_space(masks)
+        R, V, _ = _reduce([sum(1 << lpos[t] for t in bdry.get(c.id, ())) for c in layer])
+        cycles = [v for r, v in zip(R, V) if not r]
         if cycles and rng.random() < 0.8:
             combo = 0
             for v in cycles:
@@ -210,124 +194,124 @@ def _module_str(m: tw.FUModule) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _guarded(result: SuiteResult, case: dict, check) -> None:
+def _guarded(result: SuiteResult, case: dict, check, args: tuple) -> None:
     """Run one case; any exception or mismatch becomes a counterexample."""
     result.cases += 1
     try:
-        failure = check()
+        failure = check(*args)
     except Exception as exc:  # noqa: BLE001 - reported as a counterexample
         failure = {"error": f"{type(exc).__name__}: {exc}"}
     if failure:
         result.failures.append({**case, **failure})
 
 
-def _suite_kunneth(rng, config, result):
-    for _ in range(config.kunneth_cases):
-        c1 = random_geometric_complex(rng, config.max_cells)
-        c2 = random_geometric_complex(rng, config.max_cells)
-
-        def check(c1=c1, c2=c2):
-            lhs = homology(cx.tensor(c1, c2)).module
-            rhs = tw.kunneth(homology(c1).module, homology(c2).module)
-            if lhs != rhs:
-                return {"tensor_homology": _module_str(lhs), "kunneth": _module_str(rhs)}
-            return None
-
-        case = {"left": cx.complex_to_json(c1), "right": cx.complex_to_json(c2)}
-        _guarded(result, case, check)
+# -- the checks; each returns None or a witness dict ----------------------
 
 
-def _suite_doubling(rng, config, result):
-    for _ in range(config.doubling_cases):
-        sc = random_split_complex(rng, config.max_cells)
-        base_module = homology(sc).module
-        g = sc.maslov(sc.fixed)
-        for delta in admissible_deltas(sc, cap=4):
-            splitting = random_splitting(rng, sc)
-
-            def check(sc=sc, delta=delta, splitting=splitting, g=g, base=base_module):
-                got = homology(db.double(sc, delta, splitting).complex).module
-                extra = (tw.Tower(g, delta),) if delta > 0 else ()
-                expected = tw.FUModule(base.towers + extra)
-                if got != expected:
-                    return {"expected": _module_str(expected), "got": _module_str(got)}
-                return None
-
-            case = {"complex": cx.complex_to_json(sc), "delta": delta}
-            _guarded(result, case, check)
+def check_kunneth(c1: cx.GeometricComplex, c2: cx.GeometricComplex) -> Optional[dict]:
+    """The homology of a tensor product is the Kunneth product of the factors'."""
+    lhs = homology(cx.tensor(c1, c2)).module
+    rhs = tw.kunneth(homology(c1).module, homology(c2).module)
+    if lhs != rhs:
+        return {"tensor_homology": _module_str(lhs), "kunneth": _module_str(rhs)}
+    return None
 
 
-def _suite_local_pair(rng, config, result):
-    for _ in range(config.local_cases):
-        sc = random_split_complex(rng, config.max_cells)
-        for delta in admissible_deltas(sc, cap=3):
-            splitting = random_splitting(rng, sc)
-
-            def check(sc=sc, delta=delta, splitting=splitting):
-                f = db.local_map_f(sc, delta, splitting)
-                g = db.local_map_g(sc, delta, splitting)
-                report = db.verify_local_pair(f, g)
-                return None if report.passed else {"report": report.to_json()}
-
-            case = {"complex": cx.complex_to_json(sc), "delta": delta}
-            _guarded(result, case, check)
+def check_doubling_homology(
+    sc: cx.SplitComplex, delta: int, splitting: Optional[frozenset] = None
+) -> Optional[dict]:
+    """Doubling by delta > 0 adds the one tower T_{M(eta)}(delta) to the homology."""
+    base = homology(sc).module
+    got = homology(db.double(sc, delta, splitting).complex).module
+    extra = (tw.Tower(sc.maslov(sc.fixed), delta),) if delta > 0 else ()
+    expected = tw.FUModule(base.towers + extra)
+    if got != expected:
+        return {"expected": _module_str(expected), "got": _module_str(got)}
+    return None
 
 
-def _suite_representative(rng, config, result):
-    for _ in range(config.representative_cases):
-        lc = random_combination(
-            rng, config.max_terms, config.max_index, allow_cancelling=rng.random() < 0.3
-        )
-
-        def check(lc=lc):
-            got = homology(cn.representative(lc)).module.torsion()
-            expected = cn.place_towers(lc)
-            if got != expected:
-                return {"expected": _module_str(expected), "got": _module_str(got)}
-            return None
-
-        _guarded(result, {"combination": lc.to_json()}, check)
+def check_local_pair(
+    sc: cx.SplitComplex, delta: int, splitting: Optional[frozenset] = None
+) -> Optional[dict]:
+    """The local maps between the double and the tensor with X_delta pass every check."""
+    f = db.local_map_f(sc, delta, splitting)
+    g = db.local_map_g(sc, delta, splitting)
+    report = db.verify_local_pair(f, g)
+    return None if report.passed else {"report": report.to_json()}
 
 
-def _suite_roundtrip(rng, config, result):
-    for _ in range(config.roundtrip_cases):
-        lc = random_combination(rng, config.max_terms, config.max_index)
-        d = random_even_d(rng)
-
-        def check(lc=lc, d=d):
-            back = cn.decode(cn.hf_conn(lc, d), d)
-            return None if back == lc else {"decoded": back.to_json()}
-
-        _guarded(result, {"combination": lc.to_json(), "d": str(d)}, check)
+def check_representative(lc: cn.LinearCombination) -> Optional[dict]:
+    """The representative's torsion is the tower placement of the combination."""
+    got = homology(cn.representative(lc)).module.torsion()
+    expected = cn.place_towers(lc)
+    if got != expected:
+        return {"expected": _module_str(expected), "got": _module_str(got)}
+    return None
 
 
-def _suite_duality(rng, config, result):
-    for _ in range(config.duality_cases):
-        c = random_geometric_complex(rng, config.max_cells)
-
-        def check(c=c):
-            h = homology(c).module
-            hd = homology(cx.dual(c)).module
-            ok = (
-                hd.torsion() == tw.reflect(h.torsion())
-                and cx.width(cx.dual(c)) == cx.width(c)
-                and sorted(-t.top for t in h.free_towers)
-                == sorted(t.top for t in hd.free_towers)
-            )
-            if not ok:
-                return {"homology": _module_str(h), "dual_homology": _module_str(hd)}
-            return None
-
-        _guarded(result, {"complex": cx.complex_to_json(c)}, check)
+def check_decode_roundtrip(lc: cn.LinearCombination, d: Fraction) -> Optional[dict]:
+    """Decoding the connected module placed with correction term d gives lc back."""
+    back = cn.decode(cn.hf_conn(lc, d), d)
+    return None if back == lc else {"decoded": back.to_json()}
 
 
+def check_duality(c: cx.GeometricComplex) -> Optional[dict]:
+    """Dualizing reflects the torsion, negates the free tops and keeps the width."""
+    dc = cx.dual(c)
+    h = homology(c).module
+    hd = homology(dc).module
+    ok = (
+        hd.torsion() == tw.reflect(h.torsion())
+        and cx.width(dc) == cx.width(c)
+        and sorted(-t.top for t in h.free_towers) == sorted(t.top for t in hd.free_towers)
+    )
+    if not ok:
+        return {"homology": _module_str(h), "dual_homology": _module_str(hd)}
+    return None
+
+
+# -- the seeded draws; each yields (case JSON, check arguments) for one draw
+
+
+def _draw_kunneth(rng, config):
+    c1 = random_geometric_complex(rng, config.max_cells)
+    c2 = random_geometric_complex(rng, config.max_cells)
+    yield {"left": cx.complex_to_json(c1), "right": cx.complex_to_json(c2)}, (c1, c2)
+
+
+def _draw_split(rng, config, cap: int):
+    """One split complex, a case for each of its doubling parameters up to cap."""
+    sc = random_split_complex(rng, config.max_cells)
+    for delta in admissible_deltas(sc, cap=cap):
+        splitting = random_splitting(rng, sc)
+        yield {"complex": cx.complex_to_json(sc), "delta": delta}, (sc, delta, splitting)
+
+
+def _draw_representative(rng, config):
+    cancelling = rng.random() < 0.3
+    lc = random_combination(rng, config.max_terms, config.max_index, allow_cancelling=cancelling)
+    yield {"combination": lc.to_json()}, (lc,)
+
+
+def _draw_roundtrip(rng, config):
+    lc = random_combination(rng, config.max_terms, config.max_index)
+    d = random_even_d(rng)
+    yield {"combination": lc.to_json(), "d": str(d)}, (lc, d)
+
+
+def _draw_duality(rng, config):
+    c = random_geometric_complex(rng, config.max_cells)
+    yield {"complex": cx.complex_to_json(c)}, (c,)
+
+
+#: (suite name, SuiteConfig field counting its draws, draw, check), in report order
 _SUITES = (
-    ("kunneth", _suite_kunneth),
-    ("doubling_homology", _suite_doubling),
-    ("local_equivalence", _suite_local_pair),
-    ("representative_match", _suite_representative),
-    ("decode_roundtrip", _suite_roundtrip),
-    ("duality_reflection", _suite_duality),
+    ("kunneth", "kunneth_cases", _draw_kunneth, check_kunneth),
+    ("doubling_homology", "doubling_cases", partial(_draw_split, cap=4), check_doubling_homology),
+    ("local_equivalence", "local_cases", partial(_draw_split, cap=3), check_local_pair),
+    ("representative_match", "representative_cases", _draw_representative, check_representative),
+    ("decode_roundtrip", "roundtrip_cases", _draw_roundtrip, check_decode_roundtrip),
+    ("duality_reflection", "duality_cases", _draw_duality, check_duality),
 )
 
 
@@ -335,9 +319,11 @@ def run_suite(seed: int, config: Optional[SuiteConfig] = None) -> SuiteReport:
     """Run every randomized suite from one seed; failures carry witnesses."""
     config = config or SuiteConfig()
     results = []
-    for name, fn in _SUITES:
+    for name, count, draw, check in _SUITES:
         rng = random.Random(f"{seed}:{name}")
         result = SuiteResult(name)
-        fn(rng, config, result)
+        for _ in range(getattr(config, count)):
+            for case, args in draw(rng, config):
+                _guarded(result, case, check, args)
         results.append(result)
     return SuiteReport(seed, results)

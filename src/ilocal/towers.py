@@ -14,6 +14,7 @@ order never participate in comparison.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -31,9 +32,19 @@ def grading_to_str(g: Grading) -> str:
     return f"{g.numerator}/{g.denominator}"
 
 
+#: Largest decimal exponent accepted in a grading string such as ``"1e3"``;
+#: ``Fraction`` would expand ``10**exponent`` eagerly, without a bound.
+MAX_GRADING_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
 def grading_from_json(value, what: str, error=ValueError) -> Grading:
     """Parse a JSON grading (int, float or string like ``-3/2``) or raise ``error``."""
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
     try:
+        if exponent and abs(int(exponent[1])) > MAX_GRADING_EXPONENT:
+            raise ValueError("exponent out of range")
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise error(f"{what} has invalid grading {value!r}") from None

@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import ilocal
 from ilocal import FUModule, build_xi, complex_to_json, hf_conn, parse_expression
 from ilocal.cli import main
 
@@ -11,6 +16,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """The CLI in a child process capped at 512 MB and 20 s, so a blow-up fails fast."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.dirname(os.path.dirname(ilocal.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ilocal.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 def run_json(capsys, *argv):
@@ -143,6 +165,25 @@ class TestConnectedDecodeSum:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and message in err
+
+
+    @pytest.mark.parametrize("kind", ["flag", "module-top"])
+    def test_huge_exponent_grading_is_domain_error(self, tmp_path, kind):
+        # Fraction("1e999999999") would expand 10**999999999 without a bound
+        if kind == "flag":
+            argv = ["connected", "--expr", "X2", "--d", "1e999999999"]
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"towers": [{"top": "1e999999999", "length": 1}]}))
+            argv = ["decode", "--file", str(path), "--d", "0"]
+        proc = run_child(*argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "invalid grading '1e999999999'" in proc.stderr
+
+    def test_moderate_exponent_grading_still_parses(self, capsys):
+        shifted = run_json(capsys, "connected", "--expr", "X1", "--d", "2e2")
+        assert shifted == run_json(capsys, "connected", "--expr", "X1", "--d", "200")
 
 
 class TestComplexOps:

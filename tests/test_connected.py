@@ -29,7 +29,12 @@ from ilocal import (
     representative,
     simplify,
 )
-from ilocal.suite import random_combination, random_even_d
+from ilocal.suite import (
+    check_decode_roundtrip,
+    check_representative,
+    random_combination,
+    random_even_d,
+)
 
 T = Tower
 LC = LinearCombination
@@ -148,7 +153,8 @@ class TestRepresentative:
         rng = random.Random("representative")
         for _ in range(40):
             lc = random_combination(rng, 5, 7, allow_cancelling=rng.random() < 0.4)
-            assert homology(representative(lc)).module.torsion() == place_towers(lc)
+            w = check_representative(lc)
+            assert w is None, w
 
     def test_json_matches_golden_bytes(self):
         # six fixed combinations of up to 30 terms and mixed signs; the file
@@ -201,14 +207,13 @@ class TestDecode:
     def test_round_trip_randomized(self):
         rng = random.Random("roundtrip")
         for _ in range(200):
-            lc = random_combination(rng, 6, 9)
-            d = random_even_d(rng)
-            assert decode(hf_conn(lc, d), d) == lc
+            w = check_decode_roundtrip(random_combination(rng, 6, 9), random_even_d(rng))
+            assert w is None, w
 
     def test_round_trip_rational_d(self):
         lc = LC(((1, 3), (-1, 1)))
         for d in (F(1), F(-3), F(1, 2), F(-7, 2)):
-            assert decode(hf_conn(lc, d), d) == lc
+            assert check_decode_roundtrip(lc, d) is None
 
 
 class TestConnectSum:
@@ -289,5 +294,5 @@ def combinations(draw):
 @settings(max_examples=80, deadline=None)
 @given(combinations(), st.integers(-5, 5))
 def test_round_trip_property(lc, half_d):
-    d = F(2 * half_d)
-    assert decode(hf_conn(lc, d), d) == lc
+    w = check_decode_roundtrip(lc, F(2 * half_d))
+    assert w is None, w

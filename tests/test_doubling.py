@@ -23,7 +23,12 @@ from ilocal import (
     verify_local_pair,
     width,
 )
-from ilocal.suite import admissible_deltas, random_split_complex, random_splitting
+from ilocal.suite import (
+    admissible_deltas,
+    check_local_pair,
+    random_split_complex,
+    random_splitting,
+)
 
 T = Tower
 
@@ -231,10 +236,8 @@ class TestVerifyLocalPair:
         s = build_trivial()
         for index in (3, 2, 1):
             splitting = random_splitting(rng, s)
-            report = verify_local_pair(
-                local_map_f(s, index, splitting), local_map_g(s, index, splitting)
-            )
-            assert report.passed
+            w = check_local_pair(s, index, splitting)
+            assert w is None, w
             s = double(s, index, splitting).complex
 
     def test_path_complex_with_boundary_into_fixed_cell(self):
@@ -272,8 +275,5 @@ class TestVerifyLocalPair:
         for _ in range(10):
             sc = random_split_complex(rng, max_cells=9)
             delta = max(admissible_deltas(sc, cap=2))
-            splitting = random_splitting(rng, sc)
-            report = verify_local_pair(
-                local_map_f(sc, delta, splitting), local_map_g(sc, delta, splitting)
-            )
-            assert report.passed, report.to_json()
+            w = check_local_pair(sc, delta, random_splitting(rng, sc))
+            assert w is None, w

@@ -20,12 +20,9 @@ from ilocal import (
     homology,
     induced_map,
     is_u_localized_iso,
-    kunneth,
-    reflect,
     tensor,
-    width,
 )
-from ilocal.suite import random_geometric_complex
+from ilocal.suite import check_duality, check_kunneth, random_geometric_complex
 
 T = Tower
 
@@ -81,9 +78,7 @@ class TestHomology:
             assert homology(relabeled).module == homology(c).module
 
     def test_kunneth_cross_check(self):
-        lhs = homology(tensor(build_xi(2), build_xi(3))).module
-        rhs = kunneth(homology(build_xi(2)).module, homology(build_xi(3)).module)
-        assert lhs == rhs
+        assert check_kunneth(build_xi(2), build_xi(3)) is None
 
     def test_nine_generator_square_reduces_directly(self):
         # independent check of the tensor-product oracle on the 9-cell square
@@ -95,10 +90,8 @@ class TestHomology:
     def test_duality_reflection(self):
         rng = random.Random("dual")
         for _ in range(25):
-            c = random_geometric_complex(rng, max_cells=10)
-            h, hd = homology(c).module, homology(dual(c)).module
-            assert hd.torsion() == reflect(h.torsion())
-            assert width(dual(c)) == width(c)
+            w = check_duality(random_geometric_complex(rng, max_cells=10))
+            assert w is None, w
 
 
 class TestExpress:
@@ -180,6 +173,5 @@ def test_kunneth_matches_tensor_on_random_pairs(seed):
     rng = random.Random(seed)
     c1 = random_geometric_complex(rng, max_cells=9)
     c2 = random_geometric_complex(rng, max_cells=9)
-    assert homology(tensor(c1, c2)).module == kunneth(
-        homology(c1).module, homology(c2).module
-    )
+    w = check_kunneth(c1, c2)
+    assert w is None, w
