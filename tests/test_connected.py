@@ -194,6 +194,25 @@ class TestDecode:
         with pytest.raises(NotInXForm):
             decode(mod(T(F(-1), 2), T(F(-3), 2)), F(0))
 
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            # after a down chain (tail -5): down needs top -6, up needs bottom -5
+            (T(F(-1), 3), T(F(-3), 1), None),
+            (T(F(-1), 3), T(F(-6), 1), LC(((1, 3), (1, 1)))),
+            # after an up chain (tail 4): up needs bottom 5, down needs top 4
+            (T(F(4), 3), T(F(2), 1), None),
+            (T(F(4), 3), T(F(4), 1), LC(((-1, 3), (1, 1)))),
+        ],
+    )
+    def test_transition_after_leading_chain(self, first, second, expected):
+        m = mod(first, second)
+        if expected is None:
+            with pytest.raises(NotInXForm):
+                decode(m, F(0))
+        else:
+            assert decode(m, F(0)) == expected
+
     def test_free_tower_rejected(self):
         from ilocal import INFINITE
 
