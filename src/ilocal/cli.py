@@ -48,6 +48,19 @@ def _require_split(c: cx.AnyComplex) -> cx.SplitComplex:
     return c
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
 def _add_complex_source(sub, expr_help="combination expression, e.g. 'X5 - X4 + X2'"):
     sub.add_argument("--expr", help=expr_help)
     sub.add_argument("--file", help="path to a complex JSON file")
@@ -254,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("suite", help="run the randomized verification suites")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=None, help="cases per suite")
-    p.add_argument("--max-terms", type=int, default=4)
-    p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--max-cells", type=int, default=10)
+    p.add_argument("--cases", type=_int_at_least(0), default=None, help="cases per suite")
+    p.add_argument("--max-terms", type=_int_at_least(0), default=4)
+    p.add_argument("--max-index", type=_int_at_least(1), default=6)
+    p.add_argument("--max-cells", type=_int_at_least(3), default=10)
     p.set_defaults(fn=_cmd_suite)
 
     return parser

@@ -316,28 +316,29 @@ def build_misordered(x: int, y: int) -> SplitComplex:
 # -- tensor and dual ----------------------------------------------------
 
 
+def _pid(u: str, v: str) -> str:
+    return f"{u}{TENSOR_SEP}{v}"
+
+
 def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     """Tensor product: cells are pairs, dim and gr add, Leibniz boundary.
 
     If both factors are split the product is split with J acting
     coordinatewise; its fixed cell is the pair of fixed cells.
     """
-    def pid(u: str, v: str) -> str:
-        return f"{u}{TENSOR_SEP}{v}"
-
     cells = [
-        Cell(pid(u.id, v.id), u.dim + v.dim, u.gr + v.gr)
+        Cell(_pid(u.id, v.id), u.dim + v.dim, u.gr + v.gr)
         for u in c1.cells.values()
         for v in c2.cells.values()
     ]
     bdry = {}
     for u in c1.ids():
         for v in c2.ids():
-            terms = {pid(du, v) for du in c1.bdry[u]} | {pid(u, dv) for dv in c2.bdry[v]}
-            bdry[pid(u, v)] = terms
+            terms = {_pid(du, v) for du in c1.bdry[u]} | {_pid(u, dv) for dv in c2.bdry[v]}
+            bdry[_pid(u, v)] = terms
     g = GeometricComplex(cells, bdry, (c1.tau + c2.tau) % 2)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        J = {pid(u, v): pid(c1.J[u], c2.J[v]) for u in c1.ids() for v in c2.ids()}
+        J = {_pid(u, v): _pid(c1.J[u], c2.J[v]) for u in c1.ids() for v in c2.ids()}
         return SplitComplex(g, J)
     return g
 

@@ -9,11 +9,12 @@ lower after ++, one higher after --.  The result is the connected module in
 the unshifted frame; the invariant of a class with correction term d is the
 same module with all gradings raised by d - 1.
 
-The decoder inverts this: towers of equal length must concatenate into a
+The decoder runs the placement rule backwards: it shifts the module back
+into the unshifted frame, towers of equal length must concatenate into a
 chain (each top one below the previous bottom), chains are ordered by
-length, the leading chain is oriented by whether its top sits at d - 1
-(down) or its bottom at d (up), and every transition must match exactly one
-placement rule.  Anything else is rejected as not of the required form.
+length, and each chain takes the sign whose head, placed after the previous
+chain's tail, is the chain's top (down) or bottom (up).  Anything else is
+rejected as not of the required form.
 
 ``representative`` builds the small model complex for a combination by
 iterated doubling, dualizing around each negative term; its torsion
@@ -133,26 +134,28 @@ def simplify(lc: LinearCombination) -> LinearCombination:
     return LinearCombination(tuple(terms))
 
 
+def _head(prev, sign: int) -> Fraction:
+    """Grading of the next tower's head, given the previous term's (sign, tail)."""
+    if prev is None:
+        return Fraction(0) if sign > 0 else Fraction(1)
+    prev_sign, prev_tail = prev
+    if sign != prev_sign:
+        return prev_tail
+    return prev_tail - 1 if sign > 0 else prev_tail + 1
+
+
 def place_towers(lc: LinearCombination) -> FUModule:
     """Run the placement algorithm, cancelling pairs permitted."""
     towers = []
-    prev_sign = None
-    prev_tail = None
+    prev = None
     for sign, index in lc:
-        orient = DOWN if sign > 0 else UP
-        if prev_sign is None:
-            head = Fraction(0) if sign > 0 else Fraction(1)
-        elif sign != prev_sign:
-            head = prev_tail
-        elif sign > 0:
-            head = prev_tail - 1
+        head = _head(prev, sign)
+        if sign > 0:
+            tower = Tower(head, index, DOWN)
         else:
-            head = prev_tail + 1
-        top = head if orient is DOWN else head + 2 * (index - 1)
-        tower = Tower(top, index, orient)
+            tower = Tower(head + 2 * (index - 1), index, UP)
         towers.append(tower)
-        prev_sign = sign
-        prev_tail = tower.tail
+        prev = (sign, tower.tail)
     return FUModule(tuple(towers))
 
 
@@ -220,43 +223,19 @@ def decode(m: FUModule, d: Grading) -> LinearCombination:
     d = Fraction(d)
     if m.free_rank:
         raise ValueError("decode expects a torsion-only module")
-    if not len(m):
-        return LinearCombination()
-    chains = _chains(m)
-    first = chains[0]
-    if first.hi == d - 1:
-        orient = DOWN
-    elif first.lo == d:
-        orient = UP
-    else:
-        raise NotInXForm(
-            "leading chain has neither a down head at d - 1 nor an up head at d"
-        )
-    terms = [(1 if orient is DOWN else -1, first.length)] * first.count
-    prev_tail = first.lo if orient is DOWN else first.hi
-    prev_orient = orient
-    for chain in chains[1:]:
-        if prev_orient is DOWN:
-            if chain.hi == prev_tail - 1:
-                orient = DOWN
-            elif chain.lo == prev_tail:
-                orient = UP
-            else:
-                raise NotInXForm(
-                    f"no placement rule matches the chain of length {chain.length}"
-                )
+    terms = []
+    prev = None
+    for chain in _chains(shift(m, d - 1)):
+        # both rules together would need hi - lo = -1, but hi - lo is even,
+        # so at most one sign matches
+        if _head(prev, 1) == chain.hi:
+            sign, tail = 1, chain.lo
+        elif _head(prev, -1) == chain.lo:
+            sign, tail = -1, chain.hi
         else:
-            if chain.lo == prev_tail + 1:
-                orient = UP
-            elif chain.hi == prev_tail:
-                orient = DOWN
-            else:
-                raise NotInXForm(
-                    f"no placement rule matches the chain of length {chain.length}"
-                )
-        terms.extend([(1 if orient is DOWN else -1, chain.length)] * chain.count)
-        prev_tail = chain.lo if orient is DOWN else chain.hi
-        prev_orient = orient
+            raise NotInXForm(f"no placement rule matches the chain of length {chain.length}")
+        terms.extend([(sign, chain.length)] * chain.count)
+        prev = (sign, tail)
     lc = LinearCombination(tuple(terms))
     if hf_conn(lc, d) != m:
         raise NotInXForm("module does not reassemble from the decoded combination")

@@ -23,8 +23,10 @@ complex of index delta; the maps realizing this are
 one way, and the other way g collapses x.alpha and x.(J.alpha) to x (plus a
 theta correction when eta appears in d(x)), sends eta.alpha to omega,
 eta.beta to theta, and everything else in the beta column to zero.  Both
-lift to grading-preserving F2[U]-maps by inserting U-powers, and g o f is
-the identity on the nose.
+maps are given on one cell per J-orbit, with x a chosen cell, and extended
+J-equivariantly; cells of the orbits left out map to zero.  Both lift to
+grading-preserving F2[U]-maps by inserting U-powers, and g o f is the
+identity on the nose.
 
 Halving is implemented algebraically as dual o double o dual.
 """
@@ -39,7 +41,7 @@ from .complexes import (
     Chain,
     GeometricComplex,
     SplitComplex,
-    TENSOR_SEP,
+    _pid,
     _xi_complex,
     decompose,
     dual,
@@ -145,10 +147,6 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
     return dual(double(dual(x), delta).complex)
 
 
-def _pid(u: str, v: str) -> str:
-    return f"{u}{TENSOR_SEP}{v}"
-
-
 def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     """Attach the U-exponents making each target term Maslov-degree-correct."""
     m = src.maslov(src_id)
@@ -161,30 +159,36 @@ def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     return frozenset(terms)
 
 
+def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> ChainMap:
+    """The chain map given by the cellular images of one cell per J-orbit.
+
+    ``images`` maps a source cell to the target cells of its image; the
+    J-partner of that cell is sent to their J-partners.  Cells of orbits not
+    listed map to zero.
+    """
+    assignment = {}
+    for cid, target_ids in images.items():
+        assignment[cid] = _lifted(src, tgt, cid, target_ids)
+        jcid = src.J[cid]
+        if jcid != cid:
+            assignment[jcid] = _lifted(src, tgt, jcid, [tgt.J[tid] for tid in target_ids])
+    return ChainMap(src, tgt, assignment)
+
+
 def local_map_f(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the double to the tensor with the basis complex."""
     chosen = validate_splitting(x, splitting)
     dr = double(x, delta, chosen)
-    src = dr.complex
     tgt = tensor(x, _xi_complex(delta))
-    assignment = {}
-
-    def set_pair(cid: str, target_ids):
-        assignment[cid] = _lifted(src, tgt, cid, target_ids)
-        jcid = src.J[cid]
-        if jcid != cid:
-            assignment[jcid] = _lifted(
-                src, tgt, jcid, [tgt.J[tid] for tid in target_ids]
-            )
-
+    images = {}
     for c in sorted(chosen):
         _, b, _ = decompose(x, x.bdry[c], chosen)
-        set_pair(c, [_pid(c, "a")] + [_pid(x.J[bi], "b") for bi in sorted(b)])
-    set_pair(dr.omega, [_pid(dr.eta, "a")] + [_pid(x.J[z], "b") for z in sorted(dr.zeta)])
-    set_pair(dr.theta, [_pid(dr.eta, "b")])
-    return ChainMap(src, tgt, assignment)
+        images[c] = [_pid(c, "a")] + [_pid(x.J[bi], "b") for bi in sorted(b)]
+    images[dr.omega] = [_pid(dr.eta, "a")] + [_pid(x.J[z], "b") for z in sorted(dr.zeta)]
+    images[dr.theta] = [_pid(dr.eta, "b")]
+    return _j_equivariant_map(dr.complex, tgt, images)
 
 
 def local_map_g(
@@ -193,23 +197,15 @@ def local_map_g(
     """The local map from the tensor with the basis complex back to the double."""
     chosen = validate_splitting(x, splitting)
     dr = double(x, delta, chosen)
-    tgt = dr.complex
     src = tensor(x, _xi_complex(delta))
-    eta = dr.eta
-    assignment = {}
+    images = {}
     for c in sorted(chosen):
-        jc = x.J[c]
-        theta_part = [dr.theta] if eta in x.bdry[c] else []
-        assignment[_pid(c, "a")] = _lifted(src, tgt, _pid(c, "a"), [c])
-        assignment[_pid(c, "Ja")] = _lifted(src, tgt, _pid(c, "Ja"), [c] + theta_part)
-        assignment[_pid(c, "b")] = frozenset()
-        assignment[_pid(jc, "Ja")] = _lifted(src, tgt, _pid(jc, "Ja"), [jc])
-        assignment[_pid(jc, "a")] = _lifted(src, tgt, _pid(jc, "a"), [jc] + theta_part)
-        assignment[_pid(jc, "b")] = frozenset()
-    assignment[_pid(eta, "a")] = _lifted(src, tgt, _pid(eta, "a"), [dr.omega])
-    assignment[_pid(eta, "Ja")] = _lifted(src, tgt, _pid(eta, "Ja"), [dr.j_omega])
-    assignment[_pid(eta, "b")] = _lifted(src, tgt, _pid(eta, "b"), [dr.theta])
-    return ChainMap(src, tgt, assignment)
+        theta_part = [dr.theta] if dr.eta in x.bdry[c] else []
+        images[_pid(c, "a")] = [c]
+        images[_pid(c, "Ja")] = [c] + theta_part
+    images[_pid(dr.eta, "a")] = [dr.omega]
+    images[_pid(dr.eta, "b")] = [dr.theta]
+    return _j_equivariant_map(src, dr.complex, images)
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,8 @@ def random_split_complex(rng: random.Random, max_cells: int = 10) -> cx.SplitCom
         if op == "dual":
             s = cx.dual(s)
         elif op == "double":
-            w = s.width()
-            cap = 4 if w == tw.INFINITE else min(4, int(w) // 2)
-            s = db.double(s, rng.randint(0, cap), random_splitting(rng, s)).complex
+            delta = rng.randint(0, admissible_deltas(s, cap=4)[-1])
+            s = db.double(s, delta, random_splitting(rng, s)).complex
         else:
             s = cx.tensor(s, cx.build_xi(rng.randint(1, 3)))
     if rng.random() < 0.7:

@@ -243,6 +243,23 @@ class TestRenderAndSuite:
         report = run_json(capsys, "suite", "--seed", "3", "--cases", "2")
         assert report["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "flag, minimum", [("--cases", 0), ("--max-terms", 0), ("--max-index", 1), ("--max-cells", 3)]
+    )
+    def test_suite_option_below_minimum_is_usage_error(self, capsys, flag, minimum):
+        with pytest.raises(SystemExit) as e:
+            main(["suite", "--seed", "3", flag, str(minimum - 1)])
+        err = capsys.readouterr().err
+        assert e.value.code == 2
+        assert f"argument {flag}: must be at least {minimum}" in err.splitlines()[-1]
+
+    def test_suite_option_minimums_run_clean(self, capsys):
+        report = run_json(
+            capsys, "suite", "--seed", "3", "--cases", "0",
+            "--max-terms", "0", "--max-index", "1", "--max-cells", "3",
+        )
+        assert report["passed"] is True
+
     def test_expression_error_exit_code(self, capsys):
         code, out, err = run(capsys, "connected", "--expr", "X0")
         assert code == 1 and "offset" in err
