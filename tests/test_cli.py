@@ -4,12 +4,15 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import ilocal
 from ilocal import FUModule, build_xi, complex_to_json, hf_conn, parse_expression
 from ilocal.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -60,6 +63,24 @@ class TestBuildAndHomology:
     def test_witnesses(self, capsys):
         obj = run_json(capsys, "homology", "--expr", "X2", "--witnesses")
         assert obj["witnesses"]["torsion"][0]["length"] == 2
+
+    def test_witnesses_match_golden_stdout(self, capsys, tmp_path):
+        # the fixture holds the stdout as first written, byte for byte; its
+        # file complex has tau = 1/2, a torsion tower, a cancelling pair and
+        # cycles with nonzero U-exponents
+        golden = json.loads((FIXTURES / "homology_witnesses_golden.json").read_text())
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(golden["complex"]))
+        sources = {
+            "X2": ("--expr", "X2"),
+            "X5 - X4 + X2": ("--expr", "X5 - X4 + X2"),
+            "file": ("--file", str(path)),
+        }
+        assert sources.keys() == golden["stdout"].keys()
+        for name, source in sources.items():
+            code, out, err = run(capsys, "homology", *source, "--witnesses")
+            assert code == 0, err
+            assert out == golden["stdout"][name], name
 
     def test_expr_and_file_conflict(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as e:
