@@ -7,11 +7,13 @@ even.  The derived free F2[U]-complex has differential
 
     d(e) = sum over e' in bdry(e) of U^((gr(e') - gr(e)) / 2) e'
 
-and Maslov grading M(e) = gr(e) + dim(e) (U has Maslov degree -2 and
-dimensional degree 0).  All ``gr`` values lie in one coset of 2Z in Q,
-represented by ``tau``.  The skeleton is not required to come from an
-actual cell complex: any degree -1 differential over F2 is allowed, which
-keeps the class closed under dualization.
+and Maslov grading M(e) = gr(e) + dim(e).  U has Maslov degree -2 and
+dimensional degree 0, so U^k e has Maslov degree M(e) - 2k: this is the one
+grading rule, stated by ``GeometricComplex.degree_of`` and inverted by its
+``u_power``.  All ``gr`` values lie in one coset of 2Z in Q, represented by
+``tau``.  The skeleton is not required to come from an actual cell complex:
+any degree -1 differential over F2 is allowed, which keeps the class closed
+under dualization.
 
 Because every ``gr`` lies in ``tau + 2Z``, all gradings of a validated
 complex share the reduced denominator ``q`` of ``tau = p/q``, and
@@ -157,6 +159,20 @@ class GeometricComplex:
         if gap < 0 or gap % two_q:
             raise InvalidComplex(f"invalid grading gap on boundary pair ({src!r}, {tgt!r})")
         return gap // two_q
+
+    def degree_of(self, cid: str, k: int) -> Grading:
+        """Maslov degree M(cid) - 2k of the chain U^k cid."""
+        return self.cells[cid].maslov - 2 * k
+
+    def u_power(self, cid: str, degree: Grading) -> int:
+        """The k >= 0 with ``degree_of(cid, k) == degree``; ValueError if none."""
+        # q * (M(cid) - degree) on the numerators; it is an integer iff rest == 0
+        q = self.tau.denominator
+        scale, rest = divmod(q, degree.denominator)
+        gap = self._num[cid] + q * self.cells[cid].dim - degree.numerator * scale
+        if rest or gap < 0 or gap % (2 * q):
+            raise ValueError(f"degree {degree} is not M({cid!r}) - 2k for an integer k >= 0")
+        return gap // (2 * q)
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""

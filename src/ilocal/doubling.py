@@ -150,13 +150,7 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
 def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     """Attach the U-exponents making each target term Maslov-degree-correct."""
     m = src.maslov(src_id)
-    terms = set()
-    for tid in target_ids:
-        gap = tgt.maslov(tid) - m
-        if gap < 0 or gap % 2 != 0:
-            raise ValueError(f"cellular image of {src_id!r} cannot be lifted at {tid!r}")
-        terms.add((tid, int(gap / 2)))
-    return frozenset(terms)
+    return frozenset((tid, tgt.u_power(tid, m)) for tid in target_ids)
 
 
 def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> ChainMap:

@@ -1,5 +1,8 @@
 """Homology of geometric complexes over F2[U], with induced-map support.
 
+Gradings follow the rule U^k e in Maslov degree M(e) - 2k, stated once in
+``complexes`` (``GeometricComplex.degree_of`` and ``u_power``).
+
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
 so every boundary points strictly earlier and the single F2 boundary matrix
 can be column-reduced in the persistence style, columns as integer bitmasks.
@@ -33,9 +36,7 @@ TermSet = FrozenSet[Tuple[str, int]]
 
 @dataclass(frozen=True)
 class _BasisCycle:
-    pivot: int
-    vec: int
-    degree: Grading  # Maslov degree of the lifted cycle
+    vec: int  # keyed by its pivot, whose Maslov degree the cycle has
     kind: str  # "free" | "torsion" | "dead"
     index: int  # position in free_cycles / torsion_pairs (-1 for dead)
     length: object  # torsion length, INFINITE for free, 0 for dead
@@ -75,7 +76,7 @@ class ReductionResult:
         degree = Fraction(degree)
         vec = 0
         for cid, exp in chain.items():
-            if self.complex.maslov(cid) - 2 * exp != degree:
+            if self.complex.degree_of(cid, exp) != degree:
                 raise ValueError(f"chain is not homogeneous of degree {degree} at {cid!r}")
             vec |= 1 << self._pos[cid]
         out = []
@@ -84,10 +85,7 @@ class ReductionResult:
             entry = self._basis.get(p)
             if entry is None:
                 raise ValueError("chain is not a cycle")
-            c = entry.degree - degree
-            if c < 0 or c % 2 != 0:
-                raise ValueError("chain is not a cycle in this complex")
-            c = int(c / 2)
+            c = self.complex.u_power(self._order[p], degree)
             vec ^= entry.vec
             if entry.kind == "dead":
                 continue
@@ -98,7 +96,7 @@ class ReductionResult:
 
     def chain_degree(self, chain: HomogeneousChain) -> Grading:
         cid, exp = next(iter(chain.items()))
-        return self.complex.maslov(cid) - 2 * exp
+        return self.complex.degree_of(cid, exp)
 
     def witnesses_json(self) -> dict:
         """Cycle representatives as cell/U-exponent lists (CLI --witnesses)."""
@@ -157,8 +155,7 @@ def homology(c: AnyComplex) -> ReductionResult:
         while vec:
             b = vec.bit_length() - 1
             vec ^= 1 << b
-            gap = c.maslov(order[b]) - degree
-            ch[order[b]] = int(gap / 2)
+            ch[order[b]] = c.u_power(order[b], degree)
         return ch
 
     R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
@@ -177,16 +174,16 @@ def homology(c: AnyComplex) -> ReductionResult:
             torsion_pairs.append(
                 (chain_of(V[j], c.maslov(order[j])), chain_of(R[j], degree), k)
             )
-            basis[i] = _BasisCycle(i, R[j], degree, "torsion", len(torsion_pairs) - 1, k)
+            basis[i] = _BasisCycle(R[j], "torsion", len(torsion_pairs) - 1, k)
             towers.append(Tower(degree, k))
         else:
-            basis[i] = _BasisCycle(i, R[j], degree, "dead", -1, 0)
+            basis[i] = _BasisCycle(R[j], "dead", -1, 0)
     for j in range(n):
         if R[j] or j in owner:
             continue
         degree = c.maslov(order[j])
         free_cycles.append((degree, chain_of(V[j], degree)))
-        basis[j] = _BasisCycle(j, V[j], degree, "free", len(free_cycles) - 1, INFINITE)
+        basis[j] = _BasisCycle(V[j], "free", len(free_cycles) - 1, INFINITE)
         towers.append(Tower(degree, INFINITE))
     module = FUModule(tuple(towers)).canonical()
     return ReductionResult(
@@ -201,10 +198,6 @@ def homology(c: AnyComplex) -> ReductionResult:
 
 
 # -- chain maps ----------------------------------------------------------
-
-
-def _terms_of(chain: HomogeneousChain) -> TermSet:
-    return frozenset(chain.items())
 
 
 def _bdry_terms(c: AnyComplex, terms: TermSet) -> TermSet:
@@ -264,7 +257,7 @@ class ChainMap:
         for cid in src.ids():
             m = src.maslov(cid)
             for tid, exp in sorted(self.assignment[cid]):
-                if tgt.maslov(tid) - 2 * exp != m:
+                if tgt.degree_of(tid, exp) != m:
                     return {
                         "cell": cid,
                         "term": [tid, exp],
@@ -342,11 +335,7 @@ def induced_map(
     tgt_result = tgt_result if tgt_result is not None else homology(f.target)
     images = []
     for degree, chain in src_result.free_cycles:
-        img_terms = f.apply(_terms_of(chain))
-        img_chain: HomogeneousChain = {}
-        for tid, e in img_terms:
-            img_chain[tid] = e
-        images.append(tgt_result.express(img_chain, degree))
+        images.append(tgt_result.express(dict(f.apply(chain.items())), degree))
     return images
 
 
