@@ -1,16 +1,18 @@
 """The complex layer against plain reference formulas.
 
-The library compares gradings through integer numerators, stores the width
-found while validating, transposes the boundary in one pass over the edges
-and decomposes a chain over its own cells.  The functions below are the
-direct formulas in ``Fraction`` arithmetic and over all cells; the library
-must agree with them on random split complexes, their duals, and their
-tensors with a complex whose ``tau`` is fractional.
+The library compares gradings and finds U-powers through integer
+numerators, stores the width found while validating, transposes the
+boundary in one pass over the edges and decomposes a chain over its own
+cells.  The functions below are the direct formulas in ``Fraction``
+arithmetic and over all cells; the library must agree with them on random
+split complexes, their duals, and their tensors with a complex whose
+``tau`` is fractional.
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +125,20 @@ def test_decompose_matches_walk_over_the_splitting(seed):
             chains += [frozenset(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(5)]
             for chain in chains:
                 assert decompose(c, chain, chosen) == ref_decompose(c, chain, chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_degree_of_and_u_power_match_the_maslov_rule(seed):
+    # U^k e has Maslov degree gr(e) + dim(e) - 2k; u_power inverts that and
+    # rejects a degree above M(e), an odd gap and a non-integer gap
+    _, cs = complexes_of(seed)
+    for c in cs:
+        for cid, cell in c.cells.items():
+            m = F(cell.gr) + cell.dim
+            for k in range(4):
+                assert c.degree_of(cid, k) == m - 2 * k
+                assert c.u_power(cid, c.degree_of(cid, k)) == k
+            for bad in (m + 2, m - 1, m - F(1, 2)):
+                with pytest.raises(ValueError):
+                    c.u_power(cid, bad)
