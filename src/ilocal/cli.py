@@ -179,17 +179,18 @@ def _cmd_render(parser, args) -> int:
 
 
 def _cmd_suite(parser, args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("ILOCAL_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    seed = os.environ.get("ILOCAL_SEED", args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"ILOCAL_SEED must be an integer, got {seed!r}") from None
     counts = {}
     if args.cases is not None:
         n = args.cases
         counts = dict(
             kunneth_cases=n,
             doubling_cases=n,
-            local_cases=max(1, n // 2),
+            local_cases=min(n, max(1, n // 2)),
             representative_cases=n,
             roundtrip_cases=4 * n,
             duality_cases=n,

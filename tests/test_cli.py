@@ -280,6 +280,13 @@ class TestRenderAndSuite:
             "--max-terms", "0", "--max-index", "1", "--max-cells", "3",
         )
         assert report["passed"] is True
+        assert [s["cases"] for s in report["suites"]] == [0] * 6
+
+    def test_suite_env_seed_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ILOCAL_SEED", "abc")
+        code, out, err = run(capsys, "suite", "--cases", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: ILOCAL_SEED must be an integer, got 'abc'\n"
 
     def test_expression_error_exit_code(self, capsys):
         code, out, err = run(capsys, "connected", "--expr", "X0")
