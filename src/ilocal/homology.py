@@ -1,8 +1,5 @@
 """Homology of geometric complexes over F2[U], with induced-map support.
 
-Gradings follow the rule U^k e in Maslov degree M(e) - 2k, stated once in
-``complexes`` (``GeometricComplex.degree_of`` and ``u_power``).
-
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
 so every boundary points strictly earlier and the single F2 boundary matrix
 can be column-reduced in the persistence style, columns as integer bitmasks.
@@ -14,7 +11,9 @@ are cycles, and the ones never hit as pivots generate free towers.
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
 cycle can be expressed over the homology generators by pivot elimination;
-that is what evaluating an induced map needs.
+that is what evaluating an induced map needs.  Every U-power here follows
+the one grading rule of ``complexes``: U^k e has Maslov degree M(e) - 2k
+(``GeometricComplex.degree_of``, inverted by ``u_power``).
 """
 
 from __future__ import annotations
