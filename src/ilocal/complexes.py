@@ -8,9 +8,9 @@ even.  The derived free F2[U]-complex has differential
     d(e) = sum over e' in bdry(e) of U^((gr(e') - gr(e)) / 2) e'
 
 and Maslov grading M(e) = gr(e) + dim(e).  U has Maslov degree -2 and
-dimensional degree 0, so U^k e has Maslov degree M(e) - 2k: this is the one
-grading rule, stated by ``GeometricComplex.degree_of`` and inverted by its
-``u_power``.  All ``gr`` values lie in one coset of 2Z in Q, represented by
+dimensional degree 0, so U^k e has Maslov degree M(e) - 2k.  This is the
+one grading rule: ``GeometricComplex.degree_of`` states it and ``u_power``
+inverts it.  All ``gr`` values lie in one coset of 2Z in Q, represented by
 ``tau``.  The skeleton is not required to come from an actual cell complex:
 any degree -1 differential over F2 is allowed, which keeps the class closed
 under dualization.
