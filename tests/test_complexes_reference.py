@@ -135,7 +135,7 @@ def test_degree_of_and_u_power_match_the_maslov_rule(seed):
     _, cs = complexes_of(seed)
     for c in cs:
         for cid, cell in c.cells.items():
-            m = F(cell.gr) + cell.dim
+            m = cell.gr + cell.dim
             for k in range(4):
                 assert c.degree_of(cid, k) == m - 2 * k
                 assert c.u_power(cid, c.degree_of(cid, k)) == k
