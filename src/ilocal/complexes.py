@@ -342,19 +342,22 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     If both factors are split the product is split with J acting
     coordinatewise; its fixed cell is the pair of fixed cells.
     """
-    cells = [
-        Cell(_pid(u.id, v.id), u.dim + v.dim, u.gr + v.gr)
-        for u in c1.cells.values()
-        for v in c2.cells.values()
-    ]
-    bdry = {}
-    for u in c1.ids():
-        for v in c2.ids():
-            terms = {_pid(du, v) for du in c1.bdry[u]} | {_pid(u, dv) for dv in c2.bdry[v]}
-            bdry[_pid(u, v)] = terms
+    ids2 = c2.ids()
+    pid = {u: {v: _pid(u, v) for v in ids2} for u in c1.ids()}
+    # one sum per pair of distinct gradings, looked up by their numerators
+    gr1 = {c1._num[u]: cell.gr for u, cell in c1.cells.items()}
+    gr2 = {c2._num[v]: cell.gr for v, cell in c2.cells.items()}
+    sums = {n1: {n2: g1 + g2 for n2, g2 in gr2.items()} for n1, g1 in gr1.items()}
+    cells, bdry = [], {}
+    for u, cu in c1.cells.items():
+        row, row_sums, bu = pid[u], sums[c1._num[u]], c1.bdry[u]
+        for v, cv in c2.cells.items():
+            w = row[v]
+            cells.append(Cell(w, cu.dim + cv.dim, row_sums[c2._num[v]]))
+            bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
     g = GeometricComplex(cells, bdry, (c1.tau + c2.tau) % 2)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        J = {_pid(u, v): _pid(c1.J[u], c2.J[v]) for u in c1.ids() for v in c2.ids()}
+        J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
         return SplitComplex(g, J)
     return g
 

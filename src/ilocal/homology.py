@@ -3,6 +3,9 @@
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
 so every boundary points strictly earlier and the single F2 boundary matrix
 can be column-reduced in the persistence style, columns as integer bitmasks.
+The order is computed on the integer numerators that validation stores:
+every gr shares one positive denominator, so they order the cells as the
+gradings do.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -11,7 +14,9 @@ are cycles, and the ones never hit as pivots generate free towers.
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
 cycle can be expressed over the homology generators by pivot elimination;
-that is what evaluating an induced map needs.  Every U-power here follows
+that is what evaluating an induced map needs.  The reduction keeps those
+basis vectors as bitmasks and builds the cycle representatives from them on
+first read; the module itself needs none of them.  Every U-power here follows
 the one grading rule of ``complexes``: U^k e has Maslov degree M(e) - 2k
 (``GeometricComplex.degree_of``, inverted by ``u_power``).
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .complexes import AnyComplex, GeometricComplex, SplitComplex
@@ -49,16 +55,39 @@ class ReductionResult:
     one homogeneous representative per free tower and ``torsion_pairs`` one
     (killing chain, cycle, U-exponent) triple per finite tower.  The
     representatives depend on the reduction order and are excluded from
-    module equality.
+    module equality.  Both are built on first read from the bitmasks in
+    ``_free`` and ``_torsion`` and then cached; a chain's degree is the
+    Maslov degree of its top cell in ``_order``.
     """
 
     complex: GeometricComplex
     module: FUModule
-    free_cycles: Tuple[Tuple[Grading, HomogeneousChain], ...]
-    torsion_pairs: Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]
     _order: Tuple[str, ...]
     _pos: Dict[str, int]
     _basis: Dict[int, _BasisCycle]
+    _free: Tuple[int, ...]  # one cycle bitmask per free tower
+    _torsion: Tuple[Tuple[int, int, int], ...]  # (killing chain, cycle, length)
+
+    @cached_property
+    def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:
+        return tuple(self._chain(vec) for vec in self._free)
+
+    @cached_property
+    def torsion_pairs(self) -> Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]:
+        return tuple(
+            (self._chain(x)[1], self._chain(z)[1], k) for x, z, k in self._torsion
+        )
+
+    def _chain(self, vec: int) -> Tuple[Grading, HomogeneousChain]:
+        """The cells of ``vec`` as a homogeneous chain at its top cell's degree."""
+        order, c = self._order, self.complex
+        degree = c.maslov(order[vec.bit_length() - 1])
+        ch = {}
+        while vec:
+            b = vec.bit_length() - 1
+            vec ^= 1 << b
+            ch[order[b]] = c.u_power(order[b], degree)
+        return degree, ch
 
     @property
     def free_rank(self) -> int:
@@ -145,22 +174,15 @@ def _reduce(columns: List[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
 
 def homology(c: AnyComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction."""
-    order = tuple(sorted(c.ids(), key=lambda cid: (-c.cells[cid].gr, c.cells[cid].dim, cid)))
+    # the numerators share the denominator q > 0, so this is (-gr, dim, id)
+    num, cells = c._num, c.cells
+    order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], cells[cid].dim, cid)))
     pos = {cid: i for i, cid in enumerate(order)}
     n = len(order)
 
-    def chain_of(vec: int, degree: Grading) -> HomogeneousChain:
-        ch = {}
-        while vec:
-            b = vec.bit_length() - 1
-            vec ^= 1 << b
-            ch[order[b]] = c.u_power(order[b], degree)
-        return ch
-
     R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
 
-    free_cycles = []
-    torsion_pairs = []
+    free, torsion = [], []
     basis: Dict[int, _BasisCycle] = {}
     towers = []
     for j in range(n):
@@ -168,31 +190,27 @@ def homology(c: AnyComplex) -> ReductionResult:
             continue
         i = R[j].bit_length() - 1
         k = c.u_exponent(order[j], order[i])
-        degree = c.maslov(order[i])
         if k > 0:
-            torsion_pairs.append(
-                (chain_of(V[j], c.maslov(order[j])), chain_of(R[j], degree), k)
-            )
-            basis[i] = _BasisCycle(R[j], "torsion", len(torsion_pairs) - 1, k)
-            towers.append(Tower(degree, k))
+            torsion.append((V[j], R[j], k))
+            basis[i] = _BasisCycle(R[j], "torsion", len(torsion) - 1, k)
+            towers.append(Tower(c.maslov(order[i]), k))
         else:
             basis[i] = _BasisCycle(R[j], "dead", -1, 0)
     for j in range(n):
         if R[j] or j in owner:
             continue
-        degree = c.maslov(order[j])
-        free_cycles.append((degree, chain_of(V[j], degree)))
-        basis[j] = _BasisCycle(V[j], "free", len(free_cycles) - 1, INFINITE)
-        towers.append(Tower(degree, INFINITE))
+        free.append(V[j])
+        basis[j] = _BasisCycle(V[j], "free", len(free) - 1, INFINITE)
+        towers.append(Tower(c.maslov(order[j]), INFINITE))
     module = FUModule(tuple(towers)).canonical()
     return ReductionResult(
         complex=c,
         module=module,
-        free_cycles=tuple(free_cycles),
-        torsion_pairs=tuple(torsion_pairs),
         _order=order,
         _pos=pos,
         _basis=basis,
+        _free=tuple(free),
+        _torsion=tuple(torsion),
     )
 
 

@@ -14,6 +14,7 @@ order never participate in comparison.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +72,8 @@ class Tower:
     orientation: Optional[Orientation] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "top", Fraction(self.top))
+        if type(self.top) is not Fraction:
+            object.__setattr__(self, "top", Fraction(self.top))
         if self.is_free:
             if self.orientation is not None:
                 raise ValueError("free towers are always unoriented")
@@ -143,11 +145,23 @@ class Tower:
         return Tower(top, length, Orientation(orient) if orient else None)
 
 
-def _sort_key(t: Tower):
-    # descending top, then descending length; orientation only as a final
-    # deterministic tiebreak (down < up < unoriented)
-    rank = {DOWN: 0, UP: 1, None: 2}[t.orientation]
-    return (-t.top, -t.length, rank)
+_RANK = {DOWN: 0, UP: 1, None: 2}
+
+
+def _canonical_order(towers) -> list:
+    """``towers`` by descending top, then descending length.
+
+    Orientation only breaks the remaining ties (down < up < unoriented).
+    Each top is compared as the integer ``top * L``, with L the lcm of the
+    tops' denominators: the same order as the gradings', in integers.
+    """
+    lcm = math.lcm(*(t.top.denominator for t in towers))
+    return sorted(
+        towers,
+        key=lambda t: (
+            -t.top.numerator * (lcm // t.top.denominator), -t.length, _RANK[t.orientation]
+        ),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +185,7 @@ class FUModule:
         return len(self.towers)
 
     def _key(self):
-        return tuple(sorted(((t.top, t.length) for t in self.towers), key=lambda p: (-p[0], -p[1])))
+        return tuple((t.top, t.length) for t in _canonical_order(self.towers))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FUModule):
@@ -193,7 +207,12 @@ class FUModule:
         return key(self) == key(other)
 
     def canonical(self) -> "FUModule":
-        return FUModule(tuple(sorted(self.towers, key=_sort_key)))
+        """A copy sorted by descending top, then descending length.
+
+        ``_key`` uses the same order; both compare the tops as one exact
+        integer key each, never as ``Fraction``s.
+        """
+        return FUModule(tuple(_canonical_order(self.towers)))
 
     def torsion(self) -> "FUModule":
         return FUModule(tuple(t for t in self.towers if not t.is_free))

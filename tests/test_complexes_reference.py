@@ -2,11 +2,12 @@
 
 The library compares gradings and finds U-powers through integer
 numerators, stores the width found while validating, transposes the
-boundary in one pass over the edges and decomposes a chain over its own
-cells.  The functions below are the direct formulas in ``Fraction``
-arithmetic and over all cells; the library must agree with them on random
-split complexes, their duals, and their tensors with a complex whose
-``tau`` is fractional.
+boundary in one pass over the edges, decomposes a chain over its own
+cells, orders cells for the reduction and towers for a module by integer
+keys, and adds each pair of distinct gradings once in a tensor.  The
+functions below are the direct formulas in ``Fraction`` arithmetic and over
+all cells; the library must agree with them on random split complexes,
+their duals, and their tensors with a complex whose ``tau`` is fractional.
 """
 
 import random
@@ -17,14 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilocal import (
+    DOWN,
     INFINITE,
+    UP,
     Cell,
+    FUModule,
     GeometricComplex,
     InvalidComplex,
     SplitComplex,
+    Tower,
     canonical_splitting,
+    complex_to_json,
     decompose,
     dual,
+    homology,
     tensor,
 )
 from ilocal.suite import random_split_complex, random_splitting
@@ -66,6 +73,33 @@ def ref_u_exponent(b, src, tgt):
     if gap < 0 or gap % 2 != 0:
         raise InvalidComplex(f"invalid grading gap on boundary pair ({src!r}, {tgt!r})")
     return int(gap / 2)
+
+
+def ref_tensor(c1, c2):
+    """The product built cell by cell, one id and one grading sum per use."""
+
+    def pid(u, v):
+        return f"{u}⊗{v}"
+
+    cells = [
+        Cell(pid(u.id, v.id), u.dim + v.dim, u.gr + v.gr)
+        for u in c1.cells.values()
+        for v in c2.cells.values()
+    ]
+    bdry = {
+        pid(u, v): {pid(du, v) for du in c1.bdry[u]} | {pid(u, dv) for dv in c2.bdry[v]}
+        for u in c1.ids()
+        for v in c2.ids()
+    }
+    g = GeometricComplex(cells, bdry, (c1.tau + c2.tau) % 2)
+    if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
+        return SplitComplex(g, {pid(u, v): pid(c1.J[u], c2.J[v]) for u in c1.ids() for v in c2.ids()})
+    return g
+
+
+def ref_sort_key(t):
+    # descending top, then descending length, then down < up < unoriented
+    return (-t.top, -t.length, {DOWN: 0, UP: 1, None: 2}[t.orientation])
 
 
 def fractional_xi(i, offset):
@@ -142,3 +176,46 @@ def test_degree_of_and_u_power_match_the_maslov_rule(seed):
             for bad in (m + 2, m - 1, m - F(1, 2)):
                 with pytest.raises(ValueError):
                     c.u_power(cid, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_homology_order_is_the_fraction_order(seed):
+    _, cs = complexes_of(seed)
+    for c in cs:
+        expected = sorted(c.ids(), key=lambda cid: (-c.cells[cid].gr, c.cells[cid].dim, cid))
+        assert list(homology(c)._order) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_tensor_matches_cell_by_cell_product(seed):
+    _, cs = complexes_of(seed)
+    plain = GeometricComplex(cs[1].cells.values(), cs[1].bdry, cs[1].tau)
+    for a in cs:
+        for b in (cs[0], cs[1], plain):
+            got, want = tensor(a, b), ref_tensor(a, b)
+            assert isinstance(got, SplitComplex) == isinstance(want, SplitComplex)
+            assert complex_to_json(got) == complex_to_json(want)
+            assert complex_to_json(tensor(b, a)) == complex_to_json(ref_tensor(b, a))
+
+
+def random_module(rng):
+    towers = []
+    for _ in range(rng.randint(0, 12)):
+        top = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        if rng.random() < 0.2:
+            towers.append(Tower(top, INFINITE))
+        else:
+            towers.append(Tower(top, rng.randint(1, 3), rng.choice((DOWN, UP, None))))
+    return FUModule(tuple(towers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_module_order_matches_fraction_sort_key(seed):
+    rng = random.Random(seed)
+    m = random_module(rng)
+    assert m.canonical().towers == tuple(sorted(m.towers, key=ref_sort_key))
+    pairs = sorted(((t.top, t.length) for t in m.towers), key=lambda p: (-p[0], -p[1]))
+    assert m._key() == tuple(pairs)

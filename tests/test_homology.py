@@ -119,6 +119,35 @@ class TestExpress:
             result.express({"b": 0}, result.complex.maslov("b"))
 
 
+class TestLazyRepresentatives:
+    @pytest.mark.parametrize("read", ["free_cycles", "torsion_pairs", "witnesses_json"])
+    def test_built_on_first_read(self, monkeypatch, read):
+        c = build_xi(1)
+        for i, dualised in ((2, True), (3, False), (1, True), (4, False), (2, False)):
+            c = tensor(c, dual(build_xi(i)) if dualised else build_xi(i))
+        assert len(c) == 3**6
+        calls = []
+        u_power = GeometricComplex.u_power
+        monkeypatch.setattr(
+            GeometricComplex, "u_power", lambda *args: calls.append(args) or u_power(*args)
+        )
+        result = homology(c)
+        assert result.free_rank == 1 and len(result.module) > 1
+        assert calls == []
+        value = getattr(result, read)
+        if read == "witnesses_json":
+            value = value()
+        assert calls
+        built = len(calls)
+        # a second read builds nothing; a cached attribute is the same object
+        again = getattr(result, read)
+        if read == "witnesses_json":
+            assert again() == value
+        else:
+            assert again is value
+        assert len(calls) == built
+
+
 class TestChainMap:
     def test_identity_induces_identity(self):
         c = build_xi(2)
