@@ -6,8 +6,8 @@ Grammar (whitespace insignificant):
     term := [int '*'] 'X' int
 
 Multiplicities expand into repeated terms; indices and multiplicities must
-be positive.  The empty combination formats as "0" and "0" parses back to
-it.
+be positive, and the expanded combination may hold at most ``MAX_TERMS``
+terms.  The empty combination formats as "0" and "0" parses back to it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .connected import LinearCombination
 from .errors import ExpressionError
 
 _OPS = "+-*X"
+
+#: Largest number of terms an expression may expand to; a multiplicity such
+#: as ``99999999999*X1`` would otherwise expand without a bound.
+MAX_TERMS = 100_000
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
@@ -61,6 +65,7 @@ class _Parser:
 
     def term(self, sign: int, out: list):
         kind, value, offset = self.peek()
+        start = offset
         mult = 1
         if kind == "int":
             mult = value
@@ -75,6 +80,8 @@ class _Parser:
         self.i += 1
         if value < 1:
             raise ExpressionError(f"index must be positive in 'X{value}'", x_tok[2])
+        if len(out) + mult > MAX_TERMS:
+            raise ExpressionError(f"expression expands to more than {MAX_TERMS} terms", start)
         out.extend((sign, value) for _ in range(mult))
 
     def parse(self) -> LinearCombination:

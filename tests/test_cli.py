@@ -202,6 +202,13 @@ class TestConnectedDecodeSum:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "invalid grading '1e999999999'" in proc.stderr
 
+    def test_huge_multiplicity_is_domain_error(self):
+        # the expansion of 99999999999*X1 used to end in a MemoryError
+        proc = run_child("connected", "--expr", "99999999999*X1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert "more than 100000 terms" in proc.stderr
+
     def test_moderate_exponent_grading_still_parses(self, capsys):
         shifted = run_json(capsys, "connected", "--expr", "X1", "--d", "2e2")
         assert shifted == run_json(capsys, "connected", "--expr", "X1", "--d", "200")

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilocal import ExpressionError, LinearCombination, format_expression, parse_expression
+from ilocal.expr import MAX_TERMS
 
 LC = LinearCombination
 
@@ -48,6 +49,15 @@ class TestParse:
     def test_missing_index(self):
         with pytest.raises(ExpressionError):
             parse_expression("X")
+
+    def test_term_cap(self):
+        assert len(parse_expression(f"{MAX_TERMS}*X1")) == MAX_TERMS
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(f"{MAX_TERMS}*X1 + X2")
+        assert err.value.offset == len(f"{MAX_TERMS}*X1 + ")
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("X2 - 99999999999*X1")
+        assert err.value.offset == 5
 
 
 class TestFormat:
