@@ -166,6 +166,181 @@ class TestValidation:
             assert len(calls) == 1
 
 
+def cells_of(*specs):
+    """Cells from (id, dim, gr) triples."""
+    return [Cell(cid, dim, F(gr)) for cid, dim, gr in specs]
+
+
+# (cells, bdry, tau, message).  Each input breaks one rule at two cells, or
+# two rules at once, so the order of the checks and of the cells decides
+# which error is reported.  No cell has two faulty boundary targets: their
+# order within a frozenset is not fixed.
+GEOMETRIC_ERRORS = {
+    "duplicate, first repeat wins": (
+        cells_of(("x", 0, 0), ("y", 0, 0), ("y", 0, 0), ("x", 0, 0)), {}, None,
+        "duplicate cell id 'y'",
+    ),
+    "duplicate before unknown bdry source": (
+        cells_of(("x", 0, 0), ("x", 0, 0)), {"q": set()}, None,
+        "duplicate cell id 'x'",
+    ),
+    "duplicate before coset": (
+        cells_of(("x", 0, 0), ("y", 0, 1), ("y", 0, 0)), {}, None,
+        "duplicate cell id 'y'",
+    ),
+    "unknown bdry source, bdry order": (
+        cells_of(("x", 0, 0), ("y", 0, 0)), {"x": set(), "q": {"x"}, "p": set()}, None,
+        "bdry source 'q' is not a cell",
+    ),
+    "unknown bdry source before coset": (
+        cells_of(("x", 0, 0), ("y", 0, 1)), {"q": set()}, None,
+        "bdry source 'q' is not a cell",
+    ),
+    "coset, cell order": (
+        cells_of(("x", 0, 0), ("y", 0, F(1, 2)), ("z", 0, 1)), {}, None,
+        "cell 'y' has gr 1/2 outside the coset tau=0 + 2Z",
+    ),
+    "coset against a given tau": (
+        cells_of(("x", 0, F(1, 2)), ("y", 0, F(3, 2)), ("z", 0, F(1, 3))), {}, F(5, 2),
+        "cell 'y' has gr 3/2 outside the coset tau=1/2 + 2Z",
+    ),
+    "coset before edges": (
+        cells_of(("x", 1, 0), ("y", 0, -2), ("z", 0, 1)), {"x": {"y"}}, None,
+        "cell 'z' has gr 1 outside the coset tau=0 + 2Z",
+    ),
+    "unknown target, bdry order": (
+        cells_of(("x", 1, 0), ("y", 1, 0)), {"y": {"w"}, "x": {"z"}}, None,
+        "boundary of 'y' mentions unknown cell 'w'",
+    ),
+    "dimension": (
+        cells_of(("x", 2, 0), ("y", 0, 0)), {"x": {"y"}}, None,
+        "boundary pair ('x', 'y') is not of dimensional degree -1",
+    ),
+    "dimension before grading on one edge": (
+        cells_of(("x", 2, 0), ("y", 0, -2)), {"x": {"y"}}, None,
+        "boundary pair ('x', 'y') is not of dimensional degree -1",
+    ),
+    "grading decreases": (
+        cells_of(("x", 1, 0), ("y", 0, -2)), {"x": {"y"}}, None,
+        "grading decreases along boundary pair ('x', 'y')",
+    ),
+    "grading before a later unknown target": (
+        cells_of(("x", 1, 0), ("y", 0, -2), ("z", 1, 0)), {"x": {"y"}, "z": {"q"}}, None,
+        "grading decreases along boundary pair ('x', 'y')",
+    ),
+    "unknown target before a later grading": (
+        cells_of(("x", 1, 0), ("y", 0, -2), ("z", 1, 0)), {"z": {"q"}, "x": {"y"}}, None,
+        "boundary of 'z' mentions unknown cell 'q'",
+    ),
+    "edges before bdry^2": (
+        cells_of(("p", 0, 0), ("x", 1, 0), ("z", 2, 0), ("w", 1, 0), ("v", 0, -2)),
+        {"x": {"p"}, "z": {"x"}, "w": {"v"}}, None,
+        "grading decreases along boundary pair ('w', 'v')",
+    ),
+    "bdry^2, cell order": (
+        cells_of(("p", 0, 0), ("x", 1, 0), ("y", 2, 0), ("z", 2, 0)),
+        {"z": {"x"}, "y": {"x"}, "x": {"p"}}, None,
+        "bdry^2 is nonzero at cell 'y' (hits ['p'])",
+    ),
+    "bdry^2 names every hit, sorted": (
+        cells_of(("q", 0, 0), ("p", 0, 0), ("x", 1, 0), ("z", 2, 0)),
+        {"x": {"p", "q"}, "z": {"x"}}, None,
+        "bdry^2 is nonzero at cell 'z' (hits ['p', 'q'])",
+    ),
+}
+
+_SQUARE = cells_of(("a", 0, 0), ("Ja", 0, 0), ("b", 1, -2), ("Jb", 1, -2), ("e", 0, 0))
+_FLAT = cells_of(("x", 0, 0), ("y", 0, 0), ("e", 0, 0))
+
+# (cells, bdry, J, message), in the same spirit for SplitComplex
+SPLIT_ERRORS = {
+    "J misses a cell": (
+        _FLAT, {}, {"x": "y", "y": "x"},
+        "J must be defined on exactly the cells of the complex",
+    ),
+    "J has an extra key, before involution": (
+        _FLAT, {}, {"x": "y", "y": "e", "e": "e", "q": "q"},
+        "J must be defined on exactly the cells of the complex",
+    ),
+    "unknown image, J order": (
+        _FLAT, {}, {"e": "e", "y": "p", "x": "q"},
+        "J sends 'y' to unknown cell 'p'",
+    ),
+    "involution": (
+        _FLAT, {}, {"x": "y", "y": "e", "e": "x"},
+        "J is not an involution on the pair ('x', 'y')",
+    ),
+    "involution before a later unknown image": (
+        _FLAT, {}, {"x": "y", "y": "e", "e": "q"},
+        "J is not an involution on the pair ('x', 'y')",
+    ),
+    "unknown image before a later involution": (
+        _FLAT, {}, {"e": "q", "x": "y", "y": "e"},
+        "J sends 'e' to unknown cell 'q'",
+    ),
+    "gradings, dimension": (
+        cells_of(("x", 0, 0), ("y", 1, 0), ("e", 0, 0)), {}, {"x": "y", "y": "x", "e": "e"},
+        "J does not preserve the gradings of ('x', 'y')",
+    ),
+    "gradings, gr": (
+        cells_of(("x", 0, 0), ("y", 0, 2), ("e", 0, 0)), {}, {"y": "x", "x": "y", "e": "e"},
+        "J does not preserve the gradings of ('y', 'x')",
+    ),
+    "gradings before a later involution": (
+        cells_of(("x", 0, 0), ("y", 0, 2), ("u", 0, 0), ("v", 0, 0), ("e", 0, 0)), {},
+        {"x": "y", "y": "x", "u": "v", "v": "e", "e": "e"},
+        "J does not preserve the gradings of ('x', 'y')",
+    ),
+    "gradings before the fixed count": (
+        cells_of(("x", 0, 0), ("y", 0, 2)), {}, {"x": "y", "y": "x"},
+        "J does not preserve the gradings of ('x', 'y')",
+    ),
+    "no fixed cell": (
+        cells_of(("x", 0, 0), ("y", 0, 0)), {}, {"x": "y", "y": "x"},
+        "exactly one J-fixed cell required, found []",
+    ),
+    "two fixed cells, sorted": (
+        cells_of(("x", 0, 0), ("y", 0, 0), ("u", 0, 0), ("v", 0, 0)), {},
+        {"y": "y", "x": "x", "u": "v", "v": "u"},
+        "exactly one J-fixed cell required, found ['x', 'y']",
+    ),
+    "fixed count before commutation": (
+        _SQUARE + cells_of(("f", 0, 0)), {"b": {"a"}, "Jb": {"a"}},
+        {"a": "Ja", "Ja": "a", "b": "Jb", "Jb": "b", "e": "e", "f": "f"},
+        "exactly one J-fixed cell required, found ['e', 'f']",
+    ),
+    "commutation, cell order": (
+        _SQUARE, {"Jb": {"a"}, "b": {"a"}},
+        {"Jb": "b", "b": "Jb", "a": "Ja", "Ja": "a", "e": "e"},
+        "J does not commute with bdry at cell 'b'",
+    ),
+    "commutation, cell order with the partner first": (
+        [_SQUARE[0], _SQUARE[1], _SQUARE[3], _SQUARE[2], _SQUARE[4]], {"b": {"a"}, "Jb": {"a"}},
+        {"b": "Jb", "Jb": "b", "a": "Ja", "Ja": "a", "e": "e"},
+        "J does not commute with bdry at cell 'Jb'",
+    ),
+}
+
+
+class TestErrorMessages:
+    """The exact message of every constructor check, and which check wins."""
+
+    @pytest.mark.parametrize("case", list(GEOMETRIC_ERRORS))
+    def test_geometric(self, case):
+        cells, bdry, tau, message = GEOMETRIC_ERRORS[case]
+        with pytest.raises(InvalidComplex) as info:
+            GeometricComplex(cells, bdry, tau)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", list(SPLIT_ERRORS))
+    def test_split(self, case):
+        cells, bdry, J, message = SPLIT_ERRORS[case]
+        g = GeometricComplex(cells, bdry)
+        with pytest.raises(NotSplit) as info:
+            SplitComplex(g, J)
+        assert str(info.value) == message
+
+
 class TestTensor:
     def test_cell_count(self):
         assert len(tensor(build_xi(2), build_xi(5))) == 9
