@@ -4,7 +4,8 @@ The library compares gradings and finds U-powers through integer
 numerators, stores the width found while validating, transposes the
 boundary in one pass over the edges, decomposes a chain over its own
 cells, orders cells for the reduction and towers for a module by integer
-keys, and adds each pair of distinct gradings once in a tensor.  The
+keys, adds each pair of distinct gradings once in a tensor, and finds the
+theta term of a double by a parity count instead of a decomposition.  The
 functions below are the direct formulas in ``Fraction`` arithmetic and over
 all cells; the library must agree with them on random split complexes,
 their duals, and their tensors with a complex whose ``tau`` is fractional.
@@ -30,11 +31,12 @@ from ilocal import (
     canonical_splitting,
     complex_to_json,
     decompose,
+    double,
     dual,
     homology,
     tensor,
 )
-from ilocal.suite import random_split_complex, random_splitting
+from ilocal.suite import admissible_deltas, random_split_complex, random_splitting
 
 
 def ref_width(b):
@@ -66,6 +68,36 @@ def ref_decompose(sc, chain, chosen):
             a.add(c)
             b.add(c)
     return frozenset(a), frozenset(b), 1 if sc.fixed in chain else 0
+
+
+def ref_double(x, delta, chosen):
+    """The double of ``x``, with one decomposition per chosen cell."""
+    eta, taken = x.fixed, set(x.ids())
+    k = 1
+    while True:
+        suffix = "" if k == 1 else str(k)
+        omega, j_omega, theta = "omega" + suffix, "J.omega" + suffix, "theta" + suffix
+        if not {omega, j_omega, theta} & taken:
+            break
+        k += 1
+    e = x.cells[eta]
+    cells = [c for cid, c in x.cells.items() if cid != eta]
+    cells += [Cell(omega, e.dim, e.gr), Cell(j_omega, e.dim, e.gr), Cell(theta, e.dim + 1, e.gr - 2 * delta)]
+    J = {cid: jid for cid, jid in x.J.items() if cid != eta}
+    J.update({omega: j_omega, j_omega: omega, theta: theta})
+    bdry = {omega: x.bdry[eta], j_omega: {J[t] for t in x.bdry[eta]}, theta: {omega, j_omega}}
+    for c in chosen:
+        dc = x.bdry[c]
+        if eta in dc:
+            bdry[c] = (dc - {eta}) | {omega}
+        else:
+            _, b, _ = ref_decompose(x, dc, chosen)
+            db = frozenset()
+            for bi in b:
+                db ^= x.bdry[bi]
+            bdry[c] = dc | {theta} if eta in db else dc
+        bdry[x.J[c]] = {J[t] for t in bdry[c]}
+    return SplitComplex(GeometricComplex(cells, bdry, x.tau), J)
 
 
 def ref_u_exponent(b, src, tgt):
@@ -159,6 +191,18 @@ def test_decompose_matches_walk_over_the_splitting(seed):
             chains += [frozenset(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(5)]
             for chain in chains:
                 assert decompose(c, chain, chosen) == ref_decompose(c, chain, chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_double_matches_one_decomposition_per_cell(seed):
+    rng = random.Random(seed)
+    sc = random_split_complex(rng, max_cells=14)
+    for x in (sc, dual(sc)):
+        for chosen in (canonical_splitting(x), random_splitting(rng, x)):
+            for delta in admissible_deltas(x, cap=4):
+                got = double(x, delta, chosen).complex
+                assert complex_to_json(got) == complex_to_json(ref_double(x, delta, chosen))
 
 
 @settings(max_examples=60, deadline=None)
