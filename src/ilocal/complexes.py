@@ -72,20 +72,24 @@ class GeometricComplex:
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
         cell_list = tuple(cells)
-        self.cells: Dict[str, Cell] = {}
-        for c in cell_list:
-            if c.id in self.cells:
-                raise InvalidComplex(f"duplicate cell id {c.id!r}")
-            self.cells[c.id] = c
-        self.bdry: Dict[str, Chain] = {}
-        for cid, targets in dict(bdry).items():
-            if cid not in self.cells:
-                raise InvalidComplex(f"bdry source {cid!r} is not a cell")
-            self.bdry[cid] = frozenset(targets)
-        for cid in self.cells:
-            self.bdry.setdefault(cid, frozenset())
+        self.cells: Dict[str, Cell] = {c.id: c for c in cell_list}
+        if len(self.cells) != len(cell_list):
+            # a repeated id; the ordered scan names the first one
+            seen = set()
+            for c in cell_list:
+                if c.id in seen:
+                    raise InvalidComplex(f"duplicate cell id {c.id!r}")
+                seen.add(c.id)
+        bdry = dict(bdry)
+        if not bdry.keys() <= self.cells.keys():
+            cid = next(cid for cid in bdry if cid not in self.cells)
+            raise InvalidComplex(f"bdry source {cid!r} is not a cell")
+        self.bdry: Dict[str, Chain] = {cid: frozenset(targets) for cid, targets in bdry.items()}
+        if len(self.bdry) != len(self.cells):
+            for cid in self.cells:
+                self.bdry.setdefault(cid, frozenset())
         if tau is None:
-            tau = next(iter(self.cells.values())).gr if self.cells else Fraction(0)
+            tau = cell_list[0].gr if cell_list else Fraction(0)
         self.tau = Fraction(tau) % 2
         self._validate()
 
@@ -93,17 +97,20 @@ class GeometricComplex:
         # every gr shares tau's reduced denominator q (see the module
         # docstring), so the checks below compare integer numerators
         p, q = self.tau.numerator, self.tau.denominator
+        two_q = 2 * q
         cells, bdry = self.cells, self.bdry
         num: Dict[str, int] = {}
         for cid, c in cells.items():
-            gr = c.gr
-            if gr.denominator != q or (gr.numerator - p) % (2 * q):
+            n, d = c.gr.as_integer_ratio()
+            if d != q or (n - p) % two_q:
                 raise InvalidComplex(
-                    f"cell {cid!r} has gr {gr} outside the coset tau={self.tau} + 2Z"
+                    f"cell {cid!r} has gr {c.gr} outside the coset tau={self.tau} + 2Z"
                 )
-            num[cid] = gr.numerator
+            num[cid] = n
         min_gap = None
         for cid, targets in bdry.items():
+            if not targets:
+                continue
             e_dim, e_num = cells[cid].dim - 1, num[cid]
             for tid in targets:
                 t = cells.get(tid)
@@ -120,11 +127,11 @@ class GeometricComplex:
                     )
                 if min_gap is None or gap < min_gap:
                     min_gap = gap
-        # bdry o bdry = 0 over F2
+        # bdry o bdry = 0 over F2; acc is empty again after every cell passes
+        acc = set()
         for cid in cells:
-            acc: Chain = frozenset()
             for tid in bdry[cid]:
-                acc ^= bdry[tid]
+                acc.symmetric_difference_update(bdry[tid])
             if acc:
                 raise InvalidComplex(
                     f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
@@ -193,27 +200,27 @@ class SplitComplex(GeometricComplex):
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
         self.cells, self.bdry, self.tau = base.cells, base.bdry, base.tau
         self._num, self._width = base._num, base._width
-        self.J = dict(J)
+        self.J = J = dict(J)
         cells, num = self.cells, self._num
-        if set(self.J) != set(cells):
+        if J.keys() != cells.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
-        for cid, jid in self.J.items():
+        for cid, jid in J.items():
             if jid not in cells:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
-            if self.J[jid] != cid:
+            if J[jid] != cid:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
             # gradings of the validated base share one denominator
-            if (cells[cid].dim, num[cid]) != (cells[jid].dim, num[jid]):
+            if cells[cid].dim != cells[jid].dim or num[cid] != num[jid]:
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
             if jid == cid:
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         self.fixed = fixed[0]
+        bdry = self.bdry
         for cid in cells:
-            image = frozenset(map(self.J.__getitem__, self.bdry[cid]))
-            if image != self.bdry[self.J[cid]]:
+            if {J[tid] for tid in bdry[cid]} != bdry[J[cid]]:
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
@@ -368,11 +375,16 @@ def dual(c: AnyComplex) -> AnyComplex:
     With n the maximal dimension of the input, the dual cell e* has
     dim n - dim(e) and gr -gr(e) - n, which keeps dual dimensions of actual
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
-    F2[U]-complex unchanged.
+    F2[U]-complex unchanged.  Each distinct grading is negated once, keyed by
+    its integer numerator, and shared by the cells that carry it.
     """
     n = c.max_dim()
     star = {cid: cid + "*" for cid in c.cells}
-    cells = [Cell(star[cid], n - cell.dim, -n - cell.gr) for cid, cell in c.cells.items()]
+    grs = {c._num[cid]: cell.gr for cid, cell in c.cells.items()}
+    negated = {k: -n - gr for k, gr in grs.items()}
+    cells = [
+        Cell(star[cid], n - cell.dim, negated[c._num[cid]]) for cid, cell in c.cells.items()
+    ]
     # transpose in one pass over the edges, visiting sources in cell order
     sources = {cid: [] for cid in c.cells}
     for src in c.cells:

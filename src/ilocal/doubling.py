@@ -12,7 +12,10 @@ a + (1+J)b (+ eta) against a chosen splitting, the doubled differential is
 extended J-equivariantly, with d(omega) = d(eta) and d(theta) =
 omega + J.omega.  "eta appears in d(b)" means the F2 coefficient of eta in
 the boundary of the whole chain b is 1; that is the only reading under
-which the doubled differential squares to zero.
+which the doubled differential squares to zero.  When eta is not in d(x),
+b is the set of partners J.t of the unchosen cells t of d(x), so the flag is
+the parity of the number of those t with eta in d(J.t); no decomposition of
+d(x) is needed.
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
@@ -34,7 +37,7 @@ Halving is implemented algebraically as dual o double o dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import Container, FrozenSet, Iterable, Optional
 
 from .complexes import (
     Cell,
@@ -75,8 +78,7 @@ class DoubleResult:
         }
 
 
-def _fresh_names(existing: Iterable[str]):
-    taken = set(existing)
+def _fresh_names(taken: Container[str]):
     k = 1
     while True:
         suffix = "" if k == 1 else str(k)
@@ -96,17 +98,17 @@ def _check_delta(x: SplitComplex, delta: int) -> None:
 
 def _doubled_boundary(x: SplitComplex, chosen, eta: str, omega: str) -> dict:
     """Differential casework on the chosen cells: id -> (targets, add theta?)."""
+    xb, J = x.bdry, x.J
     bdry = {}
     for c in chosen:
-        dc = x.bdry[c]
+        dc = xb[c]
         if eta in dc:
             bdry[c] = ((dc - {eta}) | {omega}, False)
         else:
-            _, b, _ = decompose(x, dc, chosen)
-            db: Chain = frozenset()
-            for bi in b:
-                db ^= x.bdry[bi]
-            bdry[c] = (dc, eta in db)
+            # b = {J t : t in d(c) unchosen}; eta is in d(b) iff it is in an
+            # odd number of the d(J t)
+            hits = sum(eta in xb[J[t]] for t in dc if t not in chosen)
+            bdry[c] = (dc, hits % 2 == 1)
     return bdry
 
 
@@ -117,7 +119,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     eta = x.fixed
     eta_cell = x.cell(eta)
     _, zeta, _ = decompose(x, x.bdry[eta], chosen)
-    omega, j_omega, theta = _fresh_names(x.ids())
+    omega, j_omega, theta = _fresh_names(x.cells)
 
     cells = [c for cid, c in x.cells.items() if cid != eta]
     cells.append(Cell(omega, eta_cell.dim, eta_cell.gr))
