@@ -22,7 +22,9 @@ complex share the reduced denominator ``q`` of ``tau = p/q``, and
 it, grading comparisons and gaps are exact integer operations on the
 numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
-construction.
+construction.  Two more integer tables are built on first use, for the
+chain-map checks: q times each cell's Maslov grading, and each cell's
+derived differential as (target, U-exponent) pairs.
 
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
@@ -188,6 +191,19 @@ class GeometricComplex:
     def width(self) -> Union[int, float]:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
         return self._width
+
+    # -- integer tables for the chain-map checks, built on first use --------
+
+    @cached_property
+    def _mnum(self) -> Dict[str, int]:
+        """q * M(cell) for every cell: the Maslov gradings over the shared q."""
+        q, cells = self.tau.denominator, self.cells
+        return {cid: n + q * cells[cid].dim for cid, n in self._num.items()}
+
+    @cached_property
+    def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
+        """Each cell's derived differential as (target, U-exponent) pairs."""
+        return {cid: frozenset(self.fu_bdry(cid).items()) for cid in self.cells}
 
 
 class SplitComplex(GeometricComplex):

@@ -29,7 +29,9 @@ eta.beta to theta, and everything else in the beta column to zero.  Both
 maps are given on one cell per J-orbit, with x a chosen cell, and extended
 J-equivariantly; cells of the orbits left out map to zero.  Both lift to
 grading-preserving F2[U]-maps by inserting U-powers, and g o f is the
-identity on the nose.
+identity on the nose.  Both maps are built from the same double and the
+same tensor: a one-slot cache keeps the last pair, so f followed by g on
+the same arguments builds each once.
 
 Halving is implemented algebraically as dual o double o dual.
 """
@@ -37,6 +39,7 @@ Halving is implemented algebraically as dual o double o dual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Container, FrozenSet, Iterable, Optional
 
 from .complexes import (
@@ -151,8 +154,17 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
 
 def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     """Attach the U-exponents making each target term Maslov-degree-correct."""
-    m = src.maslov(src_id)
-    return frozenset((tid, tgt.u_power(tid, m)) for tid in target_ids)
+    # k = (M(tid) - M(src_id)) / 2 on the integer tables (q times M), scaled
+    # to the common denominator qs * qt; u_power only raises the error
+    qs, qt = src.tau.denominator, tgt.tau.denominator
+    m, two_q, mt = src._mnum[src_id] * qt, 2 * qs * qt, tgt._mnum
+    terms = []
+    for tid in target_ids:
+        k, rest = divmod(mt[tid] * qs - m, two_q)
+        if k < 0 or rest:
+            k = tgt.u_power(tid, src.maslov(src_id))
+        terms.append((tid, k))
+    return frozenset(terms)
 
 
 def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> ChainMap:
@@ -171,13 +183,24 @@ def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> Ch
     return ChainMap(src, tgt, assignment)
 
 
+@lru_cache(maxsize=1)
+def _local_pair(x: SplitComplex, delta: int, chosen: FrozenSet[str]):
+    """The double of x and its tensor with X_delta, shared by f and g.
+
+    Callers build f and then g on the same arguments, so one slot suffices;
+    the key is x's identity (complexes define no ``__eq__``), delta and the
+    validated splitting.
+    """
+    return double(x, delta, chosen), tensor(x, _xi_complex(delta))
+
+
 def local_map_f(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the double to the tensor with the basis complex."""
     chosen = validate_splitting(x, splitting)
-    dr = double(x, delta, chosen)
-    tgt = tensor(x, _xi_complex(delta))
+    _check_delta(x, delta)  # a bad delta fails here, not as a cache key
+    dr, tgt = _local_pair(x, delta, chosen)
     images = {}
     for c in sorted(chosen):
         _, b, _ = decompose(x, x.bdry[c], chosen)
@@ -192,8 +215,8 @@ def local_map_g(
 ) -> ChainMap:
     """The local map from the tensor with the basis complex back to the double."""
     chosen = validate_splitting(x, splitting)
-    dr = double(x, delta, chosen)
-    src = tensor(x, _xi_complex(delta))
+    _check_delta(x, delta)  # a bad delta fails here, not as a cache key
+    dr, src = _local_pair(x, delta, chosen)
     images = {}
     for c in sorted(chosen):
         theta_part = [dr.theta] if dr.eta in x.bdry[c] else []

@@ -19,6 +19,10 @@ basis vectors as bitmasks and builds the cycle representatives from them on
 first read; the module itself needs none of them.  Every U-power here follows
 the one grading rule of ``complexes``: U^k e has Maslov degree M(e) - 2k
 (``GeometricComplex.degree_of``, inverted by ``u_power``).
+
+The chain-map checks compare integer numerators: they read each complex's
+table of q times the Maslov gradings and of (target, U-exponent) boundary
+terms, and build no ``Fraction``.  The reduction builds neither table.
 """
 
 from __future__ import annotations
@@ -218,10 +222,12 @@ def homology(c: AnyComplex) -> ReductionResult:
 
 
 def _bdry_terms(c: AnyComplex, terms: TermSet) -> TermSet:
-    acc = set()
+    # adds U^e d(cid) over F2 per term; the terms of one image are distinct,
+    # so each toggles once (ChainMap.apply does the same with f)
+    acc, fu = set(), c._fu_terms
     for cid, e in terms:
-        for tid in c.bdry[cid]:
-            acc ^= {(tid, e + c.u_exponent(cid, tid))}
+        image = fu[cid]
+        acc.symmetric_difference_update(image if e == 0 else [(tid, e + k) for tid, k in image])
     return frozenset(acc)
 
 
@@ -261,30 +267,40 @@ class ChainMap:
         return self.assignment[cid]
 
     def apply(self, terms: TermSet) -> TermSet:
-        acc = set()
+        acc, assignment = set(), self.assignment
         for cid, e in terms:
-            for tid, k in self.assignment[cid]:
-                acc ^= {(tid, e + k)}
+            image = assignment[cid]
+            acc.symmetric_difference_update(image if e == 0 else [(tid, e + k) for tid, k in image])
         return frozenset(acc)
 
     # -- checks; each returns None or a witness dict ---------------------
 
     def grading_witness(self) -> Optional[dict]:
+        # degree_of(tid, exp) == M(cid), times qs * qt: the tables hold q
+        # times each Maslov grading, and the two q may differ
         src, tgt = self.source, self.target
+        qs, qt = src.tau.denominator, tgt.tau.denominator
+        ms, mt = src._mnum, tgt._mnum
         for cid in src.ids():
-            m = src.maslov(cid)
-            for tid, exp in sorted(self.assignment[cid]):
-                if tgt.degree_of(tid, exp) != m:
-                    return {
-                        "cell": cid,
-                        "term": [tid, exp],
-                        "reason": "image term does not preserve the Maslov grading",
-                    }
+            m = ms[cid] * qt
+            bad = [
+                (tid, exp)
+                for tid, exp in self.assignment[cid]
+                if (mt[tid] - 2 * exp * qt) * qs != m
+            ]
+            if bad:
+                tid, exp = min(bad)  # the first failure in sorted order
+                return {
+                    "cell": cid,
+                    "term": [tid, exp],
+                    "reason": "image term does not preserve the Maslov grading",
+                }
         return None
 
     def chain_witness(self) -> Optional[dict]:
+        fu = self.source._fu_terms
         for cid in self.source.ids():
-            lhs = self.apply(_bdry_terms(self.source, frozenset({(cid, 0)})))
+            lhs = self.apply(fu[cid])
             rhs = _bdry_terms(self.target, self.assignment[cid])
             if lhs != rhs:
                 diff = sorted(lhs ^ rhs)

@@ -5,10 +5,12 @@ numerators, stores the width found while validating, transposes the
 boundary in one pass over the edges, decomposes a chain over its own
 cells, orders cells for the reduction and towers for a module by integer
 keys, adds each pair of distinct gradings once in a tensor, and finds the
-theta term of a double by a parity count instead of a decomposition.  The
-functions below are the direct formulas in ``Fraction`` arithmetic and over
-all cells; the library must agree with them on random split complexes,
-their duals, and their tensors with a complex whose ``tau`` is fractional.
+theta term of a double by a parity count instead of a decomposition, and
+checks the gradings of a chain map and lifts the local maps' images by
+cross-multiplying integer Maslov numerators.  The functions below are the
+direct formulas in ``Fraction`` arithmetic and over all cells; the library
+must agree with them on random split complexes, their duals, and their
+tensors with a complex whose ``tau`` is fractional.
 """
 
 import random
@@ -23,6 +25,7 @@ from ilocal import (
     INFINITE,
     UP,
     Cell,
+    ChainMap,
     FUModule,
     GeometricComplex,
     InvalidComplex,
@@ -36,6 +39,7 @@ from ilocal import (
     homology,
     tensor,
 )
+from ilocal.doubling import _lifted
 from ilocal.suite import admissible_deltas, random_split_complex, random_splitting
 
 
@@ -242,6 +246,78 @@ def test_tensor_matches_cell_by_cell_product(seed):
             assert isinstance(got, SplitComplex) == isinstance(want, SplitComplex)
             assert complex_to_json(got) == complex_to_json(want)
             assert complex_to_json(tensor(b, a)) == complex_to_json(ref_tensor(b, a))
+
+
+def ref_maslov(c, cid):
+    cell = c.cells[cid]
+    return cell.gr + cell.dim
+
+
+def ref_lifted(src, tgt, src_id, target_ids):
+    """Each target cell with the k making M(tid) - 2k equal M(src_id)."""
+    m = ref_maslov(src, src_id)
+    terms = []
+    for tid in target_ids:
+        gap = ref_maslov(tgt, tid) - m
+        if gap < 0 or gap % 2 != 0:
+            raise ValueError(f"degree {m} is not M({tid!r}) - 2k for an integer k >= 0")
+        terms.append((tid, int(gap / 2)))
+    return frozenset(terms)
+
+
+def ref_grading_witness(f):
+    for cid in f.source.ids():
+        for tid, exp in sorted(f.assignment[cid]):
+            if ref_maslov(f.target, tid) - 2 * exp != ref_maslov(f.source, cid):
+                return {
+                    "cell": cid,
+                    "term": [tid, exp],
+                    "reason": "image term does not preserve the Maslov grading",
+                }
+    return None
+
+
+def lift_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_chain_map_gradings_match_fraction_formulas(seed):
+    # every ordered pair of complexes, so the source and target denominators
+    # agree in some pairs and differ in others
+    rng, cs = complexes_of(seed)
+    for src in cs:
+        for tgt in cs:
+            assignment = {}
+            for cid in src.ids():
+                tids = rng.sample(tgt.ids(), min(len(tgt), rng.randint(0, 3)))
+                assert lift_outcome(_lifted, src, tgt, cid, tids) == lift_outcome(
+                    ref_lifted, src, tgt, cid, tids
+                )
+                # a grading-preserving image from the cells a lift exists for
+                gaps = {t: ref_maslov(tgt, t) - ref_maslov(src, cid) for t in tgt.ids()}
+                fits = [t for t, gap in gaps.items() if gap >= 0 and gap % 2 == 0]
+                tids = rng.sample(fits, min(len(fits), rng.randint(0, 3)))
+                assignment[cid] = lifted = _lifted(src, tgt, cid, tids)
+                assert lifted == ref_lifted(src, tgt, cid, tids)
+            f = ChainMap(src, tgt, assignment)
+            assert f.grading_witness() is None
+            assert ref_grading_witness(f) is None
+            # one exponent moved up or down by one
+            victims = [cid for cid in src.ids() if assignment[cid]]
+            if not victims:
+                continue
+            cid = rng.choice(victims)
+            tid, exp = rng.choice(sorted(assignment[cid]))
+            moved = exp + 1 if exp == 0 or rng.random() < 0.5 else exp - 1
+            assignment[cid] = (assignment[cid] - {(tid, exp)}) | {(tid, moved)}
+            bad = ChainMap(src, tgt, assignment)
+            assert bad.grading_witness() is not None
+            assert bad.grading_witness() == ref_grading_witness(bad)
 
 
 def random_module(rng):

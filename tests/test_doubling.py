@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ilocal import doubling
 from ilocal import (
     ChainMap,
     INFINITE,
@@ -13,6 +14,7 @@ from ilocal import (
     build_trivial,
     build_xi,
     canonical_splitting,
+    complex_to_json,
     compose,
     double,
     dual,
@@ -277,3 +279,64 @@ class TestVerifyLocalPair:
             delta = max(admissible_deltas(sc, cap=2))
             w = check_local_pair(sc, delta, random_splitting(rng, sc))
             assert w is None, w
+
+
+class TestSharedLocalPair:
+    """f and g share one double and one tensor through a one-slot cache."""
+
+    def test_check_local_pair_builds_one_double_and_one_tensor(self, monkeypatch):
+        doubling._local_pair.cache_clear()
+        calls = {"double": 0, "tensor": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(doubling, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(doubling, name, counted)
+        assert check_local_pair(build_xi(4), 3) is None
+        assert calls == {"double": 1, "tensor": 1}
+
+    def test_interleaved_calls_match_fresh_builds(self):
+        cases = [
+            (x, delta, frozenset(chosen))
+            for x, splittings in (
+                (build_xi(4), ({"a"}, {"Ja"})),
+                (build_misordered(1, 3), ({"e0", "e1"}, {"Je0", "e1"})),
+            )
+            for delta in (0, 1)
+            for chosen in splittings
+        ]
+
+        def summary(m):
+            return m.assignment, complex_to_json(m.source), complex_to_json(m.target)
+
+        fresh = {}
+        for i, (x, delta, chosen) in enumerate(cases):
+            for name, build in (("f", local_map_f), ("g", local_map_g)):
+                doubling._local_pair.cache_clear()
+                fresh[i, name] = summary(build(x, delta, chosen))
+        # every call after every other call: each pair of cases differs in the
+        # complex, the delta, the splitting or the map, or in none of them
+        calls = list(fresh)
+        for first in calls:
+            for second in calls:
+                doubling._local_pair.cache_clear()
+                for i, name in (first, second):
+                    x, delta, chosen = cases[i]
+                    build = local_map_f if name == "f" else local_map_g
+                    assert summary(build(x, delta, chosen)) == fresh[i, name], (first, second)
+
+    def test_f_then_g_share_the_double_and_the_tensor(self):
+        x = build_xi(3)
+        f, g = local_map_f(x, 1), local_map_g(x, 1)
+        assert f.source is g.target and f.target is g.source
+
+    def test_bad_delta_fails_before_the_cache(self):
+        x = build_xi(3)
+        for bad in ([1], -1, 1.0):
+            for build in (local_map_f, local_map_g):
+                with pytest.raises(ValueError, match="doubling parameter must be"):
+                    build(x, bad)
+        with pytest.raises(WidthExceeded):
+            local_map_g(x, 4)

@@ -23,6 +23,7 @@ from ilocal import (
     tensor,
 )
 from ilocal.suite import check_duality, check_kunneth, random_geometric_complex
+from test_complexes_reference import fractional_xi
 
 T = Tower
 
@@ -194,6 +195,70 @@ class TestChainMap:
         with pytest.raises(ValueError):
             is_u_localized_iso(ChainMap(g, g, {"x": {("x", 0)}, "y": {("y", 0)}}))
         assert homology(two_free).free_rank == 1  # sanity: tensor stays rank one
+
+
+GRADING = "image term does not preserve the Maslov grading"
+
+
+class TestWitnessDicts:
+    """The exact witness of each check: the first failure in cell order, and
+    within a cell's image the first failing term in sorted order."""
+
+    def test_grading_reports_first_bad_term_in_sorted_order(self):
+        a = fractional_xi(2, F(1, 2))  # tau = 1/2
+        # ("Ja", 0) keeps the grading; ("a", 1) and ("b", 0) do not
+        image = {("b", 0), ("a", 1), ("Ja", 0)}
+        m = ChainMap(a, a, {"a": {("a", 0)}, "Ja": image, "b": {("b", 0)}})
+        assert m.grading_witness() == {"cell": "Ja", "term": ["a", 1], "reason": GRADING}
+        m = ChainMap(a, a, {"a": {("b", 0)}, "Ja": {("a", 1)}})
+        assert m.grading_witness() == {"cell": "a", "term": ["b", 0], "reason": GRADING}
+
+    def test_checks_on_a_half_integer_tensor(self):
+        c = tensor(fractional_xi(2, F(1, 2)), build_xi(1))
+        assert c.tau == F(1, 2)
+        assignment = {cid: {(cid, 0)} for cid in c.ids()}
+        assignment["a⊗a"] = {("Ja⊗a", 0)}
+        m = ChainMap(c, c, assignment)
+        assert m.grading_witness() is None
+        # a⊗b and b⊗a both fail; a⊗b comes first in cell order
+        assert m.chain_witness() == {
+            "cell": "a⊗b",
+            "difference": [["Ja⊗a", 1], ["a⊗a", 1]],
+            "reason": "d(f(x)) differs from f(d(x))",
+        }
+        assert m.j_witness() == {
+            "cell": "a⊗a",
+            "difference": [["Ja⊗Ja", 0], ["a⊗Ja", 0]],
+            "reason": "f(Jx) differs from J(f(x))",
+        }
+        assert m.identity_witness() == {
+            "cell": "a⊗a",
+            "image": [["Ja⊗a", 0]],
+            "reason": "composite is not the identity here",
+        }
+
+    def test_source_and_target_with_different_denominators(self):
+        src, tgt = fractional_xi(1, F(1, 2)), fractional_xi(1, F(1, 3))
+        # no degree of the source (denominator 2) is a degree of the target
+        m = ChainMap(src, tgt, {"Ja": {("b", 0), ("a", 0)}})
+        assert m.grading_witness() == {"cell": "Ja", "term": ["a", 0], "reason": GRADING}
+        assert m.chain_witness() == {
+            "cell": "Ja",
+            "difference": [["Ja", 1], ["a", 1]],
+            "reason": "d(f(x)) differs from f(d(x))",
+        }
+        zero = ChainMap(src, tgt, {})
+        assert zero.grading_witness() is None
+        assert zero.chain_witness() is None
+        assert zero.j_witness() is None
+        assert zero.identity_witness() == {
+            "cell": "a",
+            "image": [],
+            "reason": "composite is not the identity here",
+        }
+        assert ChainMap(src, build_trivial(), {}).identity_witness() == {
+            "reason": "source and target cells differ"
+        }
 
 
 @settings(max_examples=30, deadline=None)
