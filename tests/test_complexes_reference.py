@@ -10,7 +10,8 @@ checks the gradings of a chain map and lifts the local maps' images by
 cross-multiplying integer Maslov numerators.  The functions below are the
 direct formulas in ``Fraction`` arithmetic and over all cells; the library
 must agree with them on random split complexes, their duals, and their
-tensors with a complex whose ``tau`` is fractional.
+tensors with a complex whose ``tau`` is fractional.  On the same complexes,
+``express`` must read every U-shifted homology generator back as itself.
 """
 
 import random
@@ -246,6 +247,29 @@ def test_tensor_matches_cell_by_cell_product(seed):
             assert isinstance(got, SplitComplex) == isinstance(want, SplitComplex)
             assert complex_to_json(got) == complex_to_json(want)
             assert complex_to_json(tensor(b, a)) == complex_to_json(ref_tensor(b, a))
+
+
+def shifted(chain, k):
+    """U^k times a homogeneous chain."""
+    return {cid: exp + k for cid, exp in chain.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_express_reads_each_shifted_generator_back(seed):
+    # U^k times the i-th free cycle is ("free", i, k); U^k times the i-th
+    # torsion cycle of length L is ("torsion", i, k) below L and zero from L on
+    _, cs = complexes_of(seed)
+    for c in cs:
+        h = homology(c)
+        for i, (degree, chain) in enumerate(h.free_cycles):
+            for k in range(3):
+                assert h.express(shifted(chain, k), degree - 2 * k) == [("free", i, k)]
+        for i, (_, z, length) in enumerate(h.torsion_pairs):
+            degree = h.chain_degree(z)
+            for k in range(length + 2):
+                want = [("torsion", i, k)] if k < length else []
+                assert h.express(shifted(z, k), degree - 2 * k) == want
 
 
 def ref_maslov(c, cid):
