@@ -81,18 +81,22 @@ def _cmd_homology(parser, args) -> int:
     return 0
 
 
-def _cmd_connected(parser, args) -> int:
-    if args.file:
-        cls = cn.LocalClass.from_json(_read_json(args.file))
-        lc, d = cls.combo, cls.d
-    elif args.expr:
-        lc, d = parse_expression(args.expr), None
-    else:
-        parser.error("provide --expr or --file")
+def _placed_module(args, lc, d=None) -> FUModule:
+    """The module of ``lc`` placed at ``--d`` (else ``d``); unplaced if neither."""
     if args.d is not None:
         d = grading_from_json(args.d, "--d")
     lc = cn.simplify(lc)
-    module = cn.hf_conn(lc, d) if d is not None else cn.connected_homology(lc)
+    return cn.hf_conn(lc, d) if d is not None else cn.connected_homology(lc)
+
+
+def _cmd_connected(parser, args) -> int:
+    if args.file:
+        cls = cn.LocalClass.from_json(_read_json(args.file))
+        module = _placed_module(args, cls.combo, cls.d)
+    elif args.expr:
+        module = _placed_module(args, parse_expression(args.expr))
+    else:
+        parser.error("provide --expr or --file")
     _emit(module.to_json())
     return 0
 
@@ -167,11 +171,7 @@ def _cmd_render(parser, args) -> int:
     if args.file:
         module = FUModule.from_json(_read_json(args.file))
     elif args.expr:
-        lc = cn.simplify(parse_expression(args.expr))
-        if args.d is not None:
-            module = cn.hf_conn(lc, grading_from_json(args.d, "--d"))
-        else:
-            module = cn.connected_homology(lc)
+        module = _placed_module(args, parse_expression(args.expr))
     else:
         parser.error("provide --expr or --file")
     print(render(module, args.format))

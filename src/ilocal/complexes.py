@@ -9,10 +9,11 @@ even.  The derived free F2[U]-complex has differential
 
 and Maslov grading M(e) = gr(e) + dim(e).  U has Maslov degree -2 and
 dimensional degree 0, so U^k e has Maslov degree M(e) - 2k.  This is the
-one grading rule: ``GeometricComplex.degree_of`` states it and ``u_power``
-inverts it.  All ``gr`` values lie in one coset of 2Z in Q, represented by
-``tau``.  The skeleton is not required to come from an actual cell complex:
-any degree -1 differential over F2 is allowed, which keeps the class closed
+one grading rule: ``GeometricComplex.degree_of`` states it and ``_lift``
+inverts it (the lift of e to a degree m is the k >= 0 with M(e) - 2k = m).
+All ``gr`` values lie in one coset of 2Z in Q, represented by ``tau``.
+The skeleton is not required to come from an actual cell complex: any
+degree -1 differential over F2 is allowed, which keeps the class closed
 under dualization.
 
 Because every ``gr`` lies in ``tau + 2Z``, all gradings of a validated
@@ -22,8 +23,9 @@ complex share the reduced denominator ``q`` of ``tau = p/q``, and
 it, grading comparisons and gaps are exact integer operations on the
 numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
-construction.  Two more integer tables are built on first use, for the
-chain-map checks: q times each cell's Maslov grading, and each cell's
+construction.  Two more integer tables are built on first use: q times
+each cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
+grading check of a chain map and the local maps alike, and each cell's
 derived differential as (target, U-exponent) pairs.
 
 A split complex is a geometric complex with a cell-level involution J
@@ -59,7 +61,7 @@ class Cell:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidComplex(f"cell id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.dim, int):
+        if type(self.dim) is not int:
             raise InvalidComplex(f"cell {self.id!r} has non-integer dimension {self.dim!r}")
         if type(self.gr) is not Fraction:
             object.__setattr__(self, "gr", Fraction(self.gr))
@@ -176,13 +178,10 @@ class GeometricComplex:
 
     def u_power(self, cid: str, degree: Grading) -> int:
         """The k >= 0 with ``degree_of(cid, k) == degree``; ValueError if none."""
-        # q * (M(cid) - degree) on the numerators; it is an integer iff rest == 0
-        q = self.tau.denominator
-        scale, rest = divmod(q, degree.denominator)
-        gap = self._num[cid] + q * self.cells[cid].dim - degree.numerator * scale
-        if rest or gap < 0 or gap % (2 * q):
+        k = self._lift(cid, degree.numerator, degree.denominator)
+        if k is None:
             raise ValueError(f"degree {degree} is not M({cid!r}) - 2k for an integer k >= 0")
-        return gap // (2 * q)
+        return k
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""
@@ -199,6 +198,20 @@ class GeometricComplex:
         """q * M(cell) for every cell: the Maslov gradings over the shared q."""
         q, cells = self.tau.denominator, self.cells
         return {cid: n + q * cells[cid].dim for cid, n in self._num.items()}
+
+    def _maslov_ratio(self, cid: str) -> Tuple[int, int]:
+        """M(cid) as (q * M(cid), q), the pair that ``_lift`` takes."""
+        return self._mnum[cid], self.tau.denominator
+
+    def _lift(self, cid: str, m: int, q: int) -> Optional[int]:
+        """The k >= 0 with M(cid) - 2k == m / q (q > 0), or None if there is none.
+
+        This is the one lift rule.  Both sides are cross-multiplied by the
+        two denominators, so ``m / q`` may come from another complex.
+        """
+        p = self.tau.denominator
+        k, rest = divmod(self._mnum[cid] * q - m * p, 2 * p * q)
+        return None if rest or k < 0 else k
 
     @cached_property
     def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
@@ -327,7 +340,7 @@ def _xi_complex(i: int) -> SplitComplex:
 
 def build_xi(i: int) -> SplitComplex:
     """The basis complex with generators a, Ja, b and d(b) = U^i (a + Ja)."""
-    if not isinstance(i, int) or i < 1:
+    if type(i) is not int or i < 1:
         raise ValueError(f"basis index must be a positive integer, got {i!r}")
     return _xi_complex(i)
 
@@ -338,7 +351,7 @@ def build_misordered(x: int, y: int) -> SplitComplex:
     Its torsion homology places the shorter tower in higher grading, so its
     connected module is rejected by the decoder.
     """
-    if not (isinstance(x, int) and isinstance(y, int) and 0 < x < y):
+    if not (type(x) is int and type(y) is int and 0 < x < y):
         raise ValueError(f"misordered complex requires integers 0 < x < y, got ({x!r}, {y!r})")
     cells = [
         Cell("e0", 0, Fraction(0)),

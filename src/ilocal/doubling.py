@@ -23,15 +23,17 @@ complex of index delta; the maps realizing this are
     f(x) = x.alpha + (Jb).beta     f(omega) = eta.alpha + (Jzeta).beta
     f(theta) = eta.beta
 
-one way, and the other way g collapses x.alpha and x.(J.alpha) to x (plus a
-theta correction when eta appears in d(x)), sends eta.alpha to omega,
-eta.beta to theta, and everything else in the beta column to zero.  Both
-maps are given on one cell per J-orbit, with x a chosen cell, and extended
-J-equivariantly; cells of the orbits left out map to zero.  Both lift to
-grading-preserving F2[U]-maps by inserting U-powers, and g o f is the
-identity on the nose.  Both maps are built from the same double and the
-same tensor: a one-slot cache keeps the last pair, so f followed by g on
-the same arguments builds each once.
+one way, where Jb is read off d(x) as its unchosen cells other than eta (the
+same b as above), and the other way g collapses x.alpha and x.(J.alpha) to
+x (plus a theta correction when eta appears in d(x)), sends eta.alpha to
+omega, eta.beta to theta, and everything else in the beta column to zero.
+Both maps are given on one cell per J-orbit, with x a chosen cell, and
+extended J-equivariantly; cells of the orbits left out map to zero.  Both
+lift to grading-preserving F2[U]-maps by inserting U-powers, each found by
+the one lift rule of ``complexes`` (``GeometricComplex._lift``), and g o f
+is the identity on the nose.  Both maps are built from the same double
+and the same tensor: a one-slot cache keeps the last pair, so f followed
+by g on the same arguments builds each once.
 
 Halving is implemented algebraically as dual o double o dual.
 """
@@ -92,7 +94,7 @@ def _fresh_names(taken: Container[str]):
 
 
 def _check_delta(x: SplitComplex, delta: int) -> None:
-    if not isinstance(delta, int) or delta < 0:
+    if type(delta) is not int or delta < 0:
         raise ValueError(f"doubling parameter must be a non-negative integer, got {delta!r}")
     w = x.width()
     if 2 * delta > w:
@@ -154,15 +156,12 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
 
 def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     """Attach the U-exponents making each target term Maslov-degree-correct."""
-    # k = (M(tid) - M(src_id)) / 2 on the integer tables (q times M), scaled
-    # to the common denominator qs * qt; u_power only raises the error
-    qs, qt = src.tau.denominator, tgt.tau.denominator
-    m, two_q, mt = src._mnum[src_id] * qt, 2 * qs * qt, tgt._mnum
+    m, q = src._maslov_ratio(src_id)
     terms = []
     for tid in target_ids:
-        k, rest = divmod(mt[tid] * qs - m, two_q)
-        if k < 0 or rest:
-            k = tgt.u_power(tid, src.maslov(src_id))
+        k = tgt._lift(tid, m, q)
+        if k is None:
+            tgt.u_power(tid, src.maslov(src_id))  # raises the ValueError
         terms.append((tid, k))
     return frozenset(terms)
 
@@ -203,8 +202,9 @@ def local_map_f(
     dr, tgt = _local_pair(x, delta, chosen)
     images = {}
     for c in sorted(chosen):
-        _, b, _ = decompose(x, x.bdry[c], chosen)
-        images[c] = [_pid(c, "a")] + [_pid(x.J[bi], "b") for bi in sorted(b)]
+        # J.b is the unchosen part of d(c) other than eta (module docstring)
+        jb = sorted(t for t in x.bdry[c] if t not in chosen and t != dr.eta)
+        images[c] = [_pid(c, "a")] + [_pid(t, "b") for t in jb]
     images[dr.omega] = [_pid(dr.eta, "a")] + [_pid(x.J[z], "b") for z in sorted(dr.zeta)]
     images[dr.theta] = [_pid(dr.eta, "b")]
     return _j_equivariant_map(dr.complex, tgt, images)

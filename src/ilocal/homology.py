@@ -14,15 +14,18 @@ are cycles, and the ones never hit as pivots generate free towers.
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
 cycle can be expressed over the homology generators by pivot elimination;
-that is what evaluating an induced map needs.  The reduction keeps those
-basis vectors as bitmasks and builds the cycle representatives from them on
-first read; the module itself needs none of them.  Every U-power here follows
-the one grading rule of ``complexes``: U^k e has Maslov degree M(e) - 2k
-(``GeometricComplex.degree_of``, inverted by ``u_power``).
+that is what evaluating an induced map needs.  The result keeps the
+reduction (R, V and the pivot owners) and each tower's column and length;
+the module itself needs nothing more.  The cycle representatives and the
+pivot basis of ``express`` are built from them on first read.  Every
+U-power here follows the one grading rule of ``complexes``: U^k e has
+Maslov degree M(e) - 2k (``GeometricComplex.degree_of``, inverted by
+``u_power`` and, for the chain-map grading check, by the same integer lift).
 
-The chain-map checks compare integer numerators: they read each complex's
-table of q times the Maslov gradings and of (target, U-exponent) boundary
-terms, and build no ``Fraction``.  The reduction builds neither table.
+The chain-map checks build no ``Fraction``: the grading check lifts each
+image term on the integer Maslov table, and the chain check adds U-shifted
+images from each complex's table of (target, U-exponent) boundary terms.
+The reduction builds neither table.
 """
 
 from __future__ import annotations
@@ -34,21 +37,13 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .complexes import AnyComplex, GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
-from .towers import INFINITE, FUModule, Grading, Tower, grading_to_str
+from .towers import INFINITE, FUModule, Grading, Length, Tower, grading_to_str
 
 #: A homogeneous F2[U]-chain: cell id -> U-exponent (coefficient 1).
 HomogeneousChain = Dict[str, int]
 
 #: General F2[U]-chain as a set of (cell id, U-exponent) terms.
 TermSet = FrozenSet[Tuple[str, int]]
-
-
-@dataclass(frozen=True)
-class _BasisCycle:
-    vec: int  # keyed by its pivot, whose Maslov degree the cycle has
-    kind: str  # "free" | "torsion" | "dead"
-    index: int  # position in free_cycles / torsion_pairs (-1 for dead)
-    length: object  # torsion length, INFINITE for free, 0 for dead
 
 
 @dataclass(eq=False)
@@ -59,28 +54,47 @@ class ReductionResult:
     one homogeneous representative per free tower and ``torsion_pairs`` one
     (killing chain, cycle, U-exponent) triple per finite tower.  The
     representatives depend on the reduction order and are excluded from
-    module equality.  Both are built on first read from the bitmasks in
-    ``_free`` and ``_torsion`` and then cached; a chain's degree is the
-    Maslov degree of its top cell in ``_order``.
+    module equality.  Both are built on first read from the reduction and
+    ``_towers`` and then cached: a free tower's cycle is V[j], a torsion
+    tower's is R[j], killed by V[j].  A chain's degree is the Maslov degree
+    of its top cell in ``_order``.
     """
 
     complex: GeometricComplex
     module: FUModule
     _order: Tuple[str, ...]
     _pos: Dict[str, int]
-    _basis: Dict[int, _BasisCycle]
-    _free: Tuple[int, ...]  # one cycle bitmask per free tower
-    _torsion: Tuple[Tuple[int, int, int], ...]  # (killing chain, cycle, length)
+    _R: List[int]  # reduced columns, as bitmasks over _order
+    _V: List[int]  # R[j] is the sum of the columns in V[j]
+    _owner: Dict[int, int]  # pivot -> the column whose R has it
+    _towers: Tuple[Tuple[int, Length], ...]  # (column j, length) per tower
 
     @cached_property
     def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:
-        return tuple(self._chain(vec) for vec in self._free)
+        return tuple(self._chain(self._V[j]) for j, length in self._towers if length == INFINITE)
 
     @cached_property
     def torsion_pairs(self) -> Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]:
         return tuple(
-            (self._chain(x)[1], self._chain(z)[1], k) for x, z, k in self._torsion
+            (self._chain(self._V[j])[1], self._chain(self._R[j])[1], length)
+            for j, length in self._towers
+            if length != INFINITE
         )
+
+    @cached_property
+    def _basis(self) -> Dict[int, Tuple[int, Optional[Tuple[str, int, Length]]]]:
+        """Pivot -> (basis cycle, (kind, index, length)), for ``express``.
+
+        A pair that cancels outright (k = 0) has no tower and carries None.
+        """
+        R, V = self._R, self._V
+        basis = {i: (R[j], None) for i, j in self._owner.items()}
+        count = {"free": 0, "torsion": 0}
+        for j, length in self._towers:
+            kind, vec = ("free", V[j]) if length == INFINITE else ("torsion", R[j])
+            basis[vec.bit_length() - 1] = (vec, (kind, count[kind], length))
+            count[kind] += 1
+        return basis
 
     def _chain(self, vec: int) -> Tuple[Grading, HomogeneousChain]:
         """The cells of ``vec`` as a homogeneous chain at its top cell's degree."""
@@ -111,19 +125,18 @@ class ReductionResult:
             if self.complex.degree_of(cid, exp) != degree:
                 raise ValueError(f"chain is not homogeneous of degree {degree} at {cid!r}")
             vec |= 1 << self._pos[cid]
-        out = []
+        out, basis = [], self._basis
         while vec:
             p = vec.bit_length() - 1
-            entry = self._basis.get(p)
-            if entry is None:
+            if p not in basis:
                 raise ValueError("chain is not a cycle")
-            c = self.complex.u_power(self._order[p], degree)
-            vec ^= entry.vec
-            if entry.kind == "dead":
-                continue
-            if entry.kind == "torsion" and c >= entry.length:
-                continue
-            out.append((entry.kind, entry.index, c))
+            cycle, tower = basis[p]
+            vec ^= cycle
+            if tower is not None:
+                kind, index, length = tower
+                c = self.complex.u_power(self._order[p], degree)
+                if c < length:
+                    out.append((kind, index, c))
         return out
 
     def chain_degree(self, chain: HomogeneousChain) -> Grading:
@@ -182,51 +195,38 @@ def homology(c: AnyComplex) -> ReductionResult:
     num, cells = c._num, c.cells
     order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], cells[cid].dim, cid)))
     pos = {cid: i for i, cid in enumerate(order)}
-    n = len(order)
 
     R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
 
-    free, torsion = [], []
-    basis: Dict[int, _BasisCycle] = {}
-    towers = []
-    for j in range(n):
-        if not R[j]:
+    # a column reducing to zero unpaired is a free tower topped at its own
+    # cell; one that pivots at i is a torsion tower topped at i, of length
+    # its U-exponent (none when that is 0)
+    gens, towers = [], []
+    for j in range(len(order)):
+        if R[j]:
+            i = R[j].bit_length() - 1
+            top, length = i, c.u_exponent(order[j], order[i])
+            if not length:
+                continue
+        elif j in owner:
             continue
-        i = R[j].bit_length() - 1
-        k = c.u_exponent(order[j], order[i])
-        if k > 0:
-            torsion.append((V[j], R[j], k))
-            basis[i] = _BasisCycle(R[j], "torsion", len(torsion) - 1, k)
-            towers.append(Tower(c.maslov(order[i]), k))
         else:
-            basis[i] = _BasisCycle(R[j], "dead", -1, 0)
-    for j in range(n):
-        if R[j] or j in owner:
-            continue
-        free.append(V[j])
-        basis[j] = _BasisCycle(V[j], "free", len(free) - 1, INFINITE)
-        towers.append(Tower(c.maslov(order[j]), INFINITE))
+            top, length = j, INFINITE
+        gens.append((j, length))
+        towers.append(Tower(c.maslov(order[top]), length))
     module = FUModule(tuple(towers)).canonical()
-    return ReductionResult(
-        complex=c,
-        module=module,
-        _order=order,
-        _pos=pos,
-        _basis=basis,
-        _free=tuple(free),
-        _torsion=tuple(torsion),
-    )
+    return ReductionResult(c, module, order, pos, R, V, owner, tuple(gens))
 
 
 # -- chain maps ----------------------------------------------------------
 
 
-def _bdry_terms(c: AnyComplex, terms: TermSet) -> TermSet:
-    # adds U^e d(cid) over F2 per term; the terms of one image are distinct,
-    # so each toggles once (ChainMap.apply does the same with f)
-    acc, fu = set(), c._fu_terms
+def _image_sum(images: Mapping[str, TermSet], terms) -> TermSet:
+    """The F2 sum of U^e images[cid] over the terms (cid, e)."""
+    # the terms of one image are distinct, so each toggles once
+    acc = set()
     for cid, e in terms:
-        image = fu[cid]
+        image = images[cid]
         acc.symmetric_difference_update(image if e == 0 else [(tid, e + k) for tid, k in image])
     return frozenset(acc)
 
@@ -254,7 +254,7 @@ class ChainMap:
             for tid, exp in terms:
                 if tid not in tgt.cells:
                     raise ValueError(f"image of {cid!r} mentions unknown target cell {tid!r}")
-                if not isinstance(exp, int) or exp < 0:
+                if type(exp) is not int or exp < 0:
                     raise ValueError(f"image of {cid!r} carries invalid U-exponent {exp!r}")
             norm[cid] = terms
         object.__setattr__(self, "assignment", norm)
@@ -267,27 +267,16 @@ class ChainMap:
         return self.assignment[cid]
 
     def apply(self, terms: TermSet) -> TermSet:
-        acc, assignment = set(), self.assignment
-        for cid, e in terms:
-            image = assignment[cid]
-            acc.symmetric_difference_update(image if e == 0 else [(tid, e + k) for tid, k in image])
-        return frozenset(acc)
+        return _image_sum(self.assignment, terms)
 
     # -- checks; each returns None or a witness dict ---------------------
 
     def grading_witness(self) -> Optional[dict]:
-        # degree_of(tid, exp) == M(cid), times qs * qt: the tables hold q
-        # times each Maslov grading, and the two q may differ
-        src, tgt = self.source, self.target
-        qs, qt = src.tau.denominator, tgt.tau.denominator
-        ms, mt = src._mnum, tgt._mnum
+        # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
+        src, lift = self.source, self.target._lift
         for cid in src.ids():
-            m = ms[cid] * qt
-            bad = [
-                (tid, exp)
-                for tid, exp in self.assignment[cid]
-                if (mt[tid] - 2 * exp * qt) * qs != m
-            ]
+            m, q = src._maslov_ratio(cid)
+            bad = [(tid, exp) for tid, exp in self.assignment[cid] if lift(tid, m, q) != exp]
             if bad:
                 tid, exp = min(bad)  # the first failure in sorted order
                 return {
@@ -298,10 +287,10 @@ class ChainMap:
         return None
 
     def chain_witness(self) -> Optional[dict]:
-        fu = self.source._fu_terms
+        d_src, d_tgt = self.source._fu_terms, self.target._fu_terms
         for cid in self.source.ids():
-            lhs = self.apply(fu[cid])
-            rhs = _bdry_terms(self.target, self.assignment[cid])
+            lhs = self.apply(d_src[cid])
+            rhs = _image_sum(d_tgt, self.assignment[cid])
             if lhs != rhs:
                 diff = sorted(lhs ^ rhs)
                 return {

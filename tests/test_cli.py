@@ -303,11 +303,18 @@ class TestRenderAndSuite:
         "obj, message",
         [
             ({"cells": [{"id": "x", "dim": 0.5, "gr": "0"}]}, "non-integer dimension 0.5"),
+            ({"cells": [{"id": "x", "dim": True, "gr": "0"}]}, "non-integer dimension True"),
             ({"cells": [{"id": "x", "dim": 0, "gr": "1/0"}]}, "invalid grading '1/0'"),
             ({"cells": 5}, "'cells' list"),
             ([], "'cells' list"),
         ],
-        ids=["fractional-dim", "zero-denominator-gr", "cells-not-a-list", "top-level-list"],
+        ids=[
+            "fractional-dim",
+            "boolean-dim",
+            "zero-denominator-gr",
+            "cells-not-a-list",
+            "top-level-list",
+        ],
     )
     def test_malformed_complex_file_is_domain_error(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"

@@ -40,7 +40,7 @@ class TestBuilders:
             assert width(build_xi(i)) == 2 * i
 
     def test_xi_rejects_nonpositive(self):
-        for bad in (0, -1):
+        for bad in (0, -1, True):
             with pytest.raises(ValueError):
                 build_xi(bad)
 
@@ -62,6 +62,8 @@ class TestBuilders:
             build_misordered(0, 3)
         with pytest.raises(ValueError):
             build_misordered(3, 1)
+        with pytest.raises(ValueError):
+            build_misordered(True, 2)
 
 
 class TestValidation:

@@ -334,7 +334,7 @@ class TestSharedLocalPair:
 
     def test_bad_delta_fails_before_the_cache(self):
         x = build_xi(3)
-        for bad in ([1], -1, 1.0):
+        for bad in ([1], -1, 1.0, True):
             for build in (local_map_f, local_map_g):
                 with pytest.raises(ValueError, match="doubling parameter must be"):
                     build(x, bad)

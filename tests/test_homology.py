@@ -180,6 +180,12 @@ class TestChainMap:
         with pytest.raises(NotAChainMap):
             induced_map(m)
 
+    @pytest.mark.parametrize("exp", [-1, 1.0, True], ids=["negative", "float", "bool"])
+    def test_invalid_u_exponent_rejected(self, exp):
+        c = build_xi(1)
+        with pytest.raises(ValueError, match=f"'a' carries invalid U-exponent {exp!r}"):
+            ChainMap(c, c, {"a": {("a", exp)}})
+
     def test_non_chain_map_rejected(self):
         c = build_xi(1)
         bad = ChainMap(c, c, {"a": {("a", 0)}, "Ja": {("Ja", 0)}, "b": set()})
