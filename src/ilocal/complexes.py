@@ -141,7 +141,7 @@ class GeometricComplex:
                 raise InvalidComplex(
                     f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
                 )
-        self._num = num
+        self._num, self._q = num, q
         self._width = INFINITE if min_gap is None else min_gap // q
 
     # -- basic accessors ------------------------------------------------
@@ -167,7 +167,7 @@ class GeometricComplex:
     def u_exponent(self, src: str, tgt: str) -> int:
         """U-power on ``tgt`` in the derived differential of ``src``."""
         gap = self._num[tgt] - self._num[src]  # q times the grading gap
-        two_q = 2 * self.tau.denominator
+        two_q = 2 * self._q
         if gap < 0 or gap % two_q:
             raise InvalidComplex(f"invalid grading gap on boundary pair ({src!r}, {tgt!r})")
         return gap // two_q
@@ -196,12 +196,12 @@ class GeometricComplex:
     @cached_property
     def _mnum(self) -> Dict[str, int]:
         """q * M(cell) for every cell: the Maslov gradings over the shared q."""
-        q, cells = self.tau.denominator, self.cells
+        q, cells = self._q, self.cells
         return {cid: n + q * cells[cid].dim for cid, n in self._num.items()}
 
     def _maslov_ratio(self, cid: str) -> Tuple[int, int]:
         """M(cid) as (q * M(cid), q), the pair that ``_lift`` takes."""
-        return self._mnum[cid], self.tau.denominator
+        return self._mnum[cid], self._q
 
     def _lift(self, cid: str, m: int, q: int) -> Optional[int]:
         """The k >= 0 with M(cid) - 2k == m / q (q > 0), or None if there is none.
@@ -209,7 +209,7 @@ class GeometricComplex:
         This is the one lift rule.  Both sides are cross-multiplied by the
         two denominators, so ``m / q`` may come from another complex.
         """
-        p = self.tau.denominator
+        p = self._q
         k, rest = divmod(self._mnum[cid] * q - m * p, 2 * p * q)
         return None if rest or k < 0 else k
 
@@ -228,7 +228,7 @@ class SplitComplex(GeometricComplex):
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
         self.cells, self.bdry, self.tau = base.cells, base.bdry, base.tau
-        self._num, self._width = base._num, base._width
+        self._num, self._q, self._width = base._num, base._q, base._width
         self.J = J = dict(J)
         cells, num = self.cells, self._num
         if J.keys() != cells.keys():

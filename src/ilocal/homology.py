@@ -289,7 +289,7 @@ class ChainMap:
     def chain_witness(self) -> Optional[dict]:
         d_src, d_tgt = self.source._fu_terms, self.target._fu_terms
         for cid in self.source.ids():
-            lhs = self.apply(d_src[cid])
+            lhs = _image_sum(self.assignment, d_src[cid])
             rhs = _image_sum(d_tgt, self.assignment[cid])
             if lhs != rhs:
                 diff = sorted(lhs ^ rhs)
@@ -304,7 +304,7 @@ class ChainMap:
         if not isinstance(self.source, SplitComplex) or not isinstance(self.target, SplitComplex):
             raise NotSplit("J-equivariance requires split source and target")
         for cid in self.source.ids():
-            lhs = self.apply(frozenset({(self.source.J[cid], 0)}))
+            lhs = self.assignment[self.source.J[cid]]
             rhs = frozenset((self.target.J[tid], e) for tid, e in self.assignment[cid])
             if lhs != rhs:
                 return {
