@@ -365,6 +365,20 @@ class TestTensor:
         g = GeometricComplex([Cell("x", 0, F(0))], {})
         assert not isinstance(tensor(g, build_xi(1)), SplitComplex)
 
+    def test_colliding_ids_name_the_first_repeat(self):
+        # "a⊗b" ⊗ "c" and "a" ⊗ "b⊗c" get the same id
+        c1 = GeometricComplex(cells_of(("a⊗b", 0, 0), ("a", 0, 0)), {})
+        c2 = GeometricComplex(cells_of(("c", 0, 0), ("b⊗c", 0, 0)), {})
+        with pytest.raises(InvalidComplex) as info:
+            tensor(c1, c2)
+        assert str(info.value) == "duplicate cell id 'a⊗b⊗c'"
+
+    def test_empty_factor_gives_empty_product(self):
+        empty = GeometricComplex([], {})
+        for p in (tensor(empty, build_xi(2)), tensor(build_xi(2), empty)):
+            assert len(p) == 0
+            assert width(p) == INFINITE
+
 
 class TestDual:
     def test_dual_xi_differential(self):

@@ -75,6 +75,14 @@ class TestDouble:
         for delta in (1, 2):
             assert width(double(build_xi(2), delta).complex) == 2 * delta
 
+    def test_width_is_two_delta_on_random_complexes(self, split_corpus):
+        # the theta -> omega gap is 2*delta and every other gap is at least
+        # the input width W >= 2*delta; a c -> theta gap is at least 2W - 2*delta
+        for x in split_corpus:
+            for sc in (x, dual(x)):
+                for delta in admissible_deltas(sc):
+                    assert double(sc, delta).complex.width() == 2 * delta
+
     def test_width_exceeded(self):
         with pytest.raises(WidthExceeded):
             double(build_xi(2), 3)
