@@ -32,8 +32,16 @@ A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
 here accepts either kind.  It is built from an already validated geometric
 complex and reuses that validation: it takes over the cells, boundary and
-grading data and checks only J.  Instances are immutable; every operation
-here returns a fresh, fully validated complex.
+grading data and checks only J.
+
+Instances are immutable.  Complexes that enter from outside (the public
+constructors, the builders, ``complex_from_json``) are validated in full.
+``dual``, ``tensor`` and ``double`` derive new complexes from validated
+ones and are valid by construction: each computes the numerators, q, the
+width, J and the fixed cell of its result from those of its inputs, and
+``_derived`` stores them without validating again.  The one check that
+depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
+and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
 """
 
 from __future__ import annotations
@@ -71,20 +79,25 @@ class Cell:
         return self.gr + self.dim
 
 
+def _cells_by_id(cell_list) -> Dict[str, Cell]:
+    """The cells keyed by id; InvalidComplex naming the first repeated id."""
+    cells = {c.id: c for c in cell_list}
+    if len(cells) != len(cell_list):
+        seen = set()
+        for c in cell_list:
+            if c.id in seen:
+                raise InvalidComplex(f"duplicate cell id {c.id!r}")
+            seen.add(c.id)
+    return cells
+
+
 class GeometricComplex:
     """Skeleton plus grading function; see the module docstring."""
 
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
         cell_list = tuple(cells)
-        self.cells: Dict[str, Cell] = {c.id: c for c in cell_list}
-        if len(self.cells) != len(cell_list):
-            # a repeated id; the ordered scan names the first one
-            seen = set()
-            for c in cell_list:
-                if c.id in seen:
-                    raise InvalidComplex(f"duplicate cell id {c.id!r}")
-                seen.add(c.id)
+        self.cells: Dict[str, Cell] = _cells_by_id(cell_list)
         bdry = dict(bdry)
         if not bdry.keys() <= self.cells.keys():
             cid = next(cid for cid in bdry if cid not in self.cells)
@@ -259,6 +272,23 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
+def _derived(cells, bdry: Dict[str, Chain], tau: Grading, num: Dict[str, int], q: int,
+             width, J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None):
+    """A complex derived from validated ones by ``dual``, ``tensor`` or ``double``.
+
+    The caller computes what validation would record: ``bdry`` as a frozenset
+    per cell, ``tau`` reduced mod 2 with denominator ``q``, each cell's gr
+    numerator over ``q`` and the width; for a split result also J and its
+    fixed cell.  Only the ids are checked.
+    """
+    c = object.__new__(GeometricComplex if J is None else SplitComplex)
+    c.cells, c.bdry, c.tau = _cells_by_id(cells), bdry, tau
+    c._num, c._q, c._width = num, q, width
+    if J is not None:
+        c.J, c.fixed = J, fixed
+    return c
+
+
 #: Every split complex is a geometric complex; the name is kept for callers.
 AnyComplex = GeometricComplex
 
@@ -376,7 +406,12 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     """Tensor product: cells are pairs, dim and gr add, Leibniz boundary.
 
     If both factors are split the product is split with J acting
-    coordinatewise; its fixed cell is the pair of fixed cells.
+    coordinatewise; its fixed cell is the pair of fixed cells.  A sum of
+    gradings from the cosets of tau1 and tau2 lies in the coset of their
+    sum, so its reduced numerator is over that coset's denominator.  Each
+    boundary pair of the product moves one factor along a boundary pair of
+    that factor, so the width is the least factor width, counting a factor
+    only when the other has cells.
     """
     ids2 = c2.ids()
     pid = {u: {v: _pid(u, v) for v in ids2} for u in c1.ids()}
@@ -384,18 +419,20 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     gr1 = {c1._num[u]: cell.gr for u, cell in c1.cells.items()}
     gr2 = {c2._num[v]: cell.gr for v, cell in c2.cells.items()}
     sums = {n1: {n2: g1 + g2 for n2, g2 in gr2.items()} for n1, g1 in gr1.items()}
-    cells, bdry = [], {}
+    cells, bdry, num = [], {}, {}
     for u, cu in c1.cells.items():
         row, row_sums, bu = pid[u], sums[c1._num[u]], c1.bdry[u]
         for v, cv in c2.cells.items():
-            w = row[v]
-            cells.append(Cell(w, cu.dim + cv.dim, row_sums[c2._num[v]]))
+            w, gr = row[v], row_sums[c2._num[v]]
+            cells.append(Cell(w, cu.dim + cv.dim, gr))
+            num[w] = gr.numerator
             bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
-    g = GeometricComplex(cells, bdry, (c1.tau + c2.tau) % 2)
+    tau = (c1.tau + c2.tau) % 2
+    w = min(c1._width if c2.cells else INFINITE, c2._width if c1.cells else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
         J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
-        return SplitComplex(g, J)
-    return g
+        return _derived(cells, bdry, tau, num, tau.denominator, w, J, pid[c1.fixed][c2.fixed])
+    return _derived(cells, bdry, tau, num, tau.denominator, w)
 
 
 def dual(c: AnyComplex) -> AnyComplex:
@@ -405,25 +442,29 @@ def dual(c: AnyComplex) -> AnyComplex:
     dim n - dim(e) and gr -gr(e) - n, which keeps dual dimensions of actual
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
     F2[U]-complex unchanged.  Each distinct grading is negated once, keyed by
-    its integer numerator, and shared by the cells that carry it.
+    its integer numerator, and shared by the cells that carry it.  Over the
+    same denominator q, the numerator k of gr becomes -n*q - k, and every
+    boundary pair keeps its gap, so the width is unchanged.
     """
-    n = c.max_dim()
+    n, q = c.max_dim(), c._q
     star = {cid: cid + "*" for cid in c.cells}
     grs = {c._num[cid]: cell.gr for cid, cell in c.cells.items()}
     negated = {k: -n - gr for k, gr in grs.items()}
     cells = [
         Cell(star[cid], n - cell.dim, negated[c._num[cid]]) for cid, cell in c.cells.items()
     ]
+    num = {star[cid]: -n * q - k for cid, k in c._num.items()}
     # transpose in one pass over the edges, visiting sources in cell order
     sources = {cid: [] for cid in c.cells}
     for src in c.cells:
         for tid in c.bdry[src]:
             sources[tid].append(star[src])
     bdry = {star[cid]: frozenset(srcs) for cid, srcs in sources.items()}
-    g = GeometricComplex(cells, bdry, (-n - c.tau) % 2)
+    tau = (-n - c.tau) % 2
     if isinstance(c, SplitComplex):
-        return SplitComplex(g, {star[cid]: star[c.J[cid]] for cid in c.ids()})
-    return g
+        J = {star[cid]: star[c.J[cid]] for cid in c.ids()}
+        return _derived(cells, bdry, tau, num, q, c._width, J, star[c.fixed])
+    return _derived(cells, bdry, tau, num, q, c._width)
 
 
 # -- monomial matrices and JSON --------------------------------------------

@@ -47,8 +47,8 @@ from typing import Container, FrozenSet, Iterable, Optional
 from .complexes import (
     Cell,
     Chain,
-    GeometricComplex,
     SplitComplex,
+    _derived,
     _pid,
     _xi_complex,
     decompose,
@@ -145,7 +145,15 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     bdry[j_omega] = frozenset(J[t] for t in x.bdry[eta])
     bdry[theta] = frozenset({omega, j_omega})
 
-    doubled = SplitComplex(GeometricComplex(cells, bdry, x.tau), J)
+    num = {cid: k for cid, k in x._num.items() if cid != eta}
+    num[omega] = num[j_omega] = x._num[eta]
+    num[theta] = x._num[eta] - 2 * delta * x._q
+    # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
+    # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
+    # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
+    # d(J.t) for some t in d(c); d(c) ∋ t and d(J.t) ∋ eta each have gap >= W,
+    # so its gap is >= 2W - 2*delta >= W >= 2*delta.
+    doubled = _derived(cells, bdry, x.tau, num, x._q, 2 * delta, J, theta)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 
 

@@ -1,10 +1,45 @@
 import random
+import sys
 
 import pytest
 
+from ilocal import complexes
+from ilocal.complexes import GeometricComplex, SplitComplex
 from ilocal.suite import random_geometric_complex, random_split_complex
 
 ACCEPTANCE_SEED = 1
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "trusted_derived: run without rebuilding derived complexes in full"
+    )
+
+
+@pytest.fixture(autouse=True)
+def revalidate_derived(request, monkeypatch):
+    """Check every complex that ``dual``, ``tensor`` and ``double`` derive.
+
+    They skip validation and store the grading data they computed; here each
+    result is rebuilt through the validating constructors from the same
+    cells, boundary and tau, and what they record must be what was stored.
+    """
+    if request.node.get_closest_marker("trusted_derived"):
+        return
+    derived = complexes._derived
+
+    def checked(*args, **kwargs):
+        c = derived(*args, **kwargs)
+        ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
+        if isinstance(c, SplitComplex):
+            ref = SplitComplex(ref, c.J)
+            assert c.fixed == ref.fixed
+        assert (c._num, c._q, c._width, c.tau) == (ref._num, ref._q, ref._width, ref.tau)
+        return c
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ilocal.") and getattr(mod, "_derived", None) is derived:
+            monkeypatch.setattr(mod, "_derived", checked)
 
 
 @pytest.fixture(scope="session")

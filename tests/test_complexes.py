@@ -145,27 +145,36 @@ class TestValidation:
         with pytest.raises(NotSplit, match="commute"):
             SplitComplex(g, J)
 
+    @pytest.mark.trusted_derived
     def test_split_results_are_validated_once(self, monkeypatch):
-        # a split complex reuses the validation of its base instead of
-        # running it again
+        # a split builder validates once (the split complex reuses the
+        # validation of its base); dual, tensor and double derive complexes
+        # that are valid by construction and run no validation of their own
         calls = []
-        validate = GeometricComplex._validate
+        validate, check_j = GeometricComplex._validate, SplitComplex.__init__
 
-        def counting(self):
-            calls.append(self)
+        def counting_validate(self):
+            calls.append("validate")
             validate(self)
 
-        monkeypatch.setattr(GeometricComplex, "_validate", counting)
+        def counting_check_j(self, base, J):
+            calls.append("J")
+            check_j(self, base, J)
+
+        monkeypatch.setattr(GeometricComplex, "_validate", counting_validate)
+        monkeypatch.setattr(SplitComplex, "__init__", counting_check_j)
         x = build_xi(2)
+        calls.clear()
+        build_xi(3)
+        assert calls == ["validate", "J"]
         for make in (
-            lambda: build_xi(3),
             lambda: dual(x),
             lambda: tensor(x, x),
             lambda: double(x, 1).complex,
         ):
             calls.clear()
             assert isinstance(make(), SplitComplex)
-            assert len(calls) == 1
+            assert calls == []
 
 
 def cells_of(*specs):

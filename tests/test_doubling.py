@@ -112,8 +112,9 @@ class TestDouble:
             )
 
     def test_dd_squared_zero_via_validation(self):
-        # construction re-validates bdry^2 = 0; exercise the theta casework
-        # by doubling a complex whose fixed cell sits in low dimension
+        # the tests rebuild every double through validation, which checks
+        # bdry^2 = 0; exercise the theta casework by doubling a complex whose
+        # fixed cell sits in low dimension
         b = dual(build_misordered(1, 2))
         dr = double(b, 1)
         assert dr.complex.width() == 2
