@@ -273,7 +273,8 @@ class SplitComplex(GeometricComplex):
 
 
 def _derived(cells, bdry: Dict[str, Chain], tau: Grading, num: Dict[str, int], q: int,
-             width, J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None):
+             width: Union[int, float], J: Optional[Dict[str, str]] = None,
+             fixed: Optional[str] = None) -> GeometricComplex:
     """A complex derived from validated ones by ``dual``, ``tensor`` or ``double``.
 
     The caller computes what validation would record: ``bdry`` as a frozenset
@@ -428,11 +429,12 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
             num[w] = gr.numerator
             bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
     tau = (c1.tau + c2.tau) % 2
-    w = min(c1._width if c2.cells else INFINITE, c2._width if c1.cells else INFINITE)
+    least = min(c1._width if c2.cells else INFINITE, c2._width if c1.cells else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
         J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
-        return _derived(cells, bdry, tau, num, tau.denominator, w, J, pid[c1.fixed][c2.fixed])
-    return _derived(cells, bdry, tau, num, tau.denominator, w)
+        fixed = pid[c1.fixed][c2.fixed]
+        return _derived(cells, bdry, tau, num, tau.denominator, least, J, fixed)
+    return _derived(cells, bdry, tau, num, tau.denominator, least)
 
 
 def dual(c: AnyComplex) -> AnyComplex:

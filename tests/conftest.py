@@ -34,7 +34,9 @@ def revalidate_derived(request, monkeypatch):
         if isinstance(c, SplitComplex):
             ref = SplitComplex(ref, c.J)
             assert c.fixed == ref.fixed
-        assert (c._num, c._q, c._width, c.tau) == (ref._num, ref._q, ref._width, ref.tau)
+        assert (c.bdry, c._num, c._q, c._width, c.tau) == (
+            ref.bdry, ref._num, ref._q, ref._width, ref.tau
+        )
         return c
 
     for name, mod in list(sys.modules.items()):
