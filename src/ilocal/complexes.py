@@ -31,17 +31,22 @@ derived differential as (target, U-exponent) pairs.
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
 here accepts either kind.  It is built from an already validated geometric
-complex and reuses that validation: it takes over the cells, boundary and
-grading data and checks only J.
+complex and reuses that validation: it takes over the boundary and the
+grading tables and checks only J.
 
-Instances are immutable.  Complexes that enter from outside (the public
-constructors, the builders, ``complex_from_json``) are validated in full.
-``dual``, ``tensor`` and ``double`` derive new complexes from validated
-ones and are valid by construction: each computes the numerators, q, the
-width, J and the fixed cell of its result from those of its inputs, and
-``_derived`` stores them without validating again.  The one check that
-depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
-and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
+Instances are immutable, and their stored grading data are integer tables:
+each cell's dimension, its gr numerator over the shared q, and q itself.
+The ``Cell`` objects of ``cells`` are built from those tables on first
+read, so a complex that is only reduced, mapped or derived from never
+builds them.  Complexes that enter from outside (the public constructors,
+the builders, ``complex_from_json``) are validated in full, and their cells
+are kept as given.  ``dual``, ``tensor`` and ``double`` derive new
+complexes from validated ones and are valid by construction: each computes
+the dimensions, numerators, q, the width, J and the fixed cell of its
+result from the tables of its inputs, and ``_derived`` stores them without
+validating again.  The one check that depends on the input stays: ids of a
+tensor can repeat (``"a⊗b" ⊗ "c"`` and ``"a" ⊗ "b⊗c"``), which raises the
+same error as in the constructor.
 """
 
 from __future__ import annotations
@@ -79,16 +84,13 @@ class Cell:
         return self.gr + self.dim
 
 
-def _cells_by_id(cell_list) -> Dict[str, Cell]:
-    """The cells keyed by id; InvalidComplex naming the first repeated id."""
-    cells = {c.id: c for c in cell_list}
-    if len(cells) != len(cell_list):
-        seen = set()
-        for c in cell_list:
-            if c.id in seen:
-                raise InvalidComplex(f"duplicate cell id {c.id!r}")
-            seen.add(c.id)
-    return cells
+def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
+    """The error naming the first repeated id of ``ids``, which has one."""
+    seen = set()
+    for cid in ids:
+        if cid in seen:
+            return InvalidComplex(f"duplicate cell id {cid!r}")
+        seen.add(cid)
 
 
 class GeometricComplex:
@@ -97,7 +99,9 @@ class GeometricComplex:
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
         cell_list = tuple(cells)
-        self.cells: Dict[str, Cell] = _cells_by_id(cell_list)
+        self.cells = {c.id: c for c in cell_list}
+        if len(self.cells) != len(cell_list):
+            raise _duplicate_id(c.id for c in cell_list)
         bdry = dict(bdry)
         if not bdry.keys() <= self.cells.keys():
             cid = next(cid for cid in bdry if cid not in self.cells)
@@ -117,6 +121,7 @@ class GeometricComplex:
         p, q = self.tau.numerator, self.tau.denominator
         two_q = 2 * q
         cells, bdry = self.cells, self.bdry
+        dims: Dict[str, int] = {}
         num: Dict[str, int] = {}
         for cid, c in cells.items():
             n, d = c.gr.as_integer_ratio()
@@ -124,17 +129,17 @@ class GeometricComplex:
                 raise InvalidComplex(
                     f"cell {cid!r} has gr {c.gr} outside the coset tau={self.tau} + 2Z"
                 )
-            num[cid] = n
+            dims[cid], num[cid] = c.dim, n
         min_gap = None
         for cid, targets in bdry.items():
             if not targets:
                 continue
-            e_dim, e_num = cells[cid].dim - 1, num[cid]
+            e_dim, e_num = dims[cid] - 1, num[cid]
             for tid in targets:
-                t = cells.get(tid)
-                if t is None:
+                t_dim = dims.get(tid)
+                if t_dim is None:
                     raise InvalidComplex(f"boundary of {cid!r} mentions unknown cell {tid!r}")
-                if t.dim != e_dim:
+                if t_dim != e_dim:
                     raise InvalidComplex(
                         f"boundary pair ({cid!r}, {tid!r}) is not of dimensional degree -1"
                     )
@@ -154,28 +159,35 @@ class GeometricComplex:
                 raise InvalidComplex(
                     f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
                 )
-        self._num, self._q = num, q
+        self._dim, self._num, self._q = dims, num, q
         self._width = INFINITE if min_gap is None else min_gap // q
+
+    @cached_property
+    def cells(self) -> Dict[str, Cell]:
+        """The cells by id, built from the grading tables on first read."""
+        num, q = self._num, self._q
+        return {cid: Cell(cid, d, Fraction(num[cid], q)) for cid, d in self._dim.items()}
 
     # -- basic accessors ------------------------------------------------
 
     def ids(self) -> Tuple[str, ...]:
-        return tuple(self.cells)
+        return tuple(self._dim)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._dim)
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self.cells
+        return cid in self._dim
 
     def cell(self, cid: str) -> Cell:
         return self.cells[cid]
 
     def maslov(self, cid: str) -> Grading:
-        return self.cells[cid].maslov
+        q = self._q
+        return Fraction(self._num[cid] + q * self._dim[cid], q)
 
     def max_dim(self) -> int:
-        return max((c.dim for c in self.cells.values()), default=0)
+        return max(self._dim.values(), default=0)
 
     def u_exponent(self, src: str, tgt: str) -> int:
         """U-power on ``tgt`` in the derived differential of ``src``."""
@@ -187,7 +199,7 @@ class GeometricComplex:
 
     def degree_of(self, cid: str, k: int) -> Grading:
         """Maslov degree M(cid) - 2k of the chain U^k cid."""
-        return self.cells[cid].maslov - 2 * k
+        return self.maslov(cid) - 2 * k
 
     def u_power(self, cid: str, degree: Grading) -> int:
         """The k >= 0 with ``degree_of(cid, k) == degree``; ValueError if none."""
@@ -209,8 +221,8 @@ class GeometricComplex:
     @cached_property
     def _mnum(self) -> Dict[str, int]:
         """q * M(cell) for every cell: the Maslov gradings over the shared q."""
-        q, cells = self._q, self.cells
-        return {cid: n + q * cells[cid].dim for cid, n in self._num.items()}
+        q, dims = self._q, self._dim
+        return {cid: n + q * dims[cid] for cid, n in self._num.items()}
 
     def _maslov_ratio(self, cid: str) -> Tuple[int, int]:
         """M(cid) as (q * M(cid), q), the pair that ``_lift`` takes."""
@@ -229,31 +241,31 @@ class GeometricComplex:
     @cached_property
     def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
         """Each cell's derived differential as (target, U-exponent) pairs."""
-        return {cid: frozenset(self.fu_bdry(cid).items()) for cid in self.cells}
+        return {cid: frozenset(self.fu_bdry(cid).items()) for cid in self._dim}
 
 
 class SplitComplex(GeometricComplex):
     """A geometric complex with an involution J having exactly one fixed cell.
 
-    The cells, boundary and grading data are taken over from ``base``, which
-    its own construction has already validated; only J is checked here.
+    The cells, boundary and grading tables are taken over from ``base``,
+    which its own construction has already validated; only J is checked here.
     """
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
         self.cells, self.bdry, self.tau = base.cells, base.bdry, base.tau
-        self._num, self._q, self._width = base._num, base._q, base._width
+        self._dim, self._num, self._q, self._width = base._dim, base._num, base._q, base._width
         self.J = J = dict(J)
-        cells, num = self.cells, self._num
-        if J.keys() != cells.keys():
+        dims, num = self._dim, self._num
+        if J.keys() != dims.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
         for cid, jid in J.items():
-            if jid not in cells:
+            if jid not in dims:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
             if J[jid] != cid:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
             # gradings of the validated base share one denominator
-            if cells[cid].dim != cells[jid].dim or num[cid] != num[jid]:
+            if dims[cid] != dims[jid] or num[cid] != num[jid]:
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
             if jid == cid:
                 fixed.append(cid)
@@ -261,7 +273,7 @@ class SplitComplex(GeometricComplex):
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         self.fixed = fixed[0]
         bdry = self.bdry
-        for cid in cells:
+        for cid in dims:
             if {J[tid] for tid in bdry[cid]} != bdry[J[cid]]:
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
 
@@ -272,18 +284,19 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
-def _derived(cells, bdry: Dict[str, Chain], tau: Grading, num: Dict[str, int], q: int,
-             width: Union[int, float], J: Optional[Dict[str, str]] = None,
-             fixed: Optional[str] = None) -> GeometricComplex:
+def _derived(dims: Dict[str, int], bdry: Dict[str, Chain], tau: Grading,
+             num: Dict[str, int], q: int, width: Union[int, float],
+             J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
     """A complex derived from validated ones by ``dual``, ``tensor`` or ``double``.
 
-    The caller computes what validation would record: ``bdry`` as a frozenset
-    per cell, ``tau`` reduced mod 2 with denominator ``q``, each cell's gr
-    numerator over ``q`` and the width; for a split result also J and its
-    fixed cell.  Only the ids are checked.
+    The caller computes what validation would record: each cell's dim in
+    cell order, ``bdry`` as a frozenset per cell, ``tau`` reduced mod 2 with
+    denominator ``q``, each cell's gr numerator over ``q`` and the width;
+    for a split result also J and its fixed cell.  Nothing is checked, and
+    ``cells`` is built only if it is read.
     """
     c = object.__new__(GeometricComplex if J is None else SplitComplex)
-    c.cells, c.bdry, c.tau = _cells_by_id(cells), bdry, tau
+    c._dim, c.bdry, c.tau = dims, bdry, tau
     c._num, c._q, c._width = num, q, width
     if J is not None:
         c.J, c.fixed = J, fixed
@@ -409,32 +422,34 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     If both factors are split the product is split with J acting
     coordinatewise; its fixed cell is the pair of fixed cells.  A sum of
     gradings from the cosets of tau1 and tau2 lies in the coset of their
-    sum, so its reduced numerator is over that coset's denominator.  Each
-    boundary pair of the product moves one factor along a boundary pair of
-    that factor, so the width is the least factor width, counting a factor
-    only when the other has cells.
+    sum, so its reduced denominator is that coset's denominator q, and the
+    numerators n1/q1 + n2/q2 over q are the exact integers
+    (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the product moves
+    one factor along a boundary pair of that factor, so the width is the
+    least factor width, counting a factor only when the other has cells.
     """
     ids2 = c2.ids()
     pid = {u: {v: _pid(u, v) for v in ids2} for u in c1.ids()}
-    # one sum per pair of distinct gradings, looked up by their numerators
-    gr1 = {c1._num[u]: cell.gr for u, cell in c1.cells.items()}
-    gr2 = {c2._num[v]: cell.gr for v, cell in c2.cells.items()}
-    sums = {n1: {n2: g1 + g2 for n2, g2 in gr2.items()} for n1, g1 in gr1.items()}
-    cells, bdry, num = [], {}, {}
-    for u, cu in c1.cells.items():
-        row, row_sums, bu = pid[u], sums[c1._num[u]], c1.bdry[u]
-        for v, cv in c2.cells.items():
-            w, gr = row[v], row_sums[c2._num[v]]
-            cells.append(Cell(w, cu.dim + cv.dim, gr))
-            num[w] = gr.numerator
-            bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
     tau = (c1.tau + c2.tau) % 2
-    least = min(c1._width if c2.cells else INFINITE, c2._width if c1.cells else INFINITE)
+    q, q1, q2 = tau.denominator, c1._q, c2._q
+    q12, dims2 = q1 * q2, c2._dim
+    scaled2 = {v: n * q1 * q for v, n in c2._num.items()}
+    dims, bdry, num = {}, {}, {}
+    for u, d1 in c1._dim.items():
+        row, scaled, bu = pid[u], c1._num[u] * q2 * q, c1.bdry[u]
+        for v, d2 in dims2.items():
+            w = row[v]
+            dims[w] = d1 + d2
+            num[w] = (scaled + scaled2[v]) // q12
+            bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
+    if len(dims) != len(c1) * len(c2):
+        raise _duplicate_id(w for row in pid.values() for w in row.values())
+    least = min(c1._width if dims2 else INFINITE, c2._width if c1._dim else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
         J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
         fixed = pid[c1.fixed][c2.fixed]
-        return _derived(cells, bdry, tau, num, tau.denominator, least, J, fixed)
-    return _derived(cells, bdry, tau, num, tau.denominator, least)
+        return _derived(dims, bdry, tau, num, q, least, J, fixed)
+    return _derived(dims, bdry, tau, num, q, least)
 
 
 def dual(c: AnyComplex) -> AnyComplex:
@@ -443,30 +458,25 @@ def dual(c: AnyComplex) -> AnyComplex:
     With n the maximal dimension of the input, the dual cell e* has
     dim n - dim(e) and gr -gr(e) - n, which keeps dual dimensions of actual
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
-    F2[U]-complex unchanged.  Each distinct grading is negated once, keyed by
-    its integer numerator, and shared by the cells that carry it.  Over the
-    same denominator q, the numerator k of gr becomes -n*q - k, and every
-    boundary pair keeps its gap, so the width is unchanged.
+    F2[U]-complex unchanged.  Over the same denominator q, the numerator k
+    of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
+    width is unchanged.
     """
     n, q = c.max_dim(), c._q
-    star = {cid: cid + "*" for cid in c.cells}
-    grs = {c._num[cid]: cell.gr for cid, cell in c.cells.items()}
-    negated = {k: -n - gr for k, gr in grs.items()}
-    cells = [
-        Cell(star[cid], n - cell.dim, negated[c._num[cid]]) for cid, cell in c.cells.items()
-    ]
+    star = {cid: cid + "*" for cid in c._dim}
+    dims = {star[cid]: n - d for cid, d in c._dim.items()}
     num = {star[cid]: -n * q - k for cid, k in c._num.items()}
     # transpose in one pass over the edges, visiting sources in cell order
-    sources = {cid: [] for cid in c.cells}
-    for src in c.cells:
+    sources = {cid: [] for cid in c._dim}
+    for src in c._dim:
         for tid in c.bdry[src]:
             sources[tid].append(star[src])
     bdry = {star[cid]: frozenset(srcs) for cid, srcs in sources.items()}
     tau = (-n - c.tau) % 2
     if isinstance(c, SplitComplex):
         J = {star[cid]: star[c.J[cid]] for cid in c.ids()}
-        return _derived(cells, bdry, tau, num, q, c._width, J, star[c.fixed])
-    return _derived(cells, bdry, tau, num, q, c._width)
+        return _derived(dims, bdry, tau, num, q, c._width, J, star[c.fixed])
+    return _derived(dims, bdry, tau, num, q, c._width)
 
 
 # -- monomial matrices and JSON --------------------------------------------
@@ -484,8 +494,8 @@ class FUMatrix:
 def to_fu_matrices(c: AnyComplex) -> Dict[int, FUMatrix]:
     """Graded monomial boundary matrices, one per dimensional degree present."""
     by_dim: Dict[int, list] = {}
-    for cid, cell in c.cells.items():
-        by_dim.setdefault(cell.dim, []).append(cid)
+    for cid, d in c._dim.items():
+        by_dim.setdefault(d, []).append(cid)
     matrices = {}
     for d in sorted(by_dim):
         cols = tuple(by_dim[d])

@@ -45,7 +45,6 @@ from functools import lru_cache
 from typing import Container, FrozenSet, Iterable, Optional
 
 from .complexes import (
-    Cell,
     Chain,
     SplitComplex,
     _derived,
@@ -122,16 +121,16 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     _check_delta(x, delta)
     chosen = validate_splitting(x, splitting)
     eta = x.fixed
-    eta_cell = x.cell(eta)
     _, zeta, _ = decompose(x, x.bdry[eta], chosen)
-    omega, j_omega, theta = _fresh_names(x.cells)
+    omega, j_omega, theta = _fresh_names(x._dim)
 
-    cells = [c for cid, c in x.cells.items() if cid != eta]
-    cells.append(Cell(omega, eta_cell.dim, eta_cell.gr))
-    cells.append(Cell(j_omega, eta_cell.dim, eta_cell.gr))
-    cells.append(Cell(theta, eta_cell.dim + 1, eta_cell.gr - 2 * delta))
+    dims = dict(x._dim)
+    del dims[eta]
+    dims[omega] = dims[j_omega] = x._dim[eta]
+    dims[theta] = x._dim[eta] + 1
 
-    J = {cid: jid for cid, jid in x.J.items() if cid != eta}
+    J = dict(x.J)
+    del J[eta]
     J[omega] = j_omega
     J[j_omega] = omega
     J[theta] = theta
@@ -145,7 +144,8 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     bdry[j_omega] = frozenset(J[t] for t in x.bdry[eta])
     bdry[theta] = frozenset({omega, j_omega})
 
-    num = {cid: k for cid, k in x._num.items() if cid != eta}
+    num = dict(x._num)
+    del num[eta]
     num[omega] = num[j_omega] = x._num[eta]
     num[theta] = x._num[eta] - 2 * delta * x._q
     # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
@@ -153,7 +153,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(J.t) for some t in d(c); d(c) ∋ t and d(J.t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(cells, bdry, x.tau, num, x._q, 2 * delta, J, theta)
+    doubled = _derived(dims, bdry, x.tau, num, x._q, 2 * delta, J, theta)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 
 

@@ -192,8 +192,8 @@ def _reduce(columns: List[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
 def homology(c: AnyComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction."""
     # the numerators share the denominator q > 0, so this is (-gr, dim, id)
-    num, cells = c._num, c.cells
-    order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], cells[cid].dim, cid)))
+    num, dims = c._num, c._dim
+    order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], dims[cid], cid)))
     pos = {cid: i for i, cid in enumerate(order)}
 
     R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
@@ -247,12 +247,12 @@ class ChainMap:
         src, tgt = self.source, self.target
         norm = {}
         for cid in self.assignment:
-            if cid not in src.cells:
+            if cid not in src:
                 raise ValueError(f"assignment mentions unknown source cell {cid!r}")
         for cid in src.ids():
             terms = frozenset(self.assignment.get(cid, ()))
             for tid, exp in terms:
-                if tid not in tgt.cells:
+                if tid not in tgt:
                     raise ValueError(f"image of {cid!r} mentions unknown target cell {tid!r}")
                 if type(exp) is not int or exp < 0:
                     raise ValueError(f"image of {cid!r} carries invalid U-exponent {exp!r}")

@@ -20,9 +20,13 @@ def pytest_configure(config):
 def revalidate_derived(request, monkeypatch):
     """Check every complex that ``dual``, ``tensor`` and ``double`` derive.
 
-    They skip validation and store the grading data they computed; here each
-    result is rebuilt through the validating constructors from the same
+    They skip validation and store the grading tables they computed; here
+    each result is rebuilt through the validating constructors from its
     cells, boundary and tau, and what they record must be what was stored.
+    The cells are read back from the stored tables, so this checks the
+    boundary, width, J and fixed cell against them; the tables themselves
+    are compared with the Fraction formulas by ``TestDerivedGradings`` and
+    ``TestDouble::test_cells_on_random_complexes``.
     """
     if request.node.get_closest_marker("trusted_derived"):
         return
@@ -34,8 +38,8 @@ def revalidate_derived(request, monkeypatch):
         if isinstance(c, SplitComplex):
             ref = SplitComplex(ref, c.J)
             assert c.fixed == ref.fixed
-        assert (c.bdry, c._num, c._q, c._width, c.tau) == (
-            ref.bdry, ref._num, ref._q, ref._width, ref.tau
+        assert (c.bdry, c._dim, c._num, c._q, c._width, c.tau) == (
+            ref.bdry, ref._dim, ref._num, ref._q, ref._width, ref.tau
         )
         return c
 

@@ -419,6 +419,33 @@ class TestDual:
         assert d.fixed == "b*"
 
 
+class TestDerivedGradings:
+    """``dual`` and ``tensor`` compute integer tables; the cells read back from
+    them must carry the gradings of the Fraction formulas they replace."""
+
+    @staticmethod
+    def corpus(split_corpus, pair_corpus):
+        return list(split_corpus) + [c for pair in pair_corpus for c in pair]
+
+    def test_dual_cells(self, split_corpus, pair_corpus):
+        for c in self.corpus(split_corpus, pair_corpus):
+            n = max((cell.dim for cell in c.cells.values()), default=0)
+            expected = [
+                Cell(cid + "*", n - cell.dim, -n - cell.gr) for cid, cell in c.cells.items()
+            ]
+            assert list(dual(c).cells.values()) == expected
+
+    def test_tensor_cells(self, split_corpus, pair_corpus):
+        pairs = list(pair_corpus) + [(x, build_xi(2)) for x in split_corpus]
+        for c1, c2 in pairs:
+            expected = [
+                Cell(f"{u}⊗{v}", a.dim + b.dim, a.gr + b.gr)
+                for u, a in c1.cells.items()
+                for v, b in c2.cells.items()
+            ]
+            assert list(tensor(c1, c2).cells.values()) == expected
+
+
 class TestDecompose:
     def test_pair_sum(self):
         x = build_xi(3)

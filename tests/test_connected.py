@@ -22,14 +22,18 @@ from ilocal import (
     decode,
     hf_conn,
     homology,
+    local_map_f,
+    local_map_g,
     place_towers,
     predict_mu_bar,
     predict_rokhlin_parity,
     reflect,
     representative,
     simplify,
+    verify_local_pair,
 )
 from ilocal.suite import (
+    admissible_deltas,
     check_decode_roundtrip,
     check_representative,
     random_combination,
@@ -165,6 +169,28 @@ class TestRepresentative:
             rep = representative(LC.from_json(case["terms"]))
             cases.append({"terms": case["terms"], "complex": complex_to_json(rep)})
         assert max(len(case["terms"]) for case in cases) == 30
+        assert json.dumps(cases, indent=2) + "\n" == golden
+
+    @pytest.mark.trusted_derived
+    def test_derived_complexes_build_no_cells(self):
+        # representative, homology and the local maps read the integer
+        # tables only; a derived complex builds its Cell objects when read
+        rng = random.Random("lazy cells")
+        lc = LC(tuple((rng.choice((1, -1)), rng.randint(1, 9)) for _ in range(20)))
+        rep = representative(lc)
+        homology(rep)
+        delta = admissible_deltas(rep)[-1]
+        f, g = local_map_f(rep, delta), local_map_g(rep, delta)
+        assert verify_local_pair(f, g).passed
+        for c in (rep, f.source, f.target):
+            assert "cells" not in vars(c)
+        golden = (Path(__file__).parent / "fixtures" / "representative_golden.json").read_text()
+        cases = []
+        for case in json.loads(golden):
+            rep = representative(LC.from_json(case["terms"]))
+            homology(rep)
+            assert "cells" not in vars(rep)
+            cases.append({"terms": case["terms"], "complex": complex_to_json(rep)})
         assert json.dumps(cases, indent=2) + "\n" == golden
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ilocal import doubling
 from ilocal import (
+    Cell,
     ChainMap,
     INFINITE,
     Tower,
@@ -82,6 +83,20 @@ class TestDouble:
             for sc in (x, dual(x)):
                 for delta in admissible_deltas(sc):
                     assert double(sc, delta).complex.width() == 2 * delta
+
+    def test_cells_on_random_complexes(self, split_corpus):
+        # x's cells stay; omega and J.omega take eta's (dim, gr), and theta
+        # sits one dimension up at gr(eta) - 2*delta
+        for x in split_corpus:
+            eta = x.cell(x.fixed)
+            for delta in admissible_deltas(x):
+                dr = double(x, delta)
+                expected = [c for cid, c in x.cells.items() if cid != x.fixed] + [
+                    Cell(dr.omega, eta.dim, eta.gr),
+                    Cell(dr.j_omega, eta.dim, eta.gr),
+                    Cell(dr.theta, eta.dim + 1, eta.gr - 2 * delta),
+                ]
+                assert list(dr.complex.cells.values()) == expected
 
     def test_width_exceeded(self):
         with pytest.raises(WidthExceeded):
