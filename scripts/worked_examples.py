@@ -4,6 +4,7 @@
 For each term the script doubles (or dualizes, doubles, dualizes back),
 verifies the local maps for that step, and finally compares the torsion
 homology of the small representative against the placement algorithm.
+It exits 1 if the local maps of a step fail or the two modules disagree.
 
     python scripts/worked_examples.py
     python scripts/worked_examples.py --expr "X5 + X4 - X3 - X2 + X1" --svg out.svg
@@ -54,6 +55,7 @@ def main() -> int:
     print()
 
     s = build_trivial()
+    maps_ok = True
     for step, (sign, index) in enumerate(lc, start=1):
         label = f"{'+' if sign > 0 else '-'}X{index}"
         if sign > 0:
@@ -63,6 +65,7 @@ def main() -> int:
             sd = dual(s)
             report = verify_local_pair(local_map_f(sd, index), local_map_g(sd, index))
             s = dual(double(sd, index).complex)
+        maps_ok = maps_ok and report.passed
         status = "ok" if report.passed else f"FAILED {report.to_json()}"
         print(
             f"step {step}: {label:>5}  cells={len(s):2d}  width={width(s)}  local maps: {status}"
@@ -75,7 +78,8 @@ def main() -> int:
     placed = connected_homology(simplify(lc))
     print("torsion homology of representative: ", module_str(torsion))
     print("placement algorithm:                 ", module_str(placed))
-    print("agree:", torsion == placed)
+    agree = torsion == placed
+    print("agree:", agree)
     print()
 
     shifted = hf_conn(simplify(lc), d)
@@ -85,7 +89,7 @@ def main() -> int:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(shifted))
         print(f"\nwrote {args.svg}")
-    return 0
+    return 0 if maps_ok and agree else 1
 
 
 if __name__ == "__main__":

@@ -35,18 +35,21 @@ complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
 Instances are immutable, and their stored grading data are integer tables:
-each cell's dimension, its gr numerator over the shared q, and q itself.
-The ``Cell`` objects of ``cells`` are built from those tables on first
-read, so a complex that is only reduced, mapped or derived from never
-builds them.  Complexes that enter from outside (the public constructors,
-the builders, ``complex_from_json``) are validated in full, and their cells
-are kept as given.  ``dual``, ``tensor`` and ``double`` derive new
-complexes from validated ones and are valid by construction: each computes
-the dimensions, numerators, q, the width, J and the fixed cell of its
-result from the tables of its inputs, and ``_derived`` stores them without
-validating again.  The one check that depends on the input stays: ids of a
-tensor can repeat (``"a⊗b" ⊗ "c"`` and ``"a" ⊗ "b⊗c"``), which raises the
-same error as in the constructor.
+each cell's dimension and its gr numerator over q, which is always tau's
+denominator.  One private step, ``_store``, assigns every stored field
+(these tables, the boundary, tau, the width, and for a split complex J and
+its fixed cell), and every construction ends there.  The ``Cell`` objects
+of ``cells`` are built from the tables on first read, so a complex that is
+only reduced, mapped or derived from never builds them.  Complexes that
+enter from outside (the public constructors, the builders,
+``complex_from_json``) are validated in full into the tables.  ``dual``,
+``tensor`` and ``double`` derive new complexes from validated ones and are
+valid by construction: each computes the dimensions, numerators, tau, the
+width, J and the fixed cell of its result from the tables of its inputs,
+and ``_derived`` stores them without validating again.  The one check
+that depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗
+"c"`` and ``"a" ⊗ "b⊗c"``), which raises the same error as in the
+constructor.
 """
 
 from __future__ import annotations
@@ -99,37 +102,36 @@ class GeometricComplex:
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
         cell_list = tuple(cells)
-        self.cells = {c.id: c for c in cell_list}
-        if len(self.cells) != len(cell_list):
+        dims = {c.id: c.dim for c in cell_list}
+        if len(dims) != len(cell_list):
             raise _duplicate_id(c.id for c in cell_list)
         bdry = dict(bdry)
-        if not bdry.keys() <= self.cells.keys():
-            cid = next(cid for cid in bdry if cid not in self.cells)
+        if not bdry.keys() <= dims.keys():
+            cid = next(cid for cid in bdry if cid not in dims)
             raise InvalidComplex(f"bdry source {cid!r} is not a cell")
-        self.bdry: Dict[str, Chain] = {cid: frozenset(targets) for cid, targets in bdry.items()}
-        if len(self.bdry) != len(self.cells):
-            for cid in self.cells:
-                self.bdry.setdefault(cid, frozenset())
+        bdry = {cid: frozenset(targets) for cid, targets in bdry.items()}
+        if len(bdry) != len(dims):
+            for cid in dims:
+                bdry.setdefault(cid, frozenset())
         if tau is None:
             tau = cell_list[0].gr if cell_list else Fraction(0)
-        self.tau = Fraction(tau) % 2
-        self._validate()
+        tau = Fraction(tau) % 2
+        _store(self, dims, bdry, tau, *self._validate(cell_list, dims, bdry, tau))
 
-    def _validate(self):
+    def _validate(self, cells, dims, bdry, tau):
+        """Check a new complex; return its gr numerators over tau's denominator and its width."""
         # every gr shares tau's reduced denominator q (see the module
         # docstring), so the checks below compare integer numerators
-        p, q = self.tau.numerator, self.tau.denominator
+        p, q = tau.numerator, tau.denominator
         two_q = 2 * q
-        cells, bdry = self.cells, self.bdry
-        dims: Dict[str, int] = {}
         num: Dict[str, int] = {}
-        for cid, c in cells.items():
+        for c in cells:
             n, d = c.gr.as_integer_ratio()
             if d != q or (n - p) % two_q:
                 raise InvalidComplex(
-                    f"cell {cid!r} has gr {c.gr} outside the coset tau={self.tau} + 2Z"
+                    f"cell {c.id!r} has gr {c.gr} outside the coset tau={tau} + 2Z"
                 )
-            dims[cid], num[cid] = c.dim, n
+            num[c.id] = n
         min_gap = None
         for cid, targets in bdry.items():
             if not targets:
@@ -152,15 +154,14 @@ class GeometricComplex:
                     min_gap = gap
         # bdry o bdry = 0 over F2; acc is empty again after every cell passes
         acc = set()
-        for cid in cells:
+        for cid in dims:
             for tid in bdry[cid]:
                 acc.symmetric_difference_update(bdry[tid])
             if acc:
                 raise InvalidComplex(
                     f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
                 )
-        self._dim, self._num, self._q = dims, num, q
-        self._width = INFINITE if min_gap is None else min_gap // q
+        return num, INFINITE if min_gap is None else min_gap // q
 
     @cached_property
     def cells(self) -> Dict[str, Cell]:
@@ -224,10 +225,6 @@ class GeometricComplex:
         q, dims = self._q, self._dim
         return {cid: n + q * dims[cid] for cid, n in self._num.items()}
 
-    def _maslov_ratio(self, cid: str) -> Tuple[int, int]:
-        """M(cid) as (q * M(cid), q), the pair that ``_lift`` takes."""
-        return self._mnum[cid], self._q
-
     def _lift(self, cid: str, m: int, q: int) -> Optional[int]:
         """The k >= 0 with M(cid) - 2k == m / q (q > 0), or None if there is none.
 
@@ -247,15 +244,13 @@ class GeometricComplex:
 class SplitComplex(GeometricComplex):
     """A geometric complex with an involution J having exactly one fixed cell.
 
-    The cells, boundary and grading tables are taken over from ``base``,
-    which its own construction has already validated; only J is checked here.
+    The boundary and grading tables are taken over from ``base``, which its
+    own construction has already validated; only J is checked here.
     """
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
-        self.cells, self.bdry, self.tau = base.cells, base.bdry, base.tau
-        self._dim, self._num, self._q, self._width = base._dim, base._num, base._q, base._width
-        self.J = J = dict(J)
-        dims, num = self._dim, self._num
+        J = dict(J)
+        dims, num, bdry = base._dim, base._num, base.bdry
         if J.keys() != dims.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
@@ -271,11 +266,10 @@ class SplitComplex(GeometricComplex):
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
-        self.fixed = fixed[0]
-        bdry = self.bdry
         for cid in dims:
             if {J[tid] for tid in bdry[cid]} != bdry[J[cid]]:
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
+        _store(self, dims, bdry, base.tau, num, base._width, J, fixed[0])
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """The two-element J-orbits, each reported once as (min, max)."""
@@ -284,23 +278,23 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
-def _derived(dims: Dict[str, int], bdry: Dict[str, Chain], tau: Grading,
-             num: Dict[str, int], q: int, width: Union[int, float],
-             J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
-    """A complex derived from validated ones by ``dual``, ``tensor`` or ``double``.
+def _store(c: GeometricComplex, dims: Dict[str, int], bdry: Dict[str, Chain], tau: Grading,
+           num: Dict[str, int], width: Union[int, float],
+           J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
+    """Assign the stored fields of ``c``; nothing else assigns them.
 
-    The caller computes what validation would record: each cell's dim in
-    cell order, ``bdry`` as a frozenset per cell, ``tau`` reduced mod 2 with
-    denominator ``q``, each cell's gr numerator over ``q`` and the width;
-    for a split result also J and its fixed cell.  Nothing is checked, and
-    ``cells`` is built only if it is read.
+    ``tau`` is reduced mod 2, and ``num`` holds the gr numerators over its denominator ``_q``.
     """
-    c = object.__new__(GeometricComplex if J is None else SplitComplex)
-    c._dim, c.bdry, c.tau = dims, bdry, tau
-    c._num, c._q, c._width = num, q, width
+    c._dim, c.bdry, c.tau, c._num, c._q, c._width = dims, bdry, tau, num, tau.denominator, width
     if J is not None:
         c.J, c.fixed = J, fixed
     return c
+
+
+def _derived(dims, bdry, tau, num, width, J=None, fixed=None) -> GeometricComplex:
+    """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
+    c = object.__new__(GeometricComplex if J is None else SplitComplex)
+    return _store(c, dims, bdry, tau, num, width, J, fixed)
 
 
 #: Every split complex is a geometric complex; the name is kept for callers.
@@ -448,8 +442,8 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
         J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
         fixed = pid[c1.fixed][c2.fixed]
-        return _derived(dims, bdry, tau, num, q, least, J, fixed)
-    return _derived(dims, bdry, tau, num, q, least)
+        return _derived(dims, bdry, tau, num, least, J, fixed)
+    return _derived(dims, bdry, tau, num, least)
 
 
 def dual(c: AnyComplex) -> AnyComplex:
@@ -475,8 +469,8 @@ def dual(c: AnyComplex) -> AnyComplex:
     tau = (-n - c.tau) % 2
     if isinstance(c, SplitComplex):
         J = {star[cid]: star[c.J[cid]] for cid in c.ids()}
-        return _derived(dims, bdry, tau, num, q, c._width, J, star[c.fixed])
-    return _derived(dims, bdry, tau, num, q, c._width)
+        return _derived(dims, bdry, tau, num, c._width, J, star[c.fixed])
+    return _derived(dims, bdry, tau, num, c._width)
 
 
 # -- monomial matrices and JSON --------------------------------------------

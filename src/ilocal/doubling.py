@@ -153,7 +153,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(J.t) for some t in d(c); d(c) ∋ t and d(J.t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(dims, bdry, x.tau, num, x._q, 2 * delta, J, theta)
+    doubled = _derived(dims, bdry, x.tau, num, 2 * delta, J, theta)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 
 
@@ -164,7 +164,7 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
 
 def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
     """Attach the U-exponents making each target term Maslov-degree-correct."""
-    m, q = src._maslov_ratio(src_id)
+    m, q = src._mnum[src_id], src._q
     terms = []
     for tid in target_ids:
         k = tgt._lift(tid, m, q)

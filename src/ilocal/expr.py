@@ -18,6 +18,7 @@ from .connected import LinearCombination
 from .errors import ExpressionError
 
 _OPS = "+-*X"
+_DIGITS = "0123456789"  # str.isdigit also admits '²' and other scripts' digits
 
 #: Largest number of terms an expression may expand to; a multiplicity such
 #: as ``99999999999*X1`` would otherwise expand without a bound.
@@ -36,9 +37,9 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

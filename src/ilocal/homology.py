@@ -275,7 +275,7 @@ class ChainMap:
         # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
         src, lift = self.source, self.target._lift
         for cid in src.ids():
-            m, q = src._maslov_ratio(cid)
+            m, q = src._mnum[cid], src._q
             bad = [(tid, exp) for tid, exp in self.assignment[cid] if lift(tid, m, q) != exp]
             if bad:
                 tid, exp = min(bad)  # the first failure in sorted order

@@ -44,6 +44,8 @@ def grading_from_json(value, what: str, error=ValueError) -> Grading:
     """Parse a JSON grading (int, float or string like ``-3/2``) or raise ``error``."""
     exponent = _EXPONENT.search(value) if isinstance(value, str) else None
     try:
+        if isinstance(value, bool):  # JSON true/false are not the gradings 1 and 0
+            raise TypeError("boolean grading")
         if exponent and abs(int(exponent[1])) > MAX_GRADING_EXPONENT:
             raise ValueError("exponent out of range")
         return Fraction(value)
@@ -202,7 +204,7 @@ class FUModule:
         """Multiset equality including orientations."""
 
         def key(m):
-            return sorted((t.top, t.length, t.orientation.value if t.orientation else "") for t in m)
+            return [(t.top, t.length, t.orientation) for t in _canonical_order(m.towers)]
 
         return key(self) == key(other)
 

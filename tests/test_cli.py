@@ -155,6 +155,13 @@ class TestConnectedDecodeSum:
             ("connected", {"terms": [], "d": "1/0"}, "invalid grading '1/0'"),
             ("decode", {"towers": [{"top": "0", "length": 1.5}]}, "got 1.5"),
             ("render", {"towers": [{"top": "0", "length": True}]}, "got True"),
+            ("decode", {"towers": [{"top": False, "length": 1}]}, "top has invalid grading False"),
+            ("homology", {"cells": [{"id": "a", "dim": 0, "gr": True}]},
+             "cell 'a' has invalid grading True"),
+            ("homology", {"tau": True, "cells": [{"id": "a", "dim": 0, "gr": "1"}]},
+             "tau has invalid grading True"),
+            ("sum", {"module": {"towers": []}, "d": True}, "'d' has invalid grading True"),
+            ("connected", {"terms": [], "d": False}, "'d' has invalid grading False"),
             ("connected", {"terms": [{"sign": "+", "index": 2.5}], "d": "0"}, "got 2.5"),
         ],
         ids=[
@@ -169,6 +176,11 @@ class TestConnectedDecodeSum:
             "connected-zero-denominator-d",
             "decode-fractional-length",
             "render-boolean-length",
+            "decode-boolean-top",
+            "homology-boolean-gr",
+            "homology-boolean-tau",
+            "sum-boolean-d",
+            "connected-boolean-d",
             "connected-fractional-index",
         ],
     )

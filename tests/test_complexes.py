@@ -153,9 +153,9 @@ class TestValidation:
         calls = []
         validate, check_j = GeometricComplex._validate, SplitComplex.__init__
 
-        def counting_validate(self):
+        def counting_validate(self, *args):
             calls.append("validate")
-            validate(self)
+            return validate(self, *args)
 
         def counting_check_j(self, base, J):
             calls.append("J")
@@ -444,6 +444,64 @@ class TestDerivedGradings:
                 for v, b in c2.cells.items()
             ]
             assert list(tensor(c1, c2).cells.values()) == expected
+
+
+class TestStoredFields:
+    """Every construction ends in one storage step: ``cells`` is a view built
+    from the tables on first read, and ``_q`` is tau's denominator."""
+
+    def test_validated_cells_are_built_on_first_read(self):
+        obj = {
+            "tau": "1/2",
+            "cells": [
+                {"id": "z", "dim": 1, "gr": "-7/2"},
+                {"id": "a", "dim": 0, "gr": "1/2"},
+                {"id": "m", "dim": 0, "gr": "-3/2"},
+            ],
+            "bdry": [["z", "a"], ["z", "m"]],
+        }
+        given = {
+            "build_xi": (build_xi(3), cells_of(("a", 0, 0), ("Ja", 0, 0), ("b", 1, -6))),
+            "complex_from_json": (
+                complex_from_json(obj),
+                cells_of(("z", 1, F(-7, 2)), ("a", 0, F(1, 2)), ("m", 0, F(-3, 2))),
+            ),
+        }
+        for name, (c, cells) in given.items():
+            assert "cells" not in vars(c), name
+            assert list(c.cells.items()) == [(cell.id, cell) for cell in cells], name
+            assert "cells" in vars(c), name
+
+    @pytest.mark.trusted_derived
+    def test_split_over_a_derived_base_builds_no_cells(self, monkeypatch):
+        x2 = build_xi(2)
+        d = tensor(dual(x2), x2)
+        built = []
+        post_init = Cell.__post_init__
+
+        def counting_post_init(self):
+            built.append(self.id)
+            post_init(self)
+
+        monkeypatch.setattr(Cell, "__post_init__", counting_post_init)
+        s = SplitComplex(d, d.J)
+        assert built == []
+        assert "cells" not in vars(d) and "cells" not in vars(s)
+        assert (s._dim, s._num, s._q, s.bdry, s.tau, s.J, s.fixed) == (
+            d._dim, d._num, d._q, d.bdry, d.tau, d.J, d.fixed
+        )
+
+    def test_q_is_the_denominator_of_tau(self, split_corpus, pair_corpus):
+        xi = build_xi(2)
+        complexes = []
+        for x in split_corpus:
+            complexes += [x, dual(x), tensor(x, xi), tensor(dual(x), x)]
+            complexes += [double(x, delta).complex for delta in (0, 1) if 2 * delta <= width(x)]
+        for c1, c2 in pair_corpus:
+            complexes += [c1, c2, dual(c1), dual(c2), tensor(c1, c2), tensor(dual(c2), c1)]
+        assert {c.tau.denominator for c in complexes} > {1}
+        for c in complexes:
+            assert c._q == c.tau.denominator
 
 
 class TestDecompose:

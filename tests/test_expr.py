@@ -42,6 +42,17 @@ class TestParse:
             parse_expression("X3 + Y2")
         assert err.value.offset == 5
 
+    @pytest.mark.parametrize(
+        "text, char, offset",
+        [("X²", "²", 1), ("X1 + X٣", "٣", 6), ("２*X1", "２", 0)],
+        ids=["superscript-two", "arabic-indic-three", "fullwidth-two"],
+    )
+    def test_non_ascii_digits_rejected_with_offset(self, text, char, offset):
+        # str.isdigit accepts these; int() then fails on '²' and reads '٣' as 3
+        with pytest.raises(ExpressionError, match=f"unexpected character '{char}'") as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+
     def test_dangling_operator(self):
         with pytest.raises(ExpressionError):
             parse_expression("X3 +")
