@@ -19,7 +19,7 @@ from . import connected as cn
 from . import doubling as db
 from . import suite as st
 from .errors import ExpressionError
-from .expr import format_expression, parse_expression
+from .expr import MAX_TERMS, format_expression, parse_expression
 from .homology import homology
 from .render import render
 from .towers import FUModule, grading_from_json, grading_to_str
@@ -34,9 +34,13 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_complex(parser: argparse.ArgumentParser, args) -> cx.AnyComplex:
+def _one_source(parser: argparse.ArgumentParser, args) -> None:
     if bool(args.expr) == bool(args.file):
         parser.error("provide exactly one of --expr or --file")
+
+
+def _load_complex(parser: argparse.ArgumentParser, args) -> cx.AnyComplex:
+    _one_source(parser, args)
     if args.expr:
         return cn.representative(parse_expression(args.expr))
     return cx.complex_from_json(_read_json(args.file))
@@ -90,13 +94,12 @@ def _placed_module(args, lc, d=None) -> FUModule:
 
 
 def _cmd_connected(parser, args) -> int:
+    _one_source(parser, args)
     if args.file:
         cls = cn.LocalClass.from_json(_read_json(args.file))
         module = _placed_module(args, cls.combo, cls.d)
-    elif args.expr:
-        module = _placed_module(args, parse_expression(args.expr))
     else:
-        parser.error("provide --expr or --file")
+        module = _placed_module(args, parse_expression(args.expr))
     _emit(module.to_json())
     return 0
 
@@ -168,17 +171,18 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_render(parser, args) -> int:
+    _one_source(parser, args)
     if args.file:
         module = FUModule.from_json(_read_json(args.file))
-    elif args.expr:
-        module = _placed_module(args, parse_expression(args.expr))
     else:
-        parser.error("provide --expr or --file")
+        module = _placed_module(args, parse_expression(args.expr))
     print(render(module, args.format))
     return 0
 
 
 def _cmd_suite(parser, args) -> int:
+    if args.max_terms > MAX_TERMS:  # random_combination allocates up to this many terms
+        parser.error(f"argument --max-terms: must be at most {MAX_TERMS}, got {args.max_terms}")
     seed = os.environ.get("ILOCAL_SEED", args.seed)
     try:
         seed = int(seed)
@@ -285,7 +289,7 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,12 @@ extended J-equivariantly, with d(omega) = d(eta) and d(theta) =
 omega + J.omega.  "eta appears in d(b)" means the F2 coefficient of eta in
 the boundary of the whole chain b is 1; that is the only reading under
 which the doubled differential squares to zero.  When eta is not in d(x),
-b is the set of partners J.t of the unchosen cells t of d(x), so the flag is
-the parity of the number of those t with eta in d(J.t); no decomposition of
-d(x) is needed.
+b is the set of partners J.t of the unchosen cells t of d(x), and eta is in
+d(J.t) exactly when it is in d(t), as J commutes with d and fixes eta: the
+flag is the parity of the number of unchosen t in d(x) with eta in d(t).  So
+only the chosen cells with eta or the flag, and their partners, get a new
+boundary; every other cell keeps its own.  As d(eta) is J-invariant,
+d(J.omega) = d(omega) = d(eta).
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
@@ -100,22 +103,6 @@ def _check_delta(x: SplitComplex, delta: int) -> None:
         raise WidthExceeded(f"2*delta = {2 * delta} exceeds the width {w} of the complex")
 
 
-def _doubled_boundary(x: SplitComplex, chosen, eta: str, omega: str) -> dict:
-    """Differential casework on the chosen cells: id -> (targets, add theta?)."""
-    xb, J = x.bdry, x.J
-    bdry = {}
-    for c in chosen:
-        dc = xb[c]
-        if eta in dc:
-            bdry[c] = ((dc - {eta}) | {omega}, False)
-        else:
-            # b = {J t : t in d(c) unchosen}; eta is in d(b) iff it is in an
-            # odd number of the d(J t)
-            hits = sum(eta in xb[J[t]] for t in dc if t not in chosen)
-            bdry[c] = (dc, hits % 2 == 1)
-    return bdry
-
-
 def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None) -> DoubleResult:
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
@@ -135,13 +122,20 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     J[j_omega] = omega
     J[theta] = theta
 
-    bdry = {}
-    for c, (targets, add_theta) in _doubled_boundary(x, chosen, eta, omega).items():
-        bdry[c] = targets | {theta} if add_theta else targets
+    xb = x.bdry
+    cob = {s for s, ds in xb.items() if eta in ds}
+    unchosen_cob = cob - chosen
+    bdry = dict(xb)
+    del bdry[eta]
     for c in chosen:
-        bdry[x.J[c]] = frozenset(J[t] for t in bdry[c])
-    bdry[omega] = x.bdry[eta]
-    bdry[j_omega] = frozenset(J[t] for t in x.bdry[eta])
+        dc, jc = xb[c], x.J[c]
+        if c in cob:
+            bdry[c] = (dc - {eta}) | {omega}
+            bdry[jc] = (xb[jc] - {eta}) | {j_omega}
+        elif len(dc & unchosen_cob) % 2:
+            bdry[c] = dc | {theta}
+            bdry[jc] = xb[jc] | {theta}
+    bdry[omega] = bdry[j_omega] = xb[eta]
     bdry[theta] = frozenset({omega, j_omega})
 
     num = dict(x._num)
@@ -151,7 +145,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
     # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
-    # d(J.t) for some t in d(c); d(c) ∋ t and d(J.t) ∋ eta each have gap >= W,
+    # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
     doubled = _derived(dims, bdry, x.tau, num, 2 * delta, J, theta)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})

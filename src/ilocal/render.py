@@ -16,6 +16,8 @@ from typing import Dict, List
 from .towers import DOWN, FUModule, Grading, Tower
 
 MAX_ASCII_COLUMNS = 120
+#: Largest rows x towers grid drawn (the benchmark's render cases reach 44,400).
+MAX_GRID_CELLS = 250_000
 TRUNCATION_MARKER = "..."
 
 
@@ -38,25 +40,25 @@ def _tower_chars(t: Tower) -> Dict[Grading, str]:
 
 
 def _rows(m: FUModule) -> List[Grading]:
-    occupied = sorted({g for t in m for g in t.gradings()}, reverse=True)
-    if not occupied:
+    """Row gradings, top down; the grid is sized from tops and lengths before any is listed."""
+    if any(t.is_free for t in m):
+        raise ValueError("diagrams are drawn for finite modules only")
+    if not m.towers:
         return []
-    hi, lo = occupied[0], occupied[-1]
-    diffs = [hi - g for g in occupied]
-    if all(d.denominator == 1 for d in diffs):
-        step = 2 if all(d % 2 == 0 for d in diffs) else 1
-        rows = []
-        g = hi
-        while g >= lo:
-            rows.append(g)
-            g -= step
-        return rows
-    return occupied
+    hi = max(t.top for t in m)
+    # a cell's grading is its tower's top less an even integer
+    diffs = [hi - t.top for t in m]
+    mixed = any(d.denominator != 1 for d in diffs)
+    step = 2 if all(d % 2 == 0 for d in diffs) else 1
+    n = sum(t.length for t in m) if mixed else (hi - min(t.bottom for t in m)) // step + 1
+    if n * len(m.towers) > MAX_GRID_CELLS:
+        raise ValueError(f"{n} rows x {len(m.towers)} towers exceed {MAX_GRID_CELLS} diagram cells")
+    if mixed:
+        return sorted({g for t in m for g in t.gradings()}, reverse=True)
+    return [hi - step * k for k in range(n)]
 
 
 def render_ascii(m: FUModule) -> str:
-    if any(t.is_free for t in m):
-        raise ValueError("diagrams are drawn for finite modules only")
     rows = _rows(m)
     if not rows:
         return "0 |"
@@ -84,8 +86,6 @@ _TOP = 24
 
 
 def render_svg(m: FUModule) -> str:
-    if any(t.is_free for t in m):
-        raise ValueError("diagrams are drawn for finite modules only")
     rows = _rows(m)
     n_cols = len(m.towers)
     height = _TOP + _ROW_STEP * max(len(rows), 1) + _TOP

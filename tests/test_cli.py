@@ -106,6 +106,19 @@ class TestConnectedDecodeSum:
         obj = run_json(capsys, "connected", "--file", str(path))
         assert obj["towers"] == [{"top": "1/1", "length": 3, "orientation": "down"}]
 
+    @pytest.mark.parametrize("command", ["connected", "render"])
+    def test_expr_and_file_together_are_usage_error(self, capsys, tmp_path, command):
+        from ilocal import LinearCombination, LocalClass
+
+        cls = LocalClass(LinearCombination(((1, 3),)), F(2))
+        obj = cls.to_json() if command == "connected" else hf_conn(cls.combo, cls.d).to_json()
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--expr", "X2", "--file", str(path)])
+        assert e.value.code == 2
+        assert "provide exactly one of --expr or --file" in capsys.readouterr().err
+
     def test_decode(self, capsys, tmp_path):
         module = hf_conn(parse_expression("X5 - X4 + X2"), F(0))
         path = tmp_path / "m.json"
@@ -293,6 +306,28 @@ class TestRenderAndSuite:
         assert e.value.code == 2
         assert f"argument {flag}: must be at least {minimum}" in err.splitlines()[-1]
 
+    def test_render_of_far_apart_towers_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"towers": [
+            {"top": "0", "length": 1, "orientation": "down"},
+            {"top": "-4000000", "length": 1, "orientation": "down"},
+        ]}))
+        code, out, err = run(capsys, "render", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2000001 rows x 2 towers" in err
+
+    def test_suite_max_terms_is_capped_at_max_terms(self, capsys):
+        from ilocal.expr import MAX_TERMS
+
+        # --cases 0 runs no case, so neither run draws a combination
+        assert run_json(capsys, "suite", "--cases", "0", "--max-terms", str(MAX_TERMS))["passed"]
+        with pytest.raises(SystemExit) as e:
+            main(["suite", "--cases", "0", "--max-terms", str(MAX_TERMS + 1)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-terms: must be at most {MAX_TERMS}" in err.splitlines()[-1]
+
     def test_suite_option_minimums_run_clean(self, capsys):
         report = run_json(
             capsys, "suite", "--seed", "3", "--cases", "0",
@@ -335,6 +370,15 @@ class TestRenderAndSuite:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", [["homology"], ["decode", "--d", "0"]])
+    def test_deeply_nested_file_is_domain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err
 
     def test_missing_file_is_domain_error(self, capsys):
         code, out, err = run(capsys, "homology", "--file", "/nonexistent.json")

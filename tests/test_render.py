@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,33 @@ class TestSvg:
     def test_empty(self):
         out = render_svg(mod())
         assert out.startswith("<svg ") and ">0<" in out
+
+
+class TestGridCap:
+    """The rows x towers grid is sized from tops and lengths before any row is listed."""
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_far_apart_towers_are_refused(self, fmt):
+        with pytest.raises(ValueError, match="2000001 rows x 2 towers"):
+            render(mod(T(F(0), 1, DOWN), T(F(-4000000), 1, DOWN)), fmt)
+
+    @pytest.mark.parametrize(
+        "towers, cells",
+        [
+            ((T(F(0), 3, DOWN), T(F(-8), 1, UP)), 10),  # 5 rows of step 2
+            ((T(F(0), 1, DOWN), T(F(-3), 1, DOWN)), 8),  # 4 rows of step 1
+            ((T(F(0), 3), T(F(1, 2), 2)), 10),  # 5 occupied rows of mixed denominators
+        ],
+        ids=["even", "odd", "mixed"],
+    )
+    def test_cap_admits_exactly_its_cell_count(self, monkeypatch, towers, cells):
+        m = mod(*towers)
+        monkeypatch.setattr(sys.modules["ilocal.render"], "MAX_GRID_CELLS", cells)
+        assert len(render_ascii(m).splitlines()) == cells // len(towers)
+        monkeypatch.setattr(sys.modules["ilocal.render"], "MAX_GRID_CELLS", cells - 1)
+        for fmt in ("ascii", "svg"):
+            with pytest.raises(ValueError, match=f"exceed {cells - 1} diagram cells"):
+                render(m, fmt)
 
 
 def test_render_dispatch():
