@@ -4,7 +4,8 @@
 For each term the script doubles (or dualizes, doubles, dualizes back),
 verifies the local maps for that step, and finally compares the torsion
 homology of the small representative against the placement algorithm.
-It exits 1 if the local maps of a step fail or the two modules disagree.
+It exits 1 if the local maps of a step fail or the two modules disagree,
+and 2 with a one-line message if ``--expr`` or ``--d`` cannot be parsed.
 
     python scripts/worked_examples.py
     python scripts/worked_examples.py --expr "X5 + X4 - X3 - X2 + X1" --svg out.svg
@@ -13,7 +14,6 @@ It exits 1 if the local maps of a step fail or the two modules disagree.
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
 from ilocal import (
     build_trivial,
@@ -31,6 +31,7 @@ from ilocal import (
     verify_local_pair,
     width,
 )
+from ilocal.towers import grading_from_json
 
 
 def module_str(m):
@@ -49,8 +50,11 @@ def main() -> int:
     ap.add_argument("--svg", help="also write the shifted diagram to this file")
     args = ap.parse_args()
 
-    lc = parse_expression(args.expr)
-    d = Fraction(args.d)
+    try:
+        lc = parse_expression(args.expr)
+        d = grading_from_json(args.d, "--d")
+    except ValueError as exc:  # an ExpressionError or an invalid --d: usage, not a failed check
+        ap.error(str(exc))
     print(f"combination: {args.expr}   (d = {d})")
     print()
 

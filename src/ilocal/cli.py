@@ -173,6 +173,8 @@ def _cmd_verify(parser, args) -> int:
 def _cmd_render(parser, args) -> int:
     _one_source(parser, args)
     if args.file:
+        if args.d is not None:
+            parser.error("--d applies to --expr only; a module file is drawn as stored")
         module = FUModule.from_json(_read_json(args.file))
     else:
         module = _placed_module(args, parse_expression(args.expr))

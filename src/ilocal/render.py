@@ -1,19 +1,24 @@
 """Tower diagrams: ASCII for terminals, SVG 1.1 for documents.
 
-One column per tower in module order, one row per grading (descending; the
-row step is two except when gradings of both parities occur, in which case
-the odd rows are interleaved).  Oriented towers are drawn with an arrow
-from head to tail: a down tower reads ``*``, ``|``, ..., ``v`` from top to
-bottom and an up tower ``^``, ``|``, ..., ``*``; unoriented cells are
-``o``.  Grading labels sit on the left.  Output is deterministic
-byte-for-byte for a fixed input.
+One column per tower in module order, one row per grading, descending.  When
+all tops differ by integers, the rows run without gaps from the highest top
+to the lowest bottom; the row step is two, or one when those differences
+have both parities, in which case the odd rows are interleaved.  When some
+tops differ by a non-integer (mixed denominators), the rows are the occupied
+gradings only, with no fill.  Oriented towers are drawn with an arrow from
+head to tail: a down tower reads ``*``, ``|``, ..., ``v`` from top to bottom
+and an up tower ``^``, ``|``, ..., ``*``; unoriented cells are ``o``.
+Grading labels sit on the left.  A grid of more than ``MAX_GRID_CELLS`` rows
+x towers is refused with ``ValueError`` before any row is listed (with mixed
+denominators the rows are counted as the sum of the tower lengths).  Output
+is deterministic byte-for-byte for a fixed input.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Sequence, Tuple
 
-from .towers import DOWN, FUModule, Grading, Tower
+from .towers import DOWN, UP, FUModule
 
 MAX_ASCII_COLUMNS = 120
 #: Largest rows x towers grid drawn (the benchmark's render cases reach 44,400).
@@ -21,30 +26,12 @@ MAX_GRID_CELLS = 250_000
 TRUNCATION_MARKER = "..."
 
 
-def _label(g: Grading) -> str:
-    return str(g.numerator) if g.denominator == 1 else f"{g.numerator}/{g.denominator}"
-
-
-def _tower_chars(t: Tower) -> Dict[Grading, str]:
-    cells = list(t.gradings())  # top to bottom
-    if t.orientation is None:
-        return {g: "o" for g in cells}
-    chars = {}
-    for pos, g in enumerate(cells):
-        first, last = pos == 0, pos == len(cells) - 1
-        if t.orientation is DOWN:
-            chars[g] = "v" if last else ("*" if first else "|")
-        else:
-            chars[g] = "^" if first else ("*" if last else "|")
-    return chars
-
-
-def _rows(m: FUModule) -> List[Grading]:
-    """Row gradings, top down; the grid is sized from tops and lengths before any is listed."""
+def _layout(m: FUModule) -> Tuple[List[str], List[Sequence[int]]]:
+    """Row labels top down, and per tower the row indices of its cells top down."""
     if any(t.is_free for t in m):
         raise ValueError("diagrams are drawn for finite modules only")
     if not m.towers:
-        return []
+        return [], []
     hi = max(t.top for t in m)
     # a cell's grading is its tower's top less an even integer
     diffs = [hi - t.top for t in m]
@@ -54,22 +41,30 @@ def _rows(m: FUModule) -> List[Grading]:
     if n * len(m.towers) > MAX_GRID_CELLS:
         raise ValueError(f"{n} rows x {len(m.towers)} towers exceed {MAX_GRID_CELLS} diagram cells")
     if mixed:
-        return sorted({g for t in m for g in t.gradings()}, reverse=True)
-    return [hi - step * k for k in range(n)]
+        rows = sorted({g for t in m for g in t.gradings()}, reverse=True)
+        index = {g: r for r, g in enumerate(rows)}
+        return [str(g) for g in rows], [[index[g] for g in t.gradings()] for t in m]
+    stride = 2 // step
+    columns = [range(d // step, d // step + stride * t.length, stride) for d, t in zip(diffs, m)]
+    return [str(hi - step * k) for k in range(n)], columns
 
 
 def render_ascii(m: FUModule) -> str:
-    rows = _rows(m)
+    rows, columns = _layout(m)
     if not rows:
         return "0 |"
-    columns = [_tower_chars(t) for t in m]
-    width = max(len(_label(g)) for g in rows)
+    grid = [[" "] * len(columns) for _ in rows]
+    for col, (t, cells) in enumerate(zip(m, columns)):
+        first, mid, last = {None: "ooo", DOWN: "*|v", UP: "^|*"}[t.orientation]
+        glyphs = first + mid * (t.length - 2) + last
+        # a one-cell tower keeps its arrowhead: v when down, ^ when up
+        glyphs = glyphs[-t.length :] if t.orientation is DOWN else glyphs[: t.length]
+        for r, glyph in zip(cells, glyphs):
+            grid[r][col] = glyph
+    width = max(map(len, rows))
     lines = []
-    for g in rows:
-        line = _label(g).rjust(width) + " |"
-        for chars in columns:
-            line += "  " + chars.get(g, " ")
-        line = line.rstrip()
+    for label, chars in zip(rows, grid):
+        line = (label.rjust(width) + " |  " + "  ".join(chars)).rstrip()
         if len(line) > MAX_ASCII_COLUMNS:
             line = line[: MAX_ASCII_COLUMNS - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER
         lines.append(line)
@@ -86,12 +81,10 @@ _TOP = 24
 
 
 def render_svg(m: FUModule) -> str:
-    rows = _rows(m)
-    n_cols = len(m.towers)
+    rows, columns = _layout(m)
     height = _TOP + _ROW_STEP * max(len(rows), 1) + _TOP
-    width = _LEFT + _COL_STEP * max(n_cols, 1) + _COL_STEP
-    row_y = {g: _TOP + _ROW_STEP * i + _ROW_STEP // 2 for i, g in enumerate(rows)}
-    col_x = {i: _LEFT + _COL_STEP * i + _COL_STEP // 2 for i in range(n_cols)}
+    width = _LEFT + _COL_STEP * max(len(columns), 1) + _COL_STEP
+    row_y = [_TOP + _ROW_STEP * r + _ROW_STEP // 2 for r in range(len(rows))]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
@@ -107,29 +100,30 @@ def render_svg(m: FUModule) -> str:
         )
         out.append("</svg>")
         return "\n".join(out)
-    for g in rows:
-        y = row_y[g]
+    for label, y in zip(rows, row_y):
         out.append(
             f'<line x1="{_LEFT}" y1="{y}" x2="{width - 12}" y2="{y}" '
             f'stroke="lightgray" stroke-dasharray="2,4"/>'
         )
         out.append(
             f'<text x="{_LEFT - 8}" y="{y + 4}" text-anchor="end" '
-            f'font-family="monospace" font-size="12">{_label(g)}</text>'
+            f'font-family="monospace" font-size="12">{label}</text>'
         )
-    for i, t in enumerate(m.towers):
-        x = col_x[i]
-        cells = list(t.gradings())
+    for i, (t, cells) in enumerate(zip(m, columns)):
+        x = _LEFT + _COL_STEP * i + _COL_STEP // 2
         if t.orientation is not None and len(cells) > 1:
-            y1, y2 = row_y[t.head], row_y[t.tail]
+            # the arrow runs from head to tail: top down for a down tower
+            y1, y2 = row_y[cells[0]], row_y[cells[-1]]
+            if t.orientation is UP:
+                y1, y2 = y2, y1
             out.append(
                 f'<line x1="{x}" y1="{y1}" x2="{x}" y2="{y2}" stroke="black" '
                 f'marker-end="url(#arrow)"/>'
             )
         fill = "white" if t.orientation is None else "black"
-        for g in cells:
+        for r in cells:
             out.append(
-                f'<circle cx="{x}" cy="{row_y[g]}" r="{_CELL_R}" fill="{fill}" '
+                f'<circle cx="{x}" cy="{row_y[r]}" r="{_CELL_R}" fill="{fill}" '
                 f'stroke="black"/>'
             )
     out.append("</svg>")

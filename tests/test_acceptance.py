@@ -200,18 +200,17 @@ def test_c09_invariant_identities():
 def test_c10_golden_renders(tmp_path):
     from pathlib import Path
 
-    from ilocal import render_ascii
+    from ilocal import parse_expression, render
 
     fixtures = Path(__file__).parent / "fixtures"
     t0 = time.perf_counter()
-    for expr, name in (
-        ("X5 - X4 + X2", "render_x5_m4_p2.txt"),
-        ("X4 + X3 + X2", "render_x4_x3_x2.txt"),
+    for expr, name, fmt in (
+        ("X5 - X4 + X2", "render_x5_m4_p2.txt", "ascii"),
+        ("X4 + X3 + X2", "render_x4_x3_x2.txt", "ascii"),
+        ("X5 - X4 + X2", "render_x5_m4_p2.svg", "svg"),
     ):
-        from ilocal import parse_expression
-
-        got = render_ascii(hf_conn(parse_expression(expr), F(0))) + "\n"
+        got = render(hf_conn(parse_expression(expr), F(0)), fmt) + "\n"
         expected = (fixtures / name).read_text()
-        assert got == expected, f"render of {expr} deviates from fixture {name}"
+        assert got == expected, f"{fmt} render of {expr} deviates from fixture {name}"
     elapsed = time.perf_counter() - t0
-    report(10, "golden renders", elapsed, float("inf"), "2 fixtures byte-for-byte")
+    report(10, "golden renders", elapsed, float("inf"), "3 fixtures byte-for-byte")

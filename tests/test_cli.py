@@ -205,7 +205,7 @@ class TestConnectedDecodeSum:
             ok = tmp_path / "ok.json"
             ok.write_text(json.dumps({"module": {"towers": []}, "d": "0"}))
             argv += ["--file", str(ok)]
-        elif command in ("decode", "render"):
+        elif command == "decode":
             argv += ["--d", "0"]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -306,6 +306,15 @@ class TestRenderAndSuite:
         assert e.value.code == 2
         assert f"argument {flag}: must be at least {minimum}" in err.splitlines()[-1]
 
+    def test_render_file_with_d_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"towers": [{"top": "0", "length": 1, "orientation": "down"}]}))
+        with pytest.raises(SystemExit) as e:
+            main(["render", "--file", str(path), "--d", "4"])
+        captured = capsys.readouterr()
+        assert e.value.code == 2 and captured.out == ""
+        assert "--d applies to --expr only" in captured.err.splitlines()[-1]
+
     def test_render_of_far_apart_towers_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "far.json"
         path.write_text(json.dumps({"towers": [
@@ -383,3 +392,20 @@ class TestRenderAndSuite:
     def test_missing_file_is_domain_error(self, capsys):
         code, out, err = run(capsys, "homology", "--file", "/nonexistent.json")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["--d", "abc"], ["--expr", "X0"]], ids=["d", "expr"])
+def test_worked_example_bad_input_is_usage_error(argv):
+    """Exit 1 of the walk script means a failed check, so bad input exits 2 in one line."""
+    script = Path(__file__).parents[1] / "scripts" / "worked_examples.py"
+    src = os.path.dirname(os.path.dirname(ilocal.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("worked_examples.py: error: ")
+    assert "Traceback" not in proc.stderr
