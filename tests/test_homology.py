@@ -22,6 +22,7 @@ from ilocal import (
     is_u_localized_iso,
     tensor,
 )
+from ilocal.homology import _reduce
 from ilocal.suite import check_duality, check_kunneth, random_geometric_complex
 from test_complexes_reference import fractional_xi
 
@@ -275,3 +276,60 @@ def test_kunneth_matches_tensor_on_random_pairs(seed):
     c2 = random_geometric_complex(rng, max_cells=9)
     w = check_kunneth(c1, c2)
     assert w is None, w
+
+
+# -- homology against the one-tower-per-generator reference ----------------
+
+
+def ref_homology(c):
+    """Towers, free cycles and torsion pairs, one ``Tower`` per generator."""
+    order = tuple(sorted(c.ids(), key=lambda cid: (-c.cell(cid).gr, c.cell(cid).dim, cid)))
+    pos = {cid: i for i, cid in enumerate(order)}
+    R, V, owner = _reduce([sum(1 << pos[t] for t in c.bdry[cid]) for cid in order])
+
+    def chain(vec):
+        degree = c.maslov(order[vec.bit_length() - 1])
+        cells = [order[b] for b in range(vec.bit_length()) if vec >> b & 1]
+        return degree, {cid: c.u_power(cid, degree) for cid in cells}
+
+    towers, free, torsion = [], [], []
+    for j in range(len(order)):
+        if R[j]:
+            i = R[j].bit_length() - 1
+            length = c.u_exponent(order[j], order[i])
+            if length:
+                towers.append(Tower(c.maslov(order[i]), length))
+                torsion.append((chain(V[j])[1], chain(R[j])[1], length))
+        elif j not in owner:
+            towers.append(Tower(c.maslov(order[j]), INFINITE))
+            free.append(chain(V[j]))
+    return FUModule(tuple(towers)).canonical().towers, tuple(free), tuple(torsion)
+
+
+def random_basis_tensor(rng):
+    factors = []
+    for _ in range(rng.randint(2, 4)):
+        x = build_xi(rng.randint(1, 4))
+        if rng.random() < 0.2:
+            x = fractional_xi(rng.randint(1, 3), rng.choice((F(1, 2), F(-1, 3))))
+        factors.append(dual(x) if rng.random() < 0.5 else x)
+    c = factors[0]
+    for f in factors[1:]:
+        c = tensor(c, f)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_homology_matches_per_generator_reference(seed):
+    rng = random.Random(seed)
+    for c in (random_geometric_complex(rng, max_cells=12), random_basis_tensor(rng)):
+        towers, free, torsion = ref_homology(c)
+        result = homology(c)
+        assert result.module.towers == towers
+        assert result.module.to_json() == FUModule(towers).to_json()
+        assert result.free_cycles == free
+        assert result.torsion_pairs == torsion
+        assert [x["cycle"] for x in result.witnesses_json()["free"]] == [
+            sorted([cid, e] for cid, e in ch.items()) for _, ch in free
+        ]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -184,3 +185,45 @@ def test_shift_adds(towers, a, b):
 def test_module_json_round_trip(towers):
     m = FUModule(tuple(towers))
     assert FUModule.from_json(m.to_json()).oriented_equal(m)
+
+
+# -- Kunneth against the pairwise reference --------------------------------
+
+
+def ref_kunneth(a, b):
+    """Kunneth as one tower per pair of towers, canonically sorted."""
+    out = [Tower(s.top + t.top, min(s.length, t.length)) for s in a for t in b]
+    for s in a:
+        for t in b:
+            if not (s.is_free or t.is_free):
+                top = s.top + t.top - 2 * max(s.length, t.length) + 1
+                out.append(Tower(top, min(s.length, t.length)))
+    return FUModule(tuple(out)).canonical()
+
+
+def random_module(rng, free_only=False):
+    towers = []
+    for _ in range(rng.randint(0, 7)):
+        top = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        if free_only or rng.random() < 0.25:
+            towers.append(Tower(top, INFINITE))
+        else:
+            towers.append(Tower(top, rng.randint(1, 3), rng.choice((DOWN, UP, None))))
+    if rng.random() < 0.3 and towers:  # repeated towers, as homology gives
+        towers += rng.choices(towers, k=rng.randint(1, 4))
+    return FUModule(tuple(towers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kunneth_matches_pairwise_reference(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_module(rng, free_only=rng.random() < 0.15) for _ in range(3))
+    for x, y in ((a, b), (b, a), (a, FUModule()), (FUModule(), b)):
+        got, want = kunneth(x, y), ref_kunneth(x, y)
+        assert got.towers == want.towers
+        assert got.to_json() == want.to_json()
+    # an iterated product reads the first product's towers back
+    got, want = kunneth(kunneth(a, b), c), ref_kunneth(ref_kunneth(a, b), c)
+    assert got.towers == want.towers
+    assert got.to_json() == want.to_json()
