@@ -2,7 +2,8 @@
 
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
 so every boundary points strictly earlier and the single F2 boundary matrix
-can be column-reduced in the persistence style, columns as integer bitmasks.
+can be column-reduced in the persistence style, columns as integer bitmasks
+built one at a time as the reduction reads them.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
 gradings do.
@@ -10,6 +11,8 @@ A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
 are cycles, and the ones never hit as pivots generate free towers.
+Towers are counted per distinct (Maslov numerator, length), so the module
+holds one ``Tower`` per distinct pair, repeated by its count.
 
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
@@ -33,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .complexes import AnyComplex, GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
-from .towers import INFINITE, FUModule, Grading, Length, Tower, grading_to_str
+from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, grading_to_str
 
 #: A homogeneous F2[U]-chain: cell id -> U-exponent (coefficient 1).
 HomogeneousChain = Dict[str, int]
@@ -140,6 +143,8 @@ class ReductionResult:
         return out
 
     def chain_degree(self, chain: HomogeneousChain) -> Grading:
+        if not chain:
+            raise ValueError("an empty chain has no degree")
         cid, exp = next(iter(chain.items()))
         return self.complex.degree_of(cid, exp)
 
@@ -166,7 +171,7 @@ class ReductionResult:
         }
 
 
-def _reduce(columns: List[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
+def _reduce(columns: Iterable[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
     """Reduce F2 column bitmasks: R[j] = sum of the columns in V[j], owner[pivot] = j.
 
     The V[j] with R[j] == 0 are a basis of the nullspace.
@@ -192,20 +197,28 @@ def _reduce(columns: List[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
 def homology(c: AnyComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction."""
     # the numerators share the denominator q > 0, so this is (-gr, dim, id)
-    num, dims = c._num, c._dim
+    num, dims, q, bdry = c._num, c._dim, c._q, c.bdry
     order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], dims[cid], cid)))
     pos = {cid: i for i, cid in enumerate(order)}
 
-    R, V, owner = _reduce([sum(1 << pos[tid] for tid in c.bdry[cid]) for cid in order])
+    def columns():
+        for cid in order:
+            col = 0
+            for tid in bdry[cid]:
+                col |= 1 << pos[tid]
+            yield col
+
+    R, V, owner = _reduce(columns())
 
     # a column reducing to zero unpaired is a free tower topped at its own
     # cell; one that pivots at i is a torsion tower topped at i, of length
     # its U-exponent (none when that is 0)
-    gens, towers = [], []
-    for j in range(len(order)):
-        if R[j]:
-            i = R[j].bit_length() - 1
-            top, length = i, c.u_exponent(order[j], order[i])
+    gens, counts = [], {}
+    for j, col in enumerate(R):
+        if col:
+            top = col.bit_length() - 1
+            # the pivot lies above column j by a gap in 2qZ: boundary steps add up
+            length = (num[order[top]] - num[order[j]]) // (2 * q)
             if not length:
                 continue
         elif j in owner:
@@ -213,8 +226,9 @@ def homology(c: AnyComplex) -> ReductionResult:
         else:
             top, length = j, INFINITE
         gens.append((j, length))
-        towers.append(Tower(c.maslov(order[top]), length))
-    module = FUModule(tuple(towers)).canonical()
+        key = (num[order[top]] + q * dims[order[top]], length)
+        counts[key] = counts.get(key, 0) + 1
+    module = _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in counts.items()})
     return ReductionResult(c, module, order, pos, R, V, owner, tuple(gens))
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 Grading = Fraction
@@ -200,6 +202,11 @@ class FUModule:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FUModule({list(self.towers)!r})"
 
+    @cached_property
+    def _counts(self) -> dict:
+        """Multiplicity of each (top, length), orientations ignored."""
+        return Counter((t.top, t.length) for t in self.towers)
+
     def oriented_equal(self, other: "FUModule") -> bool:
         """Multiset equality including orientations."""
 
@@ -242,6 +249,16 @@ class FUModule:
         return FUModule(tuple(Tower.from_json(t) for t in obj["towers"]))
 
 
+def _module_from_counts(counts: dict) -> FUModule:
+    """Canonical module of ``counts[top, length]`` shared unoriented towers; seeds ``_counts``."""
+    towers = []
+    for t in _canonical_order([Tower(top, length) for top, length in counts]):
+        towers += [t] * counts[t.top, t.length]
+    m = FUModule(tuple(towers))
+    m.__dict__["_counts"] = counts
+    return m
+
+
 def shift(m: FUModule, sigma: Grading) -> FUModule:
     """Apply the grading shift bracket [sigma], which lowers every top by sigma."""
     sigma = Fraction(sigma)
@@ -280,19 +297,16 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
     Over the PID F2[U] the tensor of two towers is a tower of the minimum
     length topped at the sum of tops, and each pair of finite towers adds a
     Tor term of the same length topped at d + e - 2*max(l, m) + 1 (the Tor
-    summand sits one homological degree higher).  Output is unoriented and
-    canonically sorted.
+    summand sits one homological degree higher).  It works on multiplicities,
+    once per pair of distinct towers.  Output is unoriented and canonically sorted.
     """
-    out = []
-    for s in a:
-        for t in b:
-            out.append(Tower(s.top + t.top, min(s.length, t.length)))
-    for s in a:
-        if s.is_free:
-            continue
-        for t in b:
-            if t.is_free:
-                continue
-            top = s.top + t.top - 2 * max(s.length, t.length) + 1
-            out.append(Tower(top, min(s.length, t.length)))
-    return FUModule(tuple(out)).canonical()
+    out = {}
+    for (s, l), m in a._counts.items():
+        for (t, k), n in b._counts.items():
+            short, long = min(l, k), max(l, k)
+            key = (s + t, short)
+            out[key] = out.get(key, 0) + m * n
+            if long != INFINITE:
+                key = (s + t - 2 * long + 1, short)
+                out[key] = out.get(key, 0) + m * n
+    return _module_from_counts(out)

@@ -115,6 +115,11 @@ class TestExpress:
         deep = {cid: e + 2 for cid, e in cycle.items()}
         assert result.express(deep, degree - 4) == []
 
+    def test_empty_chain_has_no_degree(self):
+        result = homology(build_xi(2))
+        with pytest.raises(ValueError, match="an empty chain has no degree"):
+            result.chain_degree({})
+
     def test_non_cycle_rejected(self):
         result = homology(build_xi(2))
         with pytest.raises(ValueError):

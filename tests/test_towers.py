@@ -16,6 +16,7 @@ from ilocal import (
     shift,
     signed_rank,
 )
+from ilocal.towers import _module_from_counts
 
 T = Tower
 
@@ -227,3 +228,28 @@ def test_kunneth_matches_pairwise_reference(seed):
     got, want = kunneth(kunneth(a, b), c), ref_kunneth(ref_kunneth(a, b), c)
     assert got.towers == want.towers
     assert got.to_json() == want.to_json()
+
+
+def test_shared_towers_compare_like_distinct_ones():
+    t = T(F(1, 2), 3)
+    shared = mod(t, t, t, T(F(0), INFINITE))
+    distinct = mod(T(F(1, 2), 3), T(F(1, 2), 3), T(F(1, 2), 3), T(F(0), INFINITE))
+    assert shared == distinct and hash(shared) == hash(distinct)
+    assert shared.towers == distinct.towers
+    assert shared.to_json() == distinct.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_counts_match_a_recount(seed):
+    rng = random.Random(seed)
+    a, b = random_module(rng), random_module(rng)
+    product = kunneth(a, b)
+    counts = {(F(rng.randint(-4, 4), 2), rng.choice((1, 2, INFINITE))): rng.randint(1, 3)}
+    for m in (product, _module_from_counts(counts), a, FUModule.from_json(b.to_json())):
+        recount = {}
+        for t in m.towers:
+            recount[t.top, t.length] = recount.get((t.top, t.length), 0) + 1
+        assert dict(m._counts) == recount
+    # a built module repeats one instance per distinct tower
+    assert len({id(t) for t in product.towers}) == len(product._counts)
