@@ -301,9 +301,9 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
     once per pair of distinct towers.  Output is unoriented and canonically sorted.
     """
     out = {}
-    for (s, l), m in a._counts.items():
-        for (t, k), n in b._counts.items():
-            short, long = min(l, k), max(l, k)
+    for (s, ls), m in a._counts.items():
+        for (t, lt), n in b._counts.items():
+            short, long = min(ls, lt), max(ls, lt)
             key = (s + t, short)
             out[key] = out.get(key, 0) + m * n
             if long != INFINITE:
