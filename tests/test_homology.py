@@ -20,10 +20,16 @@ from ilocal import (
     homology,
     induced_map,
     is_u_localized_iso,
+    representative,
     tensor,
 )
-from ilocal.homology import _reduce
-from ilocal.suite import check_duality, check_kunneth, random_geometric_complex
+from ilocal.homology import ReductionResult
+from ilocal.suite import (
+    check_duality,
+    check_kunneth,
+    random_combination,
+    random_geometric_complex,
+)
 from test_complexes_reference import fractional_xi
 
 T = Tower
@@ -286,11 +292,30 @@ def test_kunneth_matches_tensor_on_random_pairs(seed):
 # -- homology against the one-tower-per-generator reference ----------------
 
 
-def ref_homology(c):
-    """Towers, free cycles and torsion pairs, one ``Tower`` per generator."""
+def global_reduction(c):
+    """The reduction of ``homology`` as one pass over the whole order, without clearing.
+
+    Returns the order, the positions and R, V and the pivot owners, with
+    R[j] the sum of the boundary columns of the cells in V[j].
+    """
     order = tuple(sorted(c.ids(), key=lambda cid: (-c.cell(cid).gr, c.cell(cid).dim, cid)))
     pos = {cid: i for i, cid in enumerate(order)}
-    R, V, owner = _reduce([sum(1 << pos[t] for t in c.bdry[cid]) for cid in order])
+    R, V, owner = [], [], {}
+    for j, cid in enumerate(order):
+        col, v = sum(1 << pos[t] for t in c.bdry[cid]), 1 << j
+        while col and col.bit_length() - 1 in owner:
+            k = owner[col.bit_length() - 1]
+            col, v = col ^ R[k], v ^ V[k]
+        R.append(col)
+        V.append(v)
+        if col:
+            owner[col.bit_length() - 1] = j
+    return order, pos, R, V, owner
+
+
+def ref_homology(c):
+    """Towers, free cycles and torsion pairs, one ``Tower`` per generator."""
+    order, _, R, V, owner = global_reduction(c)
 
     def chain(vec):
         degree = c.maslov(order[vec.bit_length() - 1])
@@ -338,3 +363,70 @@ def test_homology_matches_per_generator_reference(seed):
         assert [x["cycle"] for x in result.witnesses_json()["free"]] == [
             sorted([cid, e] for cid, e in ch.items()) for _, ch in free
         ]
+
+
+# -- the reduction against one global pass without clearing ----------------
+
+
+def bits(vec):
+    return [b for b in range(vec.bit_length()) if vec >> b & 1]
+
+
+def reduction_cases(rng):
+    lc = random_combination(rng, 6, 8, allow_cancelling=rng.random() < 0.3)
+    return [random_geometric_complex(rng, max_cells=12), random_basis_tensor(rng), representative(lc)]
+
+
+def check_against_global_reduction(c):
+    order, pos, R, V, owner = global_reduction(c)
+    towers = []
+    for j, col in enumerate(R):
+        if col:
+            length = c.u_exponent(order[j], order[col.bit_length() - 1])
+            if length:
+                towers.append((j, length))
+        elif j not in owner:
+            towers.append((j, INFINITE))
+    result = homology(c)
+    ref = ReductionResult(c, result.module, order, pos, R, V, owner, tuple(towers))
+    assert (result._order, result._pos) == (order, pos)
+    assert result._R == R
+    assert result._owner == owner
+    assert result._towers == ref._towers
+    assert result.free_cycles == ref.free_cycles
+    assert result.torsion_pairs == ref.torsion_pairs
+    assert result._basis == ref._basis
+    assert result.witnesses_json() == ref.witnesses_json()
+    # R[j] is the sum of the boundary columns of the cells in V[j], for every
+    # column, including those whose index is a pivot
+    columns = [sum(1 << pos[t] for t in c.bdry[cid]) for cid in order]
+    for j in range(len(order)):
+        total = 0
+        for k in bits(result._V[j]):
+            total ^= columns[k]
+        assert total == result._R[j], j
+    # every cycle of the global reduction expresses alike, and each tower's
+    # own cycle reads back as its generator
+    for j, col in enumerate(R):
+        if not col:
+            degree, chain = ref._chain(V[j])
+            assert result.express(chain, degree) == ref.express(chain, degree)
+    for i, (degree, chain) in enumerate(result.free_cycles):
+        assert result.express(chain, degree) == [("free", i, 0)]
+    for i, (_, z, _) in enumerate(result.torsion_pairs):
+        assert result.express(z, result.chain_degree(z)) == [("torsion", i, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_reduction_matches_global_order_reduction(seed):
+    for c in reduction_cases(random.Random(seed)):
+        check_against_global_reduction(c)
+
+
+def test_reduction_of_the_empty_complex():
+    c = GeometricComplex([], {})
+    check_against_global_reduction(c)
+    result = homology(c)
+    assert result.module == FUModule() and result._R == [] and result._owner == {}
+    assert result.witnesses_json() == {"free": [], "torsion": []}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,8 @@ from ilocal import (
     shift,
     signed_rank,
 )
+from ilocal.homology import homology
+from ilocal.suite import random_geometric_complex
 from ilocal.towers import _module_from_counts
 
 T = Tower
@@ -253,3 +256,56 @@ def test_counts_match_a_recount(seed):
         assert dict(m._counts) == recount
     # a built module repeats one instance per distinct tower
     assert len({id(t) for t in product.towers}) == len(product._counts)
+
+
+# -- module equality is multiset equality of (top, length) -----------------
+
+
+def multiset(m):
+    return Counter((t.top, t.length) for t in m)
+
+
+def presentations(rng, m):
+    """``m`` rebuilt by ``FUModule(...)``, shuffled and reoriented, and read back from JSON."""
+    towers = [
+        t if t.is_free else Tower(t.top, t.length, rng.choice((DOWN, UP, None)))
+        for t in m.towers
+    ]
+    rng.shuffle(towers)
+    return [FUModule(tuple(towers)), FUModule.from_json(m.to_json())]
+
+
+def variants(rng, m):
+    """Modules one step away from ``m``: a tower moved, lengthened, dropped or added."""
+    out = [FUModule(m.towers + (Tower(F(rng.randint(-3, 3), 2), INFINITE),))]
+    if m.towers:
+        k = rng.randrange(len(m.towers))
+        t = m.towers[k]
+        rest = m.towers[:k] + m.towers[k + 1:]
+        out.append(FUModule(rest))
+        out.append(FUModule(rest + (Tower(t.top + rng.choice((2, F(1, 2), F(-1, 3))), t.length),)))
+        if not t.is_free:
+            out.append(FUModule(rest + (Tower(t.top, t.length + 1, t.orientation),)))
+            out.append(FUModule(rest + (Tower(t.top, INFINITE),)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_equality_and_hash_agree_with_multiset_equality(seed):
+    rng = random.Random(seed)
+    a, b = random_module(rng), random_module(rng)
+    c = random_geometric_complex(rng, max_cells=10)
+    # modules whose multiplicities are seeded (homology, kunneth) and built ones
+    seeded = [homology(c).module, kunneth(a, b), kunneth(homology(c).module, a), a]
+    for m in seeded:
+        group = [m, *presentations(rng, m), *variants(rng, m), b]
+        counted = [multiset(x) for x in group]
+        for x, mx in zip(group, counted):
+            for y, my in zip(group, counted):
+                assert (x == y) == (mx == my)
+                if x == y:
+                    assert hash(x) == hash(y)
+    # Kunneth's seeded table against the pairwise reference's plain module
+    assert kunneth(a, b) == ref_kunneth(a, b) == FUModule.from_json(kunneth(a, b).to_json())
+    assert hash(kunneth(a, b)) == hash(ref_kunneth(a, b))
