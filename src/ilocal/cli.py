@@ -52,13 +52,15 @@ def _require_split(c: cx.AnyComplex) -> cx.SplitComplex:
     return c
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+def _int_within(minimum: int, maximum: float = float("inf")):
+    """An argparse type: an integer from ``minimum`` up to ``maximum``."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
@@ -183,8 +185,6 @@ def _cmd_render(parser, args) -> int:
 
 
 def _cmd_suite(parser, args) -> int:
-    if args.max_terms > MAX_TERMS:  # random_combination allocates up to this many terms
-        parser.error(f"argument --max-terms: must be at most {MAX_TERMS}, got {args.max_terms}")
     seed = os.environ.get("ILOCAL_SEED", args.seed)
     try:
         seed = int(seed)
@@ -274,10 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("suite", help="run the randomized verification suites")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=_int_at_least(0), default=None, help="cases per suite")
-    p.add_argument("--max-terms", type=_int_at_least(0), default=4)
-    p.add_argument("--max-index", type=_int_at_least(1), default=6)
-    p.add_argument("--max-cells", type=_int_at_least(3), default=10)
+    p.add_argument("--cases", type=_int_within(0), default=None, help="cases per suite")
+    # random_combination allocates up to --max-terms terms, and a kunneth
+    # case reduces a product of up to --max-cells squared cells
+    p.add_argument("--max-terms", type=_int_within(0, MAX_TERMS), default=4)
+    p.add_argument("--max-index", type=_int_within(1), default=6)
+    p.add_argument("--max-cells", type=_int_within(3, st.MAX_CELLS), default=10)
     p.set_defaults(fn=_cmd_suite)
 
     return parser

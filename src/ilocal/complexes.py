@@ -96,6 +96,18 @@ def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
         seen.add(cid)
 
 
+def _bdry_squared_error(ids: Iterable[str], bdry: Mapping[str, Chain]) -> Optional[str]:
+    """A message naming the first cell of ``ids`` where bdry o bdry is nonzero over F2, or None."""
+    # acc is empty again after every cell passes
+    acc = set()
+    for cid in ids:
+        for tid in bdry[cid]:
+            acc.symmetric_difference_update(bdry[tid])
+        if acc:
+            return f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
+    return None
+
+
 class GeometricComplex:
     """Skeleton plus grading function; see the module docstring."""
 
@@ -152,15 +164,9 @@ class GeometricComplex:
                     )
                 if min_gap is None or gap < min_gap:
                     min_gap = gap
-        # bdry o bdry = 0 over F2; acc is empty again after every cell passes
-        acc = set()
-        for cid in dims:
-            for tid in bdry[cid]:
-                acc.symmetric_difference_update(bdry[tid])
-            if acc:
-                raise InvalidComplex(
-                    f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
-                )
+        error = _bdry_squared_error(dims, bdry)
+        if error:
+            raise InvalidComplex(error)
         return num, INFINITE if min_gap is None else min_gap // q
 
     @cached_property

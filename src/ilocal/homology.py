@@ -3,7 +3,15 @@
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
 so every boundary points strictly earlier and the single F2 boundary matrix
 can be column-reduced in the persistence style, columns as integer bitmasks
-built one at a time as the reduction reads them.
+built one at a time as the reduction reads them.  A column of dimension d
+adds only columns of dimension d, so the reduction runs one dimension at a
+time, from the top down, in the global order within each, and gives the
+same R and pivots as one pass over the whole order.  It clears (Chen &
+Kerber, "Persistent Homology Computation with a Twist"): a cell already hit
+as a pivot by a column one dimension up is a cycle whose column reduces to
+zero, so that column is never built.  This needs bdry o bdry = 0, which
+every complex has by construction; the result is not defined for a
+skeleton without it.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
 gradings do.
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import AnyComplex, GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
@@ -171,44 +179,55 @@ class ReductionResult:
         }
 
 
-def _reduce(columns: Iterable[int]) -> Tuple[List[int], List[int], Dict[int, int]]:
-    """Reduce F2 column bitmasks: R[j] = sum of the columns in V[j], owner[pivot] = j.
+def _reduce(column: Callable[[int], int], js: Sequence[int], clear: bool = False):
+    """Reduce the F2 column bitmasks ``column(j)``, j in ``js`` order, a permutation of range(n).
 
-    The V[j] with R[j] == 0 are a basis of the nullspace.
+    R[j] is the sum of the columns in V[j], and owner[pivot] = j; the V[j]
+    with R[j] == 0 are a basis of the nullspace.  A column adds only the
+    columns reduced before it that share its pivot.  ``clear`` needs rows
+    indexed like the columns and a matrix that squares to zero: a column
+    whose index is already a pivot then reduces to zero, so it is not built,
+    and V[j] = R[owner[j]], whose columns sum to zero.
     """
-    R: List[int] = []
-    V: List[int] = []
-    owner: Dict[int, int] = {}
-    for j, col in enumerate(columns):
-        v = 1 << j
+    R, V, owner = [0] * len(js), [0] * len(js), {}
+    for j in js:
+        if clear and j in owner:
+            V[j] = R[owner[j]]
+            continue
+        col, v = column(j), 1 << j
         while col:
             i = col.bit_length() - 1
             if i not in owner:
                 break
             col ^= R[owner[i]]
             v ^= V[owner[i]]
-        R.append(col)
-        V.append(v)
+        R[j], V[j] = col, v
         if col:
             owner[i] = j
     return R, V, owner
 
 
 def homology(c: AnyComplex) -> ReductionResult:
-    """Tower decomposition of H_*(c) by monomial column reduction."""
+    """Tower decomposition of H_*(c) by monomial column reduction, with clearing.
+
+    Defined for complexes (bdry o bdry = 0), which every construction
+    guarantees; see the module docstring.
+    """
     # the numerators share the denominator q > 0, so this is (-gr, dim, id)
     num, dims, q, bdry = c._num, c._dim, c._q, c.bdry
     order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], dims[cid], cid)))
     pos = {cid: i for i, cid in enumerate(order)}
 
-    def columns():
-        for cid in order:
-            col = 0
-            for tid in bdry[cid]:
-                col |= 1 << pos[tid]
-            yield col
+    def column(j):
+        col = 0
+        for tid in bdry[order[j]]:
+            col |= 1 << pos[tid]
+        return col
 
-    R, V, owner = _reduce(columns())
+    # dimensions from the top down, so each pivot is known before its own
+    # column is read; the sort is stable, keeping the order within each
+    by_dim = [-dims[cid] for cid in order]
+    R, V, owner = _reduce(column, sorted(range(len(order)), key=by_dim.__getitem__), clear=True)
 
     # a column reducing to zero unpaired is a free tower topped at its own
     # cell; one that pivots at i is a torsion tower topped at i, of length

@@ -55,7 +55,8 @@ def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.Geom
         layer = [c for c in cells if c.dim == base_dim]
         lower = [c for c in cells if c.dim == base_dim - 1]
         lpos = {c.id: i for i, c in enumerate(lower)}
-        R, V, _ = _reduce([sum(1 << lpos[t] for t in bdry.get(c.id, ())) for c in layer])
+        cols = [sum(1 << lpos[t] for t in bdry.get(c.id, ())) for c in layer]
+        R, V, _ = _reduce(cols.__getitem__, range(len(cols)))
         cycles = [v for r, v in zip(R, V) if not r]
         if cycles and rng.random() < 0.8:
             combo = 0
@@ -141,6 +142,13 @@ def admissible_deltas(sc: cx.SplitComplex, cap: int = 6) -> range:
 # -- the suites -----------------------------------------------------------
 
 
+#: Largest ``max_cells`` the CLI accepts.  A kunneth case reduces the tensor
+#: of two complexes of up to this many cells: at 200, a 199 x 198-cell
+#: product (39,402 cells) took 0.7 s and raised peak RSS by 134 MB, and
+#: memory grows with the square of the product's cell count.
+MAX_CELLS = 200
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     kunneth_cases: int = 25
@@ -219,9 +227,17 @@ def check_kunneth(c1: cx.GeometricComplex, c2: cx.GeometricComplex) -> Optional[
 def check_doubling_homology(
     sc: cx.SplitComplex, delta: int, splitting: Optional[frozenset] = None
 ) -> Optional[dict]:
-    """Doubling by delta > 0 adds the one tower T_{M(eta)}(delta) to the homology."""
+    """Doubling by delta > 0 adds the one tower T_{M(eta)}(delta) to the homology.
+
+    The double must be a complex first: ``homology`` is defined only where
+    bdry o bdry = 0.
+    """
+    double = db.double(sc, delta, splitting).complex
+    error = cx._bdry_squared_error(double.ids(), double.bdry)
+    if error:
+        return {"reason": error}
     base = homology(sc).module
-    got = homology(db.double(sc, delta, splitting).complex).module
+    got = homology(double).module
     extra = (tw.Tower(sc.maslov(sc.fixed), delta),) if delta > 0 else ()
     expected = tw.FUModule(base.towers + extra)
     if got != expected:

@@ -7,8 +7,9 @@ downward without bound.  Gradings are exact rationals throughout.
 
 Down/up orientations are presentation metadata consumed by the placement
 algorithm, the signed rank, and the renderer.  Isomorphism of modules is
-multiset equality of (top, length) pairs; orientations and presentation
-order never participate in comparison.
+multiset equality of (top, length) pairs, so equality reads each module's
+table of multiplicities; orientations and presentation order never
+participate in comparison.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ class FUModule:
     """Finite direct sum of towers, kept in presentation order.
 
     ``==`` and ``hash`` compare isomorphism classes: the multiset of
-    (top, length) pairs.  ``canonical()`` returns a copy sorted by
-    descending top, then descending length.
+    (top, length) pairs, read from the multiplicity table ``_counts``.
+    ``canonical()`` returns a copy sorted by descending top, then
+    descending length.
     """
 
     towers: tuple = ()
@@ -188,16 +190,13 @@ class FUModule:
     def __len__(self) -> int:
         return len(self.towers)
 
-    def _key(self):
-        return tuple((t.top, t.length) for t in _canonical_order(self.towers))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FUModule):
             return NotImplemented
-        return self._key() == other._key()
+        return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(frozenset(self._counts.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FUModule({list(self.towers)!r})"
@@ -205,7 +204,7 @@ class FUModule:
     @cached_property
     def _counts(self) -> dict:
         """Multiplicity of each (top, length), orientations ignored."""
-        return Counter((t.top, t.length) for t in self.towers)
+        return dict(Counter((t.top, t.length) for t in self.towers))
 
     def oriented_equal(self, other: "FUModule") -> bool:
         """Multiset equality including orientations."""
@@ -218,8 +217,8 @@ class FUModule:
     def canonical(self) -> "FUModule":
         """A copy sorted by descending top, then descending length.
 
-        ``_key`` uses the same order; both compare the tops as one exact
-        integer key each, never as ``Fraction``s.
+        The tops are compared as one exact integer key each, never as
+        ``Fraction``s.
         """
         return FUModule(tuple(_canonical_order(self.towers)))
 
@@ -298,15 +297,22 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
     length topped at the sum of tops, and each pair of finite towers adds a
     Tor term of the same length topped at d + e - 2*max(l, m) + 1 (the Tor
     summand sits one homological degree higher).  It works on multiplicities,
-    once per pair of distinct towers.  Output is unoriented and canonically sorted.
+    once per pair of distinct towers, with every top as an integer over the
+    lcm L of the tops' denominators; each distinct output top becomes one
+    ``Fraction``.  Output is unoriented and canonically sorted.
     """
-    out = {}
-    for (s, ls), m in a._counts.items():
-        for (t, lt), n in b._counts.items():
+    lcm = math.lcm(*(top.denominator for m in (a, b) for top, _ in m._counts))
+
+    def scaled(m):
+        return [(t.numerator * (lcm // t.denominator), ln, k) for (t, ln), k in m._counts.items()]
+
+    out, right = {}, scaled(b)
+    for s, ls, m in scaled(a):
+        for t, lt, n in right:
             short, long = min(ls, lt), max(ls, lt)
             key = (s + t, short)
             out[key] = out.get(key, 0) + m * n
             if long != INFINITE:
-                key = (s + t - 2 * long + 1, short)
+                key = (s + t - (2 * long - 1) * lcm, short)
                 out[key] = out.get(key, 0) + m * n
-    return _module_from_counts(out)
+    return _module_from_counts({(Fraction(x, lcm), ln): k for (x, ln), k in out.items()})

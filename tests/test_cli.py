@@ -337,6 +337,19 @@ class TestRenderAndSuite:
         err = capsys.readouterr().err
         assert f"argument --max-terms: must be at most {MAX_TERMS}" in err.splitlines()[-1]
 
+    def test_suite_max_cells_is_capped_at_max_cells(self, capsys):
+        from ilocal.suite import MAX_CELLS
+
+        # a kunneth case tensors two complexes of up to --max-cells cells
+        assert run_json(capsys, "suite", "--cases", "0", "--max-cells", str(MAX_CELLS))["passed"]
+        with pytest.raises(SystemExit) as e:
+            main(["suite", "--cases", "0", "--max-cells", str(MAX_CELLS + 1)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-cells: must be at most {MAX_CELLS}, got {MAX_CELLS + 1}" in (
+            err.splitlines()[-1]
+        )
+
     def test_suite_option_minimums_run_clean(self, capsys):
         report = run_json(
             capsys, "suite", "--seed", "3", "--cases", "0",

@@ -362,4 +362,4 @@ def test_module_order_matches_fraction_sort_key(seed):
     m = random_module(rng)
     assert m.canonical().towers == tuple(sorted(m.towers, key=ref_sort_key))
     pairs = sorted(((t.top, t.length) for t in m.towers), key=lambda p: (-p[0], -p[1]))
-    assert m._key() == tuple(pairs)
+    assert tuple((t.top, t.length) for t in m.canonical().towers) == tuple(pairs)
