@@ -398,13 +398,15 @@ def check_against_global_reduction(c):
     assert result._basis == ref._basis
     assert result.witnesses_json() == ref.witnesses_json()
     # R[j] is the sum of the boundary columns of the cells in V[j], for every
-    # column, including those whose index is a pivot
+    # column, including those whose index is a pivot; V[j] tops at cell j,
+    # so the V[j] with R[j] == 0 stay a basis of the cycles
     columns = [sum(1 << pos[t] for t in c.bdry[cid]) for cid in order]
     for j in range(len(order)):
         total = 0
         for k in bits(result._V[j]):
             total ^= columns[k]
         assert total == result._R[j], j
+        assert result._V[j].bit_length() - 1 == j
     # every cycle of the global reduction expresses alike, and each tower's
     # own cycle reads back as its generator
     for j, col in enumerate(R):
