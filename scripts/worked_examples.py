@@ -29,7 +29,6 @@ from ilocal import (
     render_svg,
     simplify,
     verify_local_pair,
-    width,
 )
 from ilocal.towers import grading_from_json
 
@@ -72,7 +71,7 @@ def main() -> int:
         maps_ok = maps_ok and report.passed
         status = "ok" if report.passed else f"FAILED {report.to_json()}"
         print(
-            f"step {step}: {label:>5}  cells={len(s):2d}  width={width(s)}  local maps: {status}"
+            f"step {step}: {label:>5}  cells={len(s):2d}  width={s.width()}  local maps: {status}"
         )
 
     print()

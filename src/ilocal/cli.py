@@ -24,6 +24,9 @@ from .homology import homology
 from .render import render
 from .towers import FUModule, grading_from_json, grading_to_str
 
+#: ``tensor`` refuses a product of more cells than this before building it.
+MAX_TENSOR_CELLS = 100_000
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
@@ -39,14 +42,14 @@ def _one_source(parser: argparse.ArgumentParser, args) -> None:
         parser.error("provide exactly one of --expr or --file")
 
 
-def _load_complex(parser: argparse.ArgumentParser, args) -> cx.AnyComplex:
+def _load_complex(parser: argparse.ArgumentParser, args) -> cx.GeometricComplex:
     _one_source(parser, args)
     if args.expr:
         return cn.representative(parse_expression(args.expr))
     return cx.complex_from_json(_read_json(args.file))
 
 
-def _require_split(c: cx.AnyComplex) -> cx.SplitComplex:
+def _require_split(c: cx.GeometricComplex) -> cx.SplitComplex:
     if not isinstance(c, cx.SplitComplex):
         raise ValueError("this operation needs a split complex (J and fixed cell)")
     return c
@@ -160,6 +163,12 @@ def _cmd_tensor(parser, args) -> int:
         parser.error("tensor needs exactly two --file inputs")
     c1 = cx.complex_from_json(_read_json(args.file[0]))
     c2 = cx.complex_from_json(_read_json(args.file[1]))
+    cells = len(c1) * len(c2)
+    if cells > MAX_TENSOR_CELLS:
+        raise ValueError(
+            f"the tensor of {len(c1)} and {len(c2)} cells would have {cells} cells, "
+            f"more than {MAX_TENSOR_CELLS}"
+        )
     _emit(cx.complex_to_json(cx.tensor(c1, c2)))
     return 0
 

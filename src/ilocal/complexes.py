@@ -25,8 +25,11 @@ numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
 construction.  Two more integer tables are built on first use: q times
 each cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
-grading check of a chain map and the local maps alike, and each cell's
-derived differential as (target, U-exponent) pairs.
+grading check of a chain map and the local maps alike, and ``_fu_terms``,
+each cell's derived differential as (target, U-exponent) pairs with the
+exponent (num(target) - num(cell)) // 2q.  That table is the one statement
+of the derived differential: ``fu_bdry`` reads it, and so does the chain
+check of a chain map.
 
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
@@ -186,23 +189,12 @@ class GeometricComplex:
     def __contains__(self, cid: str) -> bool:
         return cid in self._dim
 
-    def cell(self, cid: str) -> Cell:
-        return self.cells[cid]
-
     def maslov(self, cid: str) -> Grading:
         q = self._q
         return Fraction(self._num[cid] + q * self._dim[cid], q)
 
     def max_dim(self) -> int:
         return max(self._dim.values(), default=0)
-
-    def u_exponent(self, src: str, tgt: str) -> int:
-        """U-power on ``tgt`` in the derived differential of ``src``."""
-        gap = self._num[tgt] - self._num[src]  # q times the grading gap
-        two_q = 2 * self._q
-        if gap < 0 or gap % two_q:
-            raise InvalidComplex(f"invalid grading gap on boundary pair ({src!r}, {tgt!r})")
-        return gap // two_q
 
     def degree_of(self, cid: str, k: int) -> Grading:
         """Maslov degree M(cid) - 2k of the chain U^k cid."""
@@ -217,7 +209,7 @@ class GeometricComplex:
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""
-        return {tid: self.u_exponent(cid, tid) for tid in self.bdry[cid]}
+        return dict(self._fu_terms[cid])
 
     def width(self) -> Union[int, float]:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
@@ -244,7 +236,11 @@ class GeometricComplex:
     @cached_property
     def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
         """Each cell's derived differential as (target, U-exponent) pairs."""
-        return {cid: frozenset(self.fu_bdry(cid).items()) for cid in self._dim}
+        num, two_q = self._num, 2 * self._q
+        return {
+            cid: frozenset((tid, (num[tid] - n) // two_q) for tid in self.bdry[cid])
+            for cid, n in num.items()
+        }
 
 
 class SplitComplex(GeometricComplex):
@@ -301,14 +297,6 @@ def _derived(dims, bdry, tau, num, width, J=None, fixed=None) -> GeometricComple
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if J is None else SplitComplex)
     return _store(c, dims, bdry, tau, num, width, J, fixed)
-
-
-#: Every split complex is a geometric complex; the name is kept for callers.
-AnyComplex = GeometricComplex
-
-
-def width(c: AnyComplex) -> Union[int, float]:
-    return c.width()
 
 
 # -- splittings ---------------------------------------------------------
@@ -416,7 +404,7 @@ def _pid(u: str, v: str) -> str:
     return f"{u}{TENSOR_SEP}{v}"
 
 
-def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
+def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     """Tensor product: cells are pairs, dim and gr add, Leibniz boundary.
 
     If both factors are split the product is split with J acting
@@ -452,7 +440,7 @@ def tensor(c1: AnyComplex, c2: AnyComplex) -> AnyComplex:
     return _derived(dims, bdry, tau, num, least)
 
 
-def dual(c: AnyComplex) -> AnyComplex:
+def dual(c: GeometricComplex) -> GeometricComplex:
     """Dual complex: reversed boundary, M(e*) = -M(e).
 
     With n the maximal dimension of the input, the dual cell e* has
@@ -479,37 +467,10 @@ def dual(c: AnyComplex) -> AnyComplex:
     return _derived(dims, bdry, tau, num, c._width)
 
 
-# -- monomial matrices and JSON --------------------------------------------
+# -- JSON ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FUMatrix:
-    """Boundary matrix of one dimensional degree; entries are U-exponents."""
-
-    rows: Tuple[str, ...]
-    cols: Tuple[str, ...]
-    entries: Mapping[Tuple[str, str], int]  # (target row, source col) -> k for U^k
-
-
-def to_fu_matrices(c: AnyComplex) -> Dict[int, FUMatrix]:
-    """Graded monomial boundary matrices, one per dimensional degree present."""
-    by_dim: Dict[int, list] = {}
-    for cid, d in c._dim.items():
-        by_dim.setdefault(d, []).append(cid)
-    matrices = {}
-    for d in sorted(by_dim):
-        cols = tuple(by_dim[d])
-        rows = tuple(by_dim.get(d - 1, ()))
-        entries = {
-            (tid, cid): c.u_exponent(cid, tid)
-            for cid in cols
-            for tid in c.bdry[cid]
-        }
-        matrices[d] = FUMatrix(rows, cols, entries)
-    return matrices
-
-
-def complex_to_json(c: AnyComplex) -> dict:
+def complex_to_json(c: GeometricComplex) -> dict:
     out = {
         "tau": grading_to_str(c.tau),
         "cells": [
@@ -534,7 +495,7 @@ def _pairs_from_json(obj: dict, key: str) -> list:
     return pairs
 
 
-def complex_from_json(obj: dict) -> AnyComplex:
+def complex_from_json(obj: dict) -> GeometricComplex:
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise InvalidComplex("a complex must be a JSON object with a 'cells' list")
     cells = []

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import AnyComplex, GeometricComplex, SplitComplex
+from .complexes import GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
 from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, grading_to_str
 
@@ -117,10 +117,6 @@ class ReductionResult:
             vec ^= 1 << b
             ch[order[b]] = c.u_power(order[b], degree)
         return degree, ch
-
-    @property
-    def free_rank(self) -> int:
-        return self.module.free_rank
 
     def express(self, chain: HomogeneousChain, degree: Grading):
         """Write the class of a homogeneous cycle over the tower generators.
@@ -207,7 +203,7 @@ def _reduce(column: Callable[[int], int], js: Sequence[int], clear: bool = False
     return R, V, owner
 
 
-def homology(c: AnyComplex) -> ReductionResult:
+def homology(c: GeometricComplex) -> ReductionResult:
     """Tower decomposition of H_*(c) by monomial column reduction, with clearing.
 
     Defined for complexes (bdry o bdry = 0), which every construction
@@ -272,8 +268,8 @@ class ChainMap:
     cells missing from the mapping are sent to zero.
     """
 
-    source: AnyComplex
-    target: AnyComplex
+    source: GeometricComplex
+    target: GeometricComplex
     assignment: Mapping[str, TermSet]
 
     def __post_init__(self):
@@ -293,7 +289,7 @@ class ChainMap:
         object.__setattr__(self, "assignment", norm)
 
     @classmethod
-    def identity(cls, c: AnyComplex) -> "ChainMap":
+    def identity(cls, c: GeometricComplex) -> "ChainMap":
         return cls(c, c, {cid: {(cid, 0)} for cid in c.ids()})
 
     def __call__(self, cid: str) -> TermSet:
@@ -402,7 +398,7 @@ def is_u_localized_iso(
     """True iff f is invertible after inverting U (free ranks must be one)."""
     src_result = src_result if src_result is not None else homology(f.source)
     tgt_result = tgt_result if tgt_result is not None else homology(f.target)
-    if src_result.free_rank != 1 or tgt_result.free_rank != 1:
+    if src_result.module.free_rank != 1 or tgt_result.module.free_rank != 1:
         raise ValueError("U-localized iso test requires free rank one on both sides")
     entries = induced_map(f, src_result, tgt_result)[0]
     return any(kind == "free" for kind, _, _ in entries)

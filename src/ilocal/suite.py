@@ -277,7 +277,7 @@ def check_duality(c: cx.GeometricComplex) -> Optional[dict]:
     hd = homology(dc).module
     ok = (
         hd.torsion() == tw.reflect(h.torsion())
-        and cx.width(dc) == cx.width(c)
+        and dc.width() == c.width()
         and sorted(-t.top for t in h.free_towers) == sorted(t.top for t in hd.free_towers)
     )
     if not ok:

@@ -206,14 +206,6 @@ class FUModule:
         """Multiplicity of each (top, length), orientations ignored."""
         return dict(Counter((t.top, t.length) for t in self.towers))
 
-    def oriented_equal(self, other: "FUModule") -> bool:
-        """Multiset equality including orientations."""
-
-        def key(m):
-            return [(t.top, t.length, t.orientation) for t in _canonical_order(m.towers)]
-
-        return key(self) == key(other)
-
     def canonical(self) -> "FUModule":
         """A copy sorted by descending top, then descending length.
 

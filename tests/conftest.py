@@ -10,6 +10,15 @@ from ilocal.suite import random_geometric_complex, random_split_complex
 ACCEPTANCE_SEED = 1
 
 
+def oriented_equal(a, b) -> bool:
+    """Multiset equality of two modules, orientations included.
+
+    ``canonical`` breaks the remaining ties by orientation, so equal
+    multisets give equal lists.
+    """
+    return a.canonical().to_json() == b.canonical().to_json()
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "trusted_derived: run without rebuilding derived complexes in full"

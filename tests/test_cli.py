@@ -10,7 +10,7 @@ import pytest
 
 import ilocal
 from ilocal import FUModule, build_xi, complex_to_json, hf_conn, parse_expression
-from ilocal.cli import main
+from ilocal.cli import MAX_TENSOR_CELLS, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -259,6 +259,27 @@ class TestComplexOps:
         path.write_text(json.dumps(complex_to_json(build_xi(1))))
         obj = run_json(capsys, "tensor", "--file", str(path), "--file", str(path))
         assert len(obj["cells"]) == 9
+
+    def test_tensor_at_the_cap_is_built_and_above_it_refused(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "x1.json"
+        path.write_text(json.dumps(complex_to_json(build_xi(1))))
+        monkeypatch.setattr("ilocal.cli.MAX_TENSOR_CELLS", 9)
+        assert len(run_json(capsys, "tensor", "--file", str(path), "--file", str(path))["cells"]) == 9
+        monkeypatch.setattr("ilocal.cli.MAX_TENSOR_CELLS", 8)
+        code, out, err = run(capsys, "tensor", "--file", str(path), "--file", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: the tensor of 3 and 3 cells would have 9 cells, more than 8\n"
+
+    def test_tensor_above_the_cap_is_refused_before_building(self, capsys, tmp_path):
+        # 317 * 317 = 100,489 cells, just above the cap
+        assert MAX_TENSOR_CELLS == 100_000
+        path = tmp_path / "points.json"
+        cells = [{"id": f"p{k}", "dim": 0, "gr": "0"} for k in range(317)]
+        path.write_text(json.dumps({"cells": cells}))
+        code, out, err = run(capsys, "tensor", "--file", str(path), "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "317 and 317 cells would have 100489 cells, more than 100000" in err
 
     def test_width_exceeded_is_domain_error(self, capsys):
         code, out, err = run(capsys, "double", "--expr", "X2", "--delta", "9")

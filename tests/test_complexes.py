@@ -19,8 +19,6 @@ from ilocal import (
     double,
     dual,
     tensor,
-    to_fu_matrices,
-    width,
 )
 
 
@@ -32,12 +30,14 @@ class TestBuilders:
         assert x2.fixed == "b"
 
     def test_xi_differential(self):
-        x1 = build_xi(1)
-        assert x1.fu_bdry("b") == {"a": 1, "Ja": 1}
+        for i in (1, 3):
+            x = build_xi(i)
+            assert x.fu_bdry("b") == {"a": i, "Ja": i}
+            assert x.fu_bdry("a") == x.fu_bdry("Ja") == {}
 
     def test_xi_width(self):
         for i in (1, 3, 7):
-            assert width(build_xi(i)) == 2 * i
+            assert build_xi(i).width() == 2 * i
 
     def test_xi_rejects_nonpositive(self):
         for bad in (0, -1, True):
@@ -47,13 +47,14 @@ class TestBuilders:
     def test_trivial(self):
         t = build_trivial()
         assert len(t) == 1 and t.fixed == "eta"
-        assert width(t) == INFINITE
+        assert t.fu_bdry("eta") == {}
+        assert t.width() == INFINITE
 
     def test_misordered(self):
         m = build_misordered(1, 2)
-        assert m.fu_bdry("e1") == {"e0": 1, "Je0": 1}
+        assert m.fu_bdry("e1") == m.fu_bdry("Je1") == {"e0": 1, "Je0": 1}
         assert m.fu_bdry("e2") == {"e1": 2, "Je1": 2}
-        assert width(m) == 2
+        assert m.width() == 2
 
     def test_misordered_rejects_bad_orders(self):
         with pytest.raises(ValueError):
@@ -113,12 +114,6 @@ class TestValidation:
         g = GeometricComplex(cells, {})
         with pytest.raises(NotSplit, match="does not preserve the gradings"):
             SplitComplex(g, {"x": "y", "y": "x", "e": "e"})
-
-    def test_u_exponent_rejects_negative_gap(self):
-        x = build_xi(2)
-        assert x.u_exponent("b", "a") == 2
-        with pytest.raises(InvalidComplex, match="invalid grading gap"):
-            x.u_exponent("a", "b")
 
     def test_two_fixed_cells_rejected(self):
         cells = [Cell("x", 0, F(0)), Cell("y", 0, F(0))]
@@ -363,12 +358,12 @@ class TestTensor:
 
     def test_gradings_add(self):
         p = tensor(build_xi(2), build_xi(3))
-        assert p.cell("b⊗b").gr == F(-10)
-        assert p.cell("b⊗b").dim == 2
+        assert p.cells["b⊗b"].gr == F(-10)
+        assert p.cells["b⊗b"].dim == 2
 
     def test_width_is_min(self):
         p = tensor(build_xi(2), build_xi(5))
-        assert width(p) == min(width(build_xi(2)), width(build_xi(5))) == 4
+        assert p.width() == min(build_xi(2).width(), build_xi(5).width()) == 4
 
     def test_plain_factor_gives_plain_product(self):
         g = GeometricComplex([Cell("x", 0, F(0))], {})
@@ -386,7 +381,7 @@ class TestTensor:
         empty = GeometricComplex([], {})
         for p in (tensor(empty, build_xi(2)), tensor(build_xi(2), empty)):
             assert len(p) == 0
-            assert width(p) == INFINITE
+            assert p.width() == INFINITE
 
 
 class TestDual:
@@ -404,7 +399,7 @@ class TestDual:
 
     def test_width_preserved(self):
         for c in (build_xi(3), build_misordered(2, 3), tensor(build_xi(1), build_xi(2))):
-            assert width(dual(c)) == width(c)
+            assert dual(c).width() == c.width()
 
     def test_double_dual_restores_maslov_and_bdry(self):
         c = build_misordered(1, 2)
@@ -496,7 +491,7 @@ class TestStoredFields:
         complexes = []
         for x in split_corpus:
             complexes += [x, dual(x), tensor(x, xi), tensor(dual(x), x)]
-            complexes += [double(x, delta).complex for delta in (0, 1) if 2 * delta <= width(x)]
+            complexes += [double(x, delta).complex for delta in (0, 1) if 2 * delta <= x.width()]
         for c1, c2 in pair_corpus:
             complexes += [c1, c2, dual(c1), dual(c2), tensor(c1, c2), tensor(dual(c2), c1)]
         assert {c.tau.denominator for c in complexes} > {1}
@@ -531,27 +526,12 @@ class TestDecompose:
             assert rebuilt == set(chain)
 
 
-class TestFUMatrices:
-    def test_xi_column(self):
-        ms = to_fu_matrices(build_xi(3))
-        assert ms[1].entries == {("a", "b"): 3, ("Ja", "b"): 3}
-        assert ms[0].entries == {}
-
-    def test_trivial(self):
-        ms = to_fu_matrices(build_trivial())
-        assert list(ms) == [0]
-        assert ms[0].entries == {}
-
-    def test_misordered(self):
-        ms = to_fu_matrices(build_misordered(1, 2))
-        assert set(ms[1].entries.values()) == {1}
-        assert set(ms[2].entries.values()) == {2}
-
+class TestDerivedDifferential:
     def test_j_equivariance_of_entries(self):
         for sc in (build_misordered(1, 3), tensor(build_xi(1), build_xi(2))):
-            for m in to_fu_matrices(sc).values():
-                for (t, s), exp in m.entries.items():
-                    assert m.entries[(sc.J[t], sc.J[s])] == exp
+            for cid in sc.ids():
+                image = {sc.J[tid]: exp for tid, exp in sc.fu_bdry(cid).items()}
+                assert sc.fu_bdry(sc.J[cid]) == image
 
 
 class TestJson:

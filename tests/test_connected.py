@@ -40,6 +40,8 @@ from ilocal.suite import (
     random_even_d,
 )
 
+from conftest import oriented_equal
+
 T = Tower
 LC = LinearCombination
 
@@ -87,23 +89,23 @@ class TestPlacement:
     def test_single_term(self):
         for i in (1, 4, 9):
             out = connected_homology(LC(((1, i),)))
-            assert out.oriented_equal(mod(T(F(0), i, DOWN)))
+            assert oriented_equal(out, mod(T(F(0), i, DOWN)))
 
     def test_alternating_example(self):
         out = connected_homology(LC(((1, 5), (-1, 4), (1, 2))))
-        assert out.oriented_equal(
-            mod(T(F(0), 5, DOWN), T(F(-2), 4, UP), T(F(-2), 2, DOWN))
+        assert oriented_equal(
+            out, mod(T(F(0), 5, DOWN), T(F(-2), 4, UP), T(F(-2), 2, DOWN))
         )
 
     def test_same_sign_example(self):
         out = connected_homology(LC(((1, 4), (1, 3), (1, 2))))
-        assert out.oriented_equal(
-            mod(T(F(0), 4, DOWN), T(F(-7), 3, DOWN), T(F(-12), 2, DOWN))
+        assert oriented_equal(
+            out, mod(T(F(0), 4, DOWN), T(F(-7), 3, DOWN), T(F(-12), 2, DOWN))
         )
 
     def test_all_negative(self):
         out = connected_homology(LC(((-1, 2), (-1, 1))))
-        assert out.oriented_equal(mod(T(F(3), 2, UP), T(F(4), 1, UP)))
+        assert oriented_equal(out, mod(T(F(3), 2, UP), T(F(4), 1, UP)))
 
     def test_unsimplified_rejected(self):
         with pytest.raises(NotSimplified):
@@ -118,20 +120,20 @@ class TestPlacement:
             lc = LC(terms)
             flipped = connected_homology(lc.negated())
             mirrored = reflect(connected_homology(lc))
-            assert flipped.oriented_equal(mirrored)
+            assert oriented_equal(flipped, mirrored)
 
 
 class TestHfConn:
     def test_single_tower_shift(self):
-        assert hf_conn(LC(((1, 1),)), F(0)).oriented_equal(mod(T(F(-1), 1, DOWN)))
+        assert oriented_equal(hf_conn(LC(((1, 1),)), F(0)), mod(T(F(-1), 1, DOWN)))
 
     def test_empty(self):
         assert hf_conn(LC(), F(4)) == mod()
 
     def test_alternating_shifted(self):
         out = hf_conn(LC(((1, 5), (-1, 4), (1, 2))), F(0))
-        assert out.oriented_equal(
-            mod(T(F(-1), 5, DOWN), T(F(-3), 4, UP), T(F(-3), 2, DOWN))
+        assert oriented_equal(
+            out, mod(T(F(-1), 5, DOWN), T(F(-3), 4, UP), T(F(-3), 2, DOWN))
         )
 
 
@@ -278,7 +280,7 @@ class TestConnectSum:
         b = (hf_conn(LC(((1, 3),)), F(-2)), F(-2))
         module, d = connect_sum(a, b)
         assert d == 0
-        assert module.oriented_equal(mod(T(F(-1), 4, DOWN), T(F(-8), 3, DOWN)))
+        assert oriented_equal(module, mod(T(F(-1), 4, DOWN), T(F(-8), 3, DOWN)))
 
 
 class TestCorollaries:

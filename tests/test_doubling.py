@@ -24,7 +24,6 @@ from ilocal import (
     local_map_f,
     local_map_g,
     verify_local_pair,
-    width,
 )
 from ilocal.suite import (
     admissible_deltas,
@@ -44,7 +43,7 @@ def signature(sc):
     """Involution-aware fingerprint strong enough for the tiny complexes here."""
 
     def cell_sig(cid):
-        c = sc.cell(cid)
+        c = sc.cells[cid]
         return (c.dim, c.gr, sc.J[cid] == cid, sorted(sc.fu_bdry(cid).values()))
 
     return sorted(cell_sig(cid) for cid in sc.ids())
@@ -66,15 +65,15 @@ class TestDouble:
     def test_new_cell_gradings(self):
         x = build_misordered(1, 2)
         dr = double(x, 1)
-        eta = x.cell(x.fixed)
-        assert dr.complex.cell(dr.omega).gr == eta.gr
-        assert dr.complex.cell(dr.omega).dim == eta.dim
-        assert dr.complex.cell(dr.theta).gr == eta.gr - 2
-        assert dr.complex.cell(dr.theta).dim == eta.dim + 1
+        eta = x.cells[x.fixed]
+        assert dr.complex.cells[dr.omega].gr == eta.gr
+        assert dr.complex.cells[dr.omega].dim == eta.dim
+        assert dr.complex.cells[dr.theta].gr == eta.gr - 2
+        assert dr.complex.cells[dr.theta].dim == eta.dim + 1
 
     def test_width_is_two_delta(self):
         for delta in (1, 2):
-            assert width(double(build_xi(2), delta).complex) == 2 * delta
+            assert double(build_xi(2), delta).complex.width() == 2 * delta
 
     def test_width_is_two_delta_on_random_complexes(self, split_corpus):
         # the theta -> omega gap is 2*delta and every other gap is at least
@@ -88,7 +87,7 @@ class TestDouble:
         # x's cells stay; omega and J.omega take eta's (dim, gr), and theta
         # sits one dimension up at gr(eta) - 2*delta
         for x in split_corpus:
-            eta = x.cell(x.fixed)
+            eta = x.cells[x.fixed]
             for delta in admissible_deltas(x):
                 dr = double(x, delta)
                 expected = [c for cid, c in x.cells.items() if cid != x.fixed] + [
@@ -104,7 +103,7 @@ class TestDouble:
 
     def test_delta_zero_permitted(self):
         dr = double(build_xi(2), 0)
-        assert width(dr.complex) == 0
+        assert dr.complex.width() == 0
         assert homology(dr.complex).module == homology(build_xi(2)).module
 
     def test_doubled_homology_adds_one_tower(self):
@@ -281,7 +280,7 @@ class TestVerifyLocalPair:
         bdry = {"u": {"a", "eta"}, "Ju": {"Ja", "eta"}}
         J = {"eta": "eta", "a": "Ja", "Ja": "a", "u": "Ju", "Ju": "u"}
         sc = SplitComplex(GeometricComplex(cells, bdry), J)
-        assert homology(sc).free_rank == 1 and width(sc) == 2
+        assert homology(sc).module.free_rank == 1 and sc.width() == 2
 
         dr = double(sc, 1, {"a", "u"})
         assert dr.complex.bdry["u"] == frozenset({"a", dr.omega})

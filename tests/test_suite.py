@@ -91,7 +91,7 @@ def test_split_generator_respects_budget_and_rank():
     for _ in range(40):
         sc = random_split_complex(rng, max_cells=10)
         assert len(sc) <= 10
-        assert homology(sc).free_rank == 1
+        assert homology(sc).module.free_rank == 1
 
 
 def test_admissible_deltas_capped_for_infinite_width():
