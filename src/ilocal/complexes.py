@@ -39,28 +39,34 @@ grading tables and checks only J.
 
 Instances are immutable, and their stored grading data are integer tables:
 each cell's dimension and its gr numerator over q, which is always tau's
-denominator.  One private step, ``_store``, assigns every stored field
-(these tables, the boundary, tau, the width, and for a split complex J and
-its fixed cell), and every construction ends there.  The ``Cell`` objects
-of ``cells`` are built from the tables on first read, so a complex that is
-only reduced, mapped or derived from never builds them.  Complexes that
-enter from outside (the public constructors, the builders,
-``complex_from_json``) are validated in full into the tables.  ``dual``,
-``tensor`` and ``double`` derive new complexes from validated ones and are
-valid by construction: each computes the dimensions, numerators, tau, the
-width, J and the fixed cell of its result from the tables of its inputs,
-and ``_derived`` stores them without validating again.  The one check
-that depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗
-"c"`` and ``"a" ⊗ "b⊗c"``), which raises the same error as in the
-constructor.
+denominator, both keyed in ``ids()`` order.  One private step, ``_store``,
+assigns every stored field (these tables, the boundary, tau, the width, and
+for a split complex J and its fixed cell), and every construction ends
+there.  The boundary is stored in exactly one of two forms, whichever the
+construction computes: ``bdry``, each cell's boundary as a frozenset of ids,
+or ``_adj``, each cell's boundary as a tuple of positions, listed in
+``ids()`` order, where a position indexes ``ids()``.  The other form is a
+view built from the stored one on first read, as are the ``Cell`` objects of
+``cells``, so a complex that is only reduced, mapped or derived from never
+builds them.  ``tensor``, ``homology`` and the derived differential
+``_fu_terms`` read only ``_adj``; ``dual``, ``double``, ``decompose``, the
+J checks and the JSON read only ``bdry``.  Complexes that enter from outside
+(the public constructors, the builders, ``complex_from_json``) are validated
+in full into the tables and store ``bdry``.  ``dual``, ``tensor`` and
+``double`` derive new complexes from validated ones and are valid by
+construction: each computes the dimensions, numerators, tau, the width, J
+and the fixed cell of its result from the tables of its inputs, and
+``_derived`` stores them without validating again; ``dual`` and ``double``
+store ``bdry`` and ``tensor`` stores ``_adj``.  The one check that depends
+on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"`` and
+``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
 from .towers import INFINITE, Grading, grading_from_json, grading_to_str
@@ -88,6 +94,25 @@ class Cell:
     @property
     def maslov(self) -> Grading:
         return self.gr + self.dim
+
+
+class _view:
+    """A field built from the stored ones on first read, then kept in the instance.
+
+    This is ``functools.cached_property`` without the lock that CPython 3.11
+    takes on every first read, which costs more than building a view of a
+    small complex.  Complexes are immutable, so two threads that race on a
+    first read build equal values.
+    """
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
@@ -172,11 +197,24 @@ class GeometricComplex:
             raise InvalidComplex(error)
         return num, INFINITE if min_gap is None else min_gap // q
 
-    @cached_property
+    @_view
     def cells(self) -> Dict[str, Cell]:
         """The cells by id, built from the grading tables on first read."""
         num, q = self._num, self._q
         return {cid: Cell(cid, d, Fraction(num[cid], q)) for cid, d in self._dim.items()}
+
+    @_view
+    def bdry(self) -> Dict[str, Chain]:
+        """Each cell's boundary as a set of ids, built from ``_adj`` on first read."""
+        ids = self.ids()
+        return {cid: frozenset(map(ids.__getitem__, ts)) for cid, ts in zip(ids, self._adj)}
+
+    @_view
+    def _adj(self) -> List[Tuple[int, ...]]:
+        """Each cell's boundary as positions in ``ids()``, built from ``bdry`` on first read."""
+        at = dict(zip(self._dim, range(len(self._dim)))).__getitem__
+        bdry = self.bdry
+        return [tuple(map(at, bdry[cid])) for cid in self._dim]
 
     # -- basic accessors ------------------------------------------------
 
@@ -217,7 +255,7 @@ class GeometricComplex:
 
     # -- integer tables for the chain-map checks, built on first use --------
 
-    @cached_property
+    @_view
     def _mnum(self) -> Dict[str, int]:
         """q * M(cell) for every cell: the Maslov gradings over the shared q."""
         q, dims = self._q, self._dim
@@ -233,13 +271,13 @@ class GeometricComplex:
         k, rest = divmod(self._mnum[cid] * q - m * p, 2 * p * q)
         return None if rest or k < 0 else k
 
-    @cached_property
+    @_view
     def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
         """Each cell's derived differential as (target, U-exponent) pairs."""
-        num, two_q = self._num, 2 * self._q
+        ids, nums, two_q = self.ids(), list(self._num.values()), 2 * self._q
         return {
-            cid: frozenset((tid, (num[tid] - n) // two_q) for tid in self.bdry[cid])
-            for cid, n in num.items()
+            cid: frozenset([(ids[t], (nums[t] - n) // two_q) for t in ts])
+            for cid, n, ts in zip(ids, nums, self._adj)
         }
 
 
@@ -280,23 +318,31 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
-def _store(c: GeometricComplex, dims: Dict[str, int], bdry: Dict[str, Chain], tau: Grading,
+def _store(c: GeometricComplex, dims: Dict[str, int],
+           boundary: Union[Dict[str, Chain], List[Tuple[int, ...]]], tau: Grading,
            num: Dict[str, int], width: Union[int, float],
            J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
-    ``tau`` is reduced mod 2, and ``num`` holds the gr numerators over its denominator ``_q``.
+    ``boundary`` is stored as ``bdry`` if it is a dict and as ``_adj`` if it
+    is a list; the other form is built from it on first read.  ``tau`` is
+    reduced mod 2, and ``num`` holds the gr numerators over its denominator
+    ``_q``; ``dims`` and ``num`` are keyed in one order, which is ``ids()``.
     """
-    c._dim, c.bdry, c.tau, c._num, c._q, c._width = dims, bdry, tau, num, tau.denominator, width
+    if type(boundary) is dict:
+        c.bdry = boundary
+    else:
+        c._adj = boundary
+    c._dim, c.tau, c._num, c._q, c._width = dims, tau, num, tau.denominator, width
     if J is not None:
         c.J, c.fixed = J, fixed
     return c
 
 
-def _derived(dims, bdry, tau, num, width, J=None, fixed=None) -> GeometricComplex:
+def _derived(dims, boundary, tau, num, width, J=None, fixed=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if J is None else SplitComplex)
-    return _store(c, dims, bdry, tau, num, width, J, fixed)
+    return _store(c, dims, boundary, tau, num, width, J, fixed)
 
 
 # -- splittings ---------------------------------------------------------
@@ -407,37 +453,56 @@ def _pid(u: str, v: str) -> str:
 def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     """Tensor product: cells are pairs, dim and gr add, Leibniz boundary.
 
-    If both factors are split the product is split with J acting
-    coordinatewise; its fixed cell is the pair of fixed cells.  A sum of
-    gradings from the cosets of tau1 and tau2 lies in the coset of their
-    sum, so its reduced denominator is that coset's denominator q, and the
-    numerators n1/q1 + n2/q2 over q are the exact integers
-    (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the product moves
-    one factor along a boundary pair of that factor, so the width is the
-    least factor width, counting a factor only when the other has cells.
+    Cell (i, j), the pair of the i-th cell of c1 and the j-th of c2, sits at
+    position i*n2 + j, n2 = len(c2): cells are listed u-major.  Its boundary
+    d(u⊗v) = du⊗v + u⊗dv is read from the factors' positions alone, so an
+    iterated tensor builds no id boundary.  If both factors are split the
+    product is split with J acting coordinatewise; its fixed cell is the
+    pair of fixed cells.  A sum of gradings from the cosets of tau1 and tau2
+    lies in the coset of their sum, so its reduced denominator is that
+    coset's denominator q, and the numerators n1/q1 + n2/q2 over q are the
+    exact integers (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the
+    product moves one factor along a boundary pair of that factor, so the
+    width is the least factor width, counting a factor only when the other
+    has cells.
     """
-    ids2 = c2.ids()
-    pid = {u: {v: _pid(u, v) for v in ids2} for u in c1.ids()}
+    ids1, ids2 = c1.ids(), c2.ids()
+    n1, n2 = len(ids1), len(ids2)
+    n = n1 * n2
     tau = (c1.tau + c2.tau) % 2
     q, q1, q2 = tau.denominator, c1._q, c2._q
-    q12, dims2 = q1 * q2, c2._dim
-    scaled2 = {v: n * q1 * q for v, n in c2._num.items()}
-    dims, bdry, num = {}, {}, {}
-    for u, d1 in c1._dim.items():
-        row, scaled, bu = pid[u], c1._num[u] * q2 * q, c1.bdry[u]
-        for v, d2 in dims2.items():
-            w = row[v]
-            dims[w] = d1 + d2
-            num[w] = (scaled + scaled2[v]) // q12
-            bdry[w] = frozenset([pid[du][v] for du in bu] + [row[dv] for dv in c2.bdry[v]])
-    if len(dims) != len(c1) * len(c2):
-        raise _duplicate_id(w for row in pid.values() for w in row.values())
-    least = min(c1._width if dims2 else INFINITE, c2._width if c1._dim else INFINITE)
+    q12, dims1 = q1 * q2, list(c1._dim.values())
+    scaled1 = [k * q2 * q for k in c1._num.values()]
+    # one column (the cells u⊗v for one v) at a time, interleaved u-major
+    columns, ids, dim_list, num_list = [], [None] * n, [None] * n, [None] * n
+    for j, (v, d2, k) in enumerate(zip(ids2, c2._dim.values(), c2._num.values())):
+        right, scaled = TENSOR_SEP + v, k * q1 * q
+        ids[j::n2] = column = [u + right for u in ids1]
+        columns.append(column)
+        dim_list[j::n2] = map(d2.__add__, dims1)
+        num_list[j::n2] = [(s + scaled) // q12 for s in scaled1]
+    dims = dict(zip(ids, dim_list))
+    if len(dims) != n:
+        raise _duplicate_id(ids)
+    # column j: du⊗v at a*n2 + j for a in du, then u⊗dv at i*n2 + b for b in dv
+    adj, lefts = [None] * n, [tuple([t * n2 for t in ts]) for ts in c1._adj]
+    for j, ts2 in enumerate(c2._adj):
+        col = [tuple([t + j for t in left]) for left in lefts] if j else lefts
+        if ts2:
+            col = list(map(tuple.__add__, col, zip(*[range(t, t + n, n2) for t in ts2])))
+        adj[j::n2] = col
+    num = dict(zip(ids, num_list))
+    least = min(c1._width if n2 else INFINITE, c2._width if n1 else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        J = {pid[u][v]: pid[c1.J[u]][c2.J[v]] for u in c1.ids() for v in ids2}
-        fixed = pid[c1.fixed][c2.fixed]
-        return _derived(dims, bdry, tau, num, least, J, fixed)
-    return _derived(dims, bdry, tau, num, least)
+        # J(u⊗v) = Ju⊗Jv: the rows of the Ju, read in the column of Jv
+        rows = list(map(dict(zip(ids1, range(n1))).__getitem__, map(c1.J.__getitem__, ids1)))
+        cols = map(dict(zip(ids2, range(n2))).__getitem__, map(c2.J.__getitem__, ids2))
+        J_list = [None] * n
+        for j, jv in enumerate(cols):
+            J_list[j::n2] = map(columns[jv].__getitem__, rows)
+        J = dict(zip(ids, J_list))
+        return _derived(dims, adj, tau, num, least, J, _pid(c1.fixed, c2.fixed))
+    return _derived(dims, adj, tau, num, least)
 
 
 def dual(c: GeometricComplex) -> GeometricComplex:

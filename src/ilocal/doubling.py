@@ -36,7 +36,8 @@ lift to grading-preserving F2[U]-maps by inserting U-powers, each found by
 the one lift rule of ``complexes`` (``GeometricComplex._lift``), and g o f
 is the identity on the nose.  Both maps are built from the same double
 and the same tensor: a one-slot cache keeps the last pair, so f followed
-by g on the same arguments builds each once.
+by g on the same arguments builds each once.  The basis complex X_delta of
+that tensor depends on delta alone and is built once per delta.
 
 Halving is implemented algebraically as dual o double o dual.
 """
@@ -184,6 +185,16 @@ def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> Ch
     return ChainMap(src, tgt, assignment)
 
 
+@lru_cache(maxsize=16)
+def _basis_complex(delta: int) -> SplitComplex:
+    """X_delta, shared by every local pair with this delta.
+
+    Complexes are immutable, so sharing it is safe, and ``tensor`` then
+    reads its positional boundary without building it again.
+    """
+    return _xi_complex(delta)
+
+
 @lru_cache(maxsize=1)
 def _local_pair(x: SplitComplex, delta: int, chosen: FrozenSet[str]):
     """The double of x and its tensor with X_delta, shared by f and g.
@@ -192,7 +203,7 @@ def _local_pair(x: SplitComplex, delta: int, chosen: FrozenSet[str]):
     the key is x's identity (complexes define no ``__eq__``), delta and the
     validated splitting.
     """
-    return double(x, delta, chosen), tensor(x, _xi_complex(delta))
+    return double(x, delta, chosen), tensor(x, _basis_complex(delta))
 
 
 def local_map_f(

@@ -14,7 +14,10 @@ every complex has by construction; the result is not defined for a
 skeleton without it.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
-gradings do.
+gradings do.  The columns come from positions: each is read from the
+complex's positional boundary ``_adj``, whose positions index ``ids()``,
+through one list from positions to ranks in the order, so no id is looked
+up while the columns are built.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -43,10 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import GeometricComplex, SplitComplex
+from .complexes import GeometricComplex, SplitComplex, _view
 from .errors import NotAChainMap, NotSplit
 from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, grading_to_str
 
@@ -80,11 +82,11 @@ class ReductionResult:
     _owner: Dict[int, int]  # pivot -> the column whose R has it
     _towers: Tuple[Tuple[int, Length], ...]  # (column j, length) per tower
 
-    @cached_property
+    @_view
     def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:
         return tuple(self._chain(self._V[j]) for j, length in self._towers if length == INFINITE)
 
-    @cached_property
+    @_view
     def torsion_pairs(self) -> Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]:
         return tuple(
             (self._chain(self._V[j])[1], self._chain(self._R[j])[1], length)
@@ -92,7 +94,7 @@ class ReductionResult:
             if length != INFINITE
         )
 
-    @cached_property
+    @_view
     def _basis(self) -> Dict[int, Tuple[int, Optional[Tuple[str, int, Length]]]]:
         """Pivot -> (basis cycle, (kind, index, length)), for ``express``.
 
@@ -209,21 +211,26 @@ def homology(c: GeometricComplex) -> ReductionResult:
     Defined for complexes (bdry o bdry = 0), which every construction
     guarantees; see the module docstring.
     """
-    # the numerators share the denominator q > 0, so this is (-gr, dim, id)
-    num, dims, q, bdry = c._num, c._dim, c._q, c.bdry
-    order = tuple(sorted(c.ids(), key=lambda cid: (-num[cid], dims[cid], cid)))
-    pos = {cid: i for i, cid in enumerate(order)}
+    # the numerators share the denominator q > 0, so this is (-gr, dim, id);
+    # ids are distinct, so the positions never break a tie.  neg_num, dims
+    # and order are read by rank, perm[r] is the position in ids() of rank
+    # r, and rank[i] that of position i
+    ids, adj, q = c.ids(), c._adj, c._q
+    keys = sorted(zip([-n for n in c._num.values()], c._dim.values(), ids, range(len(ids))))
+    neg_num, dims, order, perm = zip(*keys) if keys else ((),) * 4
+    pos = dict(zip(order, range(len(order))))
+    rank = list(map(pos.__getitem__, ids))
 
     def column(j):
         col = 0
-        for tid in bdry[order[j]]:
-            col |= 1 << pos[tid]
+        for t in adj[perm[j]]:
+            col |= 1 << rank[t]
         return col
 
     # dimensions from the top down, so each pivot is known before its own
     # column is read; the sort is stable, keeping the order within each
-    by_dim = [-dims[cid] for cid in order]
-    R, V, owner = _reduce(column, sorted(range(len(order)), key=by_dim.__getitem__), clear=True)
+    js = sorted(range(len(order)), key=dims.__getitem__, reverse=True)
+    R, V, owner = _reduce(column, js, clear=True)
 
     # a column reducing to zero unpaired is a free tower topped at its own
     # cell; one that pivots at i is a torsion tower topped at i, of length
@@ -233,7 +240,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
         if col:
             top = col.bit_length() - 1
             # the pivot lies above column j by a gap in 2qZ: boundary steps add up
-            length = (num[order[top]] - num[order[j]]) // (2 * q)
+            length = (neg_num[j] - neg_num[top]) // (2 * q)
             if not length:
                 continue
         elif j in owner:
@@ -241,7 +248,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
         else:
             top, length = j, INFINITE
         gens.append((j, length))
-        key = (num[order[top]] + q * dims[order[top]], length)
+        key = (q * dims[top] - neg_num[top], length)
         counts[key] = counts.get(key, 0) + 1
     module = _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in counts.items()})
     return ReductionResult(c, module, order, pos, R, V, owner, tuple(gens))

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 Grading = Fraction
@@ -153,20 +154,21 @@ class Tower:
 _RANK = {DOWN: 0, UP: 1, None: 2}
 
 
-def _canonical_order(towers) -> list:
-    """``towers`` by descending top, then descending length.
+def _canonical_order(items, tower=lambda t: t) -> list:
+    """``items`` by their towers' descending top, then descending length.
 
+    ``tower`` reads an item's tower; by default the items are the towers.
     Orientation only breaks the remaining ties (down < up < unoriented).
     Each top is compared as the integer ``top * L``, with L the lcm of the
     tops' denominators: the same order as the gradings', in integers.
     """
-    lcm = math.lcm(*(t.top.denominator for t in towers))
-    return sorted(
-        towers,
-        key=lambda t: (
-            -t.top.numerator * (lcm // t.top.denominator), -t.length, _RANK[t.orientation]
-        ),
-    )
+    lcm = math.lcm(*(tower(t).top.denominator for t in items))
+
+    def key(item):
+        t = tower(item)
+        return -t.top.numerator * (lcm // t.top.denominator), -t.length, _RANK[t.orientation]
+
+    return sorted(items, key=key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +245,9 @@ class FUModule:
 def _module_from_counts(counts: dict) -> FUModule:
     """Canonical module of ``counts[top, length]`` shared unoriented towers; seeds ``_counts``."""
     towers = []
-    for t in _canonical_order([Tower(top, length) for top, length in counts]):
-        towers += [t] * counts[t.top, t.length]
+    pairs = [(Tower(top, length), k) for (top, length), k in counts.items()]
+    for t, k in _canonical_order(pairs, itemgetter(0)):
+        towers += [t] * k
     m = FUModule(tuple(towers))
     m.__dict__["_counts"] = counts
     return m

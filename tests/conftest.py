@@ -35,7 +35,9 @@ def revalidate_derived(request, monkeypatch):
     The cells are read back from the stored tables, so this checks the
     boundary, width, J and fixed cell against them; the tables themselves
     are compared with the Fraction formulas by ``TestDerivedGradings`` and
-    ``TestDouble::test_cells_on_random_complexes``.
+    ``TestDouble::test_cells_on_random_complexes``.  Both boundary forms
+    are compared, each row of positions as a set, and the tables must be
+    keyed in ``ids()`` order, which the positions index.
     """
     if request.node.get_closest_marker("trusted_derived"):
         return
@@ -50,6 +52,8 @@ def revalidate_derived(request, monkeypatch):
         assert (c.bdry, c._dim, c._num, c._q, c._width, c.tau) == (
             ref.bdry, ref._dim, ref._num, ref._q, ref._width, ref.tau
         )
+        assert list(c._num) == list(c._dim) == list(ref._dim)
+        assert [set(row) for row in c._adj] == [set(row) for row in ref._adj]
         return c
 
     for name, mod in list(sys.modules.items()):

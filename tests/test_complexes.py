@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilocal import (
     Cell,
@@ -20,6 +23,7 @@ from ilocal import (
     dual,
     tensor,
 )
+from ilocal.suite import random_geometric_complex, random_split_complex
 
 
 class TestBuilders:
@@ -497,6 +501,60 @@ class TestStoredFields:
         assert {c.tau.denominator for c in complexes} > {1}
         for c in complexes:
             assert c._q == c.tau.denominator
+
+
+def boundary_forms_agree(c):
+    """``bdry`` built from ``_adj`` and ``_adj`` built from ``bdry`` agree with c's own.
+
+    Rows are compared as sets: the order in which a frozenset iterates may
+    differ between the two, and nothing may depend on it.
+    """
+    ids = c.ids()
+    adj, bdry = c._adj, c.bdry
+    assert len(adj) == len(ids) and bdry.keys() == set(ids)
+    for row in adj:
+        assert type(row) is tuple and len(set(row)) == len(row)
+        assert all(type(t) is int and 0 <= t < len(ids) for t in row)
+    assert GeometricComplex.bdry.build(c) == bdry
+    assert [set(row) for row in GeometricComplex._adj.build(c)] == [set(row) for row in adj]
+    assert bdry == {cid: frozenset(ids[t] for t in row) for cid, row in zip(ids, adj)}
+
+
+@pytest.mark.trusted_derived
+class TestBoundaryForms:
+    """A complex stores one boundary form, the one its construction computes;
+    the other is built from it on first read."""
+
+    @staticmethod
+    def stored(c):
+        return [form for form in ("bdry", "_adj") if form in vars(c)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_forms_agree(self, seed):
+        rng = random.Random(seed)
+        # a draw may end in a tensor step, and then stores positions
+        sc = random_split_complex(rng, max_cells=10)
+        assert len(self.stored(sc)) == 1
+        g = random_geometric_complex(rng, max_cells=8)
+        made = [sc]
+        for c in (g, build_xi(rng.randint(1, 4)), build_misordered(1, 3),
+                  complex_from_json(complex_to_json(sc)), dual(sc), dual(g), double(sc, 0).complex):
+            assert self.stored(c) == ["bdry"]
+            made.append(c)
+        for c in (tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))):
+            assert self.stored(c) == ["_adj"]
+            made.append(c)
+        for c in made:
+            boundary_forms_agree(c)
+            assert sorted(self.stored(c)) == ["_adj", "bdry"]
+
+    def test_split_complex_over_a_product_stores_bdry(self):
+        p = tensor(build_xi(1), dual(build_xi(2)))
+        s = SplitComplex(p, p.J)
+        assert self.stored(s) == ["bdry"]
+        boundary_forms_agree(s)
+        assert s.bdry == p.bdry
 
 
 class TestDecompose:

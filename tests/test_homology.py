@@ -10,7 +10,9 @@ from ilocal import (
     ChainMap,
     GeometricComplex,
     INFINITE,
+    InvalidComplex,
     NotAChainMap,
+    SplitComplex,
     Tower,
     FUModule,
     build_misordered,
@@ -20,6 +22,7 @@ from ilocal import (
     homology,
     induced_map,
     is_u_localized_iso,
+    kunneth,
     representative,
     tensor,
 )
@@ -440,3 +443,67 @@ def test_reduction_of_the_empty_complex():
     result = homology(c)
     assert result.module == FUModule() and result._R == [] and result._owner == {}
     assert result.witnesses_json() == {"free": [], "torsion": []}
+
+
+# -- iterated tensors, reduced from positions alone -------------------------
+
+PLAIN = GeometricComplex([Cell("p", 1, F(-4)), Cell("q", 0, F(0))], {"p": {"q"}})
+
+
+def iterated_tensor_cases(rng):
+    """Chains of 2 to 4 factors: X_i, their duals, fractional X_i and a plain complex."""
+    pool = [
+        lambda: build_xi(rng.randint(1, 4)),
+        lambda: dual(build_xi(rng.randint(1, 4))),
+        lambda: fractional_xi(rng.randint(1, 3), rng.choice((F(1, 2), F(-1, 3), F(5, 3)))),
+        lambda: PLAIN,
+        lambda: dual(PLAIN),
+    ]
+    return [[rng.choice(pool)() for _ in range(rng.randint(2, 4))] for _ in range(3)]
+
+
+def rebuilt(c):
+    """``c`` rebuilt through the validating constructors."""
+    ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
+    return SplitComplex(ref, c.J) if isinstance(c, SplitComplex) else ref
+
+
+def check_iterated_tensor(factors):
+    product = factors[0]
+    for f in factors[1:]:
+        product = tensor(product, f)
+    result = homology(product)
+    # neither the products nor their homology built an id boundary
+    assert "bdry" not in vars(product)
+    expected = homology(factors[0]).module
+    for f in factors[1:]:
+        expected = kunneth(expected, homology(f).module)
+    assert result.module == expected
+    ref = homology(rebuilt(product))
+    assert (result._order, result._R, result._owner) == (ref._order, ref._R, ref._owner)
+    assert result.witnesses_json() == ref.witnesses_json()
+
+
+@pytest.mark.trusted_derived
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_iterated_tensors_reduce_from_positions(seed):
+    for factors in iterated_tensor_cases(random.Random(seed)):
+        check_iterated_tensor(factors)
+
+
+@pytest.mark.trusted_derived
+def test_iterated_tensors_with_an_empty_factor_or_repeated_ids():
+    empty = GeometricComplex([], {})
+    for factors in ([build_xi(2), empty, dual(build_xi(1))], [empty, PLAIN], [PLAIN, build_xi(1), empty]):
+        check_iterated_tensor(factors)
+    # "a⊗b⊗b" ⊗ "c" and "a⊗b" ⊗ "b⊗c" get the same id, as in the constructor
+    left = tensor(GeometricComplex([Cell("a", 0, F(0)), Cell("a⊗b", 0, F(0))], {}),
+                  GeometricComplex([Cell("b", 0, F(0))], {}))
+    right = GeometricComplex([Cell("c", 0, F(0)), Cell("b⊗c", 0, F(0))], {})
+    with pytest.raises(InvalidComplex) as info:
+        tensor(left, right)
+    assert str(info.value) == "duplicate cell id 'a⊗b⊗b⊗c'"
+    with pytest.raises(InvalidComplex) as ref:
+        GeometricComplex([Cell(u + "⊗" + v, 0, F(0)) for u in left.ids() for v in right.ids()], {})
+    assert str(ref.value) == str(info.value)
