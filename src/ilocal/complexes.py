@@ -48,9 +48,12 @@ or ``_adj``, each cell's boundary as a tuple of positions, listed in
 ``ids()`` order, where a position indexes ``ids()``.  The other form is a
 view built from the stored one on first read, as are the ``Cell`` objects of
 ``cells``, so a complex that is only reduced, mapped or derived from never
-builds them.  ``tensor``, ``homology`` and the derived differential
-``_fu_terms`` read only ``_adj``; ``dual``, ``double``, ``decompose``, the
-J checks and the JSON read only ``bdry``.  Complexes that enter from outside
+builds them.  ``_index``, each id's position in ``ids()``, is another such
+view and the one map from ids to positions: the ``_adj`` view, ``tensor``'s
+J and ``homology``'s ``express`` read it, and nothing else builds one.
+``tensor``, ``homology`` and the derived differential ``_fu_terms`` read
+only ``_adj``; ``dual``, ``double``, ``decompose``, the J checks and the
+JSON read only ``bdry``.  Complexes that enter from outside
 (the public constructors, the builders, ``complex_from_json``) are validated
 in full into the tables and store ``bdry``.  ``dual``, ``tensor`` and
 ``double`` derive new complexes from validated ones and are valid by
@@ -69,7 +72,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
-from .towers import INFINITE, Grading, grading_from_json, grading_to_str
+from .towers import INFINITE, Grading, _view, grading_from_json, grading_to_str
 
 #: An F2 chain in a skeleton: the set of cells with coefficient 1.
 Chain = FrozenSet[str]
@@ -94,25 +97,6 @@ class Cell:
     @property
     def maslov(self) -> Grading:
         return self.gr + self.dim
-
-
-class _view:
-    """A field built from the stored ones on first read, then kept in the instance.
-
-    This is ``functools.cached_property`` without the lock that CPython 3.11
-    takes on every first read, which costs more than building a view of a
-    small complex.  Complexes are immutable, so two threads that race on a
-    first read build equal values.
-    """
-
-    def __init__(self, build):
-        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
 
 
 def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
@@ -212,9 +196,13 @@ class GeometricComplex:
     @_view
     def _adj(self) -> List[Tuple[int, ...]]:
         """Each cell's boundary as positions in ``ids()``, built from ``bdry`` on first read."""
-        at = dict(zip(self._dim, range(len(self._dim)))).__getitem__
-        bdry = self.bdry
+        at, bdry = self._index.__getitem__, self.bdry
         return [tuple(map(at, bdry[cid])) for cid in self._dim]
+
+    @_view
+    def _index(self) -> Dict[str, int]:
+        """Each cell's position in ``ids()``: the one map from ids to positions."""
+        return dict(zip(self._dim, range(len(self._dim))))
 
     # -- basic accessors ------------------------------------------------
 
@@ -495,8 +483,8 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     least = min(c1._width if n2 else INFINITE, c2._width if n1 else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
         # J(u⊗v) = Ju⊗Jv: the rows of the Ju, read in the column of Jv
-        rows = list(map(dict(zip(ids1, range(n1))).__getitem__, map(c1.J.__getitem__, ids1)))
-        cols = map(dict(zip(ids2, range(n2))).__getitem__, map(c2.J.__getitem__, ids2))
+        rows = list(map(c1._index.__getitem__, map(c1.J.__getitem__, ids1)))
+        cols = map(c2._index.__getitem__, map(c2.J.__getitem__, ids2))
         J_list = [None] * n
         for j, jv in enumerate(cols):
             J_list[j::n2] = map(columns[jv].__getitem__, rows)

@@ -80,9 +80,6 @@ class LinearCombination:
             signs[index] = sign
         return True
 
-    def negated(self) -> "LinearCombination":
-        return LinearCombination(tuple((-s, i) for s, i in self.terms))
-
     def to_json(self) -> list:
         return [{"sign": "+" if s > 0 else "-", "index": i} for s, i in self.terms]
 

@@ -17,7 +17,9 @@ every gr shares one positive denominator, so they order the cells as the
 gradings do.  The columns come from positions: each is read from the
 complex's positional boundary ``_adj``, whose positions index ``ids()``,
 through one list from positions to ranks in the order, so no id is looked
-up while the columns are built.
+up while the columns are built.  That list is the inverse of the
+permutation the sort returns, so the reduction builds no map keyed by cell
+id; ``express`` reaches a cell's rank through the complex's ``_index``.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -48,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import GeometricComplex, SplitComplex, _view
+from .complexes import GeometricComplex, SplitComplex
 from .errors import NotAChainMap, NotSplit
-from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, grading_to_str
+from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, _view, grading_to_str
 
 #: A homogeneous F2[U]-chain: cell id -> U-exponent (coefficient 1).
 HomogeneousChain = Dict[str, int]
@@ -76,7 +78,7 @@ class ReductionResult:
     complex: GeometricComplex
     module: FUModule
     _order: Tuple[str, ...]
-    _pos: Dict[str, int]
+    _rank: List[int]  # the rank in _order of each position of complex.ids()
     _R: List[int]  # reduced columns, as bitmasks over _order
     _V: List[int]  # R[j] is the sum of the columns in V[j]
     _owner: Dict[int, int]  # pivot -> the column whose R has it
@@ -126,14 +128,21 @@ class ReductionResult:
         Returns a list of (kind, index, U-exponent) with kind "free" or
         "torsion" and index into the corresponding representative tuple;
         torsion coefficients U^c with c at or past the tower length are
-        dropped.  Raises ValueError if the input is not a homogeneous cycle.
+        dropped.  Raises ValueError if the input is not a homogeneous cycle,
+        names an unknown cell or carries a U-exponent that is not an integer
+        k >= 0.
         """
-        degree = Fraction(degree)
+        degree, at, rank = Fraction(degree), self.complex._index, self._rank
         vec = 0
         for cid, exp in chain.items():
+            i = at.get(cid)
+            if i is None:
+                raise ValueError(f"chain mentions unknown cell {cid!r}")
+            if type(exp) is not int or exp < 0:
+                raise ValueError(f"chain carries invalid U-exponent {exp!r} at {cid!r}")
             if self.complex.degree_of(cid, exp) != degree:
                 raise ValueError(f"chain is not homogeneous of degree {degree} at {cid!r}")
-            vec |= 1 << self._pos[cid]
+            vec |= 1 << rank[i]
         out, basis = [], self._basis
         while vec:
             p = vec.bit_length() - 1
@@ -214,12 +223,13 @@ def homology(c: GeometricComplex) -> ReductionResult:
     # the numerators share the denominator q > 0, so this is (-gr, dim, id);
     # ids are distinct, so the positions never break a tie.  neg_num, dims
     # and order are read by rank, perm[r] is the position in ids() of rank
-    # r, and rank[i] that of position i
+    # r, and rank[i], from the inverse permutation, the rank of position i
     ids, adj, q = c.ids(), c._adj, c._q
     keys = sorted(zip([-n for n in c._num.values()], c._dim.values(), ids, range(len(ids))))
     neg_num, dims, order, perm = zip(*keys) if keys else ((),) * 4
-    pos = dict(zip(order, range(len(order))))
-    rank = list(map(pos.__getitem__, ids))
+    rank = [0] * len(perm)
+    for r, i in enumerate(perm):
+        rank[i] = r
 
     def column(j):
         col = 0
@@ -251,7 +261,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
         key = (q * dims[top] - neg_num[top], length)
         counts[key] = counts.get(key, 0) + 1
     module = _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in counts.items()})
-    return ReductionResult(c, module, order, pos, R, V, owner, tuple(gens))
+    return ReductionResult(c, module, order, rank, R, V, owner, tuple(gens))
 
 
 # -- chain maps ----------------------------------------------------------
@@ -294,10 +304,6 @@ class ChainMap:
                     raise ValueError(f"image of {cid!r} carries invalid U-exponent {exp!r}")
             norm[cid] = terms
         object.__setattr__(self, "assignment", norm)
-
-    @classmethod
-    def identity(cls, c: GeometricComplex) -> "ChainMap":
-        return cls(c, c, {cid: {(cid, 0)} for cid in c.ids()})
 
     def __call__(self, cid: str) -> TermSet:
         return self.assignment[cid]

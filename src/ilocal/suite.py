@@ -39,8 +39,9 @@ def random_combination(
     return cn.LinearCombination(tuple(terms))
 
 
-def random_even_d(rng: random.Random, lo: int = -10, hi: int = 10) -> Fraction:
-    return Fraction(2 * rng.randint(lo // 2, hi // 2))
+def random_even_d(rng: random.Random) -> Fraction:
+    """An even grading shift d in [-10, 10]."""
+    return Fraction(2 * rng.randint(-5, 5))
 
 
 def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.GeometricComplex:

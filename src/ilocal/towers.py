@@ -20,7 +20,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -55,6 +54,25 @@ def grading_from_json(value, what: str, error=ValueError) -> Grading:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise error(f"{what} has invalid grading {value!r}") from None
+
+
+class _view:
+    """A field built from the stored ones on first read, then kept in the instance.
+
+    This is ``functools.cached_property`` without the lock that CPython 3.11
+    takes on every first read, which costs more than building a small view.
+    The instances it serves (modules, complexes, reduction results) never
+    change, so two threads that race on a first read build equal values.
+    """
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
 
 
 class Orientation(enum.Enum):
@@ -104,15 +122,6 @@ class Tower:
             raise ValueError("a free tower occupies infinitely many gradings")
         for k in range(self.length):
             yield self.top - 2 * k
-
-    @property
-    def head(self) -> Grading:
-        """Head grading: maximal for a down tower, minimal for an up tower."""
-        if self.orientation is DOWN:
-            return self.top
-        if self.orientation is UP:
-            return self.bottom
-        raise ValueError("an unoriented tower has no head")
 
     @property
     def tail(self) -> Grading:
@@ -203,7 +212,7 @@ class FUModule:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FUModule({list(self.towers)!r})"
 
-    @cached_property
+    @_view
     def _counts(self) -> dict:
         """Multiplicity of each (top, length), orientations ignored."""
         return dict(Counter((t.top, t.length) for t in self.towers))

@@ -523,11 +523,15 @@ def boundary_forms_agree(c):
 @pytest.mark.trusted_derived
 class TestBoundaryForms:
     """A complex stores one boundary form, the one its construction computes;
-    the other is built from it on first read."""
+    the other is built from it on first read, as is the index of positions."""
 
     @staticmethod
     def stored(c):
         return [form for form in ("bdry", "_adj") if form in vars(c)]
+
+    @staticmethod
+    def index_agrees(c):
+        assert c._index == {cid: i for i, cid in enumerate(c.ids())}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -548,6 +552,7 @@ class TestBoundaryForms:
         for c in made:
             boundary_forms_agree(c)
             assert sorted(self.stored(c)) == ["_adj", "bdry"]
+            self.index_agrees(c)
 
     def test_split_complex_over_a_product_stores_bdry(self):
         p = tensor(build_xi(1), dual(build_xi(2)))
@@ -555,6 +560,8 @@ class TestBoundaryForms:
         assert self.stored(s) == ["bdry"]
         boundary_forms_agree(s)
         assert s.bdry == p.bdry
+        self.index_agrees(p)
+        self.index_agrees(s)
 
 
 class TestDecompose:

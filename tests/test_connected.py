@@ -118,7 +118,7 @@ class TestPlacement:
     def test_negation_reflects(self):
         for terms in (((1, 5), (-1, 4), (1, 2)), ((1, 4), (1, 1)), ((-1, 6),)):
             lc = LC(terms)
-            flipped = connected_homology(lc.negated())
+            flipped = connected_homology(LC(tuple((-s, i) for s, i in lc.terms)))
             mirrored = reflect(connected_homology(lc))
             assert oriented_equal(flipped, mirrored)
 

@@ -228,7 +228,8 @@ class TestVerifyLocalPair:
         assert report.passed and report.witness is None
 
     def test_identity_pair(self):
-        ident = ChainMap.identity(build_xi(2))
+        x = build_xi(2)
+        ident = ChainMap(x, x, {cid: {(cid, 0)} for cid in x.ids()})
         assert verify_local_pair(ident, ident).passed
 
     def test_perturbed_exponent_fails_with_witness(self):

@@ -134,6 +134,24 @@ class TestExpress:
         with pytest.raises(ValueError):
             result.express({"b": 0}, result.complex.maslov("b"))
 
+    def test_unknown_cell_rejected(self):
+        result = homology(build_xi(2))
+        with pytest.raises(ValueError, match="chain mentions unknown cell 'z'"):
+            result.express({"a": 0, "z": 0}, 0)
+
+    @pytest.mark.parametrize("exp", [0.5, 1.0, "1", True])
+    def test_non_integer_exponent_rejected(self, exp):
+        result = homology(build_xi(2))
+        with pytest.raises(ValueError, match="invalid U-exponent"):
+            result.express({"a": exp}, -2)
+
+    def test_negative_exponent_rejected(self):
+        # M(a) - 2(-1) = 2, so the homogeneity check alone would pass it
+        result = homology(build_xi(2))
+        assert result.complex.degree_of("a", -1) == 2
+        with pytest.raises(ValueError, match="invalid U-exponent -1 at 'a'"):
+            result.express({"a": -1}, 2)
+
 
 class TestLazyRepresentatives:
     @pytest.mark.parametrize("read", ["free_cycles", "torsion_pairs", "witnesses_json"])
@@ -167,7 +185,7 @@ class TestLazyRepresentatives:
 class TestChainMap:
     def test_identity_induces_identity(self):
         c = build_xi(2)
-        entries = induced_map(ChainMap.identity(c))
+        entries = induced_map(ChainMap(c, c, {cid: {(cid, 0)} for cid in c.ids()}))
         assert entries == [[("free", 0, 0)]]
 
     def test_zero_map_induces_zero(self):
@@ -177,7 +195,8 @@ class TestChainMap:
         assert is_u_localized_iso(zero) is False
 
     def test_identity_is_u_localized_iso(self):
-        assert is_u_localized_iso(ChainMap.identity(build_xi(3))) is True
+        c = build_xi(3)
+        assert is_u_localized_iso(ChainMap(c, c, {cid: {(cid, 0)} for cid in c.ids()})) is True
 
     def test_local_map_hits_free_generator_with_unit_coefficient(self):
         from ilocal import local_map_f, local_map_g
@@ -399,8 +418,9 @@ def check_against_global_reduction(c):
         elif j not in owner:
             towers.append((j, INFINITE))
     result = homology(c)
-    ref = ReductionResult(c, result.module, order, pos, R, V, owner, tuple(towers))
-    assert (result._order, result._pos) == (order, pos)
+    rank = [pos[cid] for cid in c.ids()]
+    ref = ReductionResult(c, result.module, order, rank, R, V, owner, tuple(towers))
+    assert (result._order, result._rank) == (order, rank)
     assert result._R == R
     assert result._owner == owner
     assert result._towers == ref._towers
@@ -424,6 +444,10 @@ def check_against_global_reduction(c):
         if not col:
             degree, chain = ref._chain(V[j])
             assert result.express(chain, degree) == ref.express(chain, degree)
+    check_generators_express_as_themselves(result)
+
+
+def check_generators_express_as_themselves(result):
     for i, (degree, chain) in enumerate(result.free_cycles):
         assert result.express(chain, degree) == [("free", i, 0)]
     for i, (_, z, _) in enumerate(result.torsion_pairs):
@@ -473,7 +497,8 @@ def check_iterated_tensor(factors):
     for f in factors[1:]:
         product = tensor(product, f)
     result = homology(product)
-    # neither the products nor their homology built an id boundary
+    check_generators_express_as_themselves(result)
+    # neither the products, their homology nor express built an id boundary
     assert "bdry" not in vars(product)
     expected = homology(factors[0]).module
     for f in factors[1:]:
