@@ -1,0 +1,117 @@
+"""Benchmark smoke runs: pinned seed-1 output digests and traced call counts.
+
+Runs ``perfbench/run.py`` at seed 1 for 3 s per run and checks
+
+* every workload, untraced: no failed case, and the sha256 over the outputs
+  of the first pass equals the pinned digest (it depends neither on
+  ``--seconds`` nor on the checkout or work directory);
+* ``representative_sweep``, traced: double and dual are called, and only
+  the trivial start of each case is validated (one ``GeometricComplex`` and
+  one ``SplitComplex`` construction per pool case);
+* ``local_verify``, traced: one double, one tensor and one decompose per
+  pool case;
+* ``tensor_kunneth``, traced: one homology per pool case and all 108
+  tensors of the 20-case pool built, since homology and Kunneth are never
+  memoised across cases.
+
+Standard library only; run from anywhere:
+
+    python3 scripts/bench_smoke.py
+
+Each run's two result lines are printed; the exit status is 1 if any check
+failed, with one line per failure.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PINNED = {
+    "representative_sweep": "7a1699e04aa1369aca0f68fa4037aa2ed1384deaca926da1a6dd407b067a66a9",
+    "tensor_kunneth": "315801e6a90c2ab0c8dd0426cf403b02c8eaf63ea58b13328e6e28254c160b23",
+    "local_verify": "8c03f056b6cf0e9441e680930a172e017ee83b9ac096aea074f18afc4392bc4b",
+    "cli_session": "1f539f3eb60c5750bf0f756fd131eb8aaf4dde6b86db14edcc71046621237db6",
+}
+
+
+def run(workload: str, trace: int):
+    """The detail and result records of one 3 s run at seed 1."""
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "3", "--trace", str(trace)]
+    out = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True).stdout
+    detail, result = out.splitlines()[-2:]
+    print(detail, result, sep="\n", flush=True)
+    return json.loads(detail)["detail"], json.loads(result)
+
+
+def check_digest(workload: str):
+    detail, r = run(workload, 0)
+    digest, pinned = detail["digest"], PINNED[workload]
+    if r["failed"] != 0 or digest != pinned:
+        return f"failed cases: {r['failed']}; output digest {digest}, pinned {pinned}"
+    return None
+
+
+def check_representative_sweep():
+    detail, r = run("representative_sweep", 1)
+    pool = detail["pool_cases"]
+    value = lambda name: r["metrics"][name]["value"]
+    zero = [name for name in ("doubling.double.calls", "complexes.dual.calls") if value(name) == 0]
+    # dual and double derive valid complexes; only the trivial start is validated
+    constructors = ("complexes.GeometricComplex.calls", "complexes.SplitComplex.calls")
+    off = {name: value(name) for name in constructors if value(name) != pool}
+    if r["failed"] != 0 or zero or off:
+        return (f"failed cases: {r['failed']}; layers that read 0: {zero}; "
+                f"pool cases: {pool}; constructor calls off that count: {off}")
+    return None
+
+
+def check_local_verify():
+    detail, r = run("local_verify", 1)
+    pool = detail["pool_cases"]
+    layers = ("doubling.double.calls", "complexes.tensor.calls", "complexes.decompose.calls")
+    off = {name: r["metrics"][name]["value"] for name in layers
+           if r["metrics"][name]["value"] != pool}
+    if r["failed"] != 0 or off:
+        return f"failed cases: {r['failed']}; pool cases: {pool}; calls off that count: {off}"
+    return None
+
+
+def check_tensor_kunneth():
+    detail, r = run("tensor_kunneth", 1)
+    pool = detail["pool_cases"]
+    value = lambda name: r["metrics"][name]["value"]
+    # homology and Kunneth are computed afresh in every case, never memoised
+    # across cases: one homology per case, and the 108 tensors of the seed-1
+    # pool (20 cases of 6 to 8 factors) are all built
+    want = {"homology.homology.calls": pool, "complexes.tensor.calls": 108}
+    off = {name: value(name) for name, n in want.items() if value(name) != n}
+    if r["failed"] != 0 or pool != 20 or off:
+        return f"failed cases: {r['failed']}; pool cases: {pool}; calls off: {off}"
+    return None
+
+
+def main() -> int:
+    checks = [(f"{w} digest", lambda w=w: check_digest(w)) for w in PINNED]
+    checks += [
+        ("representative_sweep traced", check_representative_sweep),
+        ("local_verify traced", check_local_verify),
+        ("tensor_kunneth traced", check_tensor_kunneth),
+    ]
+    failures = []
+    for name, check in checks:
+        message = check()
+        if message is not None:
+            failures.append(f"{name}: {message}")
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

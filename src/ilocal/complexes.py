@@ -28,8 +28,8 @@ each cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
 grading check of a chain map and the local maps alike, and ``_fu_terms``,
 each cell's derived differential as (target, U-exponent) pairs with the
 exponent (num(target) - num(cell)) // 2q.  That table is the one statement
-of the derived differential: ``fu_bdry`` reads it, and so does the chain
-check of a chain map.
+of the derived differential: ``fu_bdry`` reads it, and so does the witness
+of a failed chain check of a chain map (the check itself reads ``_adj``).
 
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
@@ -50,10 +50,11 @@ view built from the stored one on first read, as are the ``Cell`` objects of
 ``cells``, so a complex that is only reduced, mapped or derived from never
 builds them.  ``_index``, each id's position in ``ids()``, is another such
 view and the one map from ids to positions: the ``_adj`` view, ``tensor``'s
-J and ``homology``'s ``express`` read it, and nothing else builds one.
-``tensor``, ``homology`` and the derived differential ``_fu_terms`` read
-only ``_adj``; ``dual``, ``double``, ``decompose``, the J checks and the
-JSON read only ``bdry``.  Complexes that enter from outside
+J, ``homology``'s ``express`` and the patterns of chain maps read it, and
+nothing else builds one.
+``tensor``, ``homology``, the derived differential ``_fu_terms`` and the
+chain check of a chain map read only ``_adj``; ``dual``, ``double``,
+``decompose``, the J checks and the JSON read only ``bdry``.  Complexes that enter from outside
 (the public constructors, the builders, ``complex_from_json``) are validated
 in full into the tables and store ``bdry``.  ``dual``, ``tensor`` and
 ``double`` derive new complexes from validated ones and are valid by

@@ -60,7 +60,14 @@ from .complexes import (
     validate_splitting,
 )
 from .errors import WidthExceeded
-from .homology import ChainMap, compose, homology, is_u_localized_iso
+from .homology import (
+    ChainMap,
+    _is_left_inverse,
+    _same_complex,
+    compose,
+    homology,
+    is_u_localized_iso,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +277,11 @@ def verify_local_pair(f: ChainMap, g: ChainMap) -> VerifyReport:
     The checks, in order: both maps are grading-preserving chain maps; both
     are strictly J-equivariant; g o f is the identity on A; both induce
     isomorphisms after inverting U.  The first failure is reported with a
-    witness and later checks are not attempted.
+    witness and later checks are not attempted.  Raises ValueError unless
+    f's target is g's source and g's target is f's source.
     """
+    if not (_same_complex(f.target, g.source) and _same_complex(g.target, f.source)):
+        raise ValueError("maps do not form a pair: f: A -> B needs g: B -> A")
     for name, m in (("f", f), ("g", g)):
         w = m.grading_witness() or m.chain_witness()
         if w is not None:
@@ -280,7 +290,8 @@ def verify_local_pair(f: ChainMap, g: ChainMap) -> VerifyReport:
         w = m.j_witness()
         if w is not None:
             return VerifyReport(True, False, False, False, {"check": "j_equivariant", "map": name, **w})
-    w = compose(g, f).identity_witness()
+    # both maps passed the grading check, so g o f = id can be read on patterns
+    w = None if _is_left_inverse(g, f) else compose(g, f).identity_witness()
     if w is not None:
         return VerifyReport(True, True, False, False, {"check": "gf_identity", **w})
     ha, hb = homology(f.source), homology(f.target)

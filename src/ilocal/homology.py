@@ -38,10 +38,25 @@ U-power here follows the one grading rule of ``complexes``: U^k e has
 Maslov degree M(e) - 2k (``GeometricComplex.degree_of``, inverted by
 ``u_power`` and, for the chain-map grading check, by the same integer lift).
 
-The chain-map checks build no ``Fraction``: the grading check lifts each
-image term on the integer Maslov table, and the chain check adds U-shifted
-images from each complex's table of (target, U-exponent) boundary terms.
-The reduction builds neither table.
+The chain-map checks build no ``Fraction``.  The grading check lifts each
+image term on the integer Maslov table.  Once it passes, the gradings fix
+every U-exponent of the map, as they fix the derived differential's, so the
+map is an F2 pattern: ``_pattern`` holds each source position's image as a
+bitmask over the target's positions (``_index``).  The other checks are
+then bitmask identities.  The chain check compares, at each source
+position, the XOR of the patterns over its ``_adj`` row with the XOR of the
+target's ``_adj`` rows over its pattern.  The J check compares the pattern
+of Jx with the pattern of x permuted by the target's J.  ``verify_local_pair``
+reads g o f = id as "the XOR of g's patterns over f's pattern at position i
+is ``1 << i``"; ``compose`` and ``verify_local_pair`` accept only maps whose
+middle complexes are one complex, so those positions index the same cells.
+A witness is built from the term sets, as the first failure in cell order,
+only when the grading check has failed or a pattern check fails: the chain
+check then adds U-shifted images from each complex's table of (target,
+U-exponent) boundary terms, the J check compares image sets, and g o f is
+composed and compared with the identity.  A map never changes, so its
+grading and chain verdicts are computed once, on first read.  The
+reduction builds none of these tables.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import GeometricComplex, SplitComplex
+from .complexes import GeometricComplex, SplitComplex, complex_to_json
 from .errors import NotAChainMap, NotSplit
 from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, _view, grading_to_str
 
@@ -267,6 +282,16 @@ def homology(c: GeometricComplex) -> ReductionResult:
 # -- chain maps ----------------------------------------------------------
 
 
+def _xor_rows(rows: Sequence[int], mask: int) -> int:
+    """The F2 sum of ``rows[b]`` over the set bits b of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def _image_sum(images: Mapping[str, TermSet], terms) -> TermSet:
     """The F2 sum of U^e images[cid] over the terms (cid, e)."""
     # the terms of one image are distinct, so each toggles once
@@ -282,7 +307,10 @@ class ChainMap:
     """An F2[U]-linear degree-0 map given on skeleton generators.
 
     ``assignment[x]`` is the set of (target cell, U-exponent) terms of f(x);
-    cells missing from the mapping are sent to zero.
+    cells missing from the mapping are sent to zero.  The checks read the
+    views ``_pattern``, ``_grading_verdict`` and ``_chain_verdict``, each
+    built on first read (see the module docstring); ``grading_witness`` and
+    ``chain_witness`` return the same witness dict on every call.
     """
 
     source: GeometricComplex
@@ -313,7 +341,19 @@ class ChainMap:
 
     # -- checks; each returns None or a witness dict ---------------------
 
-    def grading_witness(self) -> Optional[dict]:
+    @_view
+    def _pattern(self) -> List[int]:
+        """Each source position's image as a bitmask over the target's positions."""
+        at, pattern = self.target._index, []
+        for terms in self.assignment.values():
+            mask = 0
+            for tid, _ in terms:
+                mask |= 1 << at[tid]
+            pattern.append(mask)
+        return pattern
+
+    @_view
+    def _grading_verdict(self) -> Optional[dict]:
         # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
         src, lift = self.source, self.target._lift
         for cid in src.ids():
@@ -328,7 +368,22 @@ class ChainMap:
                 }
         return None
 
-    def chain_witness(self) -> Optional[dict]:
+    def grading_witness(self) -> Optional[dict]:
+        return self._grading_verdict
+
+    @_view
+    def _chain_verdict(self) -> Optional[dict]:
+        if self._grading_verdict is None:
+            # d(f(x)) against f(d(x)) at each position x, as F2 patterns
+            pattern, rows = self._pattern, [sum(1 << t for t in ts) for ts in self.target._adj]
+            for i, ts in enumerate(self.source._adj):
+                lhs = 0
+                for t in ts:
+                    lhs ^= pattern[t]
+                if lhs != _xor_rows(rows, pattern[i]):
+                    break
+            else:
+                return None
         d_src, d_tgt = self.source._fu_terms, self.target._fu_terms
         for cid in self.source.ids():
             lhs = _image_sum(self.assignment, d_src[cid])
@@ -342,12 +397,25 @@ class ChainMap:
                 }
         return None
 
+    def chain_witness(self) -> Optional[dict]:
+        return self._chain_verdict
+
     def j_witness(self) -> Optional[dict]:
-        if not isinstance(self.source, SplitComplex) or not isinstance(self.target, SplitComplex):
+        src, tgt = self.source, self.target
+        if not isinstance(src, SplitComplex) or not isinstance(tgt, SplitComplex):
             raise NotSplit("J-equivariance requires split source and target")
-        for cid in self.source.ids():
-            lhs = self.assignment[self.source.J[cid]]
-            rhs = frozenset((self.target.J[tid], e) for tid, e in self.assignment[cid])
+        if self._grading_verdict is None:
+            # f(Jx) against J(f(x)) at each position x, as F2 patterns
+            at_s, at_t, pattern = src._index, tgt._index, self._pattern
+            j_bits = [1 << at_t[tgt.J[tid]] for tid in tgt.ids()]
+            for mask, cid in zip(pattern, src.ids()):
+                if pattern[at_s[src.J[cid]]] != _xor_rows(j_bits, mask):
+                    break
+            else:
+                return None
+        for cid in src.ids():
+            lhs = self.assignment[src.J[cid]]
+            rhs = frozenset((tgt.J[tid], e) for tid, e in self.assignment[cid])
             if lhs != rhs:
                 return {
                     "cell": cid,
@@ -376,12 +444,28 @@ class ChainMap:
         return None
 
 
+def _same_complex(a: GeometricComplex, b: GeometricComplex) -> bool:
+    """Whether a and b are one complex: the same object or equal as JSON."""
+    return a is b or complex_to_json(a) == complex_to_json(b)
+
+
 def compose(outer: ChainMap, inner: ChainMap) -> ChainMap:
-    """The composite outer o inner."""
-    if not set(inner.target.ids()) <= set(outer.source.ids()):
+    """The composite outer o inner; ValueError unless inner's target is outer's source."""
+    if not _same_complex(inner.target, outer.source):
         raise ValueError("maps are not composable: middle complexes disagree")
     assignment = {cid: outer.apply(inner(cid)) for cid in inner.source.ids()}
     return ChainMap(inner.source, outer.target, assignment)
+
+
+def _is_left_inverse(g: ChainMap, f: ChainMap) -> bool:
+    """Whether g o f is the identity, read on patterns.
+
+    Both maps must pass the grading check, and f's target must be g's
+    source and g's target f's source (``_same_complex``), so that the
+    positions of each pattern index the other's rows.
+    """
+    rows = g._pattern
+    return all(_xor_rows(rows, mask) == 1 << i for i, mask in enumerate(f._pattern))
 
 
 def induced_map(

@@ -12,8 +12,14 @@ direct formulas in ``Fraction`` arithmetic and over all cells; the library
 must agree with them on random split complexes, their duals, and their
 tensors with a complex whose ``tau`` is fractional.  On the same complexes,
 ``express`` must read every U-shifted homology generator back as itself.
+
+Once a map passes the grading check, the library reads its chain, J and
+g o f = id checks on F2 patterns of cell positions.  Sums of U-shifted
+images are the references for those checks: on local maps and their
+one-term mutants, verdicts and witnesses must equal theirs.
 """
 
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -37,10 +43,17 @@ from ilocal import (
     double,
     dual,
     homology,
+    local_map_f,
+    local_map_g,
     tensor,
+    verify_local_pair,
 )
 from ilocal.doubling import _lifted
+from ilocal.homology import _is_left_inverse
 from ilocal.suite import admissible_deltas, random_split_complex, random_splitting
+
+# the package exports the function homology under the module's name
+homology_module = importlib.import_module("ilocal.homology")
 
 
 def ref_width(b):
@@ -353,3 +366,142 @@ def test_module_order_matches_fraction_sort_key(seed):
     assert m.canonical().towers == tuple(sorted(m.towers, key=ref_sort_key))
     pairs = sorted(((t.top, t.length) for t in m.towers), key=lambda p: (-p[0], -p[1]))
     assert tuple((t.top, t.length) for t in m.canonical().towers) == tuple(pairs)
+
+
+# -- the chain-map checks against sums of U-shifted images ---------------------
+
+
+def ref_image_sum(images, terms):
+    """The F2 sum of U^e images[cid] over the terms (cid, e)."""
+    acc = set()
+    for cid, e in terms:
+        acc.symmetric_difference_update((tid, e + k) for tid, k in images[cid])
+    return frozenset(acc)
+
+
+def ref_chain_witness(f):
+    for cid in f.source.ids():
+        lhs = ref_image_sum(f.assignment, f.source._fu_terms[cid])
+        rhs = ref_image_sum(f.target._fu_terms, f.assignment[cid])
+        if lhs != rhs:
+            return {
+                "cell": cid,
+                "difference": [list(t) for t in sorted(lhs ^ rhs)],
+                "reason": "d(f(x)) differs from f(d(x))",
+            }
+    return None
+
+
+def ref_j_witness(f):
+    for cid in f.source.ids():
+        lhs = f.assignment[f.source.J[cid]]
+        rhs = frozenset((f.target.J[tid], e) for tid, e in f.assignment[cid])
+        if lhs != rhs:
+            return {
+                "cell": cid,
+                "difference": [list(t) for t in sorted(lhs ^ rhs)],
+                "reason": "f(Jx) differs from J(f(x))",
+            }
+    return None
+
+
+def ref_identity_witness(g, f):
+    """The witness that g o f is not the identity, or None."""
+    for cid in f.source.ids():
+        image = ref_image_sum(g.assignment, f.assignment[cid])
+        if image != {(cid, 0)}:
+            return {
+                "cell": cid,
+                "image": [list(t) for t in sorted(image)],
+                "reason": "composite is not the identity here",
+            }
+    return None
+
+
+def ref_report_witness(f, g):
+    """The witness of the first of ``verify_local_pair``'s checks to fail, up to g o f = id."""
+    for name, m in (("f", f), ("g", g)):
+        w = ref_grading_witness(m) or ref_chain_witness(m)
+        if w is not None:
+            return {"check": "chain_map", "map": name, **w}
+    for name, m in (("f", f), ("g", g)):
+        w = ref_j_witness(m)
+        if w is not None:
+            return {"check": "j_equivariant", "map": name, **w}
+    w = ref_identity_witness(g, f)
+    return None if w is None else {"check": "gf_identity", **w}
+
+
+def one_term_mutant(rng, m, kind):
+    """``m`` with one term dropped, added or moved to its J-partner; None if it has no term."""
+    assignment = {cid: set(terms) for cid, terms in m.assignment.items()}
+    full = [cid for cid, terms in assignment.items() if terms]
+    if kind == "add":
+        cid, tid = rng.choice(m.source.ids()), rng.choice(m.target.ids())
+        # the grading-preserving exponent if there is one, else (or now and then
+        # on purpose) one that fails the grading check
+        k = m.target._lift(tid, m.source._mnum[cid], m.source._q)
+        assignment[cid].add((tid, k + rng.choice((0, 0, 1)) if k is not None else rng.randint(0, 2)))
+    elif not full:
+        return None
+    else:
+        cid = rng.choice(full)
+        tid, e = rng.choice(sorted(assignment[cid]))
+        assignment[cid].discard((tid, e))
+        if kind == "move":
+            assignment[cid].add((m.target.J[tid], e))
+    return ChainMap(m.source, m.target, assignment)
+
+
+def local_pairs(corpus):
+    """The local maps of one seeded delta and splitting per complex."""
+    rng = random.Random("local pairs")
+    for sc in corpus:
+        delta = rng.choice(admissible_deltas(sc, cap=3))
+        splitting = random_splitting(rng, sc)
+        yield local_map_f(sc, delta, splitting), local_map_g(sc, delta, splitting)
+
+
+def test_chain_map_checks_match_image_sums_on_local_maps_and_mutants(split_corpus, monkeypatch):
+    # the chain check reads patterns; it sums U-shifted images only to build a
+    # witness, which it must do whenever the grading check or the pattern check fails
+    sums = []
+    image_sum = homology_module._image_sum
+
+    def counted(*args):
+        sums.append(args)
+        return image_sum(*args)
+
+    monkeypatch.setattr(homology_module, "_image_sum", counted)
+    rng = random.Random("mutants")
+    seen = {"grading fails": 0, "chain fails": 0, "j fails": 0, "gf fails": 0}
+    for f, g in local_pairs(split_corpus):
+        pairs = [(f, g)]
+        for kind in ("drop", "add", "move"):
+            for side in ("f", "g"):
+                m = one_term_mutant(rng, f if side == "f" else g, kind)
+                if m is not None:
+                    pairs.append((m, g) if side == "f" else (f, m))
+        for m in [f, g] + [m for pair in pairs[1:] for m in pair if m is not f and m is not g]:
+            grading, chain, j = ref_grading_witness(m), ref_chain_witness(m), ref_j_witness(m)
+            sums.clear()
+            assert m.chain_witness() == chain
+            assert bool(sums) == (grading is not None or chain is not None)
+            assert m.grading_witness() == grading
+            assert m.j_witness() == j
+            seen["grading fails"] += grading is not None
+            seen["chain fails"] += chain is not None
+            seen["j fails"] += j is not None
+        for f_side, g_side in pairs:
+            gf = ref_identity_witness(g_side, f_side)
+            seen["gf fails"] += gf is not None
+            if f_side.grading_witness() is None and g_side.grading_witness() is None:
+                assert _is_left_inverse(g_side, f_side) == (gf is None)
+            want = ref_report_witness(f_side, g_side)
+            report = verify_local_pair(f_side, g_side)
+            if want is None:
+                assert report.gf_identity
+            else:
+                assert report.witness == want
+    # every branch is driven many times
+    assert min(seen.values()) >= 100, seen

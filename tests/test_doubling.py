@@ -252,6 +252,79 @@ class TestVerifyLocalPair:
         assert report.witness["check"] == "chain_map"
         assert report.witness["cell"] == victim
 
+    @staticmethod
+    def identity(x):
+        return ChainMap(x, x, {cid: {(cid, 0)} for cid in x.ids()})
+
+    def test_map_that_breaks_j_fails_with_witness(self):
+        # a and Ja both go to a: a chain map, but f(Ja) = a while J(f(a)) = Ja
+        x = build_xi(1)
+        collapse = ChainMap(x, x, {"a": {("a", 0)}, "Ja": {("a", 0)}})
+        for f, g, name in ((collapse, self.identity(x), "f"), (self.identity(x), collapse, "g")):
+            report = verify_local_pair(f, g)
+            assert (report.chain_map, report.j_equivariant, report.gf_identity) == (True, False, False)
+            assert not report.u_localized_iso
+            assert report.witness == {
+                "check": "j_equivariant",
+                "map": name,
+                "cell": "a",
+                "difference": [["Ja", 0], ["a", 0]],
+                "reason": "f(Jx) differs from J(f(x))",
+            }
+
+    def test_equivariant_pair_whose_composite_is_not_the_identity(self):
+        x = build_xi(1)
+        swap = ChainMap(x, x, {cid: {(x.J[cid], 0)} for cid in x.ids()})
+        zero = ChainMap(x, x, {})
+        for f, image in ((swap, [["Ja", 0]]), (zero, [])):
+            report = verify_local_pair(f, self.identity(x))
+            assert (report.chain_map, report.j_equivariant, report.gf_identity) == (True, True, False)
+            assert report.witness == {
+                "check": "gf_identity",
+                "cell": "a",
+                "image": image,
+                "reason": "composite is not the identity here",
+            }
+
+    def test_target_of_free_rank_three_fails_the_localized_check(self):
+        # eta, a and Ja are 0-cells with d = 0: three free towers
+        from ilocal import GeometricComplex, SplitComplex
+
+        cells = [Cell(cid, 0, F(0)) for cid in ("eta", "a", "Ja")]
+        b = SplitComplex(GeometricComplex(cells, {}), {"eta": "eta", "a": "Ja", "Ja": "a"})
+        t = build_trivial()
+        f = ChainMap(t, b, {"eta": {("eta", 0)}})
+        g = ChainMap(b, t, {"eta": {("eta", 0)}})
+        report = verify_local_pair(f, g)
+        assert (report.chain_map, report.j_equivariant, report.gf_identity) == (True, True, True)
+        assert not report.u_localized_iso
+        assert report.witness == {
+            "check": "u_localized_iso",
+            "map": "f",
+            "reason": "U-localized iso test requires free rank one on both sides",
+        }
+
+    def test_maps_between_different_complexes_are_not_a_pair(self):
+        # X1 and X2 have the same cell ids; their identities are not a local pair
+        f, g = self.identity(build_xi(1)), self.identity(build_xi(2))
+        with pytest.raises(ValueError, match="maps do not form a pair"):
+            verify_local_pair(f, g)
+        with pytest.raises(ValueError, match="maps are not composable"):
+            compose(g, f)
+        # one complex built twice is the same complex
+        f, g = self.identity(build_xi(1)), self.identity(build_xi(1))
+        assert f.source is not g.source
+        assert compose(g, f).identity_witness() is None
+        assert verify_local_pair(f, g).passed
+
+    def test_maps_between_non_split_complexes_raise(self):
+        from ilocal import GeometricComplex, NotSplit
+
+        c = GeometricComplex([Cell("x", 0, F(0))], {})
+        ident = self.identity(c)
+        with pytest.raises(NotSplit, match="J-equivariance requires split source and target"):
+            verify_local_pair(ident, ident)
+
     def test_delta_zero_pair(self):
         report = verify_local_pair(local_map_f(build_xi(2), 0), local_map_g(build_xi(2), 0))
         assert report.passed

@@ -12,12 +12,14 @@ from ilocal import (
     INFINITE,
     InvalidComplex,
     NotAChainMap,
+    NotSplit,
     SplitComplex,
     Tower,
     FUModule,
     build_misordered,
     build_trivial,
     build_xi,
+    compose,
     dual,
     homology,
     induced_map,
@@ -299,6 +301,26 @@ class TestWitnessDicts:
         assert ChainMap(src, build_trivial(), {}).identity_witness() == {
             "reason": "source and target cells differ"
         }
+
+    def test_j_check_needs_split_source_and_target(self):
+        g = GeometricComplex([Cell("x", 0, F(0))], {})
+        x = build_xi(1)
+        for m in (
+            ChainMap(g, g, {"x": {("x", 0)}}),
+            ChainMap(x, g, {"a": {("x", 0)}, "Ja": {("x", 0)}}),
+            ChainMap(g, x, {"x": {("a", 0)}}),
+        ):
+            assert m.grading_witness() is None and m.chain_witness() is None
+            with pytest.raises(NotSplit, match="J-equivariance requires split source and target"):
+                m.j_witness()
+
+    def test_compose_rejects_maps_that_do_not_compose(self):
+        x, t = build_xi(1), build_trivial()
+        f = ChainMap(x, x, {cid: {(cid, 0)} for cid in x.ids()})
+        g = ChainMap(t, t, {"eta": {("eta", 0)}})
+        for outer, inner in ((g, f), (f, g)):
+            with pytest.raises(ValueError, match="maps are not composable: middle complexes disagree"):
+                compose(outer, inner)
 
 
 @settings(max_examples=30, deadline=None)
