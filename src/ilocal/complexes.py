@@ -23,13 +23,11 @@ complex share the reduced denominator ``q`` of ``tau = p/q``, and
 it, grading comparisons and gaps are exact integer operations on the
 numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
-construction.  Two more integer tables are built on first use: q times
-each cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
-grading check of a chain map and the local maps alike, and ``_fu_terms``,
-each cell's derived differential as (target, U-exponent) pairs with the
-exponent (num(target) - num(cell)) // 2q.  That table is the one statement
-of the derived differential: ``fu_bdry`` reads it, and so does the witness
-of a failed chain check of a chain map (the check itself reads ``_adj``).
+construction.  One more integer table is built on first use: q times each
+cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
+grading check of a chain map and the local maps alike.  ``fu_bdry`` states
+the derived differential: the exponent of each boundary term is
+(num(target) - num(cell)) // 2q.
 
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
@@ -52,9 +50,9 @@ builds them.  ``_index``, each id's position in ``ids()``, is another such
 view and the one map from ids to positions: the ``_adj`` view, ``tensor``'s
 J, ``homology``'s ``express`` and the patterns of chain maps read it, and
 nothing else builds one.
-``tensor``, ``homology``, the derived differential ``_fu_terms`` and the
-chain check of a chain map read only ``_adj``; ``dual``, ``double``,
-``decompose``, the J checks and the JSON read only ``bdry``.  Complexes that enter from outside
+``tensor``, ``homology`` and the chain check of a chain map read only
+``_adj``; ``dual``, ``double``, ``decompose``, the J checks, ``fu_bdry``
+and the JSON read only ``bdry``.  Complexes that enter from outside
 (the public constructors, the builders, ``complex_from_json``) are validated
 in full into the tables and store ``bdry``.  ``dual``, ``tensor`` and
 ``double`` derive new complexes from validated ones and are valid by
@@ -236,7 +234,8 @@ class GeometricComplex:
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""
-        return dict(self._fu_terms[cid])
+        num, two_q = self._num, 2 * self._q
+        return {tid: (num[tid] - num[cid]) // two_q for tid in self.bdry[cid]}
 
     def width(self) -> Union[int, float]:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
@@ -259,15 +258,6 @@ class GeometricComplex:
         p = self._q
         k, rest = divmod(self._mnum[cid] * q - m * p, 2 * p * q)
         return None if rest or k < 0 else k
-
-    @_view
-    def _fu_terms(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
-        """Each cell's derived differential as (target, U-exponent) pairs."""
-        ids, nums, two_q = self.ids(), list(self._num.values()), 2 * self._q
-        return {
-            cid: frozenset([(ids[t], (nums[t] - n) // two_q) for t in ts])
-            for cid, n, ts in zip(ids, nums, self._adj)
-        }
 
 
 class SplitComplex(GeometricComplex):

@@ -38,25 +38,23 @@ U-power here follows the one grading rule of ``complexes``: U^k e has
 Maslov degree M(e) - 2k (``GeometricComplex.degree_of``, inverted by
 ``u_power`` and, for the chain-map grading check, by the same integer lift).
 
-The chain-map checks build no ``Fraction``.  The grading check lifts each
-image term on the integer Maslov table.  Once it passes, the gradings fix
-every U-exponent of the map, as they fix the derived differential's, so the
-map is an F2 pattern: ``_pattern`` holds each source position's image as a
-bitmask over the target's positions (``_index``).  The other checks are
-then bitmask identities.  The chain check compares, at each source
-position, the XOR of the patterns over its ``_adj`` row with the XOR of the
-target's ``_adj`` rows over its pattern.  The J check compares the pattern
-of Jx with the pattern of x permuted by the target's J.  ``verify_local_pair``
-reads g o f = id as "the XOR of g's patterns over f's pattern at position i
-is ``1 << i``"; ``compose`` and ``verify_local_pair`` accept only maps whose
-middle complexes are one complex, so those positions index the same cells.
-A witness is built from the term sets, as the first failure in cell order,
-only when the grading check has failed or a pattern check fails: the chain
-check then adds U-shifted images from each complex's table of (target,
-U-exponent) boundary terms, the J check compares image sets, and g o f is
-composed and compared with the identity.  A map never changes, so its
-grading and chain verdicts are computed once, on first read.  The
-reduction builds none of these tables.
+The chain-map checks build no ``Fraction``.  The constructor's one pass
+over the terms lifts each on the integer Maslov table (the grading check)
+and sets its target position in the F2 pattern ``_pattern``, one bitmask
+over the target's positions (``_index``) per source position.  Once the
+grading check passes, the gradings fix every U-exponent of the map, as they
+fix the derived differential's, so each further check is a bitmask
+identity.  The chain check compares, at each source position x, the XOR of
+the patterns over its ``_adj`` row with the XOR of the target's ``_adj``
+rows over its pattern; the J check compares the pattern of Jx with the
+pattern of x permuted by the target's J.  The first position where the two
+masks differ is the witness: each differing target cell, with its lift to
+M(x) - 1 for the chain check and to M(x) for the J check.  A map that fails
+the grading check has no pattern to check, so both checks then report the
+grading witness.  ``verify_local_pair`` reads g o f = id as "the XOR of g's
+patterns over f's pattern at position i is ``1 << i``"; ``compose`` and
+``verify_local_pair`` accept only maps whose middle complexes are one
+complex, so those positions index the same cells.
 """
 
 from __future__ import annotations
@@ -307,10 +305,11 @@ class ChainMap:
     """An F2[U]-linear degree-0 map given on skeleton generators.
 
     ``assignment[x]`` is the set of (target cell, U-exponent) terms of f(x);
-    cells missing from the mapping are sent to zero.  The checks read the
-    views ``_pattern``, ``_grading_verdict`` and ``_chain_verdict``, each
-    built on first read (see the module docstring); ``grading_witness`` and
-    ``chain_witness`` return the same witness dict on every call.
+    cells missing from the mapping are sent to zero.  The constructor's one
+    pass over the terms validates them, runs the grading check and builds
+    the F2 pattern ``_pattern`` (see the module docstring); the chain
+    verdict is kept from its first read.  Each check returns None or the
+    same witness dict on every call.
     """
 
     source: GeometricComplex
@@ -319,19 +318,34 @@ class ChainMap:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        norm = {}
         for cid in self.assignment:
             if cid not in src:
                 raise ValueError(f"assignment mentions unknown source cell {cid!r}")
-        for cid in src.ids():
-            terms = frozenset(self.assignment.get(cid, ()))
+        # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
+        at, lift, q = tgt._index, tgt._lift, src._q
+        norm, pattern, grading = {}, [], None
+        for cid, m in src._mnum.items():
+            terms, mask, bad = frozenset(self.assignment.get(cid, ())), 0, []
             for tid, exp in terms:
-                if tid not in tgt:
+                i = at.get(tid)
+                if i is None:
                     raise ValueError(f"image of {cid!r} mentions unknown target cell {tid!r}")
                 if type(exp) is not int or exp < 0:
                     raise ValueError(f"image of {cid!r} carries invalid U-exponent {exp!r}")
+                mask |= 1 << i
+                if lift(tid, m, q) != exp:
+                    bad.append([tid, exp])
+            if bad and grading is None:
+                grading = {
+                    "cell": cid,
+                    "term": min(bad),  # the first failure in sorted order
+                    "reason": "image term does not preserve the Maslov grading",
+                }
             norm[cid] = terms
+            pattern.append(mask)
         object.__setattr__(self, "assignment", norm)
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_grading", grading)
 
     def __call__(self, cid: str) -> TermSet:
         return self.assignment[cid]
@@ -341,58 +355,34 @@ class ChainMap:
 
     # -- checks; each returns None or a witness dict ---------------------
 
-    @_view
-    def _pattern(self) -> List[int]:
-        """Each source position's image as a bitmask over the target's positions."""
-        at, pattern = self.target._index, []
-        for terms in self.assignment.values():
-            mask = 0
-            for tid, _ in terms:
-                mask |= 1 << at[tid]
-            pattern.append(mask)
-        return pattern
-
-    @_view
-    def _grading_verdict(self) -> Optional[dict]:
-        # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
-        src, lift = self.source, self.target._lift
-        for cid in src.ids():
-            m, q = src._mnum[cid], src._q
-            bad = [(tid, exp) for tid, exp in self.assignment[cid] if lift(tid, m, q) != exp]
-            if bad:
-                tid, exp = min(bad)  # the first failure in sorted order
-                return {
-                    "cell": cid,
-                    "term": [tid, exp],
-                    "reason": "image term does not preserve the Maslov grading",
-                }
-        return None
+    def _lifted_terms(self, mask: int, m: int) -> List[List]:
+        """The target cells of ``mask``, sorted, each with its lift to the degree m over the source's q."""
+        ids, lift, q, out = self.target.ids(), self.target._lift, self.source._q, []
+        while mask:
+            low = mask & -mask
+            tid = ids[low.bit_length() - 1]
+            out.append([tid, lift(tid, m, q)])
+            mask ^= low
+        return sorted(out)
 
     def grading_witness(self) -> Optional[dict]:
-        return self._grading_verdict
+        return self._grading
 
     @_view
     def _chain_verdict(self) -> Optional[dict]:
-        if self._grading_verdict is None:
-            # d(f(x)) against f(d(x)) at each position x, as F2 patterns
-            pattern, rows = self._pattern, [sum(1 << t for t in ts) for ts in self.target._adj]
-            for i, ts in enumerate(self.source._adj):
-                lhs = 0
-                for t in ts:
-                    lhs ^= pattern[t]
-                if lhs != _xor_rows(rows, pattern[i]):
-                    break
-            else:
-                return None
-        d_src, d_tgt = self.source._fu_terms, self.target._fu_terms
-        for cid in self.source.ids():
-            lhs = _image_sum(self.assignment, d_src[cid])
-            rhs = _image_sum(d_tgt, self.assignment[cid])
-            if lhs != rhs:
-                diff = sorted(lhs ^ rhs)
+        if self._grading is not None:
+            return self._grading
+        # d(f(x)) against f(d(x)) at each position x, both of degree M(x) - 1
+        src, pattern = self.source, self._pattern
+        rows = [sum(1 << t for t in ts) for ts in self.target._adj]
+        for i, (cid, ts) in enumerate(zip(src.ids(), src._adj)):
+            diff = _xor_rows(rows, pattern[i])
+            for t in ts:
+                diff ^= pattern[t]
+            if diff:
                 return {
                     "cell": cid,
-                    "difference": [list(t) for t in diff],
+                    "difference": self._lifted_terms(diff, src._mnum[cid] - src._q),
                     "reason": "d(f(x)) differs from f(d(x))",
                 }
         return None
@@ -404,22 +394,17 @@ class ChainMap:
         src, tgt = self.source, self.target
         if not isinstance(src, SplitComplex) or not isinstance(tgt, SplitComplex):
             raise NotSplit("J-equivariance requires split source and target")
-        if self._grading_verdict is None:
-            # f(Jx) against J(f(x)) at each position x, as F2 patterns
-            at_s, at_t, pattern = src._index, tgt._index, self._pattern
-            j_bits = [1 << at_t[tgt.J[tid]] for tid in tgt.ids()]
-            for mask, cid in zip(pattern, src.ids()):
-                if pattern[at_s[src.J[cid]]] != _xor_rows(j_bits, mask):
-                    break
-            else:
-                return None
-        for cid in src.ids():
-            lhs = self.assignment[src.J[cid]]
-            rhs = frozenset((tgt.J[tid], e) for tid, e in self.assignment[cid])
-            if lhs != rhs:
+        if self._grading is not None:
+            return self._grading
+        # f(Jx) against J(f(x)) at each position x, both of degree M(x)
+        at_s, at_t, pattern = src._index, tgt._index, self._pattern
+        j_bits = [1 << at_t[tgt.J[tid]] for tid in tgt.ids()]
+        for mask, cid in zip(pattern, src.ids()):
+            diff = pattern[at_s[src.J[cid]]] ^ _xor_rows(j_bits, mask)
+            if diff:
                 return {
                     "cell": cid,
-                    "difference": [list(t) for t in sorted(lhs ^ rhs)],
+                    "difference": self._lifted_terms(diff, src._mnum[cid]),
                     "reason": "f(Jx) differs from J(f(x))",
                 }
         return None
@@ -468,6 +453,15 @@ def _is_left_inverse(g: ChainMap, f: ChainMap) -> bool:
     return all(_xor_rows(rows, mask) == 1 << i for i, mask in enumerate(f._pattern))
 
 
+def _result_of(c: GeometricComplex, result: Optional[ReductionResult], side: str) -> ReductionResult:
+    """``result``, or ``homology(c)`` if it is None; ValueError if it reduces another complex."""
+    if result is None:
+        return homology(c)
+    if not _same_complex(result.complex, c):
+        raise ValueError(f"the {side} reduction result is not of the map's {side}")
+    return result
+
+
 def induced_map(
     f: ChainMap,
     src_result: Optional[ReductionResult] = None,
@@ -477,10 +471,11 @@ def induced_map(
 
     Returns one list of (kind, index, U-exponent) entries per free cycle of
     the source homology, expressed against the target's tower generators.
+    Raises ValueError unless the results given reduce f's source and target.
     """
     f.check()
-    src_result = src_result if src_result is not None else homology(f.source)
-    tgt_result = tgt_result if tgt_result is not None else homology(f.target)
+    src_result = _result_of(f.source, src_result, "source")
+    tgt_result = _result_of(f.target, tgt_result, "target")
     images = []
     for degree, chain in src_result.free_cycles:
         images.append(tgt_result.express(dict(f.apply(chain.items())), degree))
@@ -493,8 +488,8 @@ def is_u_localized_iso(
     tgt_result: Optional[ReductionResult] = None,
 ) -> bool:
     """True iff f is invertible after inverting U (free ranks must be one)."""
-    src_result = src_result if src_result is not None else homology(f.source)
-    tgt_result = tgt_result if tgt_result is not None else homology(f.target)
+    src_result = _result_of(f.source, src_result, "source")
+    tgt_result = _result_of(f.target, tgt_result, "target")
     if src_result.module.free_rank != 1 or tgt_result.module.free_rank != 1:
         raise ValueError("U-localized iso test requires free rank one on both sides")
     entries = induced_map(f, src_result, tgt_result)[0]

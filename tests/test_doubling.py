@@ -101,6 +101,20 @@ class TestDouble:
         with pytest.raises(WidthExceeded):
             double(build_xi(2), 3)
 
+    @pytest.mark.parametrize(
+        "splitting, message",
+        [
+            ({"a", "b"}, r"a splitting never contains the fixed cell"),
+            ({"z"}, r"splitting mentions unknown cell 'z'"),
+            ({"a", "Ja"}, r"splitting contains both members of the pair \('(a|Ja)', '(a|Ja)'\)"),
+            (set(), r"splitting must pick exactly one cell from each J-pair"),
+        ],
+        ids=["fixed-cell", "unknown-cell", "both-of-a-pair", "not-one-per-pair"],
+    )
+    def test_invalid_splitting_rejected(self, splitting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            double(build_xi(2), 1, splitting)
+
     def test_delta_zero_permitted(self):
         dr = double(build_xi(2), 0)
         assert dr.complex.width() == 0

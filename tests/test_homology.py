@@ -154,6 +154,12 @@ class TestExpress:
         with pytest.raises(ValueError, match="invalid U-exponent -1 at 'a'"):
             result.express({"a": -1}, 2)
 
+    def test_inhomogeneous_chain_rejected(self):
+        # M(a) = 0 and M(b) = -4 + 1, so a + b has no one degree
+        result = homology(build_xi(2))
+        with pytest.raises(ValueError, match=r"^chain is not homogeneous of degree 0 at 'b'$"):
+            result.express({"a": 0, "b": 0}, 0)
+
 
 class TestLazyRepresentatives:
     @pytest.mark.parametrize("read", ["free_cycles", "torsion_pairs", "witnesses_json"])
@@ -228,6 +234,21 @@ class TestChainMap:
         with pytest.raises(NotAChainMap):
             induced_map(bad)
 
+    @pytest.mark.parametrize("other", [build_xi(2), build_misordered(1, 2)], ids=["xi2", "misordered"])
+    def test_results_of_another_complex_rejected(self, other):
+        # results of another complex are refused, not read as f's own (X_2's
+        # would pass, and the misordered complex's raise a bare KeyError)
+        c = build_xi(1)
+        f = ChainMap(c, c, {cid: {(cid, 0)} for cid in c.ids()})
+        own, wrong = homology(c), homology(other)
+        for fn in (induced_map, is_u_localized_iso):
+            with pytest.raises(ValueError, match="^the source reduction result is not of the map's source$"):
+                fn(f, wrong, wrong)
+            with pytest.raises(ValueError, match="^the target reduction result is not of the map's target$"):
+                fn(f, own, wrong)
+        # an equal complex built afresh is the same complex
+        assert is_u_localized_iso(f, homology(build_xi(1)), own) is True
+
     def test_free_rank_precondition(self):
         two_free = tensor(build_xi(1), build_xi(1))
         # rank-one check needs rank one; fabricate a rank-2 complex
@@ -283,12 +304,10 @@ class TestWitnessDicts:
         src, tgt = fractional_xi(1, F(1, 2)), fractional_xi(1, F(1, 3))
         # no degree of the source (denominator 2) is a degree of the target
         m = ChainMap(src, tgt, {"Ja": {("b", 0), ("a", 0)}})
-        assert m.grading_witness() == {"cell": "Ja", "term": ["a", 0], "reason": GRADING}
-        assert m.chain_witness() == {
-            "cell": "Ja",
-            "difference": [["Ja", 1], ["a", 1]],
-            "reason": "d(f(x)) differs from f(d(x))",
-        }
+        # a map that fails the grading check has no pattern to check, so the
+        # chain and J checks report the grading witness
+        witness = {"cell": "Ja", "term": ["a", 0], "reason": GRADING}
+        assert m.grading_witness() == m.chain_witness() == m.j_witness() == witness
         zero = ChainMap(src, tgt, {})
         assert zero.grading_witness() is None
         assert zero.chain_witness() is None

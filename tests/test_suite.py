@@ -9,6 +9,8 @@ from ilocal import complex_to_json
 from ilocal.cli import main
 from ilocal.suite import (
     SuiteConfig,
+    SuiteResult,
+    _guarded,
     admissible_deltas,
     random_combination,
     random_geometric_complex,
@@ -68,6 +70,20 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     for name in ("doubling_homology", "local_equivalence"):
         for witness in failing[name]:
             assert isinstance(witness, dict) and "error" not in witness
+
+
+def test_guarded_reports_a_raising_check_and_runs_on():
+    result = SuiteResult("demo")
+
+    def check(x):
+        if x == 1:
+            raise ValueError("boom")
+        return {"bad": x} if x == 2 else None
+
+    for x in range(4):
+        _guarded(result, {"x": x}, check, (x,))
+    assert result.cases == 4
+    assert result.failures == [{"x": 1, "error": "ValueError: boom"}, {"x": 2, "bad": 2}]
 
 
 def test_generators_are_deterministic():
