@@ -9,7 +9,9 @@ Runs ``perfbench/run.py`` at seed 1 for 3 s per run and checks
   the trivial start of each case is validated (one ``GeometricComplex`` and
   one ``SplitComplex`` construction per pool case);
 * ``local_verify``, traced: one double, one tensor and one decompose per
-  pool case;
+  pool case, two homology calls per case and no ``induced_map`` (the
+  U-localized check is decided at U = 1 on the two reductions), and four
+  chain-witness reads per verify;
 * ``tensor_kunneth``, traced: one homology per pool case and all 108
   tensors of the 20-case pool built, since homology and Kunneth are never
   memoised across cases.
@@ -24,12 +26,14 @@ failed, with one line per failure.
 
 from __future__ import annotations
 
+import gzip
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / ".perfbench" / "spans"
 
 PINNED = {
     "representative_sweep": "7a1699e04aa1369aca0f68fa4037aa2ed1384deaca926da1a6dd407b067a66a9",
@@ -72,11 +76,22 @@ def check_representative_sweep():
 
 
 def check_local_verify():
+    before = set(SPANS.glob("local_verify-*.json.gz"))
     detail, r = run("local_verify", 1)
     pool = detail["pool_cases"]
-    layers = ("doubling.double.calls", "complexes.tensor.calls", "complexes.decompose.calls")
-    off = {name: r["metrics"][name]["value"] for name in layers
-           if r["metrics"][name]["value"] != pool}
+    # the result lists only BENCHMARK.json's per-layer metrics; induced_map's
+    # calls are counted in the spans of the traced pass that gave them
+    (spans_path,) = set(SPANS.glob("local_verify-*.json.gz")) - before
+    with gzip.open(spans_path, "rt", encoding="utf-8") as fh:
+        spans = json.load(fh)["spans"]
+    value = {name: m["value"] for name, m in r["metrics"].items()}
+    value["homology.induced_map.calls"] = sum(s[0] == "homology.induced_map" for s in spans)
+    want = dict.fromkeys(
+        ("doubling.double.calls", "complexes.tensor.calls", "complexes.decompose.calls"), pool)
+    # the U-localized check reads the two reductions at U = 1, with no induced map
+    want.update({"homology.induced_map.calls": 0, "homology.homology.calls": 2 * pool,
+                 "homology.chain_witness.per_verify": 4.0})
+    off = {name: value[name] for name, n in want.items() if value[name] != n}
     if r["failed"] != 0 or off:
         return f"failed cases: {r['failed']}; pool cases: {pool}; calls off that count: {off}"
     return None

@@ -24,8 +24,10 @@ A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
 are cycles, and the ones never hit as pivots generate free towers.
-Towers are counted per distinct (Maslov numerator, length), so the module
-holds one ``Tower`` per distinct pair, repeated by its count.
+Towers are counted per distinct (Maslov numerator, length); the module,
+one ``Tower`` per distinct pair repeated by its count, is built from that
+table on first read, so a caller that needs only the reduction builds no
+``Fraction`` and no ``Tower``.
 
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
@@ -55,6 +57,17 @@ grading witness.  ``verify_local_pair`` reads g o f = id as "the XOR of g's
 patterns over f's pattern at position i is ``1 << i``"; ``compose`` and
 ``verify_local_pair`` accept only maps whose middle complexes are one
 complex, so those positions index the same cells.
+
+The U-localized check is F2 linear algebra at U = 1.  After inverting U,
+the homology in each degree is the F2 homology, at U = 1, of the cells in
+that degree's parity, and a grading-preserving chain map acts on it as its
+pattern does.  The columns of the reduction are the boundary at U = 1, so
+with free rank one on both sides f is an isomorphism after inverting U
+exactly when its pattern maps the source's free cycle V[j] to a cycle
+that is not a boundary: one that the target's pivots (its reduced columns,
+a basis of the boundaries) do not reduce to zero.  ``induced_map`` and
+``express`` still read f(z) over the F2[U] tower generators, where a free
+entry is the same verdict.
 """
 
 from __future__ import annotations
@@ -78,8 +91,9 @@ TermSet = FrozenSet[Tuple[str, int]]
 class ReductionResult:
     """Isomorphism class of H_* plus cycle representatives.
 
-    ``module`` is the unoriented tower decomposition; ``free_cycles`` holds
-    one homogeneous representative per free tower and ``torsion_pairs`` one
+    ``module`` is the unoriented tower decomposition, built on first read
+    from the integer table ``_counts``; ``free_cycles`` holds one
+    homogeneous representative per free tower and ``torsion_pairs`` one
     (killing chain, cycle, U-exponent) triple per finite tower.  The
     representatives depend on the reduction order and are excluded from
     module equality.  Both are built on first read from the reduction and
@@ -89,7 +103,7 @@ class ReductionResult:
     """
 
     complex: GeometricComplex
-    module: FUModule
+    _counts: Dict[Tuple[int, Length], int]  # (q * M(top), length) -> towers
     _order: Tuple[str, ...]
     _rank: List[int]  # the rank in _order of each position of complex.ids()
     _R: List[int]  # reduced columns, as bitmasks over _order
@@ -98,8 +112,13 @@ class ReductionResult:
     _towers: Tuple[Tuple[int, Length], ...]  # (column j, length) per tower
 
     @_view
+    def module(self) -> FUModule:
+        q = self.complex._q
+        return _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in self._counts.items()})
+
+    @_view
     def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:
-        return tuple(self._chain(self._V[j]) for j, length in self._towers if length == INFINITE)
+        return tuple(self._chain(self._V[j]) for j in _free_columns(self))
 
     @_view
     def torsion_pairs(self) -> Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]:
@@ -273,8 +292,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
         gens.append((j, length))
         key = (q * dims[top] - neg_num[top], length)
         counts[key] = counts.get(key, 0) + 1
-    module = _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in counts.items()})
-    return ReductionResult(c, module, order, rank, R, V, owner, tuple(gens))
+    return ReductionResult(c, counts, order, rank, R, V, owner, tuple(gens))
 
 
 # -- chain maps ----------------------------------------------------------
@@ -482,15 +500,46 @@ def induced_map(
     return images
 
 
+def _free_columns(result: ReductionResult) -> List[int]:
+    """The columns of ``result``'s free towers, one per unit of free rank."""
+    return [j for j, length in result._towers if length == INFINITE]
+
+
 def is_u_localized_iso(
     f: ChainMap,
     src_result: Optional[ReductionResult] = None,
     tgt_result: Optional[ReductionResult] = None,
 ) -> bool:
-    """True iff f is invertible after inverting U (free ranks must be one)."""
+    """True iff f is invertible after inverting U (free ranks must be one).
+
+    Decided at U = 1 on the two reductions (see the module docstring): f is
+    an isomorphism after inverting U exactly when it maps the source's free
+    cycle to a cycle that is not a boundary at U = 1.  Raises ValueError
+    unless both free ranks are one, then NotAChainMap unless f passes the
+    grading and chain checks, on which the argument rests.
+    """
     src_result = _result_of(f.source, src_result, "source")
     tgt_result = _result_of(f.target, tgt_result, "target")
-    if src_result.module.free_rank != 1 or tgt_result.module.free_rank != 1:
+    free, tgt_free = _free_columns(src_result), _free_columns(tgt_result)
+    if len(free) != 1 or len(tgt_free) != 1:
         raise ValueError("U-localized iso test requires free rank one on both sides")
-    entries = induced_map(f, src_result, tgt_result)[0]
-    return any(kind == "free" for kind, _, _ in entries)
+    f.check()
+    # f(z) on the target's positions, for z the free cycle as source ranks
+    z, order, at, pattern = src_result._V[free[0]], src_result._order, f.source._index, f._pattern
+    image = 0
+    while z:
+        low = z & -z
+        image ^= pattern[at[order[low.bit_length() - 1]]]
+        z ^= low
+    # as target ranks, reduced by the pivots of the target's boundaries
+    rank, R, owner, vec = tgt_result._rank, tgt_result._R, tgt_result._owner, 0
+    while image:
+        low = image & -image
+        vec |= 1 << rank[low.bit_length() - 1]
+        image ^= low
+    while vec:
+        p = vec.bit_length() - 1
+        if p not in owner:
+            return True
+        vec ^= R[owner[p]]
+    return False

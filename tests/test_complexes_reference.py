@@ -17,7 +17,9 @@ Once a map passes the grading check, the library reads its chain, J and
 g o f = id checks, and their witnesses, on F2 patterns of cell positions.
 Sums of U-shifted images are the references for those checks: on local
 maps and their one-term mutants that keep the gradings, verdicts and
-witnesses must equal theirs.
+witnesses must equal theirs.  The U-localized check is decided at U = 1 on
+the two reductions; its reference expresses the image of the free cycle
+over the target's towers (``induced_map``) and looks for a free entry.
 """
 
 import importlib
@@ -44,6 +46,8 @@ from ilocal import (
     double,
     dual,
     homology,
+    induced_map,
+    is_u_localized_iso,
     local_map_f,
     local_map_g,
     tensor,
@@ -511,3 +515,40 @@ def test_chain_map_checks_match_image_sums_on_local_maps_and_mutants(split_corpu
                 assert report.witness == want
     # every branch is driven many times
     assert min(seen.values()) >= 100, seen
+
+
+# -- the U-localized check against the induced map ----------------------------
+
+
+def ref_u_localized_iso(f, src_result, tgt_result):
+    """Whether the free cycle's image has a free entry over the target's towers."""
+    return any(kind == "free" for kind, _, _ in induced_map(f, src_result, tgt_result)[0])
+
+
+def j_maps(c):
+    """J and 1 + J on a split complex c.
+
+    Both are chain maps, since J commutes with d and keeps gradings.  J is
+    an isomorphism after inverting U and 1 + J is zero there, yet 1 + J
+    sends the free cycle to a cycle that is often not zero in homology.
+    """
+    one_plus_j = {x: {(x, 0), (c.J[x], 0)} if c.J[x] != x else set() for x in c.ids()}
+    return ChainMap(c, c, {x: {(c.J[x], 0)} for x in c.ids()}), ChainMap(c, c, one_plus_j)
+
+
+def test_u_localized_iso_matches_the_induced_map(split_corpus):
+    rng = random.Random("u-localized")
+    verdicts = []
+    for sc in split_corpus:
+        splitting = random_splitting(rng, sc)
+        for delta in admissible_deltas(sc):
+            f, g = local_map_f(sc, delta, splitting), local_map_g(sc, delta, splitting)
+            ha, hb = homology(f.source), homology(f.target)
+            maps = [(f, ha, hb), (g, hb, ha)]
+            maps += [(ChainMap(f.source, f.target, {}), ha, hb), (ChainMap(g.source, g.target, {}), hb, ha)]
+            maps += [(m, ha, ha) for m in j_maps(f.source)] + [(m, hb, hb) for m in j_maps(f.target)]
+            for m, hs, ht in maps:
+                got = is_u_localized_iso(m, hs, ht)
+                assert got == ref_u_localized_iso(m, hs, ht)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts

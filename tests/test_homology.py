@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +38,9 @@ from ilocal.suite import (
     random_geometric_complex,
 )
 from test_complexes_reference import fractional_xi
+
+# the package exports the function homology under the module's name
+homology_module = importlib.import_module("ilocal.homology")
 
 T = Tower
 
@@ -162,20 +167,25 @@ class TestExpress:
 
 
 class TestLazyRepresentatives:
-    @pytest.mark.parametrize("read", ["free_cycles", "torsion_pairs", "witnesses_json"])
+    @pytest.mark.parametrize("read", ["module", "free_cycles", "torsion_pairs", "witnesses_json"])
     def test_built_on_first_read(self, monkeypatch, read):
         c = build_xi(1)
         for i, dualised in ((2, True), (3, False), (1, True), (4, False), (2, False)):
             c = tensor(c, dual(build_xi(i)) if dualised else build_xi(i))
         assert len(c) == 3**6
+        # the representatives lift cells by u_power; the module is built from counts
         calls = []
         u_power = GeometricComplex.u_power
         monkeypatch.setattr(
             GeometricComplex, "u_power", lambda *args: calls.append(args) or u_power(*args)
         )
+        from_counts = homology_module._module_from_counts
+        monkeypatch.setattr(
+            homology_module, "_module_from_counts", lambda counts: calls.append(counts) or from_counts(counts)
+        )
         result = homology(c)
-        assert result.module.free_rank == 1 and len(result.module) > 1
         assert calls == []
+        assert not {"module", "free_cycles", "torsion_pairs"} & vars(result).keys()
         value = getattr(result, read)
         if read == "witnesses_json":
             value = value()
@@ -188,6 +198,19 @@ class TestLazyRepresentatives:
         else:
             assert again is value
         assert len(calls) == built
+        assert result.module.free_rank == 1 and len(result.module) > 1
+
+    def test_verify_local_pair_builds_no_module(self, monkeypatch):
+        from ilocal import doubling, local_map_f, local_map_g, verify_local_pair
+
+        results = []
+        monkeypatch.setattr(doubling, "homology", lambda c: results.append(homology(c)) or results[-1])
+        x = build_xi(4)
+        report = verify_local_pair(local_map_f(x, 3), local_map_g(x, 3))
+        assert report.passed and len(results) == 2
+        assert all("module" not in vars(r) for r in results)
+        # the precondition read the free towers off the reductions
+        assert [r.module.free_rank for r in results] == [1, 1]
 
 
 class TestChainMap:
@@ -248,6 +271,39 @@ class TestChainMap:
                 fn(f, own, wrong)
         # an equal complex built afresh is the same complex
         assert is_u_localized_iso(f, homology(build_xi(1)), own) is True
+
+    def test_u_localized_iso_rejects_maps_that_fail_a_check(self):
+        # the U = 1 verdict holds only for grading-preserving chain maps
+        c = build_xi(1)
+        off_grading = ChainMap(c, c, {cid: {(cid, 1)} for cid in c.ids()})
+        not_chain = ChainMap(c, c, {"a": {("a", 0)}, "Ja": {("Ja", 0)}, "b": set()})
+        assert off_grading.grading_witness() is not None
+        assert not_chain.grading_witness() is None and not_chain.chain_witness() is not None
+        for m in (off_grading, not_chain):
+            with pytest.raises(NotAChainMap):
+                is_u_localized_iso(m)
+            with pytest.raises(NotAChainMap):
+                is_u_localized_iso(m, homology(c), homology(c))
+
+    def test_free_rank_is_checked_before_the_chain_map(self):
+        # two free towers and a map that is no chain map: the precondition
+        # fails first, with its message
+        g = GeometricComplex([Cell("x", 0, F(0)), Cell("y", 0, F(0))], {})
+        bad = ChainMap(g, g, {"x": {("x", 1)}})
+        assert bad.grading_witness() is not None
+        with pytest.raises(ValueError, match="^U-localized iso test requires free rank one on both sides$"):
+            is_u_localized_iso(bad)
+
+    def test_free_cycle_onto_a_torsion_class_is_not_an_iso(self):
+        # a, Ja -> a + Ja and b -> 0 is a chain map of X_i, since
+        # d(b) = U^i (a + Ja); it sends the free cycle to the torsion
+        # generator, a nonzero class that dies once U is inverted
+        for i in (1, 3):
+            c = build_xi(i)
+            m = ChainMap(c, c, {"a": {("a", 0), ("Ja", 0)}, "Ja": {("a", 0), ("Ja", 0)}})
+            assert m.chain_witness() is None
+            assert induced_map(m) == [[("torsion", 0, 0)]]
+            assert is_u_localized_iso(m) is False
 
     def test_free_rank_precondition(self):
         two_free = tensor(build_xi(1), build_xi(1))
@@ -460,11 +516,17 @@ def check_against_global_reduction(c):
             towers.append((j, INFINITE))
     result = homology(c)
     rank = [pos[cid] for cid in c.ids()]
-    ref = ReductionResult(c, result.module, order, rank, R, V, owner, tuple(towers))
+    # towers per (q * Maslov grading of the top cell, length), on Fractions
+    counts = Counter(
+        (c._q * c.maslov(order[j if length == INFINITE else R[j].bit_length() - 1]), length)
+        for j, length in towers
+    )
+    ref = ReductionResult(c, dict(counts), order, rank, R, V, owner, tuple(towers))
     assert (result._order, result._rank) == (order, rank)
     assert result._R == R
     assert result._owner == owner
     assert result._towers == ref._towers
+    assert ref.module == result.module
     assert result.free_cycles == ref.free_cycles
     assert result.torsion_pairs == ref.torsion_pairs
     assert result._basis == ref._basis

@@ -4,14 +4,21 @@ import random
 
 import pytest
 
+import ilocal.connected
 import ilocal.doubling
-from ilocal import complex_to_json
+import ilocal.towers
+from ilocal import LinearCombination, build_xi, complex_to_json, dual, homology, shift, tensor
 from ilocal.cli import main
 from ilocal.suite import (
     SuiteConfig,
     SuiteResult,
     _guarded,
+    _module_str,
     admissible_deltas,
+    check_doubling_homology,
+    check_duality,
+    check_kunneth,
+    check_representative,
     random_combination,
     random_geometric_complex,
     random_split_complex,
@@ -70,6 +77,72 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     for name in ("doubling_homology", "local_equivalence"):
         for witness in failing[name]:
             assert isinstance(witness, dict) and "error" not in witness
+
+
+class TestCheckWitnesses:
+    """Each check's failure return, driven by planting a wrong rule.
+
+    Every check passes on its input before the rule is planted, and then
+    returns a witness dict of fixed keys, with no ``"error"`` entry.
+    """
+
+    def test_kunneth_rule(self, monkeypatch):
+        c1, c2 = build_xi(1), build_xi(2)
+        assert check_kunneth(c1, c2) is None
+        kunneth = ilocal.towers.kunneth
+        monkeypatch.setattr(ilocal.towers, "kunneth", lambda a, b: kunneth(a, b).torsion())
+        w = check_kunneth(c1, c2)
+        assert w.keys() == {"tensor_homology", "kunneth"} and "error" not in w
+        assert w["tensor_homology"] == _module_str(homology(tensor(c1, c2)).module)
+        assert w["kunneth"] == _module_str(kunneth(homology(c1).module, homology(c2).module).torsion())
+
+    def test_doubling_rule(self, monkeypatch):
+        # the double of delta + 1 carries the tower T(delta + 1), not T(delta)
+        x = build_xi(4)
+        assert check_doubling_homology(x, 1) is None
+        double = ilocal.doubling.double
+        monkeypatch.setattr(ilocal.doubling, "double", lambda sc, delta, s=None: double(sc, delta + 1, s))
+        w = check_doubling_homology(x, 1)
+        assert w.keys() == {"expected", "got"} and "error" not in w
+        assert w["got"] == _module_str(homology(double(x, 2).complex).module)
+
+    @pytest.mark.trusted_derived
+    def test_doubling_rule_that_breaks_the_complex(self, monkeypatch):
+        # d(theta) = omega + J.omega loses J.omega, so bdry o bdry != 0; it is
+        # reported before any homology is taken (the conftest rebuild would
+        # reject the mutant first, hence trusted_derived)
+        x = build_xi(4)
+        assert check_doubling_homology(x, 1) is None
+        derived = ilocal.doubling._derived
+
+        def mutated(dims, bdry, tau, num, width, J=None, fixed=None):
+            bdry = {cid: targets - {min(targets)} if cid == fixed else targets for cid, targets in bdry.items()}
+            return derived(dims, bdry, tau, num, width, J, fixed)
+
+        monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
+        w = check_doubling_homology(x, 1)
+        assert w.keys() == {"reason"} and "error" not in w
+        assert w["reason"] == "bdry^2 is nonzero at cell 'theta' (hits ['Ja', 'a'])"
+
+    def test_placement_rule(self, monkeypatch):
+        lc = LinearCombination(((1, 3), (-1, 2), (1, 1)))
+        assert check_representative(lc) is None
+        place_towers = ilocal.connected.place_towers
+        monkeypatch.setattr(ilocal.connected, "place_towers", lambda lc: shift(place_towers(lc), 2))
+        w = check_representative(lc)
+        assert w.keys() == {"expected", "got"} and "error" not in w
+        assert w["expected"] == _module_str(shift(place_towers(lc), 2))
+        assert w["got"] == _module_str(place_towers(lc))
+
+    def test_reflection_rule(self, monkeypatch):
+        c = build_xi(2)
+        assert check_duality(c) is None
+        reflect = ilocal.towers.reflect
+        monkeypatch.setattr(ilocal.towers, "reflect", lambda m: shift(reflect(m), 2))
+        w = check_duality(c)
+        assert w.keys() == {"homology", "dual_homology"} and "error" not in w
+        assert w["homology"] == _module_str(homology(c).module)
+        assert w["dual_homology"] == _module_str(homology(dual(c)).module)
 
 
 def test_guarded_reports_a_raising_check_and_runs_on():
