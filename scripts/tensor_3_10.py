@@ -6,7 +6,9 @@ Checks that
   iterated Kunneth product of the factors' homologies;
 * the free generator reads back through ``express`` as ``[("free", 0, 0)]``;
 * no id boundary (``bdry``) of the product is built: ``express`` maps ids
-  through the product's ``_index``.
+  through the product's ``_index``;
+* no id boundary of the five dual factors X2*, X4*, ..., X10* is built:
+  ``dual`` and ``tensor`` read and write cell positions only.
 
 Prints one line with the build, homology and express times and the peak
 RSS; exits 1 with a one-line message if a check fails.  Standard library
@@ -54,6 +56,10 @@ def main() -> None:
     if read_back != [("free", 0, 0)] or "bdry" in vars(product):
         raise SystemExit(f"the free generator reads back as {read_back}; "
                          f"id boundary built: {'bdry' in vars(product)}")
+    built = [i for i in range(2, 11, 2) if "bdry" in vars(factors[i - 1])]
+    if built:
+        raise SystemExit("id boundary built for the dual factors "
+                         + ", ".join(f"X{i}*" for i in built))
 
 
 if __name__ == "__main__":

@@ -35,33 +35,26 @@ here accepts either kind.  It is built from an already validated geometric
 complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
-Instances are immutable, and their stored grading data are integer tables:
-each cell's dimension and its gr numerator over q, which is always tau's
-denominator, both keyed in ``ids()`` order.  One private step, ``_store``,
-assigns every stored field (these tables, the boundary, tau, the width, and
-for a split complex J and its fixed cell), and every construction ends
-there.  The boundary is stored in exactly one of two forms, whichever the
-construction computes: ``bdry``, each cell's boundary as a frozenset of ids,
-or ``_adj``, each cell's boundary as a tuple of positions, listed in
-``ids()`` order, where a position indexes ``ids()``.  The other form is a
-view built from the stored one on first read, as are the ``Cell`` objects of
-``cells``, so a complex that is only reduced, mapped or derived from never
-builds them.  ``_index``, each id's position in ``ids()``, is another such
-view and the one map from ids to positions: the ``_adj`` view, ``tensor``'s
-J, ``homology``'s ``express`` and the patterns of chain maps read it, and
-nothing else builds one.
-``tensor``, ``homology`` and the chain check of a chain map read only
-``_adj``; ``dual``, ``double``, ``decompose``, the J checks, ``fu_bdry``
-and the JSON read only ``bdry``.  Complexes that enter from outside
-(the public constructors, the builders, ``complex_from_json``) are validated
-in full into the tables and store ``bdry``.  ``dual``, ``tensor`` and
-``double`` derive new complexes from validated ones and are valid by
-construction: each computes the dimensions, numerators, tau, the width, J
-and the fixed cell of its result from the tables of its inputs, and
-``_derived`` stores them without validating again; ``dual`` and ``double``
-store ``bdry`` and ``tensor`` stores ``_adj``.  The one check that depends
-on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"`` and
-``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
+Instances are immutable.  They store integer tables in ``ids()`` order:
+each cell's dimension, its gr numerator over q (always tau's denominator)
+and its boundary ``_adj``, a tuple of positions, each indexing ``ids()``.
+One private step, ``_store``, assigns every stored field (these tables,
+tau, the width, and for a split complex J and its fixed cell), and every
+construction ends there.  ``bdry`` (each boundary as a frozenset of ids),
+the ``Cell`` objects of ``cells`` and ``_index`` (each id's position, the
+one map from ids to positions) are views built on first read, so a complex
+that is only reduced, mapped or derived from never builds them; ``fu_bdry``,
+the local maps, the suite and the JSON read ``bdry``, all else ``_adj``.
+Complexes that enter from outside (the public constructors, the builders,
+``complex_from_json``) are validated in full into the tables, and the
+validating constructor keeps the id boundary it checked and its index as
+those two views.  ``dual``, ``tensor`` and ``double`` derive new complexes
+from validated ones and are valid by construction: each computes the
+dimensions, numerators, positions, tau, the width, J and the fixed cell of
+its result from the tables of its inputs, and ``_derived`` stores them
+without validating again.  The one check that depends on the input stays:
+ids of a tensor can repeat (``"a⊗b" ⊗ "c"`` and ``"a" ⊗ "b⊗c"``), which
+raises the same error as in the constructor.
 """
 
 from __future__ import annotations
@@ -139,7 +132,10 @@ class GeometricComplex:
         if tau is None:
             tau = cell_list[0].gr if cell_list else Fraction(0)
         tau = Fraction(tau) % 2
-        _store(self, dims, bdry, tau, *self._validate(cell_list, dims, bdry, tau))
+        num, width = self._validate(cell_list, dims, bdry, tau)
+        self.bdry, self._index = bdry, dict(zip(dims, range(len(dims))))
+        _store(self, dims, [tuple(map(self._index.__getitem__, bdry[cid])) for cid in dims],
+               tau, num, width)
 
     def _validate(self, cells, dims, bdry, tau):
         """Check a new complex; return its gr numerators over tau's denominator and its width."""
@@ -191,12 +187,6 @@ class GeometricComplex:
         """Each cell's boundary as a set of ids, built from ``_adj`` on first read."""
         ids = self.ids()
         return {cid: frozenset(map(ids.__getitem__, ts)) for cid, ts in zip(ids, self._adj)}
-
-    @_view
-    def _adj(self) -> List[Tuple[int, ...]]:
-        """Each cell's boundary as positions in ``ids()``, built from ``bdry`` on first read."""
-        at, bdry = self._index.__getitem__, self.bdry
-        return [tuple(map(at, bdry[cid])) for cid in self._dim]
 
     @_view
     def _index(self) -> Dict[str, int]:
@@ -264,12 +254,13 @@ class SplitComplex(GeometricComplex):
     """A geometric complex with an involution J having exactly one fixed cell.
 
     The boundary and grading tables are taken over from ``base``, which its
-    own construction has already validated; only J is checked here.
+    own construction has already validated; only J is checked here, on
+    positions, and ``base``'s index is kept.
     """
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
         J = dict(J)
-        dims, num, bdry = base._dim, base._num, base.bdry
+        dims, num, adj, at = base._dim, base._num, base._adj, base._index
         if J.keys() != dims.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
@@ -285,10 +276,13 @@ class SplitComplex(GeometricComplex):
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
-        for cid in dims:
-            if {J[tid] for tid in bdry[cid]} != bdry[J[cid]]:
+        # J(d(c)) = d(Jc): J carries the row of each cell onto its partner's
+        jpos = [at[J[cid]] for cid in dims]
+        for cid, ts, jp in zip(dims, adj, jpos):
+            if {jpos[t] for t in ts} != set(adj[jp]):
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
-        _store(self, dims, bdry, base.tau, num, base._width, J, fixed[0])
+        _store(self, dims, adj, base.tau, num, base._width, J, fixed[0])
+        self._index = at
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """The two-element J-orbits, each reported once as (min, max)."""
@@ -297,31 +291,26 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
-def _store(c: GeometricComplex, dims: Dict[str, int],
-           boundary: Union[Dict[str, Chain], List[Tuple[int, ...]]], tau: Grading,
-           num: Dict[str, int], width: Union[int, float],
+def _store(c: GeometricComplex, dims: Dict[str, int], adj: List[Tuple[int, ...]],
+           tau: Grading, num: Dict[str, int], width: Union[int, float],
            J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
-    ``boundary`` is stored as ``bdry`` if it is a dict and as ``_adj`` if it
-    is a list; the other form is built from it on first read.  ``tau`` is
-    reduced mod 2, and ``num`` holds the gr numerators over its denominator
-    ``_q``; ``dims`` and ``num`` are keyed in one order, which is ``ids()``.
+    ``adj`` is the boundary as positions, from which ``bdry`` is built on
+    first read.  ``tau`` is reduced mod 2, and ``num`` holds the gr
+    numerators over its denominator ``_q``; ``dims``, ``num`` and ``adj``
+    are in one order, which is ``ids()``.
     """
-    if type(boundary) is dict:
-        c.bdry = boundary
-    else:
-        c._adj = boundary
-    c._dim, c.tau, c._num, c._q, c._width = dims, tau, num, tau.denominator, width
+    c._dim, c._adj, c.tau, c._num, c._q, c._width = dims, adj, tau, num, tau.denominator, width
     if J is not None:
         c.J, c.fixed = J, fixed
     return c
 
 
-def _derived(dims, boundary, tau, num, width, J=None, fixed=None) -> GeometricComplex:
+def _derived(dims, adj, tau, num, width, J=None, fixed=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if J is None else SplitComplex)
-    return _store(c, dims, boundary, tau, num, width, J, fixed)
+    return _store(c, dims, adj, tau, num, width, J, fixed)
 
 
 # -- splittings ---------------------------------------------------------
@@ -354,10 +343,11 @@ def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
 
     Per pair {c, Jc} with c chosen: c alone contributes to a; Jc alone
     contributes c to both a and b (Jc = c + (1+J)c over F2); both contribute
-    c to b.  Returns (a, b, eps).
+    c to b.  Returns (a, b, eps).  ``chosen`` is checked as ``double``
+    checks a splitting.
     """
     chain = frozenset(chain)
-    chosen = frozenset(chosen)
+    chosen = validate_splitting(sc, chosen)
     for cid in chain:
         if cid not in sc:
             raise ValueError(f"chain mentions unknown cell {cid!r}")
@@ -492,23 +482,24 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
     F2[U]-complex unchanged.  Over the same denominator q, the numerator k
     of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
-    width is unchanged.
+    width is unchanged.  Each e* keeps e's position, so the boundary is
+    transposed on positions.
     """
     n, q = c.max_dim(), c._q
     star = {cid: cid + "*" for cid in c._dim}
     dims = {star[cid]: n - d for cid, d in c._dim.items()}
     num = {star[cid]: -n * q - k for cid, k in c._num.items()}
     # transpose in one pass over the edges, visiting sources in cell order
-    sources = {cid: [] for cid in c._dim}
-    for src in c._dim:
-        for tid in c.bdry[src]:
-            sources[tid].append(star[src])
-    bdry = {star[cid]: frozenset(srcs) for cid, srcs in sources.items()}
+    sources = [[] for _ in star]
+    for src, ts in enumerate(c._adj):
+        for t in ts:
+            sources[t].append(src)
+    adj = list(map(tuple, sources))
     tau = (-n - c.tau) % 2
     if isinstance(c, SplitComplex):
         J = {star[cid]: star[c.J[cid]] for cid in c.ids()}
-        return _derived(dims, bdry, tau, num, c._width, J, star[c.fixed])
-    return _derived(dims, bdry, tau, num, c._width)
+        return _derived(dims, adj, tau, num, c._width, J, star[c.fixed])
+    return _derived(dims, adj, tau, num, c._width)
 
 
 # -- JSON ---------------------------------------------------------------

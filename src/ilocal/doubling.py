@@ -18,7 +18,9 @@ d(J.t) exactly when it is in d(t), as J commutes with d and fixes eta: the
 flag is the parity of the number of unchosen t in d(x) with eta in d(t).  So
 only the chosen cells with eta or the flag, and their partners, get a new
 boundary; every other cell keeps its own.  As d(eta) is J-invariant,
-d(J.omega) = d(omega) = d(eta).
+d(J.omega) = d(omega) = d(eta).  On positions, omega, J.omega and theta
+take the last three and the other rows are renumbered past eta's slot, not
+at all when eta is last, as in every complex the library builds.
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
@@ -115,8 +117,9 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
     chosen = validate_splitting(x, splitting)
-    eta = x.fixed
-    _, zeta, _ = decompose(x, x.bdry[eta], chosen)
+    eta, ids, at, adj = x.fixed, x.ids(), x._index, list(x._adj)
+    n, e = len(ids), at[eta]
+    _, zeta, _ = decompose(x, map(ids.__getitem__, adj[e]), chosen)
     omega, j_omega, theta = _fresh_names(x._dim)
 
     dims = dict(x._dim)
@@ -130,21 +133,23 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     J[j_omega] = omega
     J[theta] = theta
 
-    xb = x.bdry
-    cob = {s for s, ds in xb.items() if eta in ds}
-    unchosen_cob = cob - chosen
-    bdry = dict(xb)
-    del bdry[eta]
+    # rows edited in x's positions, where e is eta and stands for omega,
+    # n for J.omega and n + 1 for theta
+    cob = {s for s, ts in enumerate(adj) if e in ts}
+    unchosen_cob = {s for s in cob if ids[s] not in chosen}
     for c in chosen:
-        dc, jc = xb[c], x.J[c]
-        if c in cob:
-            bdry[c] = (dc - {eta}) | {omega}
-            bdry[jc] = (xb[jc] - {eta}) | {j_omega}
-        elif len(dc & unchosen_cob) % 2:
-            bdry[c] = dc | {theta}
-            bdry[jc] = xb[jc] | {theta}
-    bdry[omega] = bdry[j_omega] = xb[eta]
-    bdry[theta] = frozenset({omega, j_omega})
+        p, jp = at[c], at[x.J[c]]
+        if p in cob:
+            adj[jp] = tuple([n if t == e else t for t in adj[jp]])
+        elif len(unchosen_cob.intersection(adj[p])) % 2:
+            adj[p] += (n + 1,)
+            adj[jp] += (n + 1,)
+    if e != n - 1:
+        # eta's slot is dropped and omega takes position n - 1
+        moved = [*range(e), n - 1, *range(e, n - 1), n, n + 1].__getitem__
+        adj = [tuple(map(moved, ts)) for ts in adj]
+    d_omega = adj.pop(e)
+    adj += [d_omega, d_omega, (n - 1, n)]
 
     num = dict(x._num)
     del num[eta]
@@ -155,7 +160,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(dims, bdry, x.tau, num, 2 * delta, J, theta)
+    doubled = _derived(dims, adj, x.tau, num, 2 * delta, J, theta)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 
 

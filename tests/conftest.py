@@ -35,9 +35,10 @@ def revalidate_derived(request, monkeypatch):
     The cells are read back from the stored tables, so this checks the
     boundary, width, J and fixed cell against them; the tables themselves
     are compared with the Fraction formulas by ``TestDerivedGradings`` and
-    ``TestDouble::test_cells_on_random_complexes``.  Both boundary forms
-    are compared, each row of positions as a set, and the tables must be
-    keyed in ``ids()`` order, which the positions index.
+    ``TestDouble::test_cells_on_random_complexes``.  The stored positions
+    are compared row by row, each as a set, and the id boundary built from
+    them with the one the constructor checked; the tables must be keyed in
+    ``ids()`` order, which the positions index.
     """
     if request.node.get_closest_marker("trusted_derived"):
         return

@@ -504,10 +504,10 @@ class TestStoredFields:
 
 
 def boundary_forms_agree(c):
-    """``bdry`` built from ``_adj`` and ``_adj`` built from ``bdry`` agree with c's own.
+    """``bdry``, built from ``_adj`` on first read, agrees with c's positions.
 
     Rows are compared as sets: the order in which a frozenset iterates may
-    differ between the two, and nothing may depend on it.
+    differ from the order of a row, and nothing may depend on it.
     """
     ids = c.ids()
     adj, bdry = c._adj, c.bdry
@@ -516,14 +516,14 @@ def boundary_forms_agree(c):
         assert type(row) is tuple and len(set(row)) == len(row)
         assert all(type(t) is int and 0 <= t < len(ids) for t in row)
     assert GeometricComplex.bdry.build(c) == bdry
-    assert [set(row) for row in GeometricComplex._adj.build(c)] == [set(row) for row in adj]
     assert bdry == {cid: frozenset(ids[t] for t in row) for cid, row in zip(ids, adj)}
 
 
 @pytest.mark.trusted_derived
 class TestBoundaryForms:
-    """A complex stores one boundary form, the one its construction computes;
-    the other is built from it on first read, as is the index of positions."""
+    """Every complex stores its boundary as positions, ``_adj``; the id
+    boundary is built from it on first read, as is the index of positions.
+    The validating constructor keeps the id boundary it checked."""
 
     @staticmethod
     def stored(c):
@@ -537,27 +537,28 @@ class TestBoundaryForms:
     @given(st.integers(0, 10**6))
     def test_forms_agree(self, seed):
         rng = random.Random(seed)
-        # a draw may end in a tensor step, and then stores positions
+        # a draw may end in a derived complex or in a validated one
         sc = random_split_complex(rng, max_cells=10)
-        assert len(self.stored(sc)) == 1
         g = random_geometric_complex(rng, max_cells=8)
-        made = [sc]
-        for c in (g, build_xi(rng.randint(1, 4)), build_misordered(1, 3),
-                  complex_from_json(complex_to_json(sc)), dual(sc), dual(g), double(sc, 0).complex):
-            assert self.stored(c) == ["bdry"]
-            made.append(c)
-        for c in (tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))):
+        made = [sc, g, build_xi(rng.randint(1, 4)), build_misordered(1, 3),
+                complex_from_json(complex_to_json(sc))]
+        assert self.stored(g) == ["bdry", "_adj"]
+        for c in (dual(sc), dual(g), double(sc, 0).complex,
+                  tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))):
             assert self.stored(c) == ["_adj"]
             made.append(c)
         for c in made:
+            assert "_adj" in vars(c)
             boundary_forms_agree(c)
-            assert sorted(self.stored(c)) == ["_adj", "bdry"]
+            assert self.stored(c) == ["bdry", "_adj"]
             self.index_agrees(c)
 
-    def test_split_complex_over_a_product_stores_bdry(self):
+    def test_split_complex_over_a_product_stores_adj(self):
         p = tensor(build_xi(1), dual(build_xi(2)))
         s = SplitComplex(p, p.J)
-        assert self.stored(s) == ["bdry"]
+        # J is checked on positions, so neither builds an id boundary
+        assert self.stored(s) == self.stored(p) == ["_adj"]
+        assert s._adj is p._adj
         boundary_forms_agree(s)
         assert s.bdry == p.bdry
         self.index_agrees(p)
@@ -589,6 +590,21 @@ class TestDecompose:
             if eps:
                 rebuilt ^= {m.fixed}
             assert rebuilt == set(chain)
+
+    @pytest.mark.parametrize(
+        "chosen, message",
+        [
+            ({"a", "b"}, r"a splitting never contains the fixed cell"),
+            ({"a", "Ja"}, r"splitting contains both members of the pair \('(a|Ja)', '(a|Ja)'\)"),
+            ({"z"}, r"splitting mentions unknown cell 'z'"),
+            (set(), r"splitting must pick exactly one cell from each J-pair"),
+        ],
+        ids=["fixed-cell", "both-of-a-pair", "unknown-cell", "missing-pair"],
+    )
+    def test_invalid_splitting_rejected(self, chosen, message):
+        # the same checks and messages as double's
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decompose(build_xi(3), {"a"}, chosen)
 
 
 class TestDerivedDifferential:

@@ -41,10 +41,12 @@ from ilocal import (
     SplitComplex,
     Tower,
     canonical_splitting,
+    complex_from_json,
     complex_to_json,
     decompose,
     double,
     dual,
+    half,
     homology,
     induced_map,
     is_u_localized_iso,
@@ -92,16 +94,22 @@ def ref_decompose(sc, chain, chosen):
     return frozenset(a), frozenset(b), 1 if sc.fixed in chain else 0
 
 
-def ref_double(x, delta, chosen):
-    """The double of ``x``, with one decomposition per chosen cell."""
-    eta, taken = x.fixed, set(x.ids())
+def ref_fresh_names(x):
+    """omega, J.omega and theta, suffixed by the first k >= 2 that is free if taken."""
+    taken = set(x.ids())
     k = 1
     while True:
         suffix = "" if k == 1 else str(k)
-        omega, j_omega, theta = "omega" + suffix, "J.omega" + suffix, "theta" + suffix
-        if not {omega, j_omega, theta} & taken:
-            break
+        names = ("omega" + suffix, "J.omega" + suffix, "theta" + suffix)
+        if not set(names) & taken:
+            return names
         k += 1
+
+
+def ref_double(x, delta, chosen):
+    """The double of ``x``, with one decomposition per chosen cell."""
+    eta = x.fixed
+    omega, j_omega, theta = ref_fresh_names(x)
     e = x.cells[eta]
     cells = [c for cid, c in x.cells.items() if cid != eta]
     cells += [Cell(omega, e.dim, e.gr), Cell(j_omega, e.dim, e.gr), Cell(theta, e.dim + 1, e.gr - 2 * delta)]
@@ -120,6 +128,52 @@ def ref_double(x, delta, chosen):
             bdry[c] = dc | {theta} if eta in db else dc
         bdry[x.J[c]] = {J[t] for t in bdry[c]}
     return SplitComplex(GeometricComplex(cells, bdry, x.tau), J)
+
+
+def frozenset_double(x, delta, chosen):
+    """``double`` as it was stated on id boundaries: (complex, labels JSON).
+
+    Only the cells next to eta get a new boundary, with the theta flag read
+    as a parity; the cells keep x's order, with omega, J.omega and theta
+    appended.
+    """
+    eta, xb = x.fixed, x.bdry
+    _, zeta, _ = ref_decompose(x, xb[eta], chosen)
+    omega, j_omega, theta = ref_fresh_names(x)
+    e = x.cells[eta]
+    cells = [c for cid, c in x.cells.items() if cid != eta]
+    cells += [Cell(omega, e.dim, e.gr), Cell(j_omega, e.dim, e.gr), Cell(theta, e.dim + 1, e.gr - 2 * delta)]
+    J = {cid: jid for cid, jid in x.J.items() if cid != eta}
+    J.update({omega: j_omega, j_omega: omega, theta: theta})
+    cob = {s for s, ds in xb.items() if eta in ds}
+    unchosen_cob = cob - chosen
+    bdry = {cid: ds for cid, ds in xb.items() if cid != eta}
+    for c in chosen:
+        dc, jc = xb[c], x.J[c]
+        if c in cob:
+            bdry[c] = (dc - {eta}) | {omega}
+            bdry[jc] = (xb[jc] - {eta}) | {j_omega}
+        elif len(dc & unchosen_cob) % 2:
+            bdry[c] = dc | {theta}
+            bdry[jc] = xb[jc] | {theta}
+    bdry[omega] = bdry[j_omega] = xb[eta]
+    bdry[theta] = {omega, j_omega}
+    labels = {"omega": omega, "j_omega": j_omega, "theta": theta, "eta": eta,
+              "zeta": sorted(zeta), "splitting": sorted(chosen | {omega})}
+    return SplitComplex(GeometricComplex(cells, bdry, x.tau), J), labels
+
+
+def frozenset_dual(c):
+    """``dual`` as it was stated on id boundaries: one pass over the edges."""
+    n = c.max_dim()
+    star = {cid: cid + "*" for cid in c.ids()}
+    cells = [Cell(star[cid], n - cell.dim, -cell.gr - n) for cid, cell in c.cells.items()]
+    sources = {cid: [] for cid in c.ids()}
+    for src in c.ids():
+        for tid in c.bdry[src]:
+            sources[tid].append(star[src])
+    g = GeometricComplex(cells, {star[cid]: srcs for cid, srcs in sources.items()}, -n - c.tau)
+    return SplitComplex(g, {star[cid]: star[c.J[cid]] for cid in c.ids()})
 
 
 def ref_u_exponent(b, src, tgt):
@@ -216,6 +270,37 @@ def test_double_matches_one_decomposition_per_cell(seed):
             for delta in admissible_deltas(x, cap=4):
                 got = double(x, delta, chosen).complex
                 assert complex_to_json(got) == complex_to_json(ref_double(x, delta, chosen))
+
+
+def shuffled(rng, c):
+    """``c`` read back from its JSON with the cells in a random order."""
+    obj = complex_to_json(c)
+    rng.shuffle(obj["cells"])
+    return complex_from_json(obj)
+
+
+def test_double_and_half_match_id_boundaries_in_any_cell_order(split_corpus):
+    # every complex the library builds has its fixed cell last; a shuffled
+    # order moves eta, so double renumbers the positions after it
+    rng = random.Random("shuffled cell order")
+    moved = cases = 0
+    for sc in split_corpus:
+        for _ in range(2):
+            x = shuffled(rng, sc)
+            moved += x.ids()[-1] != x.fixed
+            dx = frozenset_dual(x)
+            for delta in admissible_deltas(x, cap=4):
+                chosen = random_splitting(rng, x)
+                dr = double(x, delta, chosen)
+                ref, labels = frozenset_double(x, delta, chosen)
+                assert complex_to_json(dr.complex) == complex_to_json(ref)
+                assert dr.labels_json() == labels
+                ref_half = frozenset_dual(frozenset_double(dx, delta, canonical_splitting(dx))[0])
+                assert complex_to_json(half(x, delta)) == complex_to_json(ref_half)
+                f, g = local_map_f(x, delta, chosen), local_map_g(x, delta, chosen)
+                assert verify_local_pair(f, g).passed
+                cases += 1
+    assert moved > 250 and cases > 1000, (moved, cases)
 
 
 @settings(max_examples=60, deadline=None)

@@ -257,6 +257,49 @@ class TestDecode:
             w = check_decode_roundtrip(random_combination(rng, 6, 9), random_even_d(rng))
             assert w is None, w
 
+    @staticmethod
+    def placed_or_perturbed(rng):
+        """A placed module, perturbed by one edit or not, or random towers."""
+        d = random_even_d(rng)
+        kind = rng.randrange(6)
+        if kind == 5:
+            towers = [T(F(rng.randint(-12, 12)), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))]
+        else:
+            towers = list(hf_conn(random_combination(rng, 6, 9), d))
+        if not towers and kind in (1, 2, 3):
+            kind = 4  # an empty module can only gain a tower
+        if kind == 1:
+            k = rng.randrange(len(towers))
+            towers[k] = T(towers[k].top + rng.choice((-2, -1, 1, 2)), towers[k].length)
+        elif kind == 2:
+            k = rng.randrange(len(towers))
+            towers[k] = T(towers[k].top, max(1, towers[k].length + rng.choice((-1, 1))))
+        elif kind == 3:
+            del towers[rng.randrange(len(towers))]
+        elif kind == 4:
+            towers.append(T(F(rng.randint(-12, 12)), rng.randint(1, 9)))
+        rng.shuffle(towers)
+        towers = [T(t.top, t.length, rng.choice((DOWN, UP, None))) for t in towers]
+        return mod(*towers), d + rng.choice((0, 0, 0, 2, -2))
+
+    def test_accepted_modules_reassemble(self):
+        # decode accepts a module only if its chains are placed towers, so
+        # the decoded combination places the module again (orientations are
+        # not compared)
+        rng = random.Random("decode reassembles")
+        outcomes = {}
+        for _ in range(4000):
+            m, d = self.placed_or_perturbed(rng)
+            try:
+                lc = decode(m, d)
+            except NotInXForm as exc:
+                reason = "chain" if "concatenate" in str(exc) else "rule"
+                outcomes[reason] = outcomes.get(reason, 0) + 1
+                continue
+            assert hf_conn(lc, d) == m
+            outcomes["accepted"] = outcomes.get("accepted", 0) + 1
+        assert min(outcomes.get(k, 0) for k in ("accepted", "chain", "rule")) > 400, outcomes
+
     def test_round_trip_rational_d(self):
         lc = LC(((1, 3), (-1, 1)))
         for d in (F(1), F(-3), F(1, 2), F(-7, 2)):

@@ -65,9 +65,10 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     """
     derived = ilocal.doubling._derived
 
-    def mutated(dims, bdry, tau, num, width, J=None, fixed=None):
-        bdry = {cid: targets - {fixed} for cid, targets in bdry.items()}
-        return derived(dims, bdry, tau, num, width, J, fixed)
+    def mutated(dims, adj, tau, num, width, J=None, fixed=None):
+        theta = list(dims).index(fixed)
+        adj = [tuple(t for t in ts if t != theta) for ts in adj]
+        return derived(dims, adj, tau, num, width, J, fixed)
 
     monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
     report = run_suite(11, SMALL)
@@ -115,9 +116,12 @@ class TestCheckWitnesses:
         assert check_doubling_homology(x, 1) is None
         derived = ilocal.doubling._derived
 
-        def mutated(dims, bdry, tau, num, width, J=None, fixed=None):
-            bdry = {cid: targets - {min(targets)} if cid == fixed else targets for cid, targets in bdry.items()}
-            return derived(dims, bdry, tau, num, width, J, fixed)
+        def mutated(dims, adj, tau, num, width, J=None, fixed=None):
+            # drop the target of theta whose id sorts first
+            ids = list(dims)
+            theta, adj = ids.index(fixed), list(adj)
+            adj[theta] = tuple(sorted(adj[theta], key=ids.__getitem__)[1:])
+            return derived(dims, adj, tau, num, width, J, fixed)
 
         monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
         w = check_doubling_homology(x, 1)
