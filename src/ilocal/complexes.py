@@ -35,26 +35,39 @@ here accepts either kind.  It is built from an already validated geometric
 complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
-Instances are immutable.  They store integer tables in ``ids()`` order:
-each cell's dimension, its gr numerator over q (always tau's denominator)
-and its boundary ``_adj``, a tuple of positions, each indexing ``ids()``.
-One private step, ``_store``, assigns every stored field (these tables,
-tau, the width, and for a split complex J and its fixed cell), and every
-construction ends there.  ``bdry`` (each boundary as a frozenset of ids),
-the ``Cell`` objects of ``cells`` and ``_index`` (each id's position, the
-one map from ids to positions) are views built on first read, so a complex
-that is only reduced, mapped or derived from never builds them; ``fu_bdry``,
-the local maps, the suite and the JSON read ``bdry``, all else ``_adj``.
+Instances are immutable.  They store their cells by position: ``_ids``
+is the tuple that ``ids()`` returns, and in that order ``_dims`` and
+``_nums`` list each cell's dimension and its gr numerator over q (always
+tau's denominator), ``_adj`` each cell's boundary as a tuple of positions
+and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
+complex also stores ``_jpos``, the position of each cell's J-partner, and
+``_fpos``, the position of its fixed cell, whose id is ``fixed``.  One
+private step, ``_store``, assigns every stored field (these tables, tau,
+the width, and where its caller has them, ``_coadj`` and ``_index``), and
+every construction ends there.  The id-keyed tables are views built on
+first read: ``bdry`` (each boundary as a frozenset of ids), ``_dim`` and
+``_num`` (dimensions and numerators by id), ``J`` (each id's partner), the
+``Cell`` objects of ``cells``, ``_index`` (each id's position, the one map
+from ids to positions) and ``_mnum``; so is ``_coadj`` where it is not
+stored.  A complex that is only reduced, mapped or derived from never
+builds the id tables; ``fu_bdry``, the suite and the JSON read ``bdry``,
+all else the positions.
+
 Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full into the tables, and the
-validating constructor keeps the id boundary it checked and its index as
-those two views.  ``dual``, ``tensor`` and ``double`` derive new complexes
-from validated ones and are valid by construction: each computes the
-dimensions, numerators, positions, tau, the width, J and the fixed cell of
-its result from the tables of its inputs, and ``_derived`` stores them
-without validating again.  The one check that depends on the input stays:
-ids of a tensor can repeat (``"a⊗b" ⊗ "c"`` and ``"a" ⊗ "b⊗c"``), which
-raises the same error as in the constructor.
+validating constructors keep the id boundary, J and index they checked
+as those views; their coboundary is built when first read.
+``dual``, ``tensor`` and ``double`` derive new complexes from validated
+ones and are valid by construction: each computes the positional tables,
+tau, the width, J and the fixed cell of its result from the tables of its
+inputs, and ``_derived`` stores them without validating again.  ``dual``
+keeps every position, so it shares ``_jpos`` and swaps boundary and
+coboundary: its ``_adj`` is its input's ``_coadj`` and its ``_coadj`` its
+input's ``_adj``.  ``double`` copies its input's tables and edits the
+cells next to eta in both (see ``doubling``); ``tensor`` leaves its
+coboundary a view and keeps the index it built.  The one check that
+depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
+and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
 """
 
 from __future__ import annotations
@@ -133,9 +146,11 @@ class GeometricComplex:
             tau = cell_list[0].gr if cell_list else Fraction(0)
         tau = Fraction(tau) % 2
         num, width = self._validate(cell_list, dims, bdry, tau)
-        self.bdry, self._index = bdry, dict(zip(dims, range(len(dims))))
-        _store(self, dims, [tuple(map(self._index.__getitem__, bdry[cid])) for cid in dims],
-               tau, num, width)
+        ids = tuple(dims)
+        at = dict(zip(ids, range(len(ids))))
+        _store(self, ids, list(dims.values()), [tuple(map(at.__getitem__, bdry[cid])) for cid in ids],
+               tau, list(num.values()), width, index=at)
+        self.bdry = bdry  # the id boundary just checked, kept as its view
 
     def _validate(self, cells, dims, bdry, tau):
         """Check a new complex; return its gr numerators over tau's denominator and its width."""
@@ -179,37 +194,54 @@ class GeometricComplex:
     @_view
     def cells(self) -> Dict[str, Cell]:
         """The cells by id, built from the grading tables on first read."""
-        num, q = self._num, self._q
-        return {cid: Cell(cid, d, Fraction(num[cid], q)) for cid, d in self._dim.items()}
+        q = self._q
+        return {cid: Cell(cid, d, Fraction(k, q))
+                for cid, d, k in zip(self._ids, self._dims, self._nums)}
 
     @_view
     def bdry(self) -> Dict[str, Chain]:
         """Each cell's boundary as a set of ids, built from ``_adj`` on first read."""
-        ids = self.ids()
+        ids = self._ids
         return {cid: frozenset(map(ids.__getitem__, ts)) for cid, ts in zip(ids, self._adj)}
+
+    @_view
+    def _coadj(self) -> List[Tuple[int, ...]]:
+        """Each cell's coboundary as positions: ``_adj`` transposed, sources in cell order."""
+        sources = [[] for _ in self._adj]
+        for src, ts in enumerate(self._adj):
+            for t in ts:
+                sources[t].append(src)
+        return list(map(tuple, sources))
 
     @_view
     def _index(self) -> Dict[str, int]:
         """Each cell's position in ``ids()``: the one map from ids to positions."""
-        return dict(zip(self._dim, range(len(self._dim))))
+        return dict(zip(self._ids, range(len(self._ids))))
+
+    @_view
+    def _dim(self) -> Dict[str, int]:
+        return dict(zip(self._ids, self._dims))
+
+    @_view
+    def _num(self) -> Dict[str, int]:
+        return dict(zip(self._ids, self._nums))
 
     # -- basic accessors ------------------------------------------------
 
     def ids(self) -> Tuple[str, ...]:
-        return tuple(self._dim)
+        return self._ids
 
     def __len__(self) -> int:
-        return len(self._dim)
+        return len(self._ids)
 
     def __contains__(self, cid: str) -> bool:
-        return cid in self._dim
+        return cid in self._index
 
     def maslov(self, cid: str) -> Grading:
-        q = self._q
-        return Fraction(self._num[cid] + q * self._dim[cid], q)
+        return Fraction(self._mnum[cid], self._q)
 
     def max_dim(self) -> int:
-        return max(self._dim.values(), default=0)
+        return max(self._dims, default=0)
 
     def degree_of(self, cid: str, k: int) -> Grading:
         """Maslov degree M(cid) - 2k of the chain U^k cid."""
@@ -224,8 +256,9 @@ class GeometricComplex:
 
     def fu_bdry(self, cid: str) -> Dict[str, int]:
         """Derived F2[U]-differential of a cell as {target: U-exponent}."""
-        num, two_q = self._num, 2 * self._q
-        return {tid: (num[tid] - num[cid]) // two_q for tid in self.bdry[cid]}
+        at, nums, two_q = self._index, self._nums, 2 * self._q
+        k = nums[at[cid]]
+        return {tid: (nums[at[tid]] - k) // two_q for tid in self.bdry[cid]}
 
     def width(self) -> Union[int, float]:
         """Twice the minimal U-exponent in the differential; INFINITE if d = 0."""
@@ -236,8 +269,8 @@ class GeometricComplex:
     @_view
     def _mnum(self) -> Dict[str, int]:
         """q * M(cell) for every cell: the Maslov gradings over the shared q."""
-        q, dims = self._q, self._dim
-        return {cid: n + q * dims[cid] for cid, n in self._num.items()}
+        q = self._q
+        return dict(zip(self._ids, [k + q * d for k, d in zip(self._nums, self._dims)]))
 
     def _lift(self, cid: str, m: int, q: int) -> Optional[int]:
         """The k >= 0 with M(cid) - 2k == m / q (q > 0), or None if there is none.
@@ -255,62 +288,88 @@ class SplitComplex(GeometricComplex):
 
     The boundary and grading tables are taken over from ``base``, which its
     own construction has already validated; only J is checked here, on
-    positions, and ``base``'s index is kept.
+    positions, and ``base``'s index and the checked J are kept.
     """
+
+    #: the least suffix that ``doubling``'s name probe may find free here
+    _fresh_from = 1
 
     def __init__(self, base: GeometricComplex, J: Mapping[str, str]):
         J = dict(J)
-        dims, num, adj, at = base._dim, base._num, base._adj, base._index
-        if J.keys() != dims.keys():
+        ids, dims, nums, adj, at = base._ids, base._dims, base._nums, base._adj, base._index
+        if J.keys() != at.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
         fixed = []
         for cid, jid in J.items():
-            if jid not in dims:
+            jp = at.get(jid)
+            if jp is None:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
             if J[jid] != cid:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
             # gradings of the validated base share one denominator
-            if dims[cid] != dims[jid] or num[cid] != num[jid]:
+            p = at[cid]
+            if dims[p] != dims[jp] or nums[p] != nums[jp]:
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
             if jid == cid:
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         # J(d(c)) = d(Jc): J carries the row of each cell onto its partner's
-        jpos = [at[J[cid]] for cid in dims]
-        for cid, ts, jp in zip(dims, adj, jpos):
+        jpos = [at[J[cid]] for cid in ids]
+        for cid, ts, jp in zip(ids, adj, jpos):
             if {jpos[t] for t in ts} != set(adj[jp]):
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
-        _store(self, dims, adj, base.tau, num, base._width, J, fixed[0])
-        self._index = at
+        # base's coboundary is shared if it has stored or built one
+        _store(self, ids, dims, adj, base.tau, nums, base._width, jpos, at[fixed[0]],
+               vars(base).get("_coadj"), at)
+        self.J = J
+
+    @_view
+    def J(self) -> Dict[str, str]:
+        """Each cell's J-partner by id, built from ``_jpos`` on first read."""
+        ids = self._ids
+        return dict(zip(ids, map(ids.__getitem__, self._jpos)))
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
-        """The two-element J-orbits, each reported once as (min, max)."""
-        for cid, jid in self.J.items():
+        """The two-element J-orbits in ``ids()`` order, each reported once as (min, max)."""
+        ids = self._ids
+        for cid, jp in zip(ids, self._jpos):
+            jid = ids[jp]
             if cid < jid:
                 yield cid, jid
 
 
-def _store(c: GeometricComplex, dims: Dict[str, int], adj: List[Tuple[int, ...]],
-           tau: Grading, num: Dict[str, int], width: Union[int, float],
-           J: Optional[Dict[str, str]] = None, fixed: Optional[str] = None) -> GeometricComplex:
+def _store(c: GeometricComplex, ids: Tuple[str, ...], dims: List[int],
+           adj: List[Tuple[int, ...]], tau: Grading, nums: List[int], width: Union[int, float],
+           jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
+           coadj: Optional[List[Tuple[int, ...]]] = None,
+           index: Optional[Dict[str, int]] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
-    ``adj`` is the boundary as positions, from which ``bdry`` is built on
-    first read.  ``tau`` is reduced mod 2, and ``num`` holds the gr
-    numerators over its denominator ``_q``; ``dims``, ``num`` and ``adj``
-    are in one order, which is ``ids()``.
+    ``ids``, ``dims``, ``nums``, ``adj`` and, for a split complex, ``jpos``
+    are in one order, which is ``ids()``; ``adj`` and ``jpos`` hold
+    positions in it, as does ``fpos``, the fixed cell's.  ``tau`` is
+    reduced mod 2, and ``nums`` holds the gr numerators over its
+    denominator ``_q``.  ``coadj`` and ``index`` are stored when the caller
+    has them, and otherwise built on first read.
     """
-    c._dim, c._adj, c.tau, c._num, c._q, c._width = dims, adj, tau, num, tau.denominator, width
-    if J is not None:
-        c.J, c.fixed = J, fixed
+    c._ids, c._dims, c._adj, c.tau, c._nums, c._q, c._width = (
+        ids, dims, adj, tau, nums, tau.denominator, width
+    )
+    if jpos is not None:
+        c._jpos, c._fpos, c.fixed = jpos, fpos, ids[fpos]
+    if coadj is not None:
+        c._coadj = coadj
+    if index is not None:
+        c._index = index
     return c
 
 
-def _derived(dims, adj, tau, num, width, J=None, fixed=None) -> GeometricComplex:
+def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
+             index=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
-    c = object.__new__(GeometricComplex if J is None else SplitComplex)
-    return _store(c, dims, adj, tau, num, width, J, fixed)
+    c = object.__new__(GeometricComplex if jpos is None else SplitComplex)
+    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index)
 
 
 # -- splittings ---------------------------------------------------------
@@ -318,7 +377,8 @@ def _derived(dims, adj, tau, num, width, J=None, fixed=None) -> GeometricComplex
 
 def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
     """Lexicographically smallest member of each J-orbit pair."""
-    return frozenset(a for a, _ in sc.pairs())
+    ids = sc._ids
+    return frozenset([cid for cid, jp in zip(ids, sc._jpos) if cid < ids[jp]])
 
 
 def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
@@ -328,11 +388,15 @@ def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> Fro
     chosen = frozenset(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
-    for cid in chosen:
-        if cid not in sc:
-            raise ValueError(f"splitting mentions unknown cell {cid!r}")
-        if sc.J[cid] in chosen:
-            raise ValueError(f"splitting contains both members of the pair ({cid!r}, {sc.J[cid]!r})")
+    ids, at, jpos = sc._ids, sc._index, sc._jpos
+    ps = list(map(at.get, chosen))
+    # the loop names the first cell that fails, in the order of ``chosen``
+    if None in ps or not chosen.isdisjoint(map(ids.__getitem__, map(jpos.__getitem__, ps))):
+        for cid, p in zip(chosen, ps):
+            if p is None:
+                raise ValueError(f"splitting mentions unknown cell {cid!r}")
+            if ids[jpos[p]] in chosen:
+                raise ValueError(f"splitting contains both members of the pair ({cid!r}, {ids[jpos[p]]!r})")
     if len(chosen) * 2 + 1 != len(sc):
         raise ValueError("splitting must pick exactly one cell from each J-pair")
     return chosen
@@ -348,15 +412,16 @@ def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
     """
     chain = frozenset(chain)
     chosen = validate_splitting(sc, chosen)
+    ids, at, jpos = sc._ids, sc._index, sc._jpos
     for cid in chain:
-        if cid not in sc:
+        if cid not in at:
             raise ValueError(f"chain mentions unknown cell {cid!r}")
-    J = sc.J
-    touched = {cid for cid in chain if cid in chosen}
-    touched.update(J[cid] for cid in chain if J[cid] in chosen)
+    # each cell of the chain with its partner, the chosen one first
+    pairs = {(cid, jid) if cid in chosen else (jid, cid)
+             for cid, jid in zip(chain, [ids[jpos[at[cid]]] for cid in chain]) if cid != jid}
     a, b = set(), set()
-    for c in touched:
-        in_c, in_j = c in chain, J[c] in chain
+    for c, jc in pairs:
+        in_c, in_j = c in chain, jc in chain
         if in_c and in_j:
             b.add(c)
         elif in_c:
@@ -426,32 +491,32 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     position i*n2 + j, n2 = len(c2): cells are listed u-major.  Its boundary
     d(u⊗v) = du⊗v + u⊗dv is read from the factors' positions alone, so an
     iterated tensor builds no id boundary.  If both factors are split the
-    product is split with J acting coordinatewise; its fixed cell is the
-    pair of fixed cells.  A sum of gradings from the cosets of tau1 and tau2
-    lies in the coset of their sum, so its reduced denominator is that
-    coset's denominator q, and the numerators n1/q1 + n2/q2 over q are the
-    exact integers (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the
-    product moves one factor along a boundary pair of that factor, so the
-    width is the least factor width, counting a factor only when the other
-    has cells.
+    product is split with J acting coordinatewise, J(i*n2 + j) =
+    J(i)*n2 + J(j); its fixed cell is the pair of fixed cells.  A sum of
+    gradings from the cosets of tau1 and tau2 lies in the coset of their
+    sum, so its reduced denominator is that coset's denominator q, and the
+    numerators n1/q1 + n2/q2 over q are the exact integers
+    (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the product moves
+    one factor along a boundary pair of that factor, so the width is the
+    least factor width, counting a factor only when the other has cells.
     """
-    ids1, ids2 = c1.ids(), c2.ids()
+    ids1, ids2 = c1._ids, c2._ids
     n1, n2 = len(ids1), len(ids2)
     n = n1 * n2
     tau = (c1.tau + c2.tau) % 2
     q, q1, q2 = tau.denominator, c1._q, c2._q
-    q12, dims1 = q1 * q2, list(c1._dim.values())
-    scaled1 = [k * q2 * q for k in c1._num.values()]
+    q12, dims1 = q1 * q2, c1._dims
+    scaled1 = [k * q2 * q for k in c1._nums]
     # one column (the cells u⊗v for one v) at a time, interleaved u-major
-    columns, ids, dim_list, num_list = [], [None] * n, [None] * n, [None] * n
-    for j, (v, d2, k) in enumerate(zip(ids2, c2._dim.values(), c2._num.values())):
+    ids, dims, nums = [None] * n, [None] * n, [None] * n
+    for j, (v, d2, k) in enumerate(zip(ids2, c2._dims, c2._nums)):
         right, scaled = TENSOR_SEP + v, k * q1 * q
-        ids[j::n2] = column = [u + right for u in ids1]
-        columns.append(column)
-        dim_list[j::n2] = map(d2.__add__, dims1)
-        num_list[j::n2] = [(s + scaled) // q12 for s in scaled1]
-    dims = dict(zip(ids, dim_list))
-    if len(dims) != n:
+        ids[j::n2] = [u + right for u in ids1]
+        dims[j::n2] = map(d2.__add__, dims1)
+        nums[j::n2] = [(s + scaled) // q12 for s in scaled1]
+    ids = tuple(ids)
+    at = dict(zip(ids, range(n)))
+    if len(at) != n:
         raise _duplicate_id(ids)
     # column j: du⊗v at a*n2 + j for a in du, then u⊗dv at i*n2 + b for b in dv
     adj, lefts = [None] * n, [tuple([t * n2 for t in ts]) for ts in c1._adj]
@@ -460,18 +525,13 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
         if ts2:
             col = list(map(tuple.__add__, col, zip(*[range(t, t + n, n2) for t in ts2])))
         adj[j::n2] = col
-    num = dict(zip(ids, num_list))
     least = min(c1._width if n2 else INFINITE, c2._width if n1 else INFINITE)
     if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        # J(u⊗v) = Ju⊗Jv: the rows of the Ju, read in the column of Jv
-        rows = list(map(c1._index.__getitem__, map(c1.J.__getitem__, ids1)))
-        cols = map(c2._index.__getitem__, map(c2.J.__getitem__, ids2))
-        J_list = [None] * n
-        for j, jv in enumerate(cols):
-            J_list[j::n2] = map(columns[jv].__getitem__, rows)
-        J = dict(zip(ids, J_list))
-        return _derived(dims, adj, tau, num, least, J, _pid(c1.fixed, c2.fixed))
-    return _derived(dims, adj, tau, num, least)
+        jpos2 = c2._jpos
+        jpos = [a + b for a in [k * n2 for k in c1._jpos] for b in jpos2]
+        return _derived(ids, dims, adj, tau, nums, least, jpos, c1._fpos * n2 + c2._fpos,
+                        index=at)
+    return _derived(ids, dims, adj, tau, nums, least, index=at)
 
 
 def dual(c: GeometricComplex) -> GeometricComplex:
@@ -482,24 +542,17 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     cell complexes non-negative; complementary shifts of (dim, gr) leave the
     F2[U]-complex unchanged.  Over the same denominator q, the numerator k
     of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
-    width is unchanged.  Each e* keeps e's position, so the boundary is
-    transposed on positions.
+    width is unchanged.  Each e* keeps e's position, so J keeps its
+    positions and the boundary and coboundary trade places.
     """
     n, q = c.max_dim(), c._q
-    star = {cid: cid + "*" for cid in c._dim}
-    dims = {star[cid]: n - d for cid, d in c._dim.items()}
-    num = {star[cid]: -n * q - k for cid, k in c._num.items()}
-    # transpose in one pass over the edges, visiting sources in cell order
-    sources = [[] for _ in star]
-    for src, ts in enumerate(c._adj):
-        for t in ts:
-            sources[t].append(src)
-    adj = list(map(tuple, sources))
+    ids = tuple([cid + "*" for cid in c._ids])
+    dims = [n - d for d in c._dims]
+    nums = [-n * q - k for k in c._nums]
     tau = (-n - c.tau) % 2
     if isinstance(c, SplitComplex):
-        J = {star[cid]: star[c.J[cid]] for cid in c.ids()}
-        return _derived(dims, adj, tau, num, c._width, J, star[c.fixed])
-    return _derived(dims, adj, tau, num, c._width)
+        return _derived(ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos, c._adj)
+    return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)
 
 
 # -- JSON ---------------------------------------------------------------

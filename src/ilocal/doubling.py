@@ -18,9 +18,24 @@ d(J.t) exactly when it is in d(t), as J commutes with d and fixes eta: the
 flag is the parity of the number of unchosen t in d(x) with eta in d(t).  So
 only the chosen cells with eta or the flag, and their partners, get a new
 boundary; every other cell keeps its own.  As d(eta) is J-invariant,
-d(J.omega) = d(omega) = d(eta).  On positions, omega, J.omega and theta
-take the last three and the other rows are renumbered past eta's slot, not
-at all when eta is last, as in every complex the library builds.
+d(J.omega) = d(omega) = d(eta).
+
+On positions, ``double`` copies the tables of x and edits only the cells
+next to eta, in the boundary ``_adj`` and the coboundary ``_coadj`` alike.
+Omega takes eta's position, and J.omega and theta the two after the last
+cell.  Eta's coboundary, read from ``_coadj`` rather than by scanning the
+rows, lists the chosen cells with eta in their boundary, which keep it as
+omega, and their unchosen partners, which switch it for J.omega; so eta's
+column splits into omega's and J.omega's.  The theta flag is a parity over
+the coboundaries of the switched cells; flagged pairs gain theta, and
+theta's column lists them.  Each cell of d(eta) gains J.omega in its
+column, omega and J.omega gain theta in theirs, and ``_jpos`` and the
+index are copied and edited too.  Every complex the library builds has eta
+last, so these edited tables are the double's.  Otherwise the positions are
+renumbered so that omega, J.omega and theta are the last three, and the
+coboundary and the index are left to be built on first read.  ``double``
+also records on its result the least suffix the next name probe may start
+from, so a run of doublings probes each name once.
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
@@ -46,6 +61,7 @@ Halving is implemented algebraically as dual o double o dual.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, FrozenSet, Iterable, Optional
@@ -95,14 +111,37 @@ class DoubleResult:
         }
 
 
-def _fresh_names(taken: Container[str]):
-    k = 1
+# a name of the suffix k >= 1: "" for k = 1, str(k) from k = 2
+_NEW_NAME = re.compile(r"(?:omega|J\.omega|theta)([2-9]|[1-9][0-9]+)?")
+
+
+def _names(k: int):
+    suffix = "" if k == 1 else str(k)
+    return "omega" + suffix, "J.omega" + suffix, "theta" + suffix
+
+
+def _fresh_names(taken: Container[str], k: int):
+    """The least suffix k' >= k none of whose three names is taken, with those names."""
     while True:
-        suffix = "" if k == 1 else str(k)
-        names = ("omega" + suffix, "J.omega" + suffix, "theta" + suffix)
+        names = _names(k)
         if not any(n in taken for n in names):
-            return names
+            return k, names
         k += 1
+
+
+def _next_probe(taken: Container[str], eta: str, k: int) -> int:
+    """Where the name probe of the double may start.
+
+    Every suffix below k is taken in the input and k's names now are, so
+    only the suffix of eta's own name, if below k, can be free: when no
+    other of its names is taken.
+    """
+    m = _NEW_NAME.fullmatch(eta)
+    if m:
+        j = int(m[1] or 1)
+        if j < k and not any(n != eta and n in taken for n in _names(j)):
+            return j
+    return k + 1
 
 
 def _check_delta(x: SplitComplex, delta: int) -> None:
@@ -117,50 +156,64 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
     chosen = validate_splitting(x, splitting)
-    eta, ids, at, adj = x.fixed, x.ids(), x._index, list(x._adj)
-    n, e = len(ids), at[eta]
-    _, zeta, _ = decompose(x, map(ids.__getitem__, adj[e]), chosen)
-    omega, j_omega, theta = _fresh_names(x._dim)
+    ids, at, jpos, adj, coadj = x._ids, x._index, x._jpos, x._adj, x._coadj
+    n, e = len(ids), x._fpos
+    eta, d_eta, cob = ids[e], adj[e], coadj[e]
+    _, zeta, _ = decompose(x, map(ids.__getitem__, d_eta), chosen)
+    k, (omega, j_omega, theta) = _fresh_names(at, x._fresh_from)
 
-    dims = dict(x._dim)
-    del dims[eta]
-    dims[omega] = dims[j_omega] = x._dim[eta]
-    dims[theta] = x._dim[eta] + 1
+    # tables edited in x's positions, where e is eta and stands for omega,
+    # n is J.omega and n + 1 theta.  The coboundary of eta holds the chosen
+    # cells with eta in their boundary and their unchosen partners, which
+    # switch eta for J.omega
+    keep = tuple([s for s in cob if ids[s] in chosen])
+    switch = tuple([s for s in cob if ids[s] not in chosen])
+    # a chosen cell gets theta when an odd number of the switched cells lie
+    # in its boundary; it has eta's dimension plus two, so it is not in cob
+    flagged = set()
+    for t in switch:
+        flagged.symmetric_difference_update([s for s in coadj[t] if ids[s] in chosen])
+    adj, coadj = list(adj), list(coadj)
+    for s in switch:
+        adj[s] = tuple([n if t == e else t for t in adj[s]])
+    theta_col = []
+    for c in flagged:
+        for s in (c, jpos[c]):
+            adj[s] += (n + 1,)
+            theta_col.append(s)
+    adj += [d_eta, (e, n)]
+    for t in d_eta:
+        coadj[t] += (n,)
+    coadj[e] = keep + (n + 1,)
+    coadj += [switch + (n + 1,), tuple(theta_col)]
+    dim_e, num_e = x._dims[e], x._nums[e]
+    dims = x._dims + [dim_e, dim_e + 1]
+    nums = x._nums + [num_e, num_e - 2 * delta * x._q]
+    new_jpos = jpos + [e, n + 1]
+    new_jpos[e] = n
+    new_ids = ids[:e] + (omega,) + ids[e + 1:] + (j_omega, theta)
 
-    J = dict(x.J)
-    del J[eta]
-    J[omega] = j_omega
-    J[j_omega] = omega
-    J[theta] = theta
-
-    # rows edited in x's positions, where e is eta and stands for omega,
-    # n for J.omega and n + 1 for theta
-    cob = {s for s, ts in enumerate(adj) if e in ts}
-    unchosen_cob = {s for s in cob if ids[s] not in chosen}
-    for c in chosen:
-        p, jp = at[c], at[x.J[c]]
-        if p in cob:
-            adj[jp] = tuple([n if t == e else t for t in adj[jp]])
-        elif len(unchosen_cob.intersection(adj[p])) % 2:
-            adj[p] += (n + 1,)
-            adj[jp] += (n + 1,)
-    if e != n - 1:
-        # eta's slot is dropped and omega takes position n - 1
+    if e == n - 1:
+        index = at.copy()
+        del index[eta]
+        index[omega], index[j_omega], index[theta] = e, n, n + 1
+    else:
+        # eta's slot is dropped and omega takes position n - 1; the
+        # coboundary and the index are left to be built on first read
+        order = [*range(e), *range(e + 1, n), e, n, n + 1]
         moved = [*range(e), n - 1, *range(e, n - 1), n, n + 1].__getitem__
-        adj = [tuple(map(moved, ts)) for ts in adj]
-    d_omega = adj.pop(e)
-    adj += [d_omega, d_omega, (n - 1, n)]
-
-    num = dict(x._num)
-    del num[eta]
-    num[omega] = num[j_omega] = x._num[eta]
-    num[theta] = x._num[eta] - 2 * delta * x._q
+        new_ids = tuple(map(new_ids.__getitem__, order))
+        dims, nums = [dims[p] for p in order], [nums[p] for p in order]
+        new_jpos = [moved(new_jpos[p]) for p in order]
+        adj = [tuple(map(moved, adj[p])) for p in order]
+        coadj = index = None
     # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
     # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(dims, adj, x.tau, num, 2 * delta, J, theta)
+    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, index)
+    doubled._fresh_from = _next_probe(at, eta, k)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 
 
@@ -188,12 +241,15 @@ def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> Ch
     J-partner of that cell is sent to their J-partners.  Cells of orbits not
     listed map to zero.
     """
+    s_ids, s_at, s_j = src._ids, src._index, src._jpos
+    t_ids, t_at, t_j = tgt._ids, tgt._index, tgt._jpos
     assignment = {}
     for cid, target_ids in images.items():
         assignment[cid] = _lifted(src, tgt, cid, target_ids)
-        jcid = src.J[cid]
+        jcid = s_ids[s_j[s_at[cid]]]
         if jcid != cid:
-            assignment[jcid] = _lifted(src, tgt, jcid, [tgt.J[tid] for tid in target_ids])
+            j_ids = [t_ids[t_j[t_at[tid]]] for tid in target_ids]
+            assignment[jcid] = _lifted(src, tgt, jcid, j_ids)
     return ChainMap(src, tgt, assignment)
 
 
@@ -225,12 +281,14 @@ def local_map_f(
     chosen = validate_splitting(x, splitting)
     _check_delta(x, delta)  # a bad delta fails here, not as a cache key
     dr, tgt = _local_pair(x, delta, chosen)
+    ids, at, adj, e = x._ids, x._index, x._adj, x._fpos
     images = {}
     for c in sorted(chosen):
         # J.b is the unchosen part of d(c) other than eta (module docstring)
-        jb = sorted(t for t in x.bdry[c] if t not in chosen and t != dr.eta)
+        jb = sorted(ids[t] for t in adj[at[c]] if t != e and ids[t] not in chosen)
         images[c] = [_pid(c, "a")] + [_pid(t, "b") for t in jb]
-    images[dr.omega] = [_pid(dr.eta, "a")] + [_pid(x.J[z], "b") for z in sorted(dr.zeta)]
+    jzeta = [ids[x._jpos[at[z]]] for z in sorted(dr.zeta)]
+    images[dr.omega] = [_pid(dr.eta, "a")] + [_pid(t, "b") for t in jzeta]
     images[dr.theta] = [_pid(dr.eta, "b")]
     return _j_equivariant_map(dr.complex, tgt, images)
 
@@ -242,9 +300,10 @@ def local_map_g(
     chosen = validate_splitting(x, splitting)
     _check_delta(x, delta)  # a bad delta fails here, not as a cache key
     dr, src = _local_pair(x, delta, chosen)
+    at, adj, e = x._index, x._adj, x._fpos
     images = {}
     for c in sorted(chosen):
-        theta_part = [dr.theta] if dr.eta in x.bdry[c] else []
+        theta_part = [dr.theta] if e in adj[at[c]] else []
         images[_pid(c, "a")] = [c]
         images[_pid(c, "Ja")] = [c] + theta_part
     images[_pid(dr.eta, "a")] = [dr.omega]

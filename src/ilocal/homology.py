@@ -257,7 +257,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
     # and order are read by rank, perm[r] is the position in ids() of rank
     # r, and rank[i], from the inverse permutation, the rank of position i
     ids, adj, q = c.ids(), c._adj, c._q
-    keys = sorted(zip([-n for n in c._num.values()], c._dim.values(), ids, range(len(ids))))
+    keys = sorted(zip([-n for n in c._nums], c._dims, ids, range(len(ids))))
     neg_num, dims, order, perm = zip(*keys) if keys else ((),) * 4
     rank = [0] * len(perm)
     for r, i in enumerate(perm):
@@ -415,10 +415,9 @@ class ChainMap:
         if self._grading is not None:
             return self._grading
         # f(Jx) against J(f(x)) at each position x, both of degree M(x)
-        at_s, at_t, pattern = src._index, tgt._index, self._pattern
-        j_bits = [1 << at_t[tgt.J[tid]] for tid in tgt.ids()]
-        for mask, cid in zip(pattern, src.ids()):
-            diff = pattern[at_s[src.J[cid]]] ^ _xor_rows(j_bits, mask)
+        pattern, j_bits = self._pattern, [1 << jp for jp in tgt._jpos]
+        for mask, cid, jp in zip(pattern, src.ids(), src._jpos):
+            diff = pattern[jp] ^ _xor_rows(j_bits, mask)
             if diff:
                 return {
                     "cell": cid,

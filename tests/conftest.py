@@ -37,8 +37,11 @@ def revalidate_derived(request, monkeypatch):
     are compared with the Fraction formulas by ``TestDerivedGradings`` and
     ``TestDouble::test_cells_on_random_complexes``.  The stored positions
     are compared row by row, each as a set, and the id boundary built from
-    them with the one the constructor checked; the tables must be keyed in
-    ``ids()`` order, which the positions index.
+    them with the one the constructor checked; a stored coboundary must be
+    the transpose of the boundary, row by row as sets, and a stored index
+    the constructor's.  J is rebuilt from ``_jpos``, so the constructor
+    checks the stored partners, and their positions and the fixed cell's
+    must be the ones it finds.
     """
     if request.node.get_closest_marker("trusted_derived"):
         return
@@ -46,15 +49,20 @@ def revalidate_derived(request, monkeypatch):
 
     def checked(*args, **kwargs):
         c = derived(*args, **kwargs)
+        stored = vars(c).copy()
         ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
         if isinstance(c, SplitComplex):
             ref = SplitComplex(ref, c.J)
-            assert c.fixed == ref.fixed
+            assert (c.fixed, c._fpos, list(c._jpos)) == (ref.fixed, ref._fpos, ref._jpos)
         assert (c.bdry, c._dim, c._num, c._q, c._width, c.tau) == (
             ref.bdry, ref._dim, ref._num, ref._q, ref._width, ref.tau
         )
-        assert list(c._num) == list(c._dim) == list(ref._dim)
+        assert (c._ids, list(c._dims), list(c._nums)) == (ref._ids, ref._dims, ref._nums)
         assert [set(row) for row in c._adj] == [set(row) for row in ref._adj]
+        if "_coadj" in stored:
+            assert [set(row) for row in stored["_coadj"]] == [set(row) for row in ref._coadj]
+        if "_index" in stored:
+            assert stored["_index"] == ref._index
         return c
 
     for name, mod in list(sys.modules.items()):

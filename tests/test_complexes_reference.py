@@ -38,8 +38,10 @@ from ilocal import (
     ChainMap,
     FUModule,
     GeometricComplex,
+    LinearCombination,
     SplitComplex,
     Tower,
+    build_trivial,
     canonical_splitting,
     complex_from_json,
     complex_to_json,
@@ -52,6 +54,7 @@ from ilocal import (
     is_u_localized_iso,
     local_map_f,
     local_map_g,
+    representative,
     tensor,
     verify_local_pair,
 )
@@ -281,7 +284,8 @@ def shuffled(rng, c):
 
 def test_double_and_half_match_id_boundaries_in_any_cell_order(split_corpus):
     # every complex the library builds has its fixed cell last; a shuffled
-    # order moves eta, so double renumbers the positions after it
+    # order moves eta, so double renumbers the positions after it and
+    # leaves the coboundary to be built on first read
     rng = random.Random("shuffled cell order")
     moved = cases = 0
     for sc in split_corpus:
@@ -295,12 +299,89 @@ def test_double_and_half_match_id_boundaries_in_any_cell_order(split_corpus):
                 ref, labels = frozenset_double(x, delta, chosen)
                 assert complex_to_json(dr.complex) == complex_to_json(ref)
                 assert dr.labels_json() == labels
+                # the edited coboundary (a view where eta moved) and partners
+                c = dr.complex
+                assert [set(row) for row in c._coadj] == [set(row) for row in ref._coadj]
+                assert (list(c._jpos), c._fpos) == (ref._jpos, ref._fpos)
                 ref_half = frozenset_dual(frozenset_double(dx, delta, canonical_splitting(dx))[0])
                 assert complex_to_json(half(x, delta)) == complex_to_json(ref_half)
                 f, g = local_map_f(x, delta, chosen), local_map_g(x, delta, chosen)
                 assert verify_local_pair(f, g).passed
                 cases += 1
     assert moved > 250 and cases > 1000, (moved, cases)
+
+
+# names a double may take, and names of no suffix ("omega1", "theta02")
+NAME_POOL = ("omega", "J.omega", "theta", "omega2", "J.omega2", "theta2", "omega3",
+             "theta3", "J.omega4", "omega1", "theta02")
+
+
+def renamed(rng, c):
+    """``c`` read back from its JSON with its fixed cell and a few others renamed from NAME_POOL."""
+    obj = complex_to_json(c)
+    ids = [cell["id"] for cell in obj["cells"]]
+    free = [name for name in NAME_POOL if name not in ids]
+    others = [cid for cid in ids if cid != obj["fixed"]]
+    k = rng.randint(1, min(len(free), len(others) + 1, 5))
+    new = dict(zip([obj["fixed"]] + rng.sample(others, k - 1), rng.sample(free, k)))
+    for cell in obj["cells"]:
+        cell["id"] = new.get(cell["id"], cell["id"])
+    for key in ("bdry", "J"):
+        obj[key] = [[new.get(u, u), new.get(v, v)] for u, v in obj[key]]
+    obj["fixed"] = new[obj["fixed"]]
+    return complex_from_json(obj)
+
+
+def doubled_checking_names(x, delta, splitting=None):
+    """The double of ``x``, whose names must be the probe's from suffix 1."""
+    dr = double(x, delta, splitting)
+    assert (dr.omega, dr.j_omega, dr.theta) == ref_fresh_names(x)
+    return dr.complex
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_fresh_names_equal_the_probe_from_one(seed):
+    # double records where the next probe may start; along chains of
+    # doubles and duals the names must be those of the probe from suffix 1,
+    # also when eta's own name is one of them
+    rng = random.Random(seed)
+    starts = [random_split_complex(rng, max_cells=10)]
+    starts.append(renamed(rng, starts[0]))
+    for s in starts:
+        for _ in range(rng.randint(2, 7)):
+            if rng.random() < 0.3:
+                s = dual(s)
+            else:
+                delta = rng.choice(admissible_deltas(s, cap=3))
+                s = doubled_checking_names(s, delta, random_splitting(rng, s))
+    # the steps of representative, one by one
+    lc = LinearCombination(tuple((rng.choice((1, -1)), rng.randint(1, 6)) for _ in range(12)))
+    s = build_trivial()
+    for sign, index in lc:
+        s = doubled_checking_names(s, index) if sign > 0 else dual(doubled_checking_names(dual(s), index))
+    assert complex_to_json(s) == complex_to_json(representative(lc))
+
+
+def test_fresh_names_after_doubling_a_fixed_omega():
+    # eta is "omega", so the first double takes suffix 2; without eta,
+    # suffix 1 is free again and the next double takes it
+    x = complex_from_json({
+        "tau": "0/1",
+        "cells": [{"id": "a", "dim": 0, "gr": "0"}, {"id": "Ja", "dim": 0, "gr": "0"},
+                  {"id": "omega", "dim": 1, "gr": "-4"}],
+        "bdry": [["omega", "a"], ["omega", "Ja"]],
+        "J": [["Ja", "a"]],
+        "fixed": "omega",
+    })
+    names = []
+    for _ in range(3):
+        dr = double(x, 1)
+        names.append((dr.omega, dr.j_omega, dr.theta))
+        assert names[-1] == ref_fresh_names(x)
+        x = dr.complex
+    assert names == [("omega2", "J.omega2", "theta2"), ("omega", "J.omega", "theta"),
+                     ("omega3", "J.omega3", "theta3")]
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,10 +65,10 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     """
     derived = ilocal.doubling._derived
 
-    def mutated(dims, adj, tau, num, width, J=None, fixed=None):
-        theta = list(dims).index(fixed)
-        adj = [tuple(t for t in ts if t != theta) for ts in adj]
-        return derived(dims, adj, tau, num, width, J, fixed)
+    def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None, index=None):
+        # theta is the fixed cell, at position fpos
+        adj = [tuple(t for t in ts if t != fpos) for ts in adj]
+        return derived(ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index)
 
     monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
     report = run_suite(11, SMALL)
@@ -116,12 +116,12 @@ class TestCheckWitnesses:
         assert check_doubling_homology(x, 1) is None
         derived = ilocal.doubling._derived
 
-        def mutated(dims, adj, tau, num, width, J=None, fixed=None):
-            # drop the target of theta whose id sorts first
-            ids = list(dims)
-            theta, adj = ids.index(fixed), list(adj)
-            adj[theta] = tuple(sorted(adj[theta], key=ids.__getitem__)[1:])
-            return derived(dims, adj, tau, num, width, J, fixed)
+        def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
+                    index=None):
+            # drop the target of theta, at position fpos, whose id sorts first
+            adj = list(adj)
+            adj[fpos] = tuple(sorted(adj[fpos], key=ids.__getitem__)[1:])
+            return derived(ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index)
 
         monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
         w = check_doubling_homology(x, 1)
