@@ -54,9 +54,9 @@ builds the id tables; ``fu_bdry``, the suite and the JSON read ``bdry``,
 all else the positions.
 
 Complexes that enter from outside (the public constructors, the builders,
-``complex_from_json``) are validated in full into the tables, and the
-validating constructors keep the id boundary, J and index they checked
-as those views; their coboundary is built when first read.
+``complex_from_json``) are validated in full on positions: ids are mapped
+to positions once, every check reads the positional tables, and ``_store``
+keeps them with the index; the id tables and the coboundary stay views.
 ``dual``, ``tensor`` and ``double`` derive new complexes from validated
 ones and are valid by construction: each computes the positional tables,
 tau, the width, J and the fixed cell of its result from the tables of its
@@ -113,15 +113,15 @@ def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
         seen.add(cid)
 
 
-def _bdry_squared_error(ids: Iterable[str], bdry: Mapping[str, Chain]) -> Optional[str]:
-    """A message naming the first cell of ``ids`` where bdry o bdry is nonzero over F2, or None."""
+def _bdry_squared_error(ids: Tuple[str, ...], adj: List[Tuple[int, ...]]) -> Optional[str]:
+    """A message naming the first cell where bdry o bdry (positions ``adj``) is nonzero, or None."""
     # acc is empty again after every cell passes
     acc = set()
-    for cid in ids:
-        for tid in bdry[cid]:
-            acc.symmetric_difference_update(bdry[tid])
+    for cid, ts in zip(ids, adj):
+        for t in ts:
+            acc.symmetric_difference_update(adj[t])
         if acc:
-            return f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(acc)})"
+            return f"bdry^2 is nonzero at cell {cid!r} (hits {sorted(map(ids.__getitem__, acc))})"
     return None
 
 
@@ -130,66 +130,55 @@ class GeometricComplex:
 
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
-        cell_list = tuple(cells)
-        dims = {c.id: c.dim for c in cell_list}
-        if len(dims) != len(cell_list):
-            raise _duplicate_id(c.id for c in cell_list)
-        bdry = dict(bdry)
-        if not bdry.keys() <= dims.keys():
-            cid = next(cid for cid in bdry if cid not in dims)
-            raise InvalidComplex(f"bdry source {cid!r} is not a cell")
-        bdry = {cid: frozenset(targets) for cid, targets in bdry.items()}
-        if len(bdry) != len(dims):
-            for cid in dims:
-                bdry.setdefault(cid, frozenset())
-        if tau is None:
-            tau = cell_list[0].gr if cell_list else Fraction(0)
-        tau = Fraction(tau) % 2
-        num, width = self._validate(cell_list, dims, bdry, tau)
-        ids = tuple(dims)
-        at = dict(zip(ids, range(len(ids))))
-        _store(self, ids, list(dims.values()), [tuple(map(at.__getitem__, bdry[cid])) for cid in ids],
-               tau, list(num.values()), width, index=at)
-        self.bdry = bdry  # the id boundary just checked, kept as its view
+        self._validate(tuple(cells), dict(bdry), tau)
 
-    def _validate(self, cells, dims, bdry, tau):
-        """Check a new complex; return its gr numerators over tau's denominator and its width."""
+    def _validate(self, cells, bdry, tau):
+        """Map ids to positions once, check a new complex on them in ``bdry``'s order; store it."""
+        ids = tuple([c.id for c in cells])
+        at = dict(zip(ids, range(len(ids))))
+        if len(at) != len(ids):
+            raise _duplicate_id(ids)
+        sources = list(map(at.get, bdry))
+        if None in sources:
+            raise InvalidComplex(f"bdry source {list(bdry)[sources.index(None)]!r} is not a cell")
+        if tau is None:
+            tau = cells[0].gr if cells else Fraction(0)
+        tau = Fraction(tau) % 2
         # every gr shares tau's reduced denominator q (see the module
         # docstring), so the checks below compare integer numerators
         p, q = tau.numerator, tau.denominator
         two_q = 2 * q
-        num: Dict[str, int] = {}
+        nums = []
         for c in cells:
-            n, d = c.gr.as_integer_ratio()
-            if d != q or (n - p) % two_q:
-                raise InvalidComplex(
-                    f"cell {c.id!r} has gr {c.gr} outside the coset tau={tau} + 2Z"
-                )
-            num[c.id] = n
+            k, d = c.gr.as_integer_ratio()
+            if d != q or (k - p) % two_q:
+                raise InvalidComplex(f"cell {c.id!r} has gr {c.gr} outside the coset tau={tau} + 2Z")
+            nums.append(k)
+        dims = [c.dim for c in cells]
+        adj = [()] * len(ids)
         min_gap = None
-        for cid, targets in bdry.items():
-            if not targets:
-                continue
-            e_dim, e_num = dims[cid] - 1, num[cid]
-            for tid in targets:
-                t_dim = dims.get(tid)
-                if t_dim is None:
+        for cid, s, targets in zip(bdry, sources, bdry.values()):
+            targets = dict.fromkeys(targets)
+            row = tuple(map(at.get, targets))
+            e_dim, e_num = dims[s] - 1, nums[s]
+            for tid, t in zip(targets, row):
+                if t is None:
                     raise InvalidComplex(f"boundary of {cid!r} mentions unknown cell {tid!r}")
-                if t_dim != e_dim:
+                if dims[t] != e_dim:
                     raise InvalidComplex(
                         f"boundary pair ({cid!r}, {tid!r}) is not of dimensional degree -1"
                     )
-                gap = num[tid] - e_num
+                gap = nums[t] - e_num
                 if gap < 0:
-                    raise InvalidComplex(
-                        f"grading decreases along boundary pair ({cid!r}, {tid!r})"
-                    )
+                    raise InvalidComplex(f"grading decreases along boundary pair ({cid!r}, {tid!r})")
                 if min_gap is None or gap < min_gap:
                     min_gap = gap
-        error = _bdry_squared_error(dims, bdry)
+            adj[s] = row
+        error = _bdry_squared_error(ids, adj)
         if error:
             raise InvalidComplex(error)
-        return num, INFINITE if min_gap is None else min_gap // q
+        _store(self, ids, dims, adj, tau, nums, INFINITE if min_gap is None else min_gap // q,
+               index=at)
 
     @_view
     def cells(self) -> Dict[str, Cell]:
@@ -288,7 +277,7 @@ class SplitComplex(GeometricComplex):
 
     The boundary and grading tables are taken over from ``base``, which its
     own construction has already validated; only J is checked here, on
-    positions, and ``base``'s index and the checked J are kept.
+    positions, and ``base``'s index is kept.
     """
 
     #: the least suffix that ``doubling``'s name probe may find free here
@@ -299,30 +288,29 @@ class SplitComplex(GeometricComplex):
         ids, dims, nums, adj, at = base._ids, base._dims, base._nums, base._adj, base._index
         if J.keys() != at.keys():
             raise NotSplit("J must be defined on exactly the cells of the complex")
+        jpos = [at.get(J[cid]) for cid in ids]
         fixed = []
         for cid, jid in J.items():
-            jp = at.get(jid)
+            p = at[cid]
+            jp = jpos[p]
             if jp is None:
                 raise NotSplit(f"J sends {cid!r} to unknown cell {jid!r}")
-            if J[jid] != cid:
+            if jpos[jp] != p:
                 raise NotSplit(f"J is not an involution on the pair ({cid!r}, {jid!r})")
             # gradings of the validated base share one denominator
-            p = at[cid]
             if dims[p] != dims[jp] or nums[p] != nums[jp]:
                 raise NotSplit(f"J does not preserve the gradings of ({cid!r}, {jid!r})")
-            if jid == cid:
+            if jp == p:
                 fixed.append(cid)
         if len(fixed) != 1:
             raise NotSplit(f"exactly one J-fixed cell required, found {sorted(fixed)}")
         # J(d(c)) = d(Jc): J carries the row of each cell onto its partner's
-        jpos = [at[J[cid]] for cid in ids]
         for cid, ts, jp in zip(ids, adj, jpos):
             if {jpos[t] for t in ts} != set(adj[jp]):
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
         # base's coboundary is shared if it has stored or built one
         _store(self, ids, dims, adj, base.tau, nums, base._width, jpos, at[fixed[0]],
                vars(base).get("_coadj"), at)
-        self.J = J
 
     @_view
     def J(self) -> Dict[str, str]:
@@ -573,39 +561,50 @@ def complex_to_json(c: GeometricComplex) -> dict:
     return out
 
 
-def _pairs_from_json(obj: dict, key: str) -> list:
+def _pairs_from_json(obj: dict, key: str) -> Iterator[list]:
+    """The ``[id, id]`` pairs under ``key``, each checked as it is read."""
     pairs = obj.get(key, [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-        for p in pairs
-    ):
-        raise InvalidComplex(f"{key!r} must be a list of [id, id] pairs")
-    return pairs
+    # a value that is not a list fails as its one malformed pair
+    for pair in pairs if isinstance(pairs, list) else [None]:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise InvalidComplex(f"{key!r} must be a list of [id, id] pairs")
+        yield pair
 
 
 def complex_from_json(obj: dict) -> GeometricComplex:
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise InvalidComplex("a complex must be a JSON object with a 'cells' list")
-    cells = []
+    cells, grs = [], {}
     for k, e in enumerate(obj["cells"]):
         if not isinstance(e, dict) or not {"id", "dim", "gr"} <= e.keys():
             raise InvalidComplex(f"cells[{k}] must be an object with 'id', 'dim' and 'gr'")
-        gr = grading_from_json(e["gr"], f"cell {e['id']!r}", InvalidComplex)
+        # each distinct grading string is parsed once
+        value = e["gr"]
+        gr = grs.get(value) if type(value) is str else None
+        if gr is None:
+            gr = grs[value] = grading_from_json(value, f"cell {e['id']!r}", InvalidComplex)
         cells.append(Cell(e["id"], e["dim"], gr))
-    bdry: Dict[str, set] = {}
+    bdry: Dict[str, list] = {}
     for src, tgt in _pairs_from_json(obj, "bdry"):
-        bdry.setdefault(src, set()).add(tgt)
+        bdry.setdefault(src, []).append(tgt)
     tau = grading_from_json(obj["tau"], "tau", InvalidComplex) if "tau" in obj else None
     g = GeometricComplex(cells, bdry, tau)
     if "J" not in obj and "fixed" not in obj:
         return g
     J = {}
+
+    def pair(cid, jid):
+        # each cell is in one two-cell pair or is the fixed one, never both
+        if cid in J:
+            raise NotSplit(f"cell {cid!r} appears more than once in 'J' and 'fixed'")
+        J[cid] = jid
     for a, jb in _pairs_from_json(obj, "J"):
-        J[a] = jb
-        J[jb] = a
+        pair(a, jb)
+        pair(jb, a)
     fixed = obj.get("fixed")
     if fixed is not None:
         if not isinstance(fixed, str):
             raise InvalidComplex(f"'fixed' must be a cell id, got {fixed!r}")
-        J[fixed] = fixed
+        pair(fixed, fixed)
     return SplitComplex(g, J)

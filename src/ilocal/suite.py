@@ -234,7 +234,7 @@ def check_doubling_homology(
     bdry o bdry = 0.
     """
     double = db.double(sc, delta, splitting).complex
-    error = cx._bdry_squared_error(double.ids(), double.bdry)
+    error = cx._bdry_squared_error(double._ids, double._adj)
     if error:
         return {"reason": error}
     base = homology(sc).module

@@ -397,6 +397,14 @@ class TestRenderAndSuite:
             ({"cells": [{"id": "x", "dim": 0, "gr": "1/0"}]}, "invalid grading '1/0'"),
             ({"cells": 5}, "'cells' list"),
             ([], "'cells' list"),
+            (
+                {
+                    "cells": [{"id": cid, "dim": 0, "gr": "0"} for cid in "xyz"],
+                    "J": [["x", "y"], ["y", "z"]],
+                    "fixed": "x",
+                },
+                "cell 'y' appears more than once in 'J' and 'fixed'",
+            ),
         ],
         ids=[
             "fractional-dim",
@@ -404,6 +412,7 @@ class TestRenderAndSuite:
             "zero-denominator-gr",
             "cells-not-a-list",
             "top-level-list",
+            "contradictory-J",
         ],
     )
     def test_malformed_complex_file_is_domain_error(self, capsys, tmp_path, obj, message):

@@ -342,6 +342,23 @@ class TestErrorMessages:
             GeometricComplex(cells, bdry, tau)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "case", [case for case, (_, bdry, _, _) in GEOMETRIC_ERRORS.items() if all(bdry.values())]
+    )
+    def test_geometric_from_json(self, case):
+        # JSON lists boundary pairs, so it expresses the cases in which
+        # every boundary source has a target
+        cells, bdry, tau, message = GEOMETRIC_ERRORS[case]
+        obj = {
+            "cells": [{"id": c.id, "dim": c.dim, "gr": str(c.gr)} for c in cells],
+            "bdry": [[src, tgt] for src, targets in bdry.items() for tgt in targets],
+        }
+        if tau is not None:
+            obj["tau"] = str(tau)
+        with pytest.raises(InvalidComplex) as info:
+            complex_from_json(obj)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("case", list(SPLIT_ERRORS))
     def test_split(self, case):
         cells, bdry, J, message = SPLIT_ERRORS[case]
@@ -471,6 +488,14 @@ class TestStoredFields:
             assert list(c.cells.items()) == [(cell.id, cell) for cell in cells], name
             assert "cells" in vars(c), name
 
+    def test_validated_complexes_store_no_id_table(self):
+        obj = complex_to_json(build_misordered(1, 3))
+        plain = {"cells": obj["cells"], "bdry": obj["bdry"]}
+        g = GeometricComplex(cells_of(("x", 1, 0), ("y", 0, 2)), {"x": {"y"}})
+        for c in (g, build_xi(2), build_misordered(1, 3), complex_from_json(obj),
+                  complex_from_json(plain)):
+            assert not {"bdry", "J", "_dim", "_num", "cells"} & vars(c).keys()
+
     @pytest.mark.trusted_derived
     def test_split_over_a_derived_base_builds_no_cells(self, monkeypatch):
         x2 = build_xi(2)
@@ -522,8 +547,9 @@ def boundary_forms_agree(c):
 @pytest.mark.trusted_derived
 class TestBoundaryForms:
     """Every complex stores its boundary as positions, ``_adj``; the id
-    boundary is built from it on first read, as is the index of positions.
-    The validating constructor keeps the id boundary it checked."""
+    boundary is built from it on first read, as is the index of positions
+    where it is not stored.  The validating constructor checks positions
+    too, so a validated complex builds no id boundary either."""
 
     @staticmethod
     def stored(c):
@@ -542,7 +568,7 @@ class TestBoundaryForms:
         g = random_geometric_complex(rng, max_cells=8)
         made = [sc, g, build_xi(rng.randint(1, 4)), build_misordered(1, 3),
                 complex_from_json(complex_to_json(sc))]
-        assert self.stored(g) == ["bdry", "_adj"]
+        assert self.stored(g) == ["_adj"]
         for c in (dual(sc), dual(g), double(sc, 0).complex,
                   tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))):
             assert self.stored(c) == ["_adj"]
@@ -624,6 +650,41 @@ class TestJson:
             assert back.bdry == c.bdry
             assert back.J == c.J
             assert back.tau == c.tau
+
+    def test_round_trip_stores_the_same_tables(self, split_corpus, pair_corpus):
+        made = list(split_corpus) + [c for pair in pair_corpus for c in pair]
+        made += [dual(c) for c in made]
+        product = build_xi(1)
+        for i in range(2, 7):
+            product = tensor(product, dual(build_xi(i)) if i % 2 == 0 else build_xi(i))
+        made.append(product)
+        for c in made:
+            back = complex_from_json(complex_to_json(c))
+            assert (back._ids, list(back._dims), list(back._nums), back.tau, back._width) == (
+                c._ids, list(c._dims), list(c._nums), c.tau, c._width
+            )
+            assert [set(row) for row in back._adj] == [set(row) for row in c._adj]
+            assert isinstance(back, SplitComplex) == isinstance(c, SplitComplex)
+            if isinstance(c, SplitComplex):
+                assert (list(back._jpos), back._fpos) == (list(c._jpos), c._fpos)
+
+    @pytest.mark.parametrize(
+        "J, fixed, cid",
+        [
+            ([["x", "y"], ["y", "z"]], "x", "y"),
+            ([["x", "y"]], "y", "y"),
+            ([["x", "x"], ["y", "z"]], None, "x"),
+            ([["y", "z"], ["z", "y"]], "x", "z"),
+        ],
+        ids=["two-pairs", "pair-and-fixed", "self-pair", "repeated-pair"],
+    )
+    def test_j_lists_each_cell_once(self, J, fixed, cid):
+        obj = {"cells": [{"id": c, "dim": 0, "gr": "0"} for c in "xyz"], "J": J}
+        if fixed is not None:
+            obj["fixed"] = fixed
+        with pytest.raises(NotSplit) as info:
+            complex_from_json(obj)
+        assert str(info.value) == f"cell {cid!r} appears more than once in 'J' and 'fixed'"
 
     def test_round_trip_plain(self):
         g = GeometricComplex([Cell("x", 0, F(1, 2)), Cell("y", 1, F(-3, 2))], {"y": {"x"}})
