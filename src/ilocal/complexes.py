@@ -23,11 +23,11 @@ complex share the reduced denominator ``q`` of ``tau = p/q``, and
 it, grading comparisons and gaps are exact integer operations on the
 numerators.  The width (the minimal boundary gap) is recorded by the same
 validation pass and stored, since complexes never change after
-construction.  One more integer table is built on first use: q times each
-cell's Maslov grading, on which ``_lift`` works for ``u_power``, the
-grading check of a chain map and the local maps alike.  ``fu_bdry`` states
-the derived differential: the exponent of each boundary term is
-(num(target) - num(cell)) // 2q.
+construction.  One more integer table is built on first use: ``_mnum``,
+q times the Maslov grading at each position, on which ``_lift`` works for
+``u_power``, the grading check of a chain map and the local maps alike.
+``fu_bdry`` states the derived differential: the exponent of each
+boundary term is (num(target) - num(cell)) // 2q.
 
 A split complex is a geometric complex with a cell-level involution J
 commuting with the boundary and fixing exactly one cell, so every operation
@@ -47,11 +47,11 @@ the width, and where its caller has them, ``_coadj`` and ``_index``), and
 every construction ends there.  The id-keyed tables are views built on
 first read: ``bdry`` (each boundary as a frozenset of ids), ``_dim`` and
 ``_num`` (dimensions and numerators by id), ``J`` (each id's partner), the
-``Cell`` objects of ``cells``, ``_index`` (each id's position, the one map
-from ids to positions) and ``_mnum``; so is ``_coadj`` where it is not
-stored.  A complex that is only reduced, mapped or derived from never
-builds the id tables; ``fu_bdry``, the suite and the JSON read ``bdry``,
-all else the positions.
+``Cell`` objects of ``cells`` and ``_index`` (each id's position, the one
+map from ids to positions); so are ``_mnum``, by position, and ``_coadj``
+where it is not stored.  A complex that is only reduced, mapped or derived
+from never builds the id tables; ``fu_bdry``, the suite and the JSON read
+``bdry``, all else the positions.
 
 Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full on positions: ids are mapped
@@ -158,7 +158,7 @@ class GeometricComplex:
         adj = [()] * len(ids)
         min_gap = None
         for cid, s, targets in zip(bdry, sources, bdry.values()):
-            targets = dict.fromkeys(targets)
+            targets = tuple(targets)
             row = tuple(map(at.get, targets))
             e_dim, e_num = dims[s] - 1, nums[s]
             for tid, t in zip(targets, row):
@@ -173,6 +173,9 @@ class GeometricComplex:
                     raise InvalidComplex(f"grading decreases along boundary pair ({cid!r}, {tid!r})")
                 if min_gap is None or gap < min_gap:
                     min_gap = gap
+            if len(set(row)) < len(row):  # over F2 a pair listed twice would cancel
+                tid = next(t for k, t in enumerate(targets) if t in targets[:k])
+                raise InvalidComplex(f"boundary pair ({cid!r}, {tid!r}) appears more than once")
             adj[s] = row
         error = _bdry_squared_error(ids, adj)
         if error:
@@ -227,7 +230,7 @@ class GeometricComplex:
         return cid in self._index
 
     def maslov(self, cid: str) -> Grading:
-        return Fraction(self._mnum[cid], self._q)
+        return Fraction(self._mnum[self._index[cid]], self._q)
 
     def max_dim(self) -> int:
         return max(self._dims, default=0)
@@ -238,7 +241,7 @@ class GeometricComplex:
 
     def u_power(self, cid: str, degree: Grading) -> int:
         """The k >= 0 with ``degree_of(cid, k) == degree``; ValueError if none."""
-        k = self._lift(cid, degree.numerator, degree.denominator)
+        k = self._lift(self._index[cid], degree.numerator, degree.denominator)
         if k is None:
             raise ValueError(f"degree {degree} is not M({cid!r}) - 2k for an integer k >= 0")
         return k
@@ -256,19 +259,19 @@ class GeometricComplex:
     # -- integer tables for the chain-map checks, built on first use --------
 
     @_view
-    def _mnum(self) -> Dict[str, int]:
-        """q * M(cell) for every cell: the Maslov gradings over the shared q."""
+    def _mnum(self) -> List[int]:
+        """q * M(cell) for every position: the Maslov gradings over the shared q."""
         q = self._q
-        return dict(zip(self._ids, [k + q * d for k, d in zip(self._nums, self._dims)]))
+        return [k + q * d for k, d in zip(self._nums, self._dims)]
 
-    def _lift(self, cid: str, m: int, q: int) -> Optional[int]:
-        """The k >= 0 with M(cid) - 2k == m / q (q > 0), or None if there is none.
+    def _lift(self, i: int, m: int, q: int) -> Optional[int]:
+        """The k >= 0 with M - 2k == m / q (q > 0) for M the Maslov grading at position i, or None.
 
         This is the one lift rule.  Both sides are cross-multiplied by the
         two denominators, so ``m / q`` may come from another complex.
         """
         p = self._q
-        k, rest = divmod(self._mnum[cid] * q - m * p, 2 * p * q)
+        k, rest = divmod(self._mnum[i] * q - m * p, 2 * p * q)
         return None if rest or k < 0 else k
 
 
@@ -364,27 +367,28 @@ def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
 
 
 def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
-    """Lexicographically smallest member of each J-orbit pair."""
+    """Lexicographically smallest member of each J-orbit pair; NotSplit unless ``sc`` is split."""
+    if not isinstance(sc, SplitComplex):
+        raise NotSplit("a splitting requires a split complex")
     ids = sc._ids
     return frozenset([cid for cid, jp in zip(ids, sc._jpos) if cid < ids[jp]])
 
 
 def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
     """The checked splitting ``chosen``; ``None`` stands for the canonical one."""
-    if chosen is None:
+    # a complex that is not split fails in canonical_splitting
+    if chosen is None or not isinstance(sc, SplitComplex):
         return canonical_splitting(sc)
     chosen = frozenset(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
     ids, at, jpos = sc._ids, sc._index, sc._jpos
-    ps = list(map(at.get, chosen))
-    # the loop names the first cell that fails, in the order of ``chosen``
-    if None in ps or not chosen.isdisjoint(map(ids.__getitem__, map(jpos.__getitem__, ps))):
-        for cid, p in zip(chosen, ps):
-            if p is None:
-                raise ValueError(f"splitting mentions unknown cell {cid!r}")
-            if ids[jpos[p]] in chosen:
-                raise ValueError(f"splitting contains both members of the pair ({cid!r}, {ids[jpos[p]]!r})")
+    for cid in sorted(chosen):  # the first cell that fails in sorted order is named
+        p = at.get(cid)
+        if p is None:
+            raise ValueError(f"splitting mentions unknown cell {cid!r}")
+        if ids[jpos[p]] in chosen:
+            raise ValueError(f"splitting contains both members of the pair ({cid!r}, {ids[jpos[p]]!r})")
     if len(chosen) * 2 + 1 != len(sc):
         raise ValueError("splitting must pick exactly one cell from each J-pair")
     return chosen
@@ -466,10 +470,6 @@ def build_misordered(x: int, y: int) -> SplitComplex:
 
 
 # -- tensor and dual ----------------------------------------------------
-
-
-def _pid(u: str, v: str) -> str:
-    return f"{u}{TENSOR_SEP}{v}"
 
 
 def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:

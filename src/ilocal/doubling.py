@@ -51,10 +51,15 @@ Both maps are given on one cell per J-orbit, with x a chosen cell, and
 extended J-equivariantly; cells of the orbits left out map to zero.  Both
 lift to grading-preserving F2[U]-maps by inserting U-powers, each found by
 the one lift rule of ``complexes`` (``GeometricComplex._lift``), and g o f
-is the identity on the nose.  Both maps are built from the same double
-and the same tensor: a one-slot cache keeps the last pair, so f followed
-by g on the same arguments builds each once.  The basis complex X_delta of
-that tensor depends on delta alone and is built once per delta.
+is the identity on the nose.  Both are built on positions as F2 patterns
+(``homology._derived_map``), with no id of the double or the tensor: in the
+double, x's cell p sits at p - (p > e) for eta at e, and omega, J.omega and
+theta at n - 1, n and n + 1, whether or not eta is last; in the tensor,
+(p, a), (p, Ja) and (p, b) sit at 3p, 3p + 1 and 3p + 2.  Both maps are
+built from the same double and the same tensor: a one-slot cache keeps the
+last pair, so f followed by g on the same arguments builds each once.  The
+basis complex X_delta of that tensor depends on delta alone and is built
+once per delta.
 
 Halving is implemented algebraically as dual o double o dual.
 """
@@ -70,7 +75,6 @@ from .complexes import (
     Chain,
     SplitComplex,
     _derived,
-    _pid,
     _xi_complex,
     decompose,
     dual,
@@ -80,6 +84,7 @@ from .complexes import (
 from .errors import WidthExceeded
 from .homology import (
     ChainMap,
+    _derived_map,
     _is_left_inverse,
     _same_complex,
     compose,
@@ -222,35 +227,17 @@ def half(x: SplitComplex, delta: int) -> SplitComplex:
     return dual(double(dual(x), delta).complex)
 
 
-def _lifted(src, tgt, src_id: str, target_ids) -> frozenset:
-    """Attach the U-exponents making each target term Maslov-degree-correct."""
-    m, q = src._mnum[src_id], src._q
-    terms = []
-    for tid in target_ids:
-        k = tgt._lift(tid, m, q)
-        if k is None:
-            tgt.u_power(tid, src.maslov(src_id))  # raises the ValueError
-        terms.append((tid, k))
-    return frozenset(terms)
-
-
 def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> ChainMap:
-    """The chain map given by the cellular images of one cell per J-orbit.
+    """The chain map sending each source position of ``images`` to its target positions.
 
-    ``images`` maps a source cell to the target cells of its image; the
-    J-partner of that cell is sent to their J-partners.  Cells of orbits not
-    listed map to zero.
+    The J-partner goes to their J-partners; cells of orbits not listed map to zero.
     """
-    s_ids, s_at, s_j = src._ids, src._index, src._jpos
-    t_ids, t_at, t_j = tgt._ids, tgt._index, tgt._jpos
-    assignment = {}
-    for cid, target_ids in images.items():
-        assignment[cid] = _lifted(src, tgt, cid, target_ids)
-        jcid = s_ids[s_j[s_at[cid]]]
-        if jcid != cid:
-            j_ids = [t_ids[t_j[t_at[tid]]] for tid in target_ids]
-            assignment[jcid] = _lifted(src, tgt, jcid, j_ids)
-    return ChainMap(src, tgt, assignment)
+    s_j, t_j, pattern = src._jpos, tgt._jpos, [0] * len(src)
+    for p, ts in images.items():
+        # the partner first, so a fixed cell keeps its own image
+        pattern[s_j[p]] = sum([1 << t_j[t] for t in ts])
+        pattern[p] = sum([1 << t for t in ts])
+    return _derived_map(src, tgt, pattern)
 
 
 @lru_cache(maxsize=16)
@@ -281,15 +268,16 @@ def local_map_f(
     chosen = validate_splitting(x, splitting)
     _check_delta(x, delta)  # a bad delta fails here, not as a cache key
     dr, tgt = _local_pair(x, delta, chosen)
-    ids, at, adj, e = x._ids, x._index, x._adj, x._fpos
-    images = {}
-    for c in sorted(chosen):
-        # J.b is the unchosen part of d(c) other than eta (module docstring)
-        jb = sorted(ids[t] for t in adj[at[c]] if t != e and ids[t] not in chosen)
-        images[c] = [_pid(c, "a")] + [_pid(t, "b") for t in jb]
-    jzeta = [ids[x._jpos[at[z]]] for z in sorted(dr.zeta)]
-    images[dr.omega] = [_pid(dr.eta, "a")] + [_pid(t, "b") for t in jzeta]
-    images[dr.theta] = [_pid(dr.eta, "b")]
+    adj, e, n = x._adj, x._fpos, len(x)
+    inside = [cid in chosen for cid in x._ids]
+
+    def image(p):
+        # (p, a) plus (t, b) for t in J.b (J.zeta for eta): d(p)'s unchosen cells but eta
+        return [3 * p] + [3 * t + 2 for t in adj[p] if t != e and not inside[t]]
+
+    images = {p - (p > e): image(p) for p in range(n) if inside[p]}
+    images[n - 1] = image(e)  # omega
+    images[n + 1] = [3 * e + 2]  # theta to (eta, b)
     return _j_equivariant_map(dr.complex, tgt, images)
 
 
@@ -300,14 +288,13 @@ def local_map_g(
     chosen = validate_splitting(x, splitting)
     _check_delta(x, delta)  # a bad delta fails here, not as a cache key
     dr, src = _local_pair(x, delta, chosen)
-    at, adj, e = x._index, x._adj, x._fpos
-    images = {}
-    for c in sorted(chosen):
-        theta_part = [dr.theta] if e in adj[at[c]] else []
-        images[_pid(c, "a")] = [c]
-        images[_pid(c, "Ja")] = [c] + theta_part
-    images[_pid(dr.eta, "a")] = [dr.omega]
-    images[_pid(dr.eta, "b")] = [dr.theta]
+    adj, e, n = x._adj, x._fpos, len(x)
+    images = {3 * e: [n - 1], 3 * e + 2: [n + 1]}  # (eta, a) to omega, (eta, b) to theta
+    for p, cid in enumerate(x._ids):
+        if cid in chosen:
+            c = p - (p > e)
+            images[3 * p] = [c]
+            images[3 * p + 1] = [c, n + 1] if e in adj[p] else [c]
     return _j_equivariant_map(src, dr.complex, images)
 
 

@@ -40,15 +40,16 @@ U-power here follows the one grading rule of ``complexes``: U^k e has
 Maslov degree M(e) - 2k (``GeometricComplex.degree_of``, inverted by
 ``u_power`` and, for the chain-map grading check, by the same integer lift).
 
-The chain-map checks build no ``Fraction``.  The constructor's one pass
-over the terms lifts each on the integer Maslov table (the grading check)
-and sets its target position in the F2 pattern ``_pattern``, one bitmask
-over the target's positions (``_index``) per source position.  Once the
-grading check passes, the gradings fix every U-exponent of the map, as they
-fix the derived differential's, so each further check is a bitmask
-identity.  The chain check compares, at each source position x, the XOR of
-the patterns over its ``_adj`` row with the XOR of the target's ``_adj``
-rows over its pattern; the J check compares the pattern of Jx with the
+The chain-map checks build no ``Fraction`` and read one form of a map, its
+F2 pattern ``_pattern``: a bitmask over the target's positions per source
+position.  The public constructor's one pass over the terms lifts each on
+the integer Maslov table (the grading check) and sets its bit; a map the
+library builds (``_derived_map``) stores its pattern alone, each term
+lifted once, and builds its term sets on first read.  Once the grading
+check passes, the gradings fix every U-exponent of the map, as they fix
+the derived differential's, so each further check is a bitmask identity.  The chain check compares, at each
+source position x, the XOR of the patterns over its ``_adj`` row with the
+XOR of the target's ``_adj`` rows over its pattern; the J check compares the pattern of Jx with the
 pattern of x permuted by the target's J.  The first position where the two
 masks differ is the witness: each differing target cell, with its lift to
 M(x) - 1 for the chain check and to M(x) for the J check.  A map that fails
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import GeometricComplex, SplitComplex, complex_to_json
 from .errors import NotAChainMap, NotSplit
@@ -147,12 +148,7 @@ class ReductionResult:
         """The cells of ``vec`` as a homogeneous chain at its top cell's degree."""
         order, c = self._order, self.complex
         degree = c.maslov(order[vec.bit_length() - 1])
-        ch = {}
-        while vec:
-            b = vec.bit_length() - 1
-            vec ^= 1 << b
-            ch[order[b]] = c.u_power(order[b], degree)
-        return degree, ch
+        return degree, {order[b]: c.u_power(order[b], degree) for b in _bits(vec)}
 
     def express(self, chain: HomogeneousChain, degree: Grading):
         """Write the class of a homogeneous cycle over the tower generators.
@@ -298,6 +294,14 @@ def homology(c: GeometricComplex) -> ReductionResult:
 # -- chain maps ----------------------------------------------------------
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
     """The F2 sum of ``rows[b]`` over the set bits b of ``mask``."""
     acc = 0
@@ -318,32 +322,29 @@ def _image_sum(images: Mapping[str, TermSet], terms) -> TermSet:
     return frozenset(acc)
 
 
-@dataclass(frozen=True, eq=False)
 class ChainMap:
     """An F2[U]-linear degree-0 map given on skeleton generators.
 
     ``assignment[x]`` is the set of (target cell, U-exponent) terms of f(x);
     cells missing from the mapping are sent to zero.  The constructor's one
-    pass over the terms validates them, runs the grading check and builds
-    the F2 pattern ``_pattern`` (see the module docstring); the chain
-    verdict is kept from its first read.  Each check returns None or the
-    same witness dict on every call.
+    pass over the terms validates them, runs the grading check, builds the
+    F2 pattern ``_pattern`` (see the module docstring) and keeps
+    ``assignment`` as each source cell in ``ids()`` order with its frozenset
+    of terms, which a map from ``_derived_map`` builds on first read.  The
+    chain verdict is kept from its first read.  Each check returns None or
+    the same witness dict on every call.
     """
 
-    source: GeometricComplex
-    target: GeometricComplex
-    assignment: Mapping[str, TermSet]
-
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        for cid in self.assignment:
-            if cid not in src:
+    def __init__(self, source: GeometricComplex, target: GeometricComplex,
+                 assignment: Mapping[str, TermSet]):
+        for cid in assignment:
+            if cid not in source:
                 raise ValueError(f"assignment mentions unknown source cell {cid!r}")
         # degree_of(tid, exp) == M(cid) iff exp is the lift of tid to M(cid)
-        at, lift, q = tgt._index, tgt._lift, src._q
+        at, lift, q = target._index, target._lift, source._q
         norm, pattern, grading = {}, [], None
-        for cid, m in src._mnum.items():
-            terms, mask, bad = frozenset(self.assignment.get(cid, ())), 0, []
+        for cid, m in zip(source._ids, source._mnum):
+            terms, mask, bad = frozenset(assignment.get(cid, ())), 0, []
             for tid, exp in terms:
                 i = at.get(tid)
                 if i is None:
@@ -351,7 +352,7 @@ class ChainMap:
                 if type(exp) is not int or exp < 0:
                     raise ValueError(f"image of {cid!r} carries invalid U-exponent {exp!r}")
                 mask |= 1 << i
-                if lift(tid, m, q) != exp:
+                if lift(i, m, q) != exp:
                     bad.append([tid, exp])
             if bad and grading is None:
                 grading = {
@@ -361,9 +362,15 @@ class ChainMap:
                 }
             norm[cid] = terms
             pattern.append(mask)
-        object.__setattr__(self, "assignment", norm)
-        object.__setattr__(self, "_pattern", pattern)
-        object.__setattr__(self, "_grading", grading)
+        self.source, self.target, self.assignment = source, target, norm
+        self._pattern, self._grading = pattern, grading
+
+    @_view
+    def assignment(self) -> Dict[str, TermSet]:
+        """Each source cell's terms, read off ``_pattern`` (maps from ``_derived_map``)."""
+        src, t_ids, lift, q = self.source, self.target._ids, self.target._lift, self.source._q
+        return {cid: frozenset([(t_ids[t], lift(t, m, q)) for t in _bits(mask)])
+                for cid, m, mask in zip(src._ids, src._mnum, self._pattern)}
 
     def __call__(self, cid: str) -> TermSet:
         return self.assignment[cid]
@@ -375,13 +382,8 @@ class ChainMap:
 
     def _lifted_terms(self, mask: int, m: int) -> List[List]:
         """The target cells of ``mask``, sorted, each with its lift to the degree m over the source's q."""
-        ids, lift, q, out = self.target.ids(), self.target._lift, self.source._q, []
-        while mask:
-            low = mask & -mask
-            tid = ids[low.bit_length() - 1]
-            out.append([tid, lift(tid, m, q)])
-            mask ^= low
-        return sorted(out)
+        ids, lift, q = self.target.ids(), self.target._lift, self.source._q
+        return sorted([ids[t], lift(t, m, q)] for t in _bits(mask))
 
     def grading_witness(self) -> Optional[dict]:
         return self._grading
@@ -400,7 +402,7 @@ class ChainMap:
             if diff:
                 return {
                     "cell": cid,
-                    "difference": self._lifted_terms(diff, src._mnum[cid] - src._q),
+                    "difference": self._lifted_terms(diff, src._mnum[i] - src._q),
                     "reason": "d(f(x)) differs from f(d(x))",
                 }
         return None
@@ -416,12 +418,12 @@ class ChainMap:
             return self._grading
         # f(Jx) against J(f(x)) at each position x, both of degree M(x)
         pattern, j_bits = self._pattern, [1 << jp for jp in tgt._jpos]
-        for mask, cid, jp in zip(pattern, src.ids(), src._jpos):
+        for mask, cid, jp, m in zip(pattern, src.ids(), src._jpos, src._mnum):
             diff = pattern[jp] ^ _xor_rows(j_bits, mask)
             if diff:
                 return {
                     "cell": cid,
-                    "difference": self._lifted_terms(diff, src._mnum[cid]),
+                    "difference": self._lifted_terms(diff, m),
                     "reason": "f(Jx) differs from J(f(x))",
                 }
         return None
@@ -444,6 +446,22 @@ class ChainMap:
                     "reason": "composite is not the identity here",
                 }
         return None
+
+
+def _derived_map(source: GeometricComplex, target: GeometricComplex, pattern: List[int]) -> ChainMap:
+    """The map with F2 pattern ``pattern``, which it stores alone; ``assignment`` is a view.
+
+    Each term is lifted once, and one with no lift raises ``u_power``'s
+    ValueError, so the map passes the grading check by construction.
+    """
+    mnum, q, lift = source._mnum, source._q, target._lift
+    for i, mask in enumerate(pattern):
+        for t in _bits(mask):
+            if lift(t, mnum[i], q) is None:
+                target.u_power(target._ids[t], source.maslov(source._ids[i]))  # raises
+    f = object.__new__(ChainMap)
+    f.source, f.target, f._pattern, f._grading = source, target, pattern, None
+    return f
 
 
 def _same_complex(a: GeometricComplex, b: GeometricComplex) -> bool:
@@ -524,18 +542,12 @@ def is_u_localized_iso(
         raise ValueError("U-localized iso test requires free rank one on both sides")
     f.check()
     # f(z) on the target's positions, for z the free cycle as source ranks
-    z, order, at, pattern = src_result._V[free[0]], src_result._order, f.source._index, f._pattern
-    image = 0
-    while z:
-        low = z & -z
-        image ^= pattern[at[order[low.bit_length() - 1]]]
-        z ^= low
+    order, at, pattern, image = src_result._order, f.source._index, f._pattern, 0
+    for b in _bits(src_result._V[free[0]]):
+        image ^= pattern[at[order[b]]]
     # as target ranks, reduced by the pivots of the target's boundaries
-    rank, R, owner, vec = tgt_result._rank, tgt_result._R, tgt_result._owner, 0
-    while image:
-        low = image & -image
-        vec |= 1 << rank[low.bit_length() - 1]
-        image ^= low
+    rank, R, owner = tgt_result._rank, tgt_result._R, tgt_result._owner
+    vec = sum([1 << rank[t] for t in _bits(image)])
     while vec:
         p = vec.bit_length() - 1
         if p not in owner:

@@ -5,6 +5,7 @@ import pytest
 
 from ilocal import complexes
 from ilocal.complexes import GeometricComplex, SplitComplex
+from ilocal.homology import ChainMap
 from ilocal.suite import random_geometric_complex, random_split_complex
 
 ACCEPTANCE_SEED = 1
@@ -68,6 +69,34 @@ def revalidate_derived(request, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("ilocal.") and getattr(mod, "_derived", None) is derived:
             monkeypatch.setattr(mod, "_derived", checked)
+
+
+@pytest.fixture(autouse=True)
+def recheck_derived_maps(request, monkeypatch):
+    """Check every chain map that ``homology._derived_map`` builds.
+
+    Such a map stores its F2 pattern alone, and each term was lifted once
+    when it was built.  Here each map is rebuilt through the public
+    ``ChainMap`` from its ``assignment`` view, read without keeping it in
+    the map, and the pattern and the grading verdict the constructor finds
+    must be the stored ones; its normalised dict must be the view, in the
+    same order.
+    """
+    if request.node.get_closest_marker("trusted_derived"):
+        return
+    derived = sys.modules["ilocal.homology"]._derived_map
+
+    def checked(*args):
+        m = derived(*args)
+        view = ChainMap.assignment.build(m)
+        ref = ChainMap(m.source, m.target, view)
+        assert (m._pattern, m.grading_witness()) == (ref._pattern, ref.grading_witness())
+        assert list(ref.assignment.items()) == list(view.items())
+        return m
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ilocal.") and getattr(mod, "_derived_map", None) is derived:
+            monkeypatch.setattr(mod, "_derived_map", checked)
 
 
 @pytest.fixture(scope="session")

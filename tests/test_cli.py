@@ -405,6 +405,13 @@ class TestRenderAndSuite:
                 },
                 "cell 'y' appears more than once in 'J' and 'fixed'",
             ),
+            (
+                {
+                    "cells": [{"id": "x", "dim": 1, "gr": "-2"}, {"id": "y", "dim": 0, "gr": "0"}],
+                    "bdry": [["x", "y"], ["x", "y"]],
+                },
+                "boundary pair ('x', 'y') appears more than once",
+            ),
         ],
         ids=[
             "fractional-dim",
@@ -413,6 +420,7 @@ class TestRenderAndSuite:
             "cells-not-a-list",
             "top-level-list",
             "contradictory-J",
+            "repeated-bdry-pair",
         ],
     )
     def test_malformed_complex_file_is_domain_error(self, capsys, tmp_path, obj, message):

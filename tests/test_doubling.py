@@ -7,7 +7,10 @@ from ilocal import doubling
 from ilocal import (
     Cell,
     ChainMap,
+    GeometricComplex,
     INFINITE,
+    NotSplit,
+    SplitComplex,
     Tower,
     FUModule,
     WidthExceeded,
@@ -17,6 +20,7 @@ from ilocal import (
     canonical_splitting,
     complex_to_json,
     compose,
+    decompose,
     double,
     dual,
     half,
@@ -106,7 +110,7 @@ class TestDouble:
         [
             ({"a", "b"}, r"a splitting never contains the fixed cell"),
             ({"z"}, r"splitting mentions unknown cell 'z'"),
-            ({"a", "Ja"}, r"splitting contains both members of the pair \('(a|Ja)', '(a|Ja)'\)"),
+            ({"a", "Ja"}, r"splitting contains both members of the pair \('Ja', 'a'\)"),
             (set(), r"splitting must pick exactly one cell from each J-pair"),
         ],
         ids=["fixed-cell", "unknown-cell", "both-of-a-pair", "not-one-per-pair"],
@@ -228,12 +232,57 @@ class TestLocalMaps:
         f, g = local_map_f(x, 1), local_map_g(x, 1)
         assert compose(g, f).identity_witness() is None
 
+    def test_local_maps_store_no_term_sets(self):
+        # the maps keep their F2 pattern alone; the term sets wait for a read
+        for x, delta in ((build_xi(4), 3), (build_misordered(1, 2), 1)):
+            f, g = local_map_f(x, delta), local_map_g(x, delta)
+            assert verify_local_pair(f, g).passed
+            assert "assignment" not in vars(f) and "assignment" not in vars(g)
+
+    def test_local_maps_do_not_depend_on_where_eta_sits(self, split_corpus):
+        # double numbers x's cells around eta, so moving eta first moves
+        # omega, J.omega and theta nowhere but the cells of x do move
+        rng = random.Random("eta first")
+        moved_cases = 0
+        for sc in split_corpus:
+            cells = sorted(sc.cells.values(), key=lambda c: c.id != sc.fixed)
+            first = SplitComplex(GeometricComplex(cells, sc.bdry, sc.tau), sc.J)
+            moved_cases += first._fpos != sc._fpos
+            splitting = random_splitting(rng, sc)
+            for delta in admissible_deltas(sc, cap=2):
+                outcomes = []
+                for x in (sc, first):
+                    f, g = local_map_f(x, delta, splitting), local_map_g(x, delta, splitting)
+                    outcomes.append((f.assignment, g.assignment, verify_local_pair(f, g)))
+                assert outcomes[0] == outcomes[1]
+                assert outcomes[0][2].passed
+        assert moved_cases >= 150
+
     def test_local_maps_are_chain_maps(self):
         for x, delta in ((build_xi(4), 3), (build_misordered(1, 2), 1)):
             for m in (local_map_f(x, delta), local_map_g(x, delta)):
                 assert m.grading_witness() is None
                 assert m.chain_witness() is None
                 assert m.j_witness() is None
+
+
+NOT_SPLIT_CALLS = {
+    "double": lambda g: double(g, 1),
+    "half": lambda g: half(g, 1),
+    "decompose": lambda g: decompose(g, ["a"], ["a"]),
+    "canonical_splitting": canonical_splitting,
+    "local_map_f": lambda g: local_map_f(g, 1),
+    "local_map_g": lambda g: local_map_g(g, 1, ["a"]),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_SPLIT_CALLS))
+def test_operations_on_splittings_reject_a_complex_that_is_not_split(name):
+    # X_1 without its J: every one of them goes through canonical_splitting
+    cells = [Cell("a", 0, F(0)), Cell("Ja", 0, F(0)), Cell("b", 1, F(-2))]
+    g = GeometricComplex(cells, {"b": {"a", "Ja"}})
+    with pytest.raises(NotSplit, match="^a splitting requires a split complex$"):
+        NOT_SPLIT_CALLS[name](g)
 
 
 class TestVerifyLocalPair:
@@ -356,8 +405,6 @@ class TestVerifyLocalPair:
     def test_path_complex_with_boundary_into_fixed_cell(self):
         # a path a -- eta -- Ja: the chosen 1-cell has both a free endpoint
         # and eta in its boundary, so doubling rewrites it as a + omega
-        from ilocal import Cell, GeometricComplex, SplitComplex
-
         cells = [
             Cell("eta", 0, F(4)),
             Cell("a", 0, F(2)),
