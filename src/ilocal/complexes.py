@@ -35,6 +35,12 @@ here accepts either kind.  It is built from an already validated geometric
 complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
+A splitting picks one cell of each J-pair.  The canonical one, the
+lexicographically smaller id of each pair, is a first-read view,
+``_canonical``, which ``canonical_splitting`` returns; it is valid by
+construction, so ``validate_splitting`` returns that very object at once.
+Any other splitting, one merely equal to it included, is checked in full.
+
 Instances are immutable.  They store their cells by position: ``_ids``
 is the tuple that ``ids()`` returns, and in that order ``_dims`` and
 ``_nums`` list each cell's dimension and its gr numerator over q (always
@@ -43,15 +49,16 @@ and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
 complex also stores ``_jpos``, the position of each cell's J-partner, and
 ``_fpos``, the position of its fixed cell, whose id is ``fixed``.  One
 private step, ``_store``, assigns every stored field (these tables, tau,
-the width, and where its caller has them, ``_coadj`` and ``_index``), and
-every construction ends there.  The id-keyed tables are views built on
-first read: ``bdry`` (each boundary as a frozenset of ids), ``_dim`` and
-``_num`` (dimensions and numerators by id), ``J`` (each id's partner), the
-``Cell`` objects of ``cells`` and ``_index`` (each id's position, the one
-map from ids to positions); so are ``_mnum``, by position, and ``_coadj``
-where it is not stored.  A complex that is only reduced, mapped or derived
-from never builds the id tables; ``fu_bdry``, the suite and the JSON read
-``bdry``, all else the positions.
+the width, and where its caller has them, ``_coadj``, ``_index`` and
+``_canonical``), and every construction ends there.  The id-keyed tables
+are views built on first read: ``bdry`` (each boundary as a frozenset of
+ids), ``_dim`` and ``_num`` (dimensions and numerators by id), ``J``
+(each id's partner), the ``Cell`` objects of ``cells`` and ``_index``
+(each id's position, the one map from ids to positions); so are
+``_mnum``, by position, and ``_coadj`` and ``_canonical`` where they are
+not stored.  A complex that is only reduced, mapped or derived from never
+builds the id tables; ``fu_bdry``, the suite and the JSON read ``bdry``,
+all else the positions.
 
 Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full on positions: ids are mapped
@@ -60,7 +67,9 @@ keeps them with the index; the id tables and the coboundary stay views.
 ``dual``, ``tensor`` and ``double`` derive new complexes from validated
 ones and are valid by construction: each computes the positional tables,
 tau, the width, J and the fixed cell of its result from the tables of its
-inputs, and ``_derived`` stores them without validating again.  ``dual``
+inputs, and ``_derived`` stores them without validating again; tau is
+one ``Fraction`` made from its integer numerator and denominator, with no
+``Fraction`` arithmetic.  ``dual``
 keeps every position, so it shares ``_jpos`` and swaps boundary and
 coboundary: its ``_adj`` is its input's ``_coadj`` and its ``_coadj`` its
 input's ``_adj``.  ``double`` copies its input's tables and edits the
@@ -158,6 +167,10 @@ class GeometricComplex:
         adj = [()] * len(ids)
         min_gap = None
         for cid, s, targets in zip(bdry, sources, bdry.values()):
+            if isinstance(targets, str):  # would be read as its characters
+                raise InvalidComplex(
+                    f"boundary of {cid!r} must be a collection of ids, got {targets!r}"
+                )
             targets = tuple(targets)
             row = tuple(map(at.get, targets))
             e_dim, e_num = dims[s] - 1, nums[s]
@@ -321,6 +334,12 @@ class SplitComplex(GeometricComplex):
         ids = self._ids
         return dict(zip(ids, map(ids.__getitem__, self._jpos)))
 
+    @_view
+    def _canonical(self) -> FrozenSet[str]:
+        """The lexicographically smaller member of each J-pair; ``canonical_splitting``."""
+        ids = self._ids
+        return frozenset([cid for cid, jp in zip(ids, self._jpos) if cid < ids[jp]])
+
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """The two-element J-orbits in ``ids()`` order, each reported once as (min, max)."""
         ids = self._ids
@@ -334,15 +353,17 @@ def _store(c: GeometricComplex, ids: Tuple[str, ...], dims: List[int],
            adj: List[Tuple[int, ...]], tau: Grading, nums: List[int], width: Union[int, float],
            jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
            coadj: Optional[List[Tuple[int, ...]]] = None,
-           index: Optional[Dict[str, int]] = None) -> GeometricComplex:
+           index: Optional[Dict[str, int]] = None,
+           canonical: Optional[FrozenSet[str]] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
     ``ids``, ``dims``, ``nums``, ``adj`` and, for a split complex, ``jpos``
     are in one order, which is ``ids()``; ``adj`` and ``jpos`` hold
     positions in it, as does ``fpos``, the fixed cell's.  ``tau`` is
     reduced mod 2, and ``nums`` holds the gr numerators over its
-    denominator ``_q``.  ``coadj`` and ``index`` are stored when the caller
-    has them, and otherwise built on first read.
+    denominator ``_q``.  ``coadj``, ``index`` and a split complex's
+    canonical splitting are stored when the caller has them, and otherwise
+    built on first read.
     """
     c._ids, c._dims, c._adj, c.tau, c._nums, c._q, c._width = (
         ids, dims, adj, tau, nums, tau.denominator, width
@@ -353,14 +374,16 @@ def _store(c: GeometricComplex, ids: Tuple[str, ...], dims: List[int],
         c._coadj = coadj
     if index is not None:
         c._index = index
+    if canonical is not None:
+        c._canonical = canonical
     return c
 
 
 def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
-             index=None) -> GeometricComplex:
+             index=None, canonical=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if jpos is None else SplitComplex)
-    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index)
+    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical)
 
 
 # -- splittings ---------------------------------------------------------
@@ -370,18 +393,27 @@ def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
     """Lexicographically smallest member of each J-orbit pair; NotSplit unless ``sc`` is split."""
     if not isinstance(sc, SplitComplex):
         raise NotSplit("a splitting requires a split complex")
-    ids = sc._ids
-    return frozenset([cid for cid, jp in zip(ids, sc._jpos) if cid < ids[jp]])
+    return sc._canonical
 
 
 def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
-    """The checked splitting ``chosen``; ``None`` stands for the canonical one."""
+    """The checked splitting ``chosen``; ``None`` stands for the canonical one.
+
+    The canonical splitting object itself is returned unchecked; a splitting
+    that is only equal to it is checked in full.
+    """
     # a complex that is not split fails in canonical_splitting
     if chosen is None or not isinstance(sc, SplitComplex):
         return canonical_splitting(sc)
+    if chosen is vars(sc).get("_canonical"):
+        return chosen
     chosen = frozenset(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
+    # ids are strings, and only strings can be ordered for the walk below
+    odd = next((cid for cid in chosen if not isinstance(cid, str)), None)
+    if odd is not None:
+        raise ValueError(f"splitting mentions unknown cell {odd!r}")
     ids, at, jpos = sc._ids, sc._index, sc._jpos
     for cid in sorted(chosen):  # the first cell that fails in sorted order is named
         p = at.get(cid)
@@ -491,9 +523,11 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     ids1, ids2 = c1._ids, c2._ids
     n1, n2 = len(ids1), len(ids2)
     n = n1 * n2
-    tau = (c1.tau + c2.tau) % 2
-    q, q1, q2 = tau.denominator, c1._q, c2._q
+    q1, q2 = c1._q, c2._q
     q12, dims1 = q1 * q2, c1._dims
+    # tau1 + tau2 mod 2, over q1*q2; Fraction reduces it to the denominator q
+    tau = Fraction((c1.tau.numerator * q2 + c2.tau.numerator * q1) % (2 * q12), q12)
+    q = tau.denominator
     scaled1 = [k * q2 * q for k in c1._nums]
     # one column (the cells u⊗v for one v) at a time, interleaved u-major
     ids, dims, nums = [None] * n, [None] * n, [None] * n
@@ -534,10 +568,12 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     positions and the boundary and coboundary trade places.
     """
     n, q = c.max_dim(), c._q
+    shift = -n * q
     ids = tuple([cid + "*" for cid in c._ids])
     dims = [n - d for d in c._dims]
-    nums = [-n * q - k for k in c._nums]
-    tau = (-n - c.tau) % 2
+    nums = [shift - k for k in c._nums]
+    # -n - tau mod 2 over q, which stays tau's reduced denominator
+    tau = Fraction((shift - c.tau.numerator) % (2 * q), q)
     if isinstance(c, SplitComplex):
         return _derived(ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos, c._adj)
     return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)

@@ -131,10 +131,15 @@ def simplify(lc: LinearCombination) -> LinearCombination:
     return LinearCombination(tuple(terms))
 
 
-def _head(prev, sign: int) -> Fraction:
-    """Grading of the next tower's head, given the previous term's (sign, tail)."""
+def _head(prev, sign: int):
+    """Grading of the next tower's head, given the previous term's (sign, tail).
+
+    The first head is the integer 0 or 1, and a later one the previous tail
+    plus -1, 0 or 1, so ``place_towers`` runs on integers and ``decode``,
+    whose tails are gradings, on gradings.
+    """
     if prev is None:
-        return Fraction(0) if sign > 0 else Fraction(1)
+        return 0 if sign > 0 else 1
     prev_sign, prev_tail = prev
     if sign != prev_sign:
         return prev_tail
@@ -147,12 +152,14 @@ def place_towers(lc: LinearCombination) -> FUModule:
     prev = None
     for sign, index in lc:
         head = _head(prev, sign)
+        # a down tower's tail is its bottom, an up tower's its top
         if sign > 0:
-            tower = Tower(head, index, DOWN)
+            tower, tail = Tower(Fraction(head), index, DOWN), head - 2 * (index - 1)
         else:
-            tower = Tower(head + 2 * (index - 1), index, UP)
+            tail = head + 2 * (index - 1)
+            tower = Tower(Fraction(tail), index, UP)
         towers.append(tower)
-        prev = (sign, tower.tail)
+        prev = (sign, tail)
     return FUModule(tuple(towers))
 
 

@@ -37,6 +37,17 @@ coboundary and the index are left to be built on first read.  ``double``
 also records on its result the least suffix the next name probe may start
 from, so a run of doublings probes each name once.
 
+A double along its input's stored canonical splitting (the one ``None``
+stands for) stores its own: x's pairs keep their ids, and of the new pair
+J.omega is the smaller, as "J.omega" < "omega", so it is the input's plus
+J.omega.  The next double then takes it unchecked, and so does
+``decompose``.  A given splitting is checked in ``double`` and again in
+``decompose``, and its double's canonical splitting is built on first
+read.  ``dual`` carries no splitting over: starring every id can flip the
+order of a pair whose one id is a prefix of the other ("a" < "a!" but
+"a!*" < "a*"), so a dual's canonical splitting is built once, on its
+first read.
+
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
 
@@ -69,7 +80,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Container, FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Mapping, Optional
 
 from .complexes import (
     Chain,
@@ -125,16 +136,16 @@ def _names(k: int):
     return "omega" + suffix, "J.omega" + suffix, "theta" + suffix
 
 
-def _fresh_names(taken: Container[str], k: int):
-    """The least suffix k' >= k none of whose three names is taken, with those names."""
+def _fresh_names(taken: Mapping[str, int], k: int):
+    """The least suffix k' >= k none of whose three names is a key of ``taken``, with those names."""
     while True:
         names = _names(k)
-        if not any(n in taken for n in names):
+        if taken.keys().isdisjoint(names):
             return k, names
         k += 1
 
 
-def _next_probe(taken: Container[str], eta: str, k: int) -> int:
+def _next_probe(taken: Mapping[str, int], eta: str, k: int) -> int:
     """Where the name probe of the double may start.
 
     Every suffix below k is taken in the input and k's names now are, so
@@ -216,8 +227,11 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
-    # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, index)
+    # so its gap is >= 2W - 2*delta >= W >= 2*delta.  The canonical
+    # splitting of x keeps its pairs and gains J.omega, as "J.omega" < "omega"
+    canonical = chosen | {j_omega} if chosen is vars(x).get("_canonical") else None
+    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, index,
+                       canonical)
     doubled._fresh_from = _next_probe(at, eta, k)
     return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
 

@@ -114,8 +114,7 @@ class ReductionResult:
 
     @_view
     def module(self) -> FUModule:
-        q = self.complex._q
-        return _module_from_counts({(Fraction(m, q), ln): k for (m, ln), k in self._counts.items()})
+        return _module_from_counts(self._counts, self.complex._q)
 
     @_view
     def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:

@@ -8,8 +8,15 @@ downward without bound.  Gradings are exact rationals throughout.
 Down/up orientations are presentation metadata consumed by the placement
 algorithm, the signed rank, and the renderer.  Isomorphism of modules is
 multiset equality of (top, length) pairs, so equality reads each module's
-table of multiplicities; orientations and presentation order never
-participate in comparison.
+table of multiplicities, ``_counts``; orientations and presentation order
+never participate in comparison.  ``_counts`` is keyed by integers, the
+reduced numerator and denominator of each top and the length, so building,
+hashing and comparing it does no ``Fraction`` arithmetic.  The modules of
+``homology`` and ``kunneth`` are built from integer multiplicities over one
+denominator (``_module_from_counts``), sorted on integers and with one
+``Fraction`` per distinct top, and their ``_counts`` are seeded there;
+``torsion()`` keeps the finite rows of its parent's table when that is
+built.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 Grading = Fraction
@@ -163,21 +169,19 @@ class Tower:
 _RANK = {DOWN: 0, UP: 1, None: 2}
 
 
-def _canonical_order(items, tower=lambda t: t) -> list:
-    """``items`` by their towers' descending top, then descending length.
+def _canonical_order(towers) -> list:
+    """``towers`` by descending top, then descending length.
 
-    ``tower`` reads an item's tower; by default the items are the towers.
     Orientation only breaks the remaining ties (down < up < unoriented).
     Each top is compared as the integer ``top * L``, with L the lcm of the
     tops' denominators: the same order as the gradings', in integers.
     """
-    lcm = math.lcm(*(tower(t).top.denominator for t in items))
+    lcm = math.lcm(*(t.top.denominator for t in towers))
 
-    def key(item):
-        t = tower(item)
+    def key(t):
         return -t.top.numerator * (lcm // t.top.denominator), -t.length, _RANK[t.orientation]
 
-    return sorted(items, key=key)
+    return sorted(towers, key=key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +189,8 @@ class FUModule:
     """Finite direct sum of towers, kept in presentation order.
 
     ``==`` and ``hash`` compare isomorphism classes: the multiset of
-    (top, length) pairs, read from the multiplicity table ``_counts``.
+    (top, length) pairs, read from the multiplicity table ``_counts``
+    (keyed by top numerator, top denominator and length).
     ``canonical()`` returns a copy sorted by descending top, then
     descending length.
     """
@@ -214,8 +219,8 @@ class FUModule:
 
     @_view
     def _counts(self) -> dict:
-        """Multiplicity of each (top, length), orientations ignored."""
-        return dict(Counter((t.top, t.length) for t in self.towers))
+        """Multiplicity of each (top numerator, top denominator, length), orientations ignored."""
+        return dict(Counter([(t.top.numerator, t.top.denominator, t.length) for t in self.towers]))
 
     def canonical(self) -> "FUModule":
         """A copy sorted by descending top, then descending length.
@@ -226,7 +231,11 @@ class FUModule:
         return FUModule(tuple(_canonical_order(self.towers)))
 
     def torsion(self) -> "FUModule":
-        return FUModule(tuple(t for t in self.towers if not t.is_free))
+        m = FUModule(tuple(t for t in self.towers if not t.is_free))
+        counts = vars(self).get("_counts")
+        if counts is not None:
+            m.__dict__["_counts"] = {key: k for key, k in counts.items() if key[2] != INFINITE}
+        return m
 
     @property
     def free_towers(self) -> tuple:
@@ -251,14 +260,19 @@ class FUModule:
         return FUModule(tuple(Tower.from_json(t) for t in obj["towers"]))
 
 
-def _module_from_counts(counts: dict) -> FUModule:
-    """Canonical module of ``counts[top, length]`` shared unoriented towers; seeds ``_counts``."""
-    towers = []
-    pairs = [(Tower(top, length), k) for (top, length), k in counts.items()]
-    for t, k in _canonical_order(pairs, itemgetter(0)):
+def _module_from_counts(counts: dict, q: int) -> FUModule:
+    """Canonical module of ``counts[num, length]`` shared unoriented towers topped at num / q.
+
+    The keys are sorted as integers, by descending num and then length, and
+    each becomes one ``Tower``; the module's ``_counts`` are seeded from them.
+    """
+    towers, seeded = [], {}
+    for (num, length), k in sorted(counts.items(), key=lambda item: (-item[0][0], -item[0][1])):
+        t = Tower(Fraction(num, q), length)
         towers += [t] * k
+        seeded[t.top.numerator, t.top.denominator, length] = k
     m = FUModule(tuple(towers))
-    m.__dict__["_counts"] = counts
+    m.__dict__["_counts"] = seeded
     return m
 
 
@@ -305,10 +319,10 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
     lcm L of the tops' denominators; each distinct output top becomes one
     ``Fraction``.  Output is unoriented and canonically sorted.
     """
-    lcm = math.lcm(*(top.denominator for m in (a, b) for top, _ in m._counts))
+    lcm = math.lcm(*(den for m in (a, b) for _, den, _ in m._counts))
 
     def scaled(m):
-        return [(t.numerator * (lcm // t.denominator), ln, k) for (t, ln), k in m._counts.items()]
+        return [(num * (lcm // den), ln, k) for (num, den, ln), k in m._counts.items()]
 
     out, right = {}, scaled(b)
     for s, ls, m in scaled(a):
@@ -319,4 +333,4 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
             if long != INFINITE:
                 key = (s + t - (2 * long - 1) * lcm, short)
                 out[key] = out.get(key, 0) + m * n
-    return _module_from_counts({(Fraction(x, lcm), ln): k for (x, ln), k in out.items()})
+    return _module_from_counts(out, lcm)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ilocal import complexes
-from ilocal.complexes import GeometricComplex, SplitComplex
+from ilocal.complexes import GeometricComplex, SplitComplex, canonical_splitting
 from ilocal.homology import ChainMap
 from ilocal.suite import random_geometric_complex, random_split_complex
 
@@ -39,8 +39,9 @@ def revalidate_derived(request, monkeypatch):
     ``TestDouble::test_cells_on_random_complexes``.  The stored positions
     are compared row by row, each as a set, and the id boundary built from
     them with the one the constructor checked; a stored coboundary must be
-    the transpose of the boundary, row by row as sets, and a stored index
-    the constructor's.  J is rebuilt from ``_jpos``, so the constructor
+    the transpose of the boundary, row by row as sets, a stored index the
+    constructor's, and a stored canonical splitting the one the rebuilt
+    complex computes.  J is rebuilt from ``_jpos``, so the constructor
     checks the stored partners, and their positions and the fixed cell's
     must be the ones it finds.
     """
@@ -64,6 +65,8 @@ def revalidate_derived(request, monkeypatch):
             assert [set(row) for row in stored["_coadj"]] == [set(row) for row in ref._coadj]
         if "_index" in stored:
             assert stored["_index"] == ref._index
+        if "_canonical" in stored:
+            assert stored["_canonical"] == canonical_splitting(ref)
         return c
 
     for name, mod in list(sys.modules.items()):

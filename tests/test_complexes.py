@@ -246,6 +246,10 @@ GEOMETRIC_ERRORS = {
         cells_of(("x", 1, -2), ("y", 0, 0), ("z", 0, 0)), {"x": ["y", "z", "y"]}, None,
         "boundary pair ('x', 'y') appears more than once",
     ),
+    "string boundary value": (
+        cells_of(("x", 1, -2), ("yz", 0, 0)), {"x": "yz"}, None,
+        "boundary of 'x' must be a collection of ids, got 'yz'",
+    ),
     "pair checks of the cell before its repeat": (
         cells_of(("x", 1, -2), ("y", 0, 0)), {"x": ["y", "y", "w"]}, None,
         "boundary of 'x' mentions unknown cell 'w'",
@@ -351,11 +355,12 @@ class TestErrorMessages:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "case", [case for case, (_, bdry, _, _) in GEOMETRIC_ERRORS.items() if all(bdry.values())]
+        "case", [case for case, (_, bdry, _, _) in GEOMETRIC_ERRORS.items()
+                 if all(bdry.values()) and not any(isinstance(v, str) for v in bdry.values())]
     )
     def test_geometric_from_json(self, case):
         # JSON lists boundary pairs, so it expresses the cases in which
-        # every boundary source has a target
+        # every boundary source has a target and no boundary is one string
         cells, bdry, tau, message = GEOMETRIC_ERRORS[case]
         obj = {
             "cells": [{"id": c.id, "dim": c.dim, "gr": str(c.gr)} for c in cells],

@@ -29,6 +29,7 @@ from ilocal import (
     local_map_g,
     verify_local_pair,
 )
+from ilocal.complexes import validate_splitting
 from ilocal.suite import (
     admissible_deltas,
     check_local_pair,
@@ -283,6 +284,64 @@ def test_operations_on_splittings_reject_a_complex_that_is_not_split(name):
     g = GeometricComplex(cells, {"b": {"a", "Ja"}})
     with pytest.raises(NotSplit, match="^a splitting requires a split complex$"):
         NOT_SPLIT_CALLS[name](g)
+
+
+NON_STRING_MEMBER_CALLS = {
+    "validate_splitting": validate_splitting,
+    "double": lambda x, s: double(x, 1, s),
+    "decompose": lambda x, s: decompose(x, ["a"], s),
+    "local_map_f": lambda x, s: local_map_f(x, 1, s),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_STRING_MEMBER_CALLS))
+@pytest.mark.parametrize("splitting", [["a", 1], [1]], ids=["with-a-string", "alone"])
+def test_a_member_that_is_not_a_string_is_an_unknown_cell(name, splitting):
+    # ids are strings, so such a member is named before the sorted walk
+    with pytest.raises(ValueError, match="^splitting mentions unknown cell 1$"):
+        NON_STRING_MEMBER_CALLS[name](build_xi(2), splitting)
+
+
+class TestStoredSplitting:
+    """A double along the stored canonical splitting stores its own; a dual does not."""
+
+    def test_double_stores_its_canonical_splitting(self):
+        x = build_misordered(1, 3)
+        for _ in range(3):
+            dr = double(x, 1)
+            stored = vars(dr.complex)["_canonical"]
+            assert stored == canonical_splitting(x) | {dr.j_omega}
+            c = dr.complex
+            # conftest's revalidate_derived compares it with the rebuilt
+            # complex's; the next double reads it as the canonical splitting
+            assert canonical_splitting(c) is stored and validate_splitting(c, None) is stored
+            x = c
+
+    def test_a_given_splitting_is_not_carried(self):
+        x = build_xi(3)
+        # the last is equal to the canonical splitting but another object
+        for splitting in ({"a"}, {"Ja"}, frozenset(set(canonical_splitting(x)))):
+            assert "_canonical" not in vars(double(x, 1, splitting).complex)
+
+    def test_only_the_stored_object_skips_the_check(self):
+        x = build_xi(3)
+        # a wrong splitting planted as the stored one is taken as it is ...
+        planted = vars(x)["_canonical"] = frozenset({"a", "Ja"})
+        assert validate_splitting(x, planted) is planted
+        # ... while an equal copy is checked in full
+        with pytest.raises(ValueError, match="contains both members"):
+            validate_splitting(x, frozenset(set(planted)))
+
+    def test_dual_recomputes_the_splitting(self):
+        # starring can flip the order of a pair whose one id is a prefix of
+        # the other: "a" < "a!" but "a!*" < "a*"
+        cells = [Cell("a", 0, F(0)), Cell("a!", 0, F(0)), Cell("b", 1, F(-2))]
+        g = GeometricComplex(cells, {"b": {"a", "a!"}})
+        x = SplitComplex(g, {"a": "a!", "a!": "a", "b": "b"})
+        assert canonical_splitting(x) == {"a"}
+        d = dual(x)
+        assert "_canonical" not in vars(d)
+        assert canonical_splitting(d) == {"a!*"}
 
 
 class TestVerifyLocalPair:

@@ -181,7 +181,7 @@ class TestLazyRepresentatives:
         )
         from_counts = homology_module._module_from_counts
         monkeypatch.setattr(
-            homology_module, "_module_from_counts", lambda counts: calls.append(counts) or from_counts(counts)
+            homology_module, "_module_from_counts", lambda *args: calls.append(args) or from_counts(*args)
         )
         result = homology(c)
         assert calls == []
