@@ -4,6 +4,10 @@ Checks that
 
 * the product has 3^10 = 59,049 cells and its homology equals the
   iterated Kunneth product of the factors' homologies;
+* the build, the reduction and the comparison with the Kunneth module
+  leave the product's ids unbuilt (its factors are prefix-free, so its ids
+  are a view, built on first read) and build no ``towers`` tuple of either
+  module;
 * the free generator reads back through ``express`` as ``[("free", 0, 0)]``;
 * no id table (``bdry``, ``J``, ``_dim``, ``_num`` or ``cells``) of the
   product is built: ``express`` maps ids through the product's ``_index``;
@@ -45,17 +49,22 @@ def main() -> None:
     result = homology(product)
     module = result.module
     t2 = time.perf_counter()
-    degree, chain = result.free_cycles[0]
-    read_back = result.express(chain, degree)
-    t3 = time.perf_counter()
     expected = homology(factors[0]).module
     for f in factors[1:]:
         expected = kunneth(expected, homology(f).module)
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{len(product)} cells: build {t1 - t0:.2f} s, homology {t2 - t1:.2f} s, "
-          f"express {t3 - t2:.2f} s, peak RSS {peak_mb:.0f} MB")
     if len(product) != 3 ** 10 or module != expected:
         raise SystemExit("the homology of the product differs from the iterated Kunneth formula")
+    if "_ids" in vars(product):
+        raise SystemExit("the build, reduction and module comparison built the product's ids")
+    if "towers" in vars(module) or "towers" in vars(expected):
+        raise SystemExit("the module comparison built a towers tuple")
+    t3 = time.perf_counter()
+    degree, chain = result.free_cycles[0]
+    read_back = result.express(chain, degree)
+    t4 = time.perf_counter()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(product)} cells: build {t1 - t0:.2f} s, homology {t2 - t1:.2f} s, "
+          f"express {t4 - t3:.2f} s, peak RSS {peak_mb:.0f} MB")
     # express maps ids through the product's _index and builds no id table
     if read_back != [("free", 0, 0)] or ID_TABLES & vars(product).keys():
         raise SystemExit(f"the free generator reads back as {read_back}; "

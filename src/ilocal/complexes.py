@@ -77,12 +77,29 @@ cells next to eta in both (see ``doubling``); ``tensor`` leaves its
 coboundary a view and keeps the index it built.  The one check that
 depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
 and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
+
+A product's ids are a view too when both factors are prefix-free.  Every
+complex has two first-read views, ``_prefix_free`` (no id is a proper
+prefix of another) and ``_idrank`` (the rank of each position's id in
+sorted order).  For prefix-free U and V, the ids ``u1⊗v1`` and ``u2⊗v2``
+first differ inside the u's, since neither u is a prefix of the other, or
+inside the v's when u1 = u2.  So the joined ids are distinct, prefix-free
+again, and sorted as (rank u, rank v).  ``tensor`` then stores the ranks
+``r1[i]*n2 + r2[j]``, marks the product prefix-free and keeps the
+factors' ids, not the factors, in ``_idparts``: the id tuples of the
+complexes whose ids are built, down each factor whose ids are deferred.
+Joined left to right they give the ids of any nesting, with no recursion.
+The ids, the index and a split product's ``fixed`` are built from them on
+first read, so a product that is only reduced and compared as a module
+never joins an id string.  Otherwise ``tensor`` joins the ids at once and
+checks them for repeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
@@ -224,6 +241,30 @@ class GeometricComplex:
         return dict(zip(self._ids, range(len(self._ids))))
 
     @_view
+    def _ids(self) -> Tuple[str, ...]:
+        """A product's ids, joined from its factors' on first read (see ``tensor``)."""
+        return reduce(_joined_ids, self._idparts)
+
+    @_view
+    def _prefix_free(self) -> bool:
+        """Whether no id is a proper prefix of another.
+
+        A prefix sorts before its extensions and every id between them
+        extends it too, so neighbours in sorted order are enough to compare.
+        """
+        s = sorted(self._ids)
+        return not any(map(str.startswith, s[1:], s))
+
+    @_view
+    def _idrank(self) -> List[int]:
+        """The rank of each position's id in sorted order."""
+        ids = self._ids
+        rank = [0] * len(ids)
+        for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+            rank[i] = r
+        return rank
+
+    @_view
     def _dim(self) -> Dict[str, int]:
         return dict(zip(self._ids, self._dims))
 
@@ -237,7 +278,7 @@ class GeometricComplex:
         return self._ids
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._dims)
 
     def __contains__(self, cid: str) -> bool:
         return cid in self._index
@@ -329,6 +370,11 @@ class SplitComplex(GeometricComplex):
                vars(base).get("_coadj"), at)
 
     @_view
+    def fixed(self) -> str:
+        """The fixed cell's id; stored unless the ids are built on first read."""
+        return self._ids[self._fpos]
+
+    @_view
     def J(self) -> Dict[str, str]:
         """Each cell's J-partner by id, built from ``_jpos`` on first read."""
         ids = self._ids
@@ -349,12 +395,13 @@ class SplitComplex(GeometricComplex):
                 yield cid, jid
 
 
-def _store(c: GeometricComplex, ids: Tuple[str, ...], dims: List[int],
+def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
            adj: List[Tuple[int, ...]], tau: Grading, nums: List[int], width: Union[int, float],
            jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
            coadj: Optional[List[Tuple[int, ...]]] = None,
            index: Optional[Dict[str, int]] = None,
-           canonical: Optional[FrozenSet[str]] = None) -> GeometricComplex:
+           canonical: Optional[FrozenSet[str]] = None,
+           idparts: Optional[tuple] = None, idrank: Optional[List[int]] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
     ``ids``, ``dims``, ``nums``, ``adj`` and, for a split complex, ``jpos``
@@ -363,27 +410,36 @@ def _store(c: GeometricComplex, ids: Tuple[str, ...], dims: List[int],
     reduced mod 2, and ``nums`` holds the gr numerators over its
     denominator ``_q``.  ``coadj``, ``index`` and a split complex's
     canonical splitting are stored when the caller has them, and otherwise
-    built on first read.
+    built on first read.  A product of prefix-free factors passes no
+    ``ids`` but the factors' ids as ``idparts`` and the id ranks as
+    ``idrank`` (see ``tensor``); its ids, index and fixed cell are then
+    built on first read.  The fields are assigned in one fixed order, the
+    ids first and the deferred-id fields last.
     """
-    c._ids, c._dims, c._adj, c.tau, c._nums, c._q, c._width = (
-        ids, dims, adj, tau, nums, tau.denominator, width
-    )
+    if ids is not None:
+        c._ids = ids
+    c._dims, c._adj, c.tau, c._nums, c._q, c._width = dims, adj, tau, nums, tau.denominator, width
     if jpos is not None:
-        c._jpos, c._fpos, c.fixed = jpos, fpos, ids[fpos]
+        c._jpos, c._fpos = jpos, fpos
+        if ids is not None:
+            c.fixed = ids[fpos]
     if coadj is not None:
         c._coadj = coadj
     if index is not None:
         c._index = index
     if canonical is not None:
         c._canonical = canonical
+    if idparts is not None:
+        c._idparts, c._idrank, c._prefix_free = idparts, idrank, True
     return c
 
 
 def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
-             index=None, canonical=None) -> GeometricComplex:
+             index=None, canonical=None, idparts=None, idrank=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if jpos is None else SplitComplex)
-    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical)
+    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical,
+                  idparts, idrank)
 
 
 # -- splittings ---------------------------------------------------------
@@ -407,6 +463,8 @@ def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> Fro
         return canonical_splitting(sc)
     if chosen is vars(sc).get("_canonical"):
         return chosen
+    if isinstance(chosen, str):  # would be read as its characters
+        raise ValueError(f"a splitting must be a collection of cell ids, got {chosen!r}")
     chosen = frozenset(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
@@ -519,9 +577,10 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the product moves
     one factor along a boundary pair of that factor, so the width is the
     least factor width, counting a factor only when the other has cells.
+    The id of cell (i, j) is "u⊗v"; when both factors are prefix-free the
+    ids are built on first read (see the module docstring).
     """
-    ids1, ids2 = c1._ids, c2._ids
-    n1, n2 = len(ids1), len(ids2)
+    n1, n2 = len(c1), len(c2)
     n = n1 * n2
     q1, q2 = c1._q, c2._q
     q12, dims1 = q1 * q2, c1._dims
@@ -530,16 +589,21 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     q = tau.denominator
     scaled1 = [k * q2 * q for k in c1._nums]
     # one column (the cells u⊗v for one v) at a time, interleaved u-major
-    ids, dims, nums = [None] * n, [None] * n, [None] * n
-    for j, (v, d2, k) in enumerate(zip(ids2, c2._dims, c2._nums)):
-        right, scaled = TENSOR_SEP + v, k * q1 * q
-        ids[j::n2] = [u + right for u in ids1]
+    dims, nums = [None] * n, [None] * n
+    for j, (d2, k) in enumerate(zip(c2._dims, c2._nums)):
+        scaled = k * q1 * q
         dims[j::n2] = map(d2.__add__, dims1)
         nums[j::n2] = [(s + scaled) // q12 for s in scaled1]
-    ids = tuple(ids)
-    at = dict(zip(ids, range(n)))
-    if len(at) != n:
-        raise _duplicate_id(ids)
+    if c1._prefix_free and c2._prefix_free:
+        # ids distinct, prefix-free and ranked (rank u, rank v): see the module docstring
+        r2, ids, at = c2._idrank, None, None
+        idparts = _id_parts(c1) + _id_parts(c2)
+        idrank = [a + b for a in [r * n2 for r in c1._idrank] for b in r2]
+    else:
+        ids, idparts, idrank = _joined_ids(c1._ids, c2._ids), None, None
+        at = dict(zip(ids, range(n)))
+        if len(at) != n:
+            raise _duplicate_id(ids)
     # column j: du⊗v at a*n2 + j for a in du, then u⊗dv at i*n2 + b for b in dv
     adj, lefts = [None] * n, [tuple([t * n2 for t in ts]) for ts in c1._adj]
     for j, ts2 in enumerate(c2._adj):
@@ -552,8 +616,24 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
         jpos2 = c2._jpos
         jpos = [a + b for a in [k * n2 for k in c1._jpos] for b in jpos2]
         return _derived(ids, dims, adj, tau, nums, least, jpos, c1._fpos * n2 + c2._fpos,
-                        index=at)
-    return _derived(ids, dims, adj, tau, nums, least, index=at)
+                        index=at, idparts=idparts, idrank=idrank)
+    return _derived(ids, dims, adj, tau, nums, least, index=at, idparts=idparts, idrank=idrank)
+
+
+def _id_parts(c: GeometricComplex) -> Tuple[Tuple[str, ...], ...]:
+    """The id tuples whose join is ``c``'s ids: its own if built, else its factors'."""
+    ids = vars(c).get("_ids")
+    return (ids,) if ids is not None else c._idparts
+
+
+def _joined_ids(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The ids u⊗v, u-major, for u in ``left`` and v in ``right``."""
+    n2 = len(right)
+    ids = [None] * (len(left) * n2)
+    for j, v in enumerate(right):
+        tail = TENSOR_SEP + v
+        ids[j::n2] = [u + tail for u in left]
+    return tuple(ids)
 
 
 def dual(c: GeometricComplex) -> GeometricComplex:

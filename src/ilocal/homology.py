@@ -14,12 +14,19 @@ every complex has by construction; the result is not defined for a
 skeleton without it.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
-gradings do.  The columns come from positions: each is read from the
-complex's positional boundary ``_adj``, whose positions index ``ids()``,
-through one list from positions to ranks in the order, so no id is looked
-up while the columns are built.  That list is the inverse of the
-permutation the sort returns, so the reduction builds no map keyed by cell
-id; ``express`` reaches a cell's rank through the complex's ``_index``.
+gradings do.  Where the complex holds its id ranks ``_idrank`` (a product
+of prefix-free factors stores them, see ``complexes``), each cell's key
+(-gr, dim, id) is one integer, (dim - num*span)*n + rank with span one
+more than the range of the dims: the dims differ by less than span and the
+ranks lie in [0, n), so the integers sort as the triples do and no id is
+read.  Elsewhere the triples are sorted, ids included.  The sort gives ``_perm``, the position in ``ids()`` of each
+rank, which the result stores; the ids by rank, ``_order``, are a view.
+The columns come from positions: each is read from the complex's
+positional boundary ``_adj``, whose positions index ``ids()``, through one
+list from positions to ranks, ``_rank``, the inverse of ``_perm``, so no
+id is looked up while the columns are built and the reduction builds no
+map keyed by cell id; ``express`` reaches a cell's rank through the
+complex's ``_index``.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -51,11 +58,12 @@ the derived differential's, so each further check is a bitmask identity.  The ch
 source position x, the XOR of the patterns over its ``_adj`` row with the
 XOR of the target's ``_adj`` rows over its pattern; the J check compares the pattern of Jx with the
 pattern of x permuted by the target's J.  The first position where the two
-masks differ is the witness: each differing target cell, with its lift to
-M(x) - 1 for the chain check and to M(x) for the J check.  A map that fails
-the grading check has no pattern to check, so both checks then report the
-grading witness.  ``verify_local_pair`` reads g o f = id as "the XOR of g's
-patterns over f's pattern at position i is ``1 << i``"; ``compose`` and
+masks differ is the witness, and only then are ids read: each differing
+target cell, with its lift to M(x) - 1 for the chain check and to M(x) for
+the J check.  A map that fails the grading check has no pattern to check,
+so both checks then report the grading witness.  ``verify_local_pair``
+reads g o f = id as "the XOR of g's patterns over f's pattern at position
+i is ``1 << i``"; ``compose`` and
 ``verify_local_pair`` accept only maps whose middle complexes are one
 complex, so those positions index the same cells.
 
@@ -64,9 +72,10 @@ the homology in each degree is the F2 homology, at U = 1, of the cells in
 that degree's parity, and a grading-preserving chain map acts on it as its
 pattern does.  The columns of the reduction are the boundary at U = 1, so
 with free rank one on both sides f is an isomorphism after inverting U
-exactly when its pattern maps the source's free cycle V[j] to a cycle
-that is not a boundary: one that the target's pivots (its reduced columns,
-a basis of the boundaries) do not reduce to zero.  ``induced_map`` and
+exactly when its pattern, read at the positions ``_perm`` gives, maps the
+source's free cycle V[j] to a cycle that is not a boundary: one that the
+target's pivots (its reduced columns, a basis of the boundaries) do not
+reduce to zero.  ``induced_map`` and
 ``express`` still read f(z) over the F2[U] tower generators, where a free
 entry is the same verdict.
 """
@@ -100,17 +109,23 @@ class ReductionResult:
     module equality.  Both are built on first read from the reduction and
     ``_towers`` and then cached: a free tower's cycle is V[j], a torsion
     tower's is R[j], killed by V[j].  A chain's degree is the Maslov degree
-    of its top cell in ``_order``.
+    of its top cell in ``_order``, the ids by rank, which is built from
+    ``_perm`` on first read.
     """
 
     complex: GeometricComplex
     _counts: Dict[Tuple[int, Length], int]  # (q * M(top), length) -> towers
-    _order: Tuple[str, ...]
-    _rank: List[int]  # the rank in _order of each position of complex.ids()
-    _R: List[int]  # reduced columns, as bitmasks over _order
+    _perm: List[int]  # the position in complex.ids() of each rank
+    _rank: List[int]  # the rank of each position, the inverse of _perm
+    _R: List[int]  # reduced columns, as bitmasks over the ranks
     _V: List[int]  # R[j] is the sum of the columns in V[j]
     _owner: Dict[int, int]  # pivot -> the column whose R has it
     _towers: Tuple[Tuple[int, Length], ...]  # (column j, length) per tower
+
+    @_view
+    def _order(self) -> Tuple[str, ...]:
+        """The cell ids by rank, read off ``_perm`` on first read."""
+        return tuple(map(self.complex._ids.__getitem__, self._perm))
 
     @_view
     def module(self) -> FUModule:
@@ -247,14 +262,22 @@ def homology(c: GeometricComplex) -> ReductionResult:
     Defined for complexes (bdry o bdry = 0), which every construction
     guarantees; see the module docstring.
     """
-    # the numerators share the denominator q > 0, so this is (-gr, dim, id);
-    # ids are distinct, so the positions never break a tie.  neg_num, dims
-    # and order are read by rank, perm[r] is the position in ids() of rank
-    # r, and rank[i], from the inverse permutation, the rank of position i
-    ids, adj, q = c.ids(), c._adj, c._q
-    keys = sorted(zip([-n for n in c._nums], c._dims, ids, range(len(ids))))
-    neg_num, dims, order, perm = zip(*keys) if keys else ((),) * 4
-    rank = [0] * len(perm)
+    # the numerators share the denominator q > 0, so this is (-gr, dim, id).
+    # perm[r] is the position in ids() of rank r, and rank[i], from the
+    # inverse permutation, the rank of position i; nums and dims are read by rank
+    adj, q, nums, dims = c._adj, c._q, c._nums, c._dims
+    n, idrank = len(dims), vars(c).get("_idrank")
+    if idrank is None or not n:
+        # ids are distinct, so the positions never break a tie
+        perm = [key[3] for key in sorted(zip([-k for k in nums], dims, c._ids, range(n)))]
+    else:
+        # (-gr, dim, id rank) as one integer: the dims differ by less than
+        # span and the ranks are below n, so these sort as the triples do
+        span = max(dims) - min(dims) + 1
+        keys = [(d - k * span) * n + r for k, d, r in zip(nums, dims, idrank)]
+        perm = sorted(range(n), key=keys.__getitem__)
+    nums, dims = list(map(nums.__getitem__, perm)), list(map(dims.__getitem__, perm))
+    rank = [0] * n
     for r, i in enumerate(perm):
         rank[i] = r
 
@@ -266,7 +289,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
 
     # dimensions from the top down, so each pivot is known before its own
     # column is read; the sort is stable, keeping the order within each
-    js = sorted(range(len(order)), key=dims.__getitem__, reverse=True)
+    js = sorted(range(n), key=dims.__getitem__, reverse=True)
     R, V, owner = _reduce(column, js, clear=True)
 
     # a column reducing to zero unpaired is a free tower topped at its own
@@ -277,7 +300,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
         if col:
             top = col.bit_length() - 1
             # the pivot lies above column j by a gap in 2qZ: boundary steps add up
-            length = (neg_num[j] - neg_num[top]) // (2 * q)
+            length = (nums[top] - nums[j]) // (2 * q)
             if not length:
                 continue
         elif j in owner:
@@ -285,9 +308,9 @@ def homology(c: GeometricComplex) -> ReductionResult:
         else:
             top, length = j, INFINITE
         gens.append((j, length))
-        key = (q * dims[top] - neg_num[top], length)
+        key = (q * dims[top] + nums[top], length)
         counts[key] = counts.get(key, 0) + 1
-    return ReductionResult(c, counts, order, rank, R, V, owner, tuple(gens))
+    return ReductionResult(c, counts, perm, rank, R, V, owner, tuple(gens))
 
 
 # -- chain maps ----------------------------------------------------------
@@ -394,13 +417,13 @@ class ChainMap:
         # d(f(x)) against f(d(x)) at each position x, both of degree M(x) - 1
         src, pattern = self.source, self._pattern
         rows = [sum(1 << t for t in ts) for ts in self.target._adj]
-        for i, (cid, ts) in enumerate(zip(src.ids(), src._adj)):
+        for i, ts in enumerate(src._adj):
             diff = _xor_rows(rows, pattern[i])
             for t in ts:
                 diff ^= pattern[t]
             if diff:
                 return {
-                    "cell": cid,
+                    "cell": src._ids[i],
                     "difference": self._lifted_terms(diff, src._mnum[i] - src._q),
                     "reason": "d(f(x)) differs from f(d(x))",
                 }
@@ -417,11 +440,11 @@ class ChainMap:
             return self._grading
         # f(Jx) against J(f(x)) at each position x, both of degree M(x)
         pattern, j_bits = self._pattern, [1 << jp for jp in tgt._jpos]
-        for mask, cid, jp, m in zip(pattern, src.ids(), src._jpos, src._mnum):
+        for i, (mask, jp, m) in enumerate(zip(pattern, src._jpos, src._mnum)):
             diff = pattern[jp] ^ _xor_rows(j_bits, mask)
             if diff:
                 return {
-                    "cell": cid,
+                    "cell": src._ids[i],
                     "difference": self._lifted_terms(diff, m),
                     "reason": "f(Jx) differs from J(f(x))",
                 }
@@ -541,9 +564,9 @@ def is_u_localized_iso(
         raise ValueError("U-localized iso test requires free rank one on both sides")
     f.check()
     # f(z) on the target's positions, for z the free cycle as source ranks
-    order, at, pattern, image = src_result._order, f.source._index, f._pattern, 0
+    perm, pattern, image = src_result._perm, f._pattern, 0
     for b in _bits(src_result._V[free[0]]):
-        image ^= pattern[at[order[b]]]
+        image ^= pattern[perm[b]]
     # as target ranks, reduced by the pivots of the target's boundaries
     rank, R, owner = tgt_result._rank, tgt_result._R, tgt_result._owner
     vec = sum([1 << rank[t] for t in _bits(image)])

@@ -13,10 +13,13 @@ never participate in comparison.  ``_counts`` is keyed by integers, the
 reduced numerator and denominator of each top and the length, so building,
 hashing and comparing it does no ``Fraction`` arithmetic.  The modules of
 ``homology`` and ``kunneth`` are built from integer multiplicities over one
-denominator (``_module_from_counts``), sorted on integers and with one
-``Fraction`` per distinct top, and their ``_counts`` are seeded there;
-``torsion()`` keeps the finite rows of its parent's table when that is
-built.
+denominator (``_module_from_counts``): the module stores them as rows
+sorted on integers, ``_rows``, and its ``_counts``, each top reduced by a
+gcd.  Its ``towers`` are a view, built on first read from the rows with one
+``Fraction`` and one ``Tower`` per row, so a module that is only compared,
+counted (``len``, ``free_rank``) or cut to its torsion builds none.
+``torsion()`` keeps the finite rows of such a module, and for any other
+the finite rows of its parent's table when that is built.
 """
 
 from __future__ import annotations
@@ -184,7 +187,6 @@ def _canonical_order(towers) -> list:
     return sorted(towers, key=key)
 
 
-@dataclass(frozen=True, eq=False)
 class FUModule:
     """Finite direct sum of towers, kept in presentation order.
 
@@ -192,19 +194,27 @@ class FUModule:
     (top, length) pairs, read from the multiplicity table ``_counts``
     (keyed by top numerator, top denominator and length).
     ``canonical()`` returns a copy sorted by descending top, then
-    descending length.
+    descending length.  A module built from counts (``_module_from_counts``)
+    stores them and builds ``towers`` on first read.  Instances are
+    immutable by convention.
     """
 
-    towers: tuple = ()
+    def __init__(self, towers=()):
+        self.towers = tuple(towers)
 
-    def __post_init__(self):
-        object.__setattr__(self, "towers", tuple(self.towers))
+    @_view
+    def towers(self) -> tuple:
+        """The ``Tower`` of each distinct row of ``_rows``, repeated by its count, in row order."""
+        q, out = self._q, []
+        for (num, length), k in self._rows:
+            out += [Tower(Fraction(num, q), length)] * k
+        return tuple(out)
 
     def __iter__(self) -> Iterator[Tower]:
         return iter(self.towers)
 
     def __len__(self) -> int:
-        return len(self.towers)
+        return sum(self._counts.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FUModule):
@@ -231,10 +241,13 @@ class FUModule:
         return FUModule(tuple(_canonical_order(self.towers)))
 
     def torsion(self) -> "FUModule":
+        rows = vars(self).get("_rows")
+        if rows is not None:
+            return _from_rows([row for row in rows if row[0][1] != INFINITE], self._q)
         m = FUModule(tuple(t for t in self.towers if not t.is_free))
         counts = vars(self).get("_counts")
         if counts is not None:
-            m.__dict__["_counts"] = {key: k for key, k in counts.items() if key[2] != INFINITE}
+            m._counts = {key: k for key, k in counts.items() if key[2] != INFINITE}
         return m
 
     @property
@@ -243,7 +256,7 @@ class FUModule:
 
     @property
     def free_rank(self) -> int:
-        return len(self.free_towers)
+        return sum([k for key, k in self._counts.items() if key[2] == INFINITE])
 
     @property
     def rank(self) -> int:
@@ -263,16 +276,23 @@ class FUModule:
 def _module_from_counts(counts: dict, q: int) -> FUModule:
     """Canonical module of ``counts[num, length]`` shared unoriented towers topped at num / q.
 
-    The keys are sorted as integers, by descending num and then length, and
-    each becomes one ``Tower``; the module's ``_counts`` are seeded from them.
+    The keys are sorted as integers, by descending num and then length,
+    into the module's ``_rows``; its ``towers`` are built from them on
+    first read, one ``Tower`` per row.
     """
-    towers, seeded = [], {}
-    for (num, length), k in sorted(counts.items(), key=lambda item: (-item[0][0], -item[0][1])):
-        t = Tower(Fraction(num, q), length)
-        towers += [t] * k
-        seeded[t.top.numerator, t.top.denominator, length] = k
-    m = FUModule(tuple(towers))
-    m.__dict__["_counts"] = seeded
+    return _from_rows(sorted(counts.items(), key=lambda item: (-item[0][0], -item[0][1])), q)
+
+
+def _from_rows(rows: list, q: int) -> FUModule:
+    """The module of ``rows``, ((num, length), count) pairs in presentation order over q.
+
+    Its ``_counts`` are keyed by each top num / q in lowest terms.
+    """
+    m, counts = object.__new__(FUModule), {}
+    for (num, length), k in rows:
+        g = math.gcd(num, q)
+        counts[num // g, q // g, length] = k
+    m._rows, m._q, m._counts = rows, q, counts
     return m
 
 

@@ -40,8 +40,9 @@ def revalidate_derived(request, monkeypatch):
     are compared row by row, each as a set, and the id boundary built from
     them with the one the constructor checked; a stored coboundary must be
     the transpose of the boundary, row by row as sets, a stored index the
-    constructor's, and a stored canonical splitting the one the rebuilt
-    complex computes.  J is rebuilt from ``_jpos``, so the constructor
+    constructor's, and a stored canonical splitting, id ranks and
+    prefix-free flag the ones the rebuilt complex computes (a product whose
+    ids are deferred builds them here).  J is rebuilt from ``_jpos``, so the constructor
     checks the stored partners, and their positions and the fixed cell's
     must be the ones it finds.
     """
@@ -67,6 +68,10 @@ def revalidate_derived(request, monkeypatch):
             assert stored["_index"] == ref._index
         if "_canonical" in stored:
             assert stored["_canonical"] == canonical_splitting(ref)
+        if "_idrank" in stored:
+            assert list(stored["_idrank"]) == ref._idrank
+        if "_prefix_free" in stored:
+            assert stored["_prefix_free"] == ref._prefix_free
         return c
 
     for name, mod in list(sys.modules.items()):

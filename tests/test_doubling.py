@@ -302,6 +302,15 @@ def test_a_member_that_is_not_a_string_is_an_unknown_cell(name, splitting):
         NON_STRING_MEMBER_CALLS[name](build_xi(2), splitting)
 
 
+@pytest.mark.parametrize("name", list(NON_STRING_MEMBER_CALLS))
+@pytest.mark.parametrize("splitting", ["a", "Ja", ""])
+def test_a_string_splitting_is_rejected_whole(name, splitting):
+    # not read as its characters: "a" is no splitting {"a"}, "Ja" no {"J", "a"}
+    message = f"^a splitting must be a collection of cell ids, got {splitting!r}$"
+    with pytest.raises(ValueError, match=message):
+        NON_STRING_MEMBER_CALLS[name](build_xi(2), splitting)
+
+
 class TestStoredSplitting:
     """A double along the stored canonical splitting stores its own; a dual does not."""
 

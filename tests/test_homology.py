@@ -36,8 +36,9 @@ from ilocal.suite import (
     check_kunneth,
     random_combination,
     random_geometric_complex,
+    random_split_complex,
 )
-from test_complexes_reference import fractional_xi
+from test_complexes_reference import fractional_xi, ref_tensor
 
 # the package exports the function homology under the module's name
 homology_module = importlib.import_module("ilocal.homology")
@@ -516,13 +517,16 @@ def check_against_global_reduction(c):
             towers.append((j, INFINITE))
     result = homology(c)
     rank = [pos[cid] for cid in c.ids()]
-    # towers per (q * Maslov grading of the top cell, length), on Fractions
-    counts = Counter(
-        (c._q * c.maslov(order[j if length == INFINITE else R[j].bit_length() - 1]), length)
-        for j, length in towers
-    )
-    ref = ReductionResult(c, dict(counts), order, rank, R, V, owner, tuple(towers))
-    assert (result._order, result._rank) == (order, rank)
+    perm = [c._index[cid] for cid in order]
+    # towers per (q * Maslov grading of the top cell, length), computed on
+    # Fractions; each q * M is an integer, which the module's counts take
+    tops = [c._q * c.maslov(order[j if length == INFINITE else R[j].bit_length() - 1])
+            for j, length in towers]
+    assert all(top.denominator == 1 for top in tops)
+    counts = Counter((top.numerator, length) for top, (_, length) in zip(tops, towers))
+    ref = ReductionResult(c, dict(counts), perm, rank, R, V, owner, tuple(towers))
+    assert (result._perm, result._rank) == (perm, rank)
+    assert result._order == ref._order == order
     assert result._R == R
     assert result._owner == owner
     assert result._towers == ref._towers
@@ -635,3 +639,110 @@ def test_iterated_tensors_with_an_empty_factor_or_repeated_ids():
     with pytest.raises(InvalidComplex) as ref:
         GeometricComplex([Cell(u + "⊗" + v, 0, F(0)) for u in left.ids() for v in right.ids()], {})
     assert str(ref.value) == str(info.value)
+
+
+# -- products whose ids are built on first read -----------------------------
+
+#: short words over these make prefix pairs ("a", "a!"), pairs that ``dual``
+#: flips ("a" < "a!" but "a!*" < "a*") and ids that hold the tensor separator
+ID_ALPHABET = ("a", "*", "!", "⊗")
+
+
+def relabelled(rng, c):
+    """``c`` with distinct random ids over ``ID_ALPHABET``, built through the constructors."""
+    words = set()
+    while len(words) < len(c):
+        words.add("".join(rng.choice(ID_ALPHABET) for _ in range(rng.randint(1, 3))))
+    new = dict(zip(c.ids(), rng.sample(sorted(words), len(words))))
+    g = GeometricComplex([Cell(new[cid], cell.dim, cell.gr) for cid, cell in c.cells.items()],
+                         {new[src]: {new[t] for t in ts} for src, ts in c.bdry.items()}, c.tau)
+    return SplitComplex(g, {new[a]: new[b] for a, b in c.J.items()}) if isinstance(c, SplitComplex) else g
+
+
+def id_chain_cases(rng):
+    """Chains of 2 to 4 factors, prefix-free or not, split or not."""
+    pool = [
+        lambda: build_xi(rng.randint(1, 3)),
+        lambda: dual(build_xi(rng.randint(1, 3))),
+        lambda: fractional_xi(rng.randint(1, 2), rng.choice((F(1, 2), F(-1, 3)))),
+        lambda: PLAIN,
+        lambda: relabelled(rng, random_split_complex(rng, max_cells=5)),
+        lambda: dual(relabelled(rng, random_split_complex(rng, max_cells=5))),
+        lambda: relabelled(rng, random_geometric_complex(rng, max_cells=4)),
+    ]
+    return [[rng.choice(pool)() for _ in range(rng.randint(2, 4))] for _ in range(3)]
+
+
+def check_id_chain(factors):
+    """The product of ``factors`` against the one built cell by cell through the constructors."""
+    product = ref = factors[0]
+    for f in factors[1:]:
+        try:
+            ref = ref_tensor(ref, f)
+        except InvalidComplex as error:  # repeated ids raise as in the constructor
+            with pytest.raises(InvalidComplex) as info:
+                tensor(product, f)
+            assert str(info.value) == str(error)
+            return
+        product = tensor(product, f)
+    result, want = homology(product), homology(ref)
+    assert (result._order, result._R, result._owner) == (want._order, want._R, want._owner)
+    assert result.witnesses_json() == want.witnesses_json()
+    ids = product.ids()
+    assert ids == ref.ids()
+    stored = vars(product).get("_idrank")
+    if stored is not None:
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        assert sorted(range(len(ids)), key=stored.__getitem__) == by_id
+        assert stored == ref._idrank and product._prefix_free
+    assert product._prefix_free == ref._prefix_free
+    if isinstance(product, SplitComplex):
+        assert product.fixed == ref.fixed
+
+
+@pytest.mark.trusted_derived
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_products_with_ids_on_first_read_match_the_constructors(seed):
+    for factors in id_chain_cases(random.Random(seed)):
+        check_id_chain(factors)
+
+
+@pytest.mark.trusted_derived
+def test_a_prefix_free_chain_reduces_and_compares_without_ids_or_towers():
+    for factors in ([build_xi(3), dual(build_xi(2)), fractional_xi(1, F(1, 2)), dual(build_xi(1))],
+                    [dual(build_xi(2)), PLAIN, build_xi(1)]):
+        product = factors[0]
+        for f in factors[1:]:
+            product = tensor(product, f)
+        result = homology(product)
+        expected = homology(factors[0]).module
+        for f in factors[1:]:
+            expected = kunneth(expected, homology(f).module)
+        assert result.module == expected
+        assert len(result.module) == len(expected)
+        assert result.module.free_rank == expected.free_rank
+        assert result.module.torsion() == expected.torsion()
+        assert not {"_ids", "_index", "fixed"} & vars(product).keys()
+        assert "towers" not in vars(result.module) and "towers" not in vars(expected)
+        # the towers built on first read are the reference's, in its order
+        towers = ref_homology(rebuilt(product))[0]
+        assert result.module.canonical().to_json() == FUModule(towers).to_json()
+        assert result.module.to_json() == expected.to_json() == FUModule(towers).to_json()
+
+
+@pytest.mark.trusted_derived
+def test_deferred_ids_join_alike_in_any_nesting_and_depth():
+    # any nesting joins to the same ids and ranks, and a long chain needs no recursion
+    x, y, z = build_xi(1), dual(build_xi(2)), fractional_xi(1, F(1, 2))
+    left, right = tensor(tensor(x, y), z), tensor(x, tensor(y, z))
+    assert (left.ids(), left._idrank) == (right.ids(), right._idrank)
+    assert homology(left)._order == homology(right)._order
+    long = build_trivial()
+    for _ in range(2000):
+        long = tensor(long, build_trivial())
+    assert long.ids() == ("⊗".join(["eta"] * 2001),) and long.fixed == long.ids()[0]
+    # a factor with a prefix pair gets its ids at once
+    prefixed = GeometricComplex([Cell("p", 1, F(-4)), Cell("p!", 0, F(0))], {"p": {"p!"}})
+    assert "_ids" in vars(tensor(build_xi(1), prefixed))
+    assert "_idparts" not in vars(tensor(build_xi(1), prefixed))
