@@ -250,9 +250,12 @@ class GeometricComplex:
         """Whether no id is a proper prefix of another.
 
         A prefix sorts before its extensions and every id between them
-        extends it too, so neighbours in sorted order are enough to compare.
+        extends it too, so neighbours in sorted order are enough to compare;
+        the ids are placed in that order by ``_idrank``, not sorted again.
         """
-        s = sorted(self._ids)
+        s = [None] * len(self._ids)
+        for cid, r in zip(self._ids, self._idrank):
+            s[r] = cid
         return not any(map(str.startswith, s[1:], s))
 
     @_view

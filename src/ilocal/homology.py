@@ -14,12 +14,13 @@ every complex has by construction; the result is not defined for a
 skeleton without it.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
-gradings do.  Where the complex holds its id ranks ``_idrank`` (a product
-of prefix-free factors stores them, see ``complexes``), each cell's key
-(-gr, dim, id) is one integer, (dim - num*span)*n + rank with span one
-more than the range of the dims: the dims differ by less than span and the
-ranks lie in [0, n), so the integers sort as the triples do and no id is
-read.  Elsewhere the triples are sorted, ids included.  The sort gives ``_perm``, the position in ``ids()`` of each
+gradings do.  Ties are broken by id through the complex's id ranks
+``_idrank`` (a product of prefix-free factors stores them without joining
+an id, see ``complexes``; any other complex sorts its ids once on first
+read): each cell's key (-gr, dim, id) is one integer, (dim - num*span)*n
++ rank with span one more than the range of the dims.  The dims differ by
+less than span and the ranks lie in [0, n), so the integers sort as the
+triples do.  The sort gives ``_perm``, the position in ``ids()`` of each
 rank, which the result stores; the ids by rank, ``_order``, are a view.
 The columns come from positions: each is read from the complex's
 positional boundary ``_adj``, whose positions index ``ids()``, through one
@@ -262,20 +263,15 @@ def homology(c: GeometricComplex) -> ReductionResult:
     Defined for complexes (bdry o bdry = 0), which every construction
     guarantees; see the module docstring.
     """
-    # the numerators share the denominator q > 0, so this is (-gr, dim, id).
-    # perm[r] is the position in ids() of rank r, and rank[i], from the
-    # inverse permutation, the rank of position i; nums and dims are read by rank
+    # the numerators share the denominator q > 0, so this is (-gr, dim, id),
+    # as one integer: the dims differ by less than span and the id ranks are
+    # below n, so these sort as the triples do.  perm[r] is the position in
+    # ids() of rank r, and rank[i], from the inverse permutation, the rank
+    # of position i; nums and dims are read by rank
     adj, q, nums, dims = c._adj, c._q, c._nums, c._dims
-    n, idrank = len(dims), vars(c).get("_idrank")
-    if idrank is None or not n:
-        # ids are distinct, so the positions never break a tie
-        perm = [key[3] for key in sorted(zip([-k for k in nums], dims, c._ids, range(n)))]
-    else:
-        # (-gr, dim, id rank) as one integer: the dims differ by less than
-        # span and the ranks are below n, so these sort as the triples do
-        span = max(dims) - min(dims) + 1
-        keys = [(d - k * span) * n + r for k, d, r in zip(nums, dims, idrank)]
-        perm = sorted(range(n), key=keys.__getitem__)
+    n, span = len(dims), max(dims, default=0) - min(dims, default=0) + 1
+    keys = [(d - k * span) * n + r for k, d, r in zip(nums, dims, c._idrank)]
+    perm = sorted(range(n), key=keys.__getitem__)
     nums, dims = list(map(nums.__getitem__, perm)), list(map(dims.__getitem__, perm))
     rank = [0] * n
     for r, i in enumerate(perm):

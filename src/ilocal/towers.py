@@ -196,11 +196,17 @@ class FUModule:
     ``canonical()`` returns a copy sorted by descending top, then
     descending length.  A module built from counts (``_module_from_counts``)
     stores them and builds ``towers`` on first read.  Instances are
-    immutable by convention.
+    immutable: assigning or deleting an attribute raises ``AttributeError``.
     """
 
     def __init__(self, towers=()):
-        self.towers = tuple(towers)
+        self.__dict__["towers"] = tuple(towers)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable FUModule")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable FUModule")
 
     @_view
     def towers(self) -> tuple:
@@ -247,7 +253,7 @@ class FUModule:
         m = FUModule(tuple(t for t in self.towers if not t.is_free))
         counts = vars(self).get("_counts")
         if counts is not None:
-            m._counts = {key: k for key, k in counts.items() if key[2] != INFINITE}
+            m.__dict__["_counts"] = {key: k for key, k in counts.items() if key[2] != INFINITE}
         return m
 
     @property
@@ -292,7 +298,7 @@ def _from_rows(rows: list, q: int) -> FUModule:
     for (num, length), k in rows:
         g = math.gcd(num, q)
         counts[num // g, q // g, length] = k
-    m._rows, m._q, m._counts = rows, q, counts
+    m.__dict__.update(_rows=rows, _q=q, _counts=counts)
     return m
 
 

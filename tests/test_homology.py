@@ -685,17 +685,21 @@ def check_id_chain(factors):
             assert str(info.value) == str(error)
             return
         product = tensor(product, f)
+    deferred = "_idparts" in vars(product)
     result, want = homology(product), homology(ref)
     assert (result._order, result._R, result._owner) == (want._order, want._R, want._owner)
+    # the integer keys order the cells as the (-gr, dim, id) triples do
+    assert result._order == global_reduction(ref)[0]
     assert result.witnesses_json() == want.witnesses_json()
     ids = product.ids()
     assert ids == ref.ids()
-    stored = vars(product).get("_idrank")
-    if stored is not None:
-        by_id = sorted(range(len(ids)), key=ids.__getitem__)
-        assert sorted(range(len(ids)), key=stored.__getitem__) == by_id
-        assert stored == ref._idrank and product._prefix_free
+    # the ranks a product stores or homology built, against sorted ids
+    stored = product._idrank
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    assert sorted(range(len(ids)), key=stored.__getitem__) == by_id
+    assert stored == ref._idrank
     assert product._prefix_free == ref._prefix_free
+    assert product._prefix_free or not deferred
     if isinstance(product, SplitComplex):
         assert product.fixed == ref.fixed
 

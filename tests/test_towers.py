@@ -245,6 +245,18 @@ def test_shared_towers_compare_like_distinct_ones():
     assert shared.to_json() == distinct.to_json()
 
 
+def test_modules_reject_assignment():
+    # a module built from counts as well as one built from towers
+    for m in (mod(T(F(1, 2), 3), T(F(0), INFINITE)), _module_from_counts({(1, 3): 2}, 2)):
+        before = (m.to_json(), hash(m), len(m))
+        for name in ("towers", "_counts", "_rows", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+        with pytest.raises(AttributeError):
+            del m.towers
+        assert (m.to_json(), hash(m), len(m)) == before
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_counts_match_a_recount(seed):
