@@ -260,7 +260,7 @@ class GeometricComplex:
 
     @_view
     def _idrank(self) -> List[int]:
-        """The rank of each position's id in sorted order."""
+        """The rank of each position's id in sorted order, by which ``homology`` breaks ties."""
         ids = self._ids
         rank = [0] * len(ids)
         for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
