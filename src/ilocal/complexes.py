@@ -97,13 +97,12 @@ checks them for repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
-from .towers import INFINITE, Grading, _view, grading_from_json, grading_to_str
+from .towers import INFINITE, Grading, _Value, _view, grading_from_json, grading_to_str
 
 #: An F2 chain in a skeleton: the set of cells with coefficient 1.
 Chain = FrozenSet[str]
@@ -111,19 +110,18 @@ Chain = FrozenSet[str]
 TENSOR_SEP = "⊗"  # the id of a product cell is "left⊗right"
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: str
-    dim: int
-    gr: Grading
+class Cell(_Value):
+    _fields = ("id", "dim", "gr")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidComplex(f"cell id must be a non-empty string, got {self.id!r}")
-        if type(self.dim) is not int:
-            raise InvalidComplex(f"cell {self.id!r} has non-integer dimension {self.dim!r}")
-        if type(self.gr) is not Fraction:
-            object.__setattr__(self, "gr", Fraction(self.gr))
+    def __init__(self, id: str, dim: int, gr: Grading):
+        if not isinstance(id, str) or not id:
+            raise InvalidComplex(f"cell id must be a non-empty string, got {id!r}")
+        if type(dim) is not int:
+            raise InvalidComplex(f"cell {id!r} has non-integer dimension {dim!r}")
+        if type(gr) is not Fraction:
+            gr = Fraction(gr)
+        d = self.__dict__
+        d["id"], d["dim"], d["gr"] = id, dim, gr
 
     @property
     def maslov(self) -> Grading:

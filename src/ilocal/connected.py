@@ -24,7 +24,6 @@ of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -37,6 +36,7 @@ from .towers import (
     FUModule,
     Grading,
     Tower,
+    _Value,
     grading_from_json,
     grading_to_str,
     shift,
@@ -44,8 +44,7 @@ from .towers import (
 )
 
 
-@dataclass(frozen=True)
-class LinearCombination:
+class LinearCombination(_Value):
     """A signed multiset of basis indices, sorted by descending index.
 
     Terms are (sign, index) with sign +1 or -1; at equal indices positive
@@ -54,16 +53,16 @@ class LinearCombination:
     builder accepts them) but the placement algorithm insists they be gone.
     """
 
-    terms: Tuple[Tuple[int, int], ...] = ()
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, terms: Tuple[Tuple[int, int], ...] = ()):
+        terms = tuple(terms)
         for sign, index in terms:
             if sign not in (1, -1):
                 raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
             if type(index) is not int or index < 1:
                 raise ValueError(f"term index must be a positive integer, got {index!r}")
-        object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda t: (-t[1], -t[0]))))
+        self.__dict__["terms"] = tuple(sorted(terms, key=lambda t: (-t[1], -t[0])))
 
     def __iter__(self):
         return iter(self.terms)
@@ -98,15 +97,13 @@ class LinearCombination:
         return LinearCombination(tuple(terms))
 
 
-@dataclass(frozen=True)
-class LocalClass:
+class LocalClass(_Value):
     """A combination together with the correction term fixing its frame."""
 
-    combo: LinearCombination
-    d: Grading
+    _fields = ("combo", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", Fraction(self.d))
+    def __init__(self, combo: LinearCombination, d: Grading):
+        self.__dict__["combo"], self.__dict__["d"] = combo, Fraction(d)
 
     def to_json(self) -> dict:
         return {"terms": self.combo.to_json(), "d": grading_to_str(self.d)}
@@ -192,12 +189,13 @@ def representative(lc: LinearCombination) -> SplitComplex:
     return s
 
 
-@dataclass(frozen=True)
-class _ChainOfTowers:
-    length: int
-    count: int
-    hi: Grading  # maximal occupied grading
-    lo: Grading  # minimal occupied grading
+class _ChainOfTowers(_Value):
+    _fields = ("length", "count", "hi", "lo")
+
+    def __init__(self, length: int, count: int, hi: Grading, lo: Grading):
+        # hi and lo are the maximal and minimal occupied gradings
+        d = self.__dict__
+        d["length"], d["count"], d["hi"], d["lo"] = length, count, hi, lo
 
 
 def _chains(m: FUModule):

@@ -78,7 +78,6 @@ Halving is implemented algebraically as dual o double o dual.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Mapping, Optional
 
@@ -102,19 +101,24 @@ from .homology import (
     homology,
     is_u_localized_iso,
 )
+from .towers import _Value
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleResult:
-    """A doubled complex together with the labels of its new cells."""
+class DoubleResult(_Value):
+    """A doubled complex together with the labels of its new cells; equal only to itself.
 
-    complex: SplitComplex
-    omega: str
-    j_omega: str
-    theta: str
-    eta: str  # id of the replaced fixed cell of the input
-    zeta: Chain  # chosen-side half of d(eta)
-    splitting: FrozenSet[str]  # inherited splitting (chosen cells plus omega)
+    ``eta`` is the replaced fixed cell of the input, ``zeta`` the chosen-side
+    half of d(eta), ``splitting`` the chosen cells plus omega.
+    """
+
+    _fields = ("complex", "omega", "j_omega", "theta", "eta", "zeta", "splitting")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, complex: SplitComplex, omega: str, j_omega: str, theta: str, eta: str,
+                 zeta: Chain, splitting: FrozenSet[str]):
+        d = self.__dict__
+        d["complex"], d["omega"], d["j_omega"], d["theta"] = complex, omega, j_omega, theta
+        d["eta"], d["zeta"], d["splitting"] = eta, zeta, splitting
 
     def labels_json(self) -> dict:
         return {
@@ -312,15 +316,16 @@ def local_map_g(
     return _j_equivariant_map(src, dr.complex, images)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Value):
     """Outcome of the four local-equivalence checks for a pair of maps."""
 
-    chain_map: bool
-    j_equivariant: bool
-    gf_identity: bool
-    u_localized_iso: bool
-    witness: Optional[dict] = None
+    _fields = ("chain_map", "j_equivariant", "gf_identity", "u_localized_iso", "witness")
+
+    def __init__(self, chain_map: bool, j_equivariant: bool, gf_identity: bool,
+                 u_localized_iso: bool, witness: Optional[dict] = None):
+        d = self.__dict__
+        d["chain_map"], d["j_equivariant"], d["gf_identity"] = chain_map, j_equivariant, gf_identity
+        d["u_localized_iso"], d["witness"] = u_localized_iso, witness
 
     @property
     def passed(self) -> bool:

@@ -83,13 +83,12 @@ entry is the same verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import GeometricComplex, SplitComplex, complex_to_json
 from .errors import NotAChainMap, NotSplit
-from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, _view, grading_to_str
+from .towers import INFINITE, FUModule, Grading, Length, _module_from_counts, _Value, _view, grading_to_str
 
 #: A homogeneous F2[U]-chain: cell id -> U-exponent (coefficient 1).
 HomogeneousChain = Dict[str, int]
@@ -98,7 +97,6 @@ HomogeneousChain = Dict[str, int]
 TermSet = FrozenSet[Tuple[str, int]]
 
 
-@dataclass(eq=False)
 class ReductionResult:
     """Isomorphism class of H_* plus cycle representatives.
 
@@ -114,14 +112,18 @@ class ReductionResult:
     ``_perm`` on first read.
     """
 
-    complex: GeometricComplex
-    _counts: Dict[Tuple[int, Length], int]  # (q * M(top), length) -> towers
-    _perm: List[int]  # the position in complex.ids() of each rank
-    _rank: List[int]  # the rank of each position, the inverse of _perm
-    _R: List[int]  # reduced columns, as bitmasks over the ranks
-    _V: List[int]  # R[j] is the sum of the columns in V[j]
-    _owner: Dict[int, int]  # pivot -> the column whose R has it
-    _towers: Tuple[Tuple[int, Length], ...]  # (column j, length) per tower
+    _fields = ("complex", "_counts", "_perm", "_rank", "_R", "_V", "_owner", "_towers")
+    __repr__ = _Value.__repr__
+
+    def __init__(self, complex: GeometricComplex, _counts, _perm, _rank, _R, _V, _owner, _towers):
+        self.complex = complex
+        self._counts = _counts  # (q * M(top), length) -> towers
+        self._perm = _perm  # the position in complex.ids() of each rank
+        self._rank = _rank  # the rank of each position, the inverse of _perm
+        self._R = _R  # reduced columns, as bitmasks over the ranks
+        self._V = _V  # R[j] is the sum of the columns in V[j]
+        self._owner = _owner  # pivot -> the column whose R has it
+        self._towers = _towers  # (column j, length) per tower
 
     @_view
     def _order(self) -> Tuple[str, ...]:

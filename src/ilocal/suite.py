@@ -12,7 +12,6 @@ test).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional
@@ -150,34 +149,39 @@ def admissible_deltas(sc: cx.SplitComplex, cap: int = 6) -> range:
 MAX_CELLS = 200
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    kunneth_cases: int = 25
-    doubling_cases: int = 25
-    local_cases: int = 10
-    representative_cases: int = 40
-    roundtrip_cases: int = 150
-    duality_cases: int = 25
-    max_terms: int = 4
-    max_index: int = 6
-    max_cells: int = 10
+class SuiteConfig(tw._Value):
+    _fields = ("kunneth_cases", "doubling_cases", "local_cases", "representative_cases",
+               "roundtrip_cases", "duality_cases", "max_terms", "max_index", "max_cells")
+
+    def __init__(self, kunneth_cases: int = 25, doubling_cases: int = 25, local_cases: int = 10,
+                 representative_cases: int = 40, roundtrip_cases: int = 150,
+                 duality_cases: int = 25, max_terms: int = 4, max_index: int = 6,
+                 max_cells: int = 10):
+        self.__dict__.update(kunneth_cases=kunneth_cases, doubling_cases=doubling_cases,
+                             local_cases=local_cases, representative_cases=representative_cases,
+                             roundtrip_cases=roundtrip_cases, duality_cases=duality_cases,
+                             max_terms=max_terms, max_index=max_index, max_cells=max_cells)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: List[dict] = field(default_factory=list)
+class SuiteResult(tw._Value):  # mutable, so unhashable
+    _fields = ("name", "cases", "failures")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, cases: int = 0, failures: Optional[List[dict]] = None):
+        self.name, self.cases = name, cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class SuiteReport:
-    seed: int
-    results: List[SuiteResult]
+class SuiteReport(tw._Value):
+    _fields = ("seed", "results")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, seed: int, results: List[SuiteResult]):
+        self.seed, self.results = seed, results
 
     @property
     def passed(self) -> bool:

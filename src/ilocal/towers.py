@@ -20,6 +20,11 @@ gcd.  Its ``towers`` are a view, built on first read from the rows with one
 counted (``len``, ``free_rank``) or cut to its torsion builds none.
 ``torsion()`` keeps the finite rows of such a module, and for any other
 the finite rows of its parent's table when that is built.
+
+Towers, modules and the package's other records derive from ``_Value``,
+which reads equality, hash and repr off the fields named by ``_fields``
+(written by each ``__init__``) and refuses assignment and deletion; unlike
+``dataclasses``, it generates no code when a class is made.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import enum
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -84,6 +88,31 @@ class _view:
         return value
 
 
+class _Value:
+    """An immutable record compared, hashed and printed by its tuple of ``_fields``."""
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join([f'{n}={d[n]!r}' for n in self._fields])})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
 class Orientation(enum.Enum):
     DOWN = "down"
     UP = "up"
@@ -96,24 +125,22 @@ DOWN = Orientation.DOWN
 UP = Orientation.UP
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(_Value):
     """One tower F2[U]/U^l (or F2[U] itself, l = INFINITE) topped at ``top``."""
 
-    top: Grading
-    length: Length
-    orientation: Optional[Orientation] = None
+    _fields = ("top", "length", "orientation")
+    _BAD_LENGTH = "tower length must be a positive integer or INFINITE, got {!r}"
 
-    def __post_init__(self):
-        if type(self.top) is not Fraction:
-            object.__setattr__(self, "top", Fraction(self.top))
-        if self.is_free:
-            if self.orientation is not None:
+    def __init__(self, top: Grading, length: Length, orientation: Optional[Orientation] = None):
+        if type(top) is not Fraction:
+            top = Fraction(top)
+        if length == INFINITE:
+            if orientation is not None:
                 raise ValueError("free towers are always unoriented")
-        elif not (type(self.length) is int and self.length > 0):
-            raise ValueError(
-                f"tower length must be a positive integer or INFINITE, got {self.length!r}"
-            )
+        elif not (type(length) is int and length > 0):
+            raise ValueError(self._BAD_LENGTH.format(length))
+        d = self.__dict__
+        d["top"], d["length"], d["orientation"] = top, length, orientation
 
     @property
     def is_free(self) -> bool:
@@ -164,6 +191,8 @@ class Tower:
         length = obj["length"]
         if length == "inf":
             length = INFINITE
+        elif length == INFINITE:  # json reads 1e400 and Infinity as a float, not the marker
+            raise ValueError(Tower._BAD_LENGTH.format(length))
         orient = obj.get("orientation")
         top = grading_from_json(obj["top"], "tower top")
         return Tower(top, length, Orientation(orient) if orient else None)
@@ -187,7 +216,7 @@ def _canonical_order(towers) -> list:
     return sorted(towers, key=key)
 
 
-class FUModule:
+class FUModule(_Value):
     """Finite direct sum of towers, kept in presentation order.
 
     ``==`` and ``hash`` compare isomorphism classes: the multiset of
@@ -201,12 +230,6 @@ class FUModule:
 
     def __init__(self, towers=()):
         self.__dict__["towers"] = tuple(towers)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable FUModule")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable FUModule")
 
     @_view
     def towers(self) -> tuple:

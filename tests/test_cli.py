@@ -139,6 +139,14 @@ class TestConnectedDecodeSum:
         assert code == 1
         assert "head" in err or "chain" in err
 
+    @pytest.mark.parametrize("length", ["1e400", "Infinity"])
+    def test_decode_rejects_a_json_number_as_a_free_tower(self, capsys, tmp_path, length):
+        path = tmp_path / "m.json"
+        path.write_text('{"towers": [{"top": "0", "length": %s}]}' % length)
+        code, out, err = run(capsys, "decode", "--file", str(path), "--d", "0")
+        assert code == 1 and out == ""
+        assert err == "error: tower length must be a positive integer or INFINITE, got inf\n"
+
     def test_sum(self, capsys, tmp_path):
         for name, expr, d in (("a", "X4", "2"), ("b", "X3", "-2")):
             module = hf_conn(parse_expression(expr), F(d))

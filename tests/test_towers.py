@@ -54,6 +54,15 @@ class TestTower:
     def test_json_round_trip(self):
         for t in (T(F(1, 2), 3, UP), T(F(-5), INFINITE), T(F(0), 1)):
             assert Tower.from_json(t.to_json()) == t
+        assert T(F(-5), INFINITE).to_json()["length"] == "inf"
+        assert FUModule.from_json({"towers": [{"top": 0, "length": "inf"}]}).free_rank == 1
+
+    @pytest.mark.parametrize("length", [1e400, float("inf"), float("-inf"), "Infinity"])
+    def test_json_free_tower_is_only_the_string_inf(self, length):
+        # json reads 1e400 and Infinity as float("inf"), which is not the marker "inf"
+        for load in (Tower.from_json, lambda t: FUModule.from_json({"towers": [t]})):
+            with pytest.raises(ValueError, match="positive integer or INFINITE, got"):
+                load({"top": 0, "length": length})
 
 
 class TestShift:
