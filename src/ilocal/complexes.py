@@ -35,11 +35,23 @@ here accepts either kind.  It is built from an already validated geometric
 complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
-A splitting picks one cell of each J-pair.  The canonical one, the
-lexicographically smaller id of each pair, is a first-read view,
-``_canonical``, which ``canonical_splitting`` returns; it is valid by
-construction, so ``validate_splitting`` returns that very object at once.
-Any other splitting, one merely equal to it included, is checked in full.
+A splitting picks one cell of each J-pair.  Inside the library it is a
+``_Flags`` object, one byte per position, 1 at each chosen cell; a given
+id splitting is checked once, by ``validate_splitting``, and turned into
+flags, and flags are never checked again.  The canonical splitting, the
+lexicographically smaller id of each pair, is stored that way as
+``_canon``; ``canonical_splitting`` returns ``_canonical``, the same cells
+by id, built from the flags on first read.  ``dual`` and ``double`` carry
+the flags over.  Starring every id keeps the order of a pair unless one id
+is a proper prefix of the other and the next character sorts below ``*``
+("a" < "a!" but "a!*" < "a*"), so each split complex also keeps
+``_prefixed``, the positions whose id is a proper prefix of their
+partner's, and ``dual`` repairs only those; a ``"*"`` next keeps the pair a
+prefix pair, any other character ends it.  No pair of a representative is
+a prefix pair, so there ``_prefixed`` is empty.  ``_named`` is the set of
+ids that ``doubling`` may give a new cell (those matching ``_NEW_NAME``);
+its name probe reads it in place of the ids, and it is empty for a dual,
+whose ids all end in ``*``.
 
 Instances are immutable.  They store their cells by position: ``_ids``
 is the tuple that ``ids()`` returns, and in that order ``_dims`` and
@@ -49,16 +61,19 @@ and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
 complex also stores ``_jpos``, the position of each cell's J-partner, and
 ``_fpos``, the position of its fixed cell, whose id is ``fixed``.  One
 private step, ``_store``, assigns every stored field (these tables, tau,
-the width, and where its caller has them, ``_coadj``, ``_index`` and
-``_canonical``), and every construction ends there.  The id-keyed tables
-are views built on first read: ``bdry`` (each boundary as a frozenset of
-ids), ``_dim`` and ``_num`` (dimensions and numerators by id), ``J``
-(each id's partner), the ``Cell`` objects of ``cells`` and ``_index``
-(each id's position, the one map from ids to positions); so are
-``_mnum``, by position, and ``_coadj`` and ``_canonical`` where they are
-not stored.  A complex that is only reduced, mapped or derived from never
-builds the id tables; ``fu_bdry``, the suite and the JSON read ``bdry``,
-all else the positions.
+the width, and where its caller has them, ``_coadj``, ``_index`` and the
+splitting fields ``_canon``, ``_prefixed`` and ``_named``), and every
+construction ends there.  The id-keyed tables are views built on first
+read: ``bdry`` (each boundary as a frozenset of ids), ``_dim`` and
+``_num`` (dimensions and numerators by id), ``J`` (each id's partner), the
+``Cell`` objects of ``cells``, ``_canonical`` and ``_index`` (each id's
+position, the one map from ids to positions); so are ``_mnum``, by
+position, and ``_coadj`` and the splitting fields where they are not
+stored.  A complex that is only reduced, mapped or derived from never
+builds the id tables: ``dual`` and ``double`` store no index and no id
+splitting, so ``representative`` builds neither.  ``fu_bdry``, the suite
+and the JSON read ``bdry``, a given splitting or chain the index, all else
+the positions.
 
 Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full on positions: ids are mapped
@@ -70,9 +85,9 @@ tau, the width, J and the fixed cell of its result from the tables of its
 inputs, and ``_derived`` stores them without validating again; tau is
 one ``Fraction`` made from its integer numerator and denominator, with no
 ``Fraction`` arithmetic.  ``dual``
-keeps every position, so it shares ``_jpos`` and swaps boundary and
-coboundary: its ``_adj`` is its input's ``_coadj`` and its ``_coadj`` its
-input's ``_adj``.  ``double`` copies its input's tables and edits the
+keeps every position, so it shares ``_jpos``, carries the splitting fields
+and swaps boundary and coboundary: its ``_adj`` is its input's ``_coadj``
+and its ``_coadj`` its input's ``_adj``.  ``double`` copies its input's tables and edits the
 cells next to eta in both (see ``doubling``); ``tensor`` leaves its
 coboundary a view and keeps the index it built.  The one check that
 depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
@@ -97,8 +112,10 @@ checks them for repeats.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
@@ -108,6 +125,13 @@ from .towers import INFINITE, Grading, _Value, _view, grading_from_json, grading
 Chain = FrozenSet[str]
 
 TENSOR_SEP = "⊗"  # the id of a product cell is "left⊗right"
+
+# a name doubling gives a new cell, of the suffix k >= 1: "" for k = 1, str(k) from k = 2
+_NEW_NAME = re.compile(r"(?:omega|J\.omega|theta)([2-9]|[1-9][0-9]+)?")
+
+
+class _Flags(bytes):
+    """A checked splitting of one split complex: 1 at each chosen position, else 0."""
 
 
 class Cell(_Value):
@@ -382,10 +406,26 @@ class SplitComplex(GeometricComplex):
         return dict(zip(ids, map(ids.__getitem__, self._jpos)))
 
     @_view
-    def _canonical(self) -> FrozenSet[str]:
-        """The lexicographically smaller member of each J-pair; ``canonical_splitting``."""
+    def _canon(self) -> _Flags:
+        """The canonical splitting as flags: 1 at the smaller id of each J-pair."""
         ids = self._ids
-        return frozenset([cid for cid, jp in zip(ids, self._jpos) if cid < ids[jp]])
+        return _Flags([cid < ids[jp] for cid, jp in zip(ids, self._jpos)])
+
+    @_view
+    def _canonical(self) -> FrozenSet[str]:
+        """The ids flagged in ``_canon``; ``canonical_splitting``."""
+        return frozenset(compress(self._ids, self._canon))
+
+    @_view
+    def _prefixed(self) -> Tuple[int, ...]:
+        """The positions whose id is a proper prefix of their J-partner's."""
+        ids = self._ids
+        return tuple([p for p, jp in enumerate(self._jpos) if p != jp and ids[jp].startswith(ids[p])])
+
+    @_view
+    def _named(self) -> FrozenSet[str]:
+        """The ids that match ``_NEW_NAME``, against which ``doubling`` probes new names."""
+        return frozenset(filter(_NEW_NAME.fullmatch, self._ids))
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """The two-element J-orbits in ``ids()`` order, each reported once as (min, max)."""
@@ -400,18 +440,19 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
            adj: List[Tuple[int, ...]], tau: Grading, nums: List[int], width: Union[int, float],
            jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
            coadj: Optional[List[Tuple[int, ...]]] = None,
-           index: Optional[Dict[str, int]] = None,
-           canonical: Optional[FrozenSet[str]] = None,
+           index: Optional[Dict[str, int]] = None, canon: Optional[_Flags] = None,
+           prefixed: Tuple[int, ...] = (), named: FrozenSet[str] = frozenset(),
            idparts: Optional[tuple] = None, idrank: Optional[List[int]] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them.
 
     ``ids``, ``dims``, ``nums``, ``adj`` and, for a split complex, ``jpos``
-    are in one order, which is ``ids()``; ``adj`` and ``jpos`` hold
-    positions in it, as does ``fpos``, the fixed cell's.  ``tau`` is
-    reduced mod 2, and ``nums`` holds the gr numerators over its
-    denominator ``_q``.  ``coadj``, ``index`` and a split complex's
-    canonical splitting are stored when the caller has them, and otherwise
-    built on first read.  A product of prefix-free factors passes no
+    and ``canon`` are in one order, which is ``ids()``; ``adj``, ``jpos``
+    and ``prefixed`` hold positions in it, as does ``fpos``, the fixed
+    cell's.  ``tau`` is reduced mod 2, and ``nums`` holds the gr numerators
+    over its denominator ``_q``.  ``coadj``, ``index`` and a split
+    complex's splitting fields (``canon`` with ``prefixed`` and ``named``)
+    are stored when the caller has them, and otherwise built on first
+    read.  A product of prefix-free factors passes no
     ``ids`` but the factors' ids as ``idparts`` and the id ranks as
     ``idrank`` (see ``tensor``); its ids, index and fixed cell are then
     built on first read.  The fields are assigned in one fixed order, the
@@ -428,19 +469,20 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
         c._coadj = coadj
     if index is not None:
         c._index = index
-    if canonical is not None:
-        c._canonical = canonical
+    if canon is not None:
+        c._canon, c._prefixed, c._named = canon, prefixed, named
     if idparts is not None:
         c._idparts, c._idrank, c._prefix_free = idparts, idrank, True
     return c
 
 
 def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
-             index=None, canonical=None, idparts=None, idrank=None) -> GeometricComplex:
+             index=None, canon=None, prefixed=(), named=frozenset(), idparts=None,
+             idrank=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
     c = object.__new__(GeometricComplex if jpos is None else SplitComplex)
-    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical,
-                  idparts, idrank)
+    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canon,
+                  prefixed, named, idparts, idrank)
 
 
 # -- splittings ---------------------------------------------------------
@@ -454,25 +496,20 @@ def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
 
 
 def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
-    """The checked splitting ``chosen``; ``None`` stands for the canonical one.
-
-    The canonical splitting object itself is returned unchecked; a splitting
-    that is only equal to it is checked in full.
-    """
+    """The checked splitting ``chosen``; ``None`` stands for the canonical one."""
     # a complex that is not split fails in canonical_splitting
     if chosen is None or not isinstance(sc, SplitComplex):
         return canonical_splitting(sc)
-    if chosen is vars(sc).get("_canonical"):
-        return chosen
     if isinstance(chosen, str):  # would be read as its characters
         raise ValueError(f"a splitting must be a collection of cell ids, got {chosen!r}")
-    chosen = frozenset(chosen)
+    chosen = tuple(chosen)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
-    # ids are strings, and only strings can be ordered for the walk below
+    # ids are strings, and only strings can be hashed and ordered below
     odd = next((cid for cid in chosen if not isinstance(cid, str)), None)
     if odd is not None:
         raise ValueError(f"splitting mentions unknown cell {odd!r}")
+    chosen = frozenset(chosen)
     ids, at, jpos = sc._ids, sc._index, sc._jpos
     for cid in sorted(chosen):  # the first cell that fails in sorted order is named
         p = at.get(cid)
@@ -485,35 +522,40 @@ def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> Fro
     return chosen
 
 
+def _flags(sc: SplitComplex, splitting) -> _Flags:
+    """A splitting of ``sc`` as flags: ``None`` is the canonical one, flags pass as they are."""
+    if type(splitting) is _Flags:
+        return splitting
+    if splitting is None and isinstance(sc, SplitComplex):
+        return sc._canon
+    return _Flags(map(validate_splitting(sc, splitting).__contains__, sc._ids))
+
+
 def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
     """Write a chain uniquely as a + (1+J)b + eps*eta with a, b in the splitting.
 
     Per pair {c, Jc} with c chosen: c alone contributes to a; Jc alone
     contributes c to both a and b (Jc = c + (1+J)c over F2); both contribute
     c to b.  Returns (a, b, eps).  ``chosen`` is checked as ``double``
-    checks a splitting.
+    checks a splitting, and then the chain, whose first unknown cell is
+    named.  ``double`` passes its checked flags, and the chain as positions.
     """
-    chain = frozenset(chain)
-    chosen = validate_splitting(sc, chosen)
-    ids, at, jpos = sc._ids, sc._index, sc._jpos
-    for cid in chain:
-        if cid not in at:
-            raise ValueError(f"chain mentions unknown cell {cid!r}")
-    # each cell of the chain with its partner, the chosen one first
-    pairs = {(cid, jid) if cid in chosen else (jid, cid)
-             for cid, jid in zip(chain, [ids[jpos[at[cid]]] for cid in chain]) if cid != jid}
-    a, b = set(), set()
-    for c, jc in pairs:
-        in_c, in_j = c in chain, jc in chain
-        if in_c and in_j:
-            b.add(c)
-        elif in_c:
-            a.add(c)
-        else:
-            a.add(c)
-            b.add(c)
-    eps = 1 if sc.fixed in chain else 0
-    return frozenset(a), frozenset(b), eps
+    if type(chosen) is _Flags:
+        chain = set(chain)
+    else:
+        chosen, at, positions = _flags(sc, chosen), sc._index, set()
+        for cid in chain:
+            p = at.get(cid) if isinstance(cid, str) else None
+            if p is None:
+                raise ValueError(f"chain mentions unknown cell {cid!r}")
+            positions.add(p)
+        chain = positions
+    ids, jpos = sc._ids, sc._jpos
+    # c of a pair alone or Jc alone gives c to a, and Jc, alone or not, c to b
+    a = {p if chosen[p] else jpos[p] for p in chain if jpos[p] not in chain}
+    b = {jpos[p] for p in chain if not chosen[p] and jpos[p] != p}
+    eps = 1 if sc._fpos in chain else 0
+    return frozenset(map(ids.__getitem__, a)), frozenset(map(ids.__getitem__, b)), eps
 
 
 # -- builders -----------------------------------------------------------
@@ -646,7 +688,9 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     F2[U]-complex unchanged.  Over the same denominator q, the numerator k
     of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
     width is unchanged.  Each e* keeps e's position, so J keeps its
-    positions and the boundary and coboundary trade places.
+    positions and the boundary and coboundary trade places.  The canonical
+    flags carry over, repaired at the prefix pairs (see the module
+    docstring); no starred id matches ``_NEW_NAME``.
     """
     n, q = c.max_dim(), c._q
     shift = -n * q
@@ -655,9 +699,20 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     nums = [shift - k for k in c._nums]
     # -n - tau mod 2 over q, which stays tau's reduced denominator
     tau = Fraction((shift - c.tau.numerator) % (2 * q), q)
-    if isinstance(c, SplitComplex):
-        return _derived(ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos, c._adj)
-    return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)
+    if not isinstance(c, SplitComplex):
+        return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)
+    jpos, canon, prefixed = c._jpos, c._canon, c._prefixed
+    if prefixed:
+        # the character after the prefix, against the "*" that now follows it
+        nxt = [c._ids[jpos[p]][len(c._ids[p])] for p in prefixed]
+        flags = bytearray(canon)
+        for p, ch in zip(prefixed, nxt):
+            if ch < "*":
+                flags[p], flags[jpos[p]] = 0, 1
+        canon = _Flags(flags)
+        prefixed = tuple([p for p, ch in zip(prefixed, nxt) if ch == "*"])
+    return _derived(ids, dims, c._coadj, tau, nums, c._width, jpos, c._fpos, c._adj, None, canon,
+                    prefixed)
 
 
 # -- JSON ---------------------------------------------------------------

@@ -30,23 +30,27 @@ column splits into omega's and J.omega's.  The theta flag is a parity over
 the coboundaries of the switched cells; flagged pairs gain theta, and
 theta's column lists them.  Each cell of d(eta) gains J.omega in its
 column, omega and J.omega gain theta in theirs, and ``_jpos`` and the
-index are copied and edited too.  Every complex the library builds has eta
-last, so these edited tables are the double's.  Otherwise the positions are
-renumbered so that omega, J.omega and theta are the last three, and the
-coboundary and the index are left to be built on first read.  ``double``
+splitting fields are copied and edited too.  Every complex the library
+builds has eta last, so these edited tables are the double's.  Otherwise
+the positions are renumbered so that omega, J.omega and theta are the last
+three, and the coboundary is left to be built on first read.  ``double``
 also records on its result the least suffix the next name probe may start
 from, so a run of doublings probes each name once.
 
-A double along its input's stored canonical splitting (the one ``None``
-stands for) stores its own: x's pairs keep their ids, and of the new pair
-J.omega is the smaller, as "J.omega" < "omega", so it is the input's plus
-J.omega.  The next double then takes it unchecked, and so does
-``decompose``.  A given splitting is checked in ``double`` and again in
-``decompose``, and its double's canonical splitting is built on first
-read.  ``dual`` carries no splitting over: starring every id can flip the
-order of a pair whose one id is a prefix of the other ("a" < "a!" but
-"a!*" < "a*"), so a dual's canonical splitting is built once, on its
-first read.
+``double`` reads its splitting as flags by position (see ``complexes``):
+``None`` stands for the input's stored canonical flags, and a given id
+splitting is checked once and turned into flags, so both take one path.
+The flags decide which cells of eta's coboundary keep eta and which pairs
+gain theta; ``decompose`` gets them with the positions of d(eta), and the
+result's ``splitting`` is built from them on first read.  Whatever the
+splitting, the double stores its canonical flags: x's pairs keep their
+ids, and of the new pair J.omega is the smaller, as "J.omega" < "omega",
+so they are the input's plus J.omega.  The new names are probed against
+``_named``, the input's ids that match ``_NEW_NAME``, and the double's set
+is the input's less eta plus the three new names.  So ``double`` reads no
+index, and a double's index, like a dual's, is built only on first read:
+no step of ``representative`` builds an id table.  The local maps read the
+flags off the double they share.
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are
@@ -77,19 +81,21 @@ Halving is implemented algebraically as dual o double o dual.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Mapping, Optional
+from itertools import compress
+from typing import FrozenSet, Iterable, Optional
 
 from .complexes import (
+    _NEW_NAME,
     Chain,
     SplitComplex,
     _derived,
+    _Flags,
+    _flags,
     _xi_complex,
     decompose,
     dual,
     tensor,
-    validate_splitting,
 )
 from .errors import WidthExceeded
 from .homology import (
@@ -101,14 +107,16 @@ from .homology import (
     homology,
     is_u_localized_iso,
 )
-from .towers import _Value
+from .towers import _Value, _view
 
 
 class DoubleResult(_Value):
     """A doubled complex together with the labels of its new cells; equal only to itself.
 
     ``eta`` is the replaced fixed cell of the input, ``zeta`` the chosen-side
-    half of d(eta), ``splitting`` the chosen cells plus omega.
+    half of d(eta), ``splitting`` the chosen cells plus omega.  ``double``
+    keeps the input's ids and the flags of its splitting in place of
+    ``splitting``, which is then built on first read.
     """
 
     _fields = ("complex", "omega", "j_omega", "theta", "eta", "zeta", "splitting")
@@ -119,6 +127,11 @@ class DoubleResult(_Value):
         d = self.__dict__
         d["complex"], d["omega"], d["j_omega"], d["theta"] = complex, omega, j_omega, theta
         d["eta"], d["zeta"], d["splitting"] = eta, zeta, splitting
+
+    @_view
+    def splitting(self) -> FrozenSet[str]:
+        """The flagged ids of the input plus omega, for a result of ``double``."""
+        return frozenset(compress(self._ids, self._chosen)) | {self.omega}
 
     def labels_json(self) -> dict:
         return {
@@ -131,25 +144,21 @@ class DoubleResult(_Value):
         }
 
 
-# a name of the suffix k >= 1: "" for k = 1, str(k) from k = 2
-_NEW_NAME = re.compile(r"(?:omega|J\.omega|theta)([2-9]|[1-9][0-9]+)?")
-
-
 def _names(k: int):
     suffix = "" if k == 1 else str(k)
     return "omega" + suffix, "J.omega" + suffix, "theta" + suffix
 
 
-def _fresh_names(taken: Mapping[str, int], k: int):
-    """The least suffix k' >= k none of whose three names is a key of ``taken``, with those names."""
+def _fresh_names(taken: FrozenSet[str], k: int):
+    """The least suffix k' >= k none of whose three names is in ``taken``, with those names."""
     while True:
         names = _names(k)
-        if taken.keys().isdisjoint(names):
+        if taken.isdisjoint(names):
             return k, names
         k += 1
 
 
-def _next_probe(taken: Mapping[str, int], eta: str, k: int) -> int:
+def _next_probe(taken: FrozenSet[str], eta: str, k: int) -> int:
     """Where the name probe of the double may start.
 
     Every suffix below k is taken in the input and k's names now are, so
@@ -175,24 +184,25 @@ def _check_delta(x: SplitComplex, delta: int) -> None:
 def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None) -> DoubleResult:
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
-    chosen = validate_splitting(x, splitting)
-    ids, at, jpos, adj, coadj = x._ids, x._index, x._jpos, x._adj, x._coadj
+    chosen = _flags(x, splitting)
+    ids, jpos, adj, coadj = x._ids, x._jpos, x._adj, x._coadj
     n, e = len(ids), x._fpos
     eta, d_eta, cob = ids[e], adj[e], coadj[e]
-    _, zeta, _ = decompose(x, map(ids.__getitem__, d_eta), chosen)
-    k, (omega, j_omega, theta) = _fresh_names(at, x._fresh_from)
+    _, zeta, _ = decompose(x, d_eta, chosen)
+    named = x._named
+    k, (omega, j_omega, theta) = _fresh_names(named, x._fresh_from)
 
     # tables edited in x's positions, where e is eta and stands for omega,
     # n is J.omega and n + 1 theta.  The coboundary of eta holds the chosen
     # cells with eta in their boundary and their unchosen partners, which
     # switch eta for J.omega
-    keep = tuple([s for s in cob if ids[s] in chosen])
-    switch = tuple([s for s in cob if ids[s] not in chosen])
+    keep = tuple([s for s in cob if chosen[s]])
+    switch = tuple([s for s in cob if not chosen[s]])
     # a chosen cell gets theta when an odd number of the switched cells lie
     # in its boundary; it has eta's dimension plus two, so it is not in cob
     flagged = set()
     for t in switch:
-        flagged.symmetric_difference_update([s for s in coadj[t] if ids[s] in chosen])
+        flagged.symmetric_difference_update([s for s in coadj[t] if chosen[s]])
     adj, coadj = list(adj), list(coadj)
     for s in switch:
         adj[s] = tuple([n if t == e else t for t in adj[s]])
@@ -212,32 +222,33 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     new_jpos = jpos + [e, n + 1]
     new_jpos[e] = n
     new_ids = ids[:e] + (omega,) + ids[e + 1:] + (j_omega, theta)
+    # x's pairs keep their ids, and of the new pair J.omega is the smaller,
+    # as "J.omega" < "omega"; omega takes eta's flag, 0
+    canon, prefixed = _Flags(x._canon + b"\1\0"), x._prefixed
 
-    if e == n - 1:
-        index = at.copy()
-        del index[eta]
-        index[omega], index[j_omega], index[theta] = e, n, n + 1
-    else:
+    if e != n - 1:
         # eta's slot is dropped and omega takes position n - 1; the
-        # coboundary and the index are left to be built on first read
+        # coboundary is left to be built on first read
         order = [*range(e), *range(e + 1, n), e, n, n + 1]
         moved = [*range(e), n - 1, *range(e, n - 1), n, n + 1].__getitem__
         new_ids = tuple(map(new_ids.__getitem__, order))
         dims, nums = [dims[p] for p in order], [nums[p] for p in order]
         new_jpos = [moved(new_jpos[p]) for p in order]
         adj = [tuple(map(moved, adj[p])) for p in order]
-        coadj = index = None
+        canon, prefixed = _Flags(map(canon.__getitem__, order)), tuple(map(moved, prefixed))
+        coadj = None
     # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
     # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
-    # so its gap is >= 2W - 2*delta >= W >= 2*delta.  The canonical
-    # splitting of x keeps its pairs and gains J.omega, as "J.omega" < "omega"
-    canonical = chosen | {j_omega} if chosen is vars(x).get("_canonical") else None
-    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, index,
-                       canonical)
-    doubled._fresh_from = _next_probe(at, eta, k)
-    return DoubleResult(doubled, omega, j_omega, theta, eta, zeta, chosen | {omega})
+    # so its gap is >= 2W - 2*delta >= W >= 2*delta.
+    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, None,
+                       canon, prefixed, (named - {eta}) | {omega, j_omega, theta})
+    doubled._fresh_from = _next_probe(named, eta, k)
+    dr = object.__new__(DoubleResult)
+    vars(dr).update(complex=doubled, omega=omega, j_omega=j_omega, theta=theta, eta=eta, zeta=zeta,
+                    _ids=ids, _chosen=chosen)
+    return dr
 
 
 def half(x: SplitComplex, delta: int) -> SplitComplex:
@@ -269,31 +280,43 @@ def _basis_complex(delta: int) -> SplitComplex:
 
 
 @lru_cache(maxsize=1)
-def _local_pair(x: SplitComplex, delta: int, chosen: FrozenSet[str]):
+def _local_pair(x: SplitComplex, delta: int, splitting):
     """The double of x and its tensor with X_delta, shared by f and g.
 
     Callers build f and then g on the same arguments, so one slot suffices;
     the key is x's identity (complexes define no ``__eq__``), delta and the
-    validated splitting.
+    splitting as ``_pair`` passes it.
     """
-    return double(x, delta, chosen), tensor(x, _basis_complex(delta))
+    return double(x, delta, splitting), tensor(x, _basis_complex(delta))
+
+
+def _pair(x: SplitComplex, delta: int, splitting):
+    """``_local_pair`` of the arguments of a local map.
+
+    ``None``, a frozenset or a set, as a frozenset, keys the cache and is
+    checked once, in ``double``; any other splitting is checked here, in
+    each map, and keys it as flags.
+    """
+    _check_delta(x, delta)  # a bad delta fails here, not as a cache key
+    if isinstance(splitting, (set, frozenset)):
+        splitting = frozenset(splitting)
+    elif splitting is not None:
+        splitting = _flags(x, splitting)
+    return _local_pair(x, delta, splitting)
 
 
 def local_map_f(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the double to the tensor with the basis complex."""
-    chosen = validate_splitting(x, splitting)
-    _check_delta(x, delta)  # a bad delta fails here, not as a cache key
-    dr, tgt = _local_pair(x, delta, chosen)
-    adj, e, n = x._adj, x._fpos, len(x)
-    inside = [cid in chosen for cid in x._ids]
+    dr, tgt = _pair(x, delta, splitting)
+    adj, e, n, inside = x._adj, x._fpos, len(x), dr._chosen
 
     def image(p):
         # (p, a) plus (t, b) for t in J.b (J.zeta for eta): d(p)'s unchosen cells but eta
         return [3 * p] + [3 * t + 2 for t in adj[p] if t != e and not inside[t]]
 
-    images = {p - (p > e): image(p) for p in range(n) if inside[p]}
+    images = {p - (p > e): image(p) for p in compress(range(n), inside)}
     images[n - 1] = image(e)  # omega
     images[n + 1] = [3 * e + 2]  # theta to (eta, b)
     return _j_equivariant_map(dr.complex, tgt, images)
@@ -303,16 +326,13 @@ def local_map_g(
     x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None
 ) -> ChainMap:
     """The local map from the tensor with the basis complex back to the double."""
-    chosen = validate_splitting(x, splitting)
-    _check_delta(x, delta)  # a bad delta fails here, not as a cache key
-    dr, src = _local_pair(x, delta, chosen)
+    dr, src = _pair(x, delta, splitting)
     adj, e, n = x._adj, x._fpos, len(x)
     images = {3 * e: [n - 1], 3 * e + 2: [n + 1]}  # (eta, a) to omega, (eta, b) to theta
-    for p, cid in enumerate(x._ids):
-        if cid in chosen:
-            c = p - (p > e)
-            images[3 * p] = [c]
-            images[3 * p + 1] = [c, n + 1] if e in adj[p] else [c]
+    for p in compress(range(n), dr._chosen):
+        c = p - (p > e)
+        images[3 * p] = [c]
+        images[3 * p + 1] = [c, n + 1] if e in adj[p] else [c]
     return _j_equivariant_map(src, dr.complex, images)
 
 

@@ -103,8 +103,9 @@ class _Value:
         return hash(self._astuple())
 
     def __repr__(self):
-        d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join([f'{n}={d[n]!r}' for n in self._fields])})"
+        # getattr, so a field that is a first-read view is built
+        fields = [f"{n}={getattr(self, n)!r}" for n in self._fields]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")

@@ -40,11 +40,12 @@ def revalidate_derived(request, monkeypatch):
     are compared row by row, each as a set, and the id boundary built from
     them with the one the constructor checked; a stored coboundary must be
     the transpose of the boundary, row by row as sets, a stored index the
-    constructor's, and a stored canonical splitting, id ranks and
-    prefix-free flag the ones the rebuilt complex computes (a product whose
-    ids are deferred builds them here).  J is rebuilt from ``_jpos``, so the constructor
-    checks the stored partners, and their positions and the fixed cell's
-    must be the ones it finds.
+    constructor's, and a stored canonical splitting (by id, or as the flags
+    ``_canon``), prefix pairs ``_prefixed``, new-name set ``_named``, id
+    ranks and prefix-free flag the ones the rebuilt complex computes (a
+    product whose ids are deferred builds them here).  J is rebuilt from
+    ``_jpos``, so the constructor checks the stored partners, and their
+    positions and the fixed cell's must be the ones it finds.
     """
     if request.node.get_closest_marker("trusted_derived"):
         return
@@ -68,6 +69,9 @@ def revalidate_derived(request, monkeypatch):
             assert stored["_index"] == ref._index
         if "_canonical" in stored:
             assert stored["_canonical"] == canonical_splitting(ref)
+        for name in ("_canon", "_prefixed", "_named"):
+            if name in stored:
+                assert stored[name] == getattr(ref, name), name
         if "_idrank" in stored:
             assert list(stored["_idrank"]) == ref._idrank
         if "_prefix_free" in stored:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -645,6 +646,22 @@ class TestDecompose:
         # the same checks and messages as double's
         with pytest.raises(ValueError, match=f"^{message}$"):
             decompose(build_xi(3), {"a"}, chosen)
+
+    def test_first_unknown_cell_of_the_chain_is_named(self):
+        # in the chain's given order, whatever the hash order of the ids
+        unknown = [f"u{k}" for k in range(40)]
+        for chain in (["zz", "yy", "ww"], ["a", *unknown], ["a", *unknown[::-1]]):
+            first = next(cid for cid in chain if cid != "a")
+            with pytest.raises(ValueError, match=f"^chain mentions unknown cell '{first}'$"):
+                decompose(build_xi(2), chain, None)
+            with pytest.raises(ValueError, match=f"^chain mentions unknown cell '{first}'$"):
+                decompose(build_xi(2), iter(chain), {"a"})
+
+    @pytest.mark.parametrize("chain", [[["a"]], ["a", ["b"]], [{"a"}, "zz"]])
+    def test_an_unhashable_member_is_an_unknown_cell(self, chain):
+        odd = next(cid for cid in chain if not isinstance(cid, str))
+        with pytest.raises(ValueError, match=f"^chain mentions unknown cell {re.escape(repr(odd))}$"):
+            decompose(build_xi(2), chain, None)
 
 
 class TestDerivedDifferential:

@@ -24,6 +24,7 @@ over the target's towers (``induced_map``) and looks for a free entry.
 
 import importlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -360,6 +361,55 @@ def test_fresh_names_equal_the_probe_from_one(seed):
     for sign, index in lc:
         s = doubled_checking_names(s, index) if sign > 0 else dual(doubled_checking_names(dual(s), index))
     assert complex_to_json(s) == complex_to_json(representative(lc))
+
+
+#: short ids over these letters make prefix pairs that starring flips ("!"
+#: and "(" sort below "*"), keeps (a "*" next) or ends ("a" and "b")
+PREFIX_ALPHABET = ("a", "b", "!", "(", "*")
+
+
+def prefix_relabelled(rng, sc):
+    """``sc`` with distinct short ids over ``PREFIX_ALPHABET``, its cells in a random order."""
+    words = set()
+    while len(words) < len(sc):
+        words.add("".join(rng.choice(PREFIX_ALPHABET) for _ in range(rng.randint(1, 2))))
+    new = dict(zip(sc.ids(), rng.sample(sorted(words), len(words))))
+    cells = [Cell(new[cid], c.dim, c.gr) for cid, c in sc.cells.items()]
+    rng.shuffle(cells)
+    g = GeometricComplex(cells, {new[s]: {new[t] for t in ts} for s, ts in sc.bdry.items()}, sc.tau)
+    return SplitComplex(g, {new[a]: new[b] for a, b in sc.J.items()})
+
+
+def test_splitting_fields_follow_the_ids_through_duals_and_doubles(split_corpus):
+    # dual and double carry the canonical flags, the prefix pairs and the
+    # new-name set; each must equal what the ids of the result give, by the
+    # plain formulas here, through flips, kept and ended prefix pairs and
+    # double's renumbering (a shuffled cell order moves eta)
+    rng = random.Random("splitting fields")
+    seen = dict.fromkeys(("flipped", "kept", "ended", "renumbered", "given"), 0)
+    for sc in split_corpus * 2:
+        c = prefix_relabelled(rng, sc)
+        for _ in range(4):
+            before = c
+            if rng.random() < 0.5:
+                c = dual(c)
+                prefixed = set(before._prefixed)
+                seen["flipped"] += any(c._canon[p] != before._canon[p] for p in range(len(c)))
+                seen["kept"] += bool(prefixed & set(c._prefixed))
+                seen["ended"] += bool(prefixed - set(c._prefixed))
+            else:
+                seen["renumbered"] += c.ids()[-1] != c.fixed
+                splitting = random_splitting(rng, c) if rng.random() < 0.5 else None
+                seen["given"] += splitting is not None
+                c = double(c, rng.choice(admissible_deltas(c, cap=2)), splitting).complex
+            ids, J = c.ids(), c.J
+            assert c._canon == bytes([cid < J[cid] for cid in ids])
+            assert canonical_splitting(c) == {cid for cid in ids if cid < J[cid]}
+            assert c._prefixed == tuple(
+                p for p, cid in enumerate(ids) if J[cid] != cid and J[cid].startswith(cid))
+            assert c._named == {cid for cid in ids
+                                if re.fullmatch(r"(omega|J\.omega|theta)([2-9]|[1-9][0-9]+)?", cid)}
+    assert min(seen.values()) >= 15, seen
 
 
 def test_fresh_names_after_doubling_a_fixed_omega():

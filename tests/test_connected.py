@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilocal import complexes as complexes_module, doubling as doubling_module
 from ilocal import (
     DOWN,
     LinearCombination,
@@ -16,6 +18,7 @@ from ilocal import (
     Tower,
     UP,
     FUModule,
+    canonical_splitting,
     complex_to_json,
     connect_sum,
     connected_homology,
@@ -137,7 +140,48 @@ class TestHfConn:
         )
 
 
+def mixed_combination(rng, n, max_index):
+    """n terms with indices up to ``max_index``, each index with one random sign."""
+    indices = [rng.randint(1, max_index) for _ in range(n)]
+    sign_of = {i: rng.choice((1, -1)) for i in set(indices)}
+    return LC(tuple((sign_of[i], i) for i in indices))
+
+
 class TestRepresentative:
+    def test_pairs_are_omega_and_j_omega_with_equal_stars(self):
+        # every J-pair is (J.omegaK..., omegaK...) with as many stars on
+        # each side, so none is a prefix pair, and J.omegaK... is canonical
+        rng = random.Random("representative pairs")
+        for n in (1, 2, 5, 12, 30):
+            rep = representative(mixed_combination(rng, n, 8))
+            pairs = list(rep.pairs())
+            assert len(pairs) == n
+            for small, large in pairs:
+                assert re.fullmatch(r"J\.omega([2-9]|[1-9][0-9]+)?\**", small), small
+                assert large == small[len("J."):]
+            assert canonical_splitting(rep) == {small for small, _ in pairs}
+            assert rep._prefixed == ()
+
+    @pytest.mark.trusted_derived
+    def test_derived_complexes_store_no_id_table(self, monkeypatch):
+        # dual and double carry the splitting as flags and probe new names
+        # against the new-name set, so no step builds an index or an id splitting
+        derived_complexes = []
+        for module in (complexes_module, doubling_module):
+            def recorded(*args, _derived=module._derived, **kwargs):
+                c = _derived(*args, **kwargs)
+                derived_complexes.append(c)
+                return c
+            monkeypatch.setattr(module, "_derived", recorded)
+        lc = mixed_combination(random.Random("no id table"), 40, 12)
+        assert {sign for sign, _ in lc} == {1, -1}
+        rep = representative(lc)
+        assert len(derived_complexes) == len(lc) + 2 * sum(sign < 0 for sign, _ in lc)
+        assert derived_complexes[-1] is rep
+        for c in derived_complexes:
+            assert not {"_index", "_canonical"} & vars(c).keys()
+            assert "_canon" in vars(c)
+
     def test_cell_count(self):
         for terms in (((1, 4), (1, 3), (1, 2)), ((1, 5), (-1, 4)), ()):
             assert len(representative(LC(terms))) == 2 * len(terms) + 1

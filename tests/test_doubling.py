@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from ilocal import (
     local_map_g,
     verify_local_pair,
 )
-from ilocal.complexes import validate_splitting
+from ilocal.complexes import _flags, _Flags, validate_splitting
 from ilocal.suite import (
     admissible_deltas,
     check_local_pair,
@@ -303,6 +304,15 @@ def test_a_member_that_is_not_a_string_is_an_unknown_cell(name, splitting):
 
 
 @pytest.mark.parametrize("name", list(NON_STRING_MEMBER_CALLS))
+@pytest.mark.parametrize("splitting", [[["a"]], ["a", ["Ja"]], [{"a"}]],
+                         ids=["alone", "with-a-string", "a-set"])
+def test_an_unhashable_member_is_an_unknown_cell(name, splitting):
+    odd = next(cid for cid in splitting if not isinstance(cid, str))
+    with pytest.raises(ValueError, match=rf"^splitting mentions unknown cell {re.escape(repr(odd))}$"):
+        NON_STRING_MEMBER_CALLS[name](build_xi(2), splitting)
+
+
+@pytest.mark.parametrize("name", list(NON_STRING_MEMBER_CALLS))
 @pytest.mark.parametrize("splitting", ["a", "Ja", ""])
 def test_a_string_splitting_is_rejected_whole(name, splitting):
     # not read as its characters: "a" is no splitting {"a"}, "Ja" no {"J", "a"}
@@ -312,45 +322,74 @@ def test_a_string_splitting_is_rejected_whole(name, splitting):
 
 
 class TestStoredSplitting:
-    """A double along the stored canonical splitting stores its own; a dual does not."""
+    """Split complexes store their canonical splitting as flags; dual and double carry them."""
 
     def test_double_stores_its_canonical_splitting(self):
         x = build_misordered(1, 3)
         for _ in range(3):
             dr = double(x, 1)
-            stored = vars(dr.complex)["_canonical"]
-            assert stored == canonical_splitting(x) | {dr.j_omega}
             c = dr.complex
-            # conftest's revalidate_derived compares it with the rebuilt
-            # complex's; the next double reads it as the canonical splitting
-            assert canonical_splitting(c) is stored and validate_splitting(c, None) is stored
+            # x's flags, omega unflagged at eta's position, then J.omega and theta
+            stored = vars(c)["_canon"]
+            assert stored == x._canon + b"\x01\x00"
+            assert "_canonical" not in vars(c)
+            # conftest's revalidate_derived compares them with the rebuilt
+            # complex's; the id splitting is built from them on first read
+            assert canonical_splitting(c) == canonical_splitting(x) | {dr.j_omega}
+            assert vars(c)["_named"] == {cid for cid in c.ids() if cid.startswith(("omega", "J.", "theta"))}
             x = c
 
-    def test_a_given_splitting_is_not_carried(self):
+    def test_a_given_splitting_stores_the_same_flags(self):
         x = build_xi(3)
-        # the last is equal to the canonical splitting but another object
-        for splitting in ({"a"}, {"Ja"}, frozenset(set(canonical_splitting(x)))):
-            assert "_canonical" not in vars(double(x, 1, splitting).complex)
+        # the canonical splitting depends on the ids alone: "Ja" < "a"
+        for splitting in ({"a"}, {"Ja"}, frozenset({"Ja"}), None):
+            dr = double(x, 1, splitting)
+            assert vars(dr.complex)["_canon"] == x._canon + b"\x01\x00"
+            assert canonical_splitting(dr.complex) == {"Ja", "J.omega"}
+            assert dr.splitting == (set(splitting) if splitting else {"Ja"}) | {"omega"}
 
     def test_only_the_stored_object_skips_the_check(self):
         x = build_xi(3)
-        # a wrong splitting planted as the stored one is taken as it is ...
-        planted = vars(x)["_canonical"] = frozenset({"a", "Ja"})
-        assert validate_splitting(x, planted) is planted
-        # ... while an equal copy is checked in full
+        # wrong flags (both members of the pair) planted as the stored ones
+        # are taken as they are ...
+        planted = vars(x)["_canon"] = _Flags(b"\x01\x01\x00")
+        assert _flags(x, None) is planted and _flags(x, planted) is planted
+        assert canonical_splitting(x) == {"a", "Ja"}
+        # ... while the same cells as ids, or the same bytes, are checked in full
         with pytest.raises(ValueError, match="contains both members"):
-            validate_splitting(x, frozenset(set(planted)))
+            _flags(x, {"a", "Ja"})
+        with pytest.raises(ValueError, match="^splitting mentions unknown cell 1$"):
+            _flags(x, bytes(planted))
 
-    def test_dual_recomputes_the_splitting(self):
-        # starring can flip the order of a pair whose one id is a prefix of
-        # the other: "a" < "a!" but "a!*" < "a*"
-        cells = [Cell("a", 0, F(0)), Cell("a!", 0, F(0)), Cell("b", 1, F(-2))]
-        g = GeometricComplex(cells, {"b": {"a", "a!"}})
-        x = SplitComplex(g, {"a": "a!", "a!": "a", "b": "b"})
-        assert canonical_splitting(x) == {"a"}
+    def test_a_given_splitting_becomes_flags_by_position(self):
+        x = build_misordered(1, 3)  # e0, Je0, e1, Je1, e2
+        assert _flags(x, {"Je0", "e1"}) == b"\x00\x01\x01\x00\x00"
+        assert _flags(x, None) == x._canon == b"\x00\x01\x00\x01\x00"  # "Je0" < "e0"
+        assert type(_flags(x, ["e0", "e1"])) is _Flags
+
+    @pytest.mark.parametrize("first", [True, False], ids=["prefix-first", "prefix-second"])
+    @pytest.mark.parametrize("partner, flips, stays", [
+        ("a!", True, False),  # "a" < "a!" but "a!*" < "a*"
+        ("ab", False, False),  # "a*" < "ab*", and no longer a prefix pair
+        ("a*", False, True),  # "a*" < "a**", still a prefix pair
+    ], ids=["flips", "ends", "stays"])
+    def test_dual_repairs_only_the_prefix_pairs(self, first, partner, flips, stays):
+        pair = [Cell("a", 0, F(0)), Cell(partner, 0, F(0))]
+        cells = (pair if first else pair[::-1]) + [Cell("b", 1, F(-2))]
+        x = SplitComplex(GeometricComplex(cells, {"b": {"a", partner}}),
+                         {"a": partner, partner: "a", "b": "b"})
+        p, jp = (0, 1) if first else (1, 0)  # the positions of "a" and its partner
+        assert canonical_splitting(x) == {"a"} and x._prefixed == (p,)
         d = dual(x)
-        assert "_canonical" not in vars(d)
-        assert canonical_splitting(d) == {"a!*"}
+        stored = vars(d)
+        want = bytearray(3)
+        want[jp if flips else p] = 1
+        assert stored["_canon"] == want
+        assert stored["_prefixed"] == ((p,) if stays else ())
+        assert stored["_named"] == frozenset()
+        assert canonical_splitting(d) == {partner + "*" if flips else "a*"}
+        # starring again keeps the order; conftest checks every stored field
+        assert canonical_splitting(dual(d)) == {partner + "**" if flips else "a**"}
 
 
 class TestVerifyLocalPair:

@@ -65,11 +65,10 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     """
     derived = ilocal.doubling._derived
 
-    def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None, index=None,
-                canonical=None):
+    def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
         # theta is the fixed cell, at position fpos
         adj = [tuple(t for t in ts if t != fpos) for ts in adj]
-        return derived(ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical)
+        return derived(ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
 
     monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
     report = run_suite(11, SMALL)
@@ -117,12 +116,11 @@ class TestCheckWitnesses:
         assert check_doubling_homology(x, 1) is None
         derived = ilocal.doubling._derived
 
-        def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
-                    index=None, canonical=None):
+        def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
             # drop the target of theta, at position fpos, whose id sorts first
             adj = list(adj)
             adj[fpos] = tuple(sorted(adj[fpos], key=ids.__getitem__)[1:])
-            return derived(ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canonical)
+            return derived(ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
 
         monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
         w = check_doubling_homology(x, 1)
