@@ -9,8 +9,8 @@ Checks that
   are a view, built on first read) and build no ``towers`` tuple of either
   module;
 * the free generator reads back through ``express`` as ``[("free", 0, 0)]``;
-* no id table (``bdry``, ``J``, ``_dim``, ``_num`` or ``cells``) of the
-  product is built: ``express`` maps ids through the product's ``_index``;
+* no id table (``bdry``, ``J`` or ``cells``) of the product is built:
+  ``express`` maps ids through the product's ``_index``;
 * no id table of the ten factors X1, X2*, ..., X10* is built: the
   constructors validate on positions, and ``dual`` and ``tensor`` read and
   write cell positions only.
@@ -36,7 +36,7 @@ from ilocal.homology import homology  # noqa: E402
 from ilocal.towers import kunneth  # noqa: E402
 
 #: the id-keyed tables of a complex, each a view built on first read
-ID_TABLES = {"bdry", "J", "_dim", "_num", "cells"}
+ID_TABLES = {"bdry", "J", "cells"}
 
 
 def main() -> None:

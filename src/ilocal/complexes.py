@@ -64,14 +64,13 @@ private step, ``_store``, assigns every stored field (these tables, tau,
 the width, and where its caller has them, ``_coadj``, ``_index`` and the
 splitting fields ``_canon``, ``_prefixed`` and ``_named``), and every
 construction ends there.  The id-keyed tables are views built on first
-read: ``bdry`` (each boundary as a frozenset of ids), ``_dim`` and
-``_num`` (dimensions and numerators by id), ``J`` (each id's partner), the
-``Cell`` objects of ``cells``, ``_canonical`` and ``_index`` (each id's
-position, the one map from ids to positions); so are ``_mnum``, by
-position, and ``_coadj`` and the splitting fields where they are not
-stored.  A complex that is only reduced, mapped or derived from never
-builds the id tables: ``dual`` and ``double`` store no index and no id
-splitting, so ``representative`` builds neither.  ``fu_bdry``, the suite
+read: ``bdry`` (each boundary as a frozenset of ids), ``J`` (each id's
+partner), the ``Cell`` objects of ``cells``, ``_canonical`` and
+``_index`` (each id's position, the one map from ids to positions); so
+are ``_mnum``, by position, and ``_coadj`` and the splitting fields where
+they are not stored.  A complex that is only reduced, mapped or derived
+from never builds the id tables: ``dual`` and ``double`` store no index
+and no id splitting, so ``representative`` builds neither.  ``fu_bdry``, the suite
 and the JSON read ``bdry``, a given splitting or chain the index, all else
 the positions.
 
@@ -288,14 +287,6 @@ class GeometricComplex:
         for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
             rank[i] = r
         return rank
-
-    @_view
-    def _dim(self) -> Dict[str, int]:
-        return dict(zip(self._ids, self._dims))
-
-    @_view
-    def _num(self) -> Dict[str, int]:
-        return dict(zip(self._ids, self._nums))
 
     # -- basic accessors ------------------------------------------------
 

@@ -35,7 +35,7 @@ from .towers import (
     UP,
     FUModule,
     Grading,
-    Tower,
+    _from_rows,
     _Value,
     grading_from_json,
     grading_to_str,
@@ -58,7 +58,7 @@ class LinearCombination(_Value):
     def __init__(self, terms: Tuple[Tuple[int, int], ...] = ()):
         terms = tuple(terms)
         for sign, index in terms:
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
             if type(index) is not int or index < 1:
                 raise ValueError(f"term index must be a positive integer, got {index!r}")
@@ -144,20 +144,15 @@ def _head(prev, sign: int):
 
 
 def place_towers(lc: LinearCombination) -> FUModule:
-    """Run the placement algorithm, cancelling pairs permitted."""
-    towers = []
-    prev = None
+    """Run the placement algorithm, cancelling pairs permitted: one integer row per term, over 1."""
+    rows, prev = [], None
     for sign, index in lc:
         head = _head(prev, sign)
         # a down tower's tail is its bottom, an up tower's its top
-        if sign > 0:
-            tower, tail = Tower(Fraction(head), index, DOWN), head - 2 * (index - 1)
-        else:
-            tail = head + 2 * (index - 1)
-            tower = Tower(Fraction(tail), index, UP)
-        towers.append(tower)
+        tail = head - 2 * sign * (index - 1)
+        rows.append(((max(head, tail), index, DOWN if sign > 0 else UP), 1))
         prev = (sign, tail)
-    return FUModule(tuple(towers))
+    return _from_rows(rows, 1)
 
 
 def connected_homology(lc: LinearCombination) -> FUModule:

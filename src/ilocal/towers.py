@@ -7,19 +7,22 @@ downward without bound.  Gradings are exact rationals throughout.
 
 Down/up orientations are presentation metadata consumed by the placement
 algorithm, the signed rank, and the renderer.  Isomorphism of modules is
-multiset equality of (top, length) pairs, so equality reads each module's
-table of multiplicities, ``_counts``; orientations and presentation order
-never participate in comparison.  ``_counts`` is keyed by integers, the
-reduced numerator and denominator of each top and the length, so building,
-hashing and comparing it does no ``Fraction`` arithmetic.  The modules of
-``homology`` and ``kunneth`` are built from integer multiplicities over one
-denominator (``_module_from_counts``): the module stores them as rows
-sorted on integers, ``_rows``, and its ``_counts``, each top reduced by a
-gcd.  Its ``towers`` are a view, built on first read from the rows with one
-``Fraction`` and one ``Tower`` per row, so a module that is only compared,
-counted (``len``, ``free_rank``) or cut to its torsion builds none.
-``torsion()`` keeps the finite rows of such a module, and for any other
-the finite rows of its parent's table when that is built.
+multiset equality of (top, length) pairs; orientations and presentation
+order never participate in comparison.
+
+Every module stores one integer table and nothing else: ``_rows``, a list
+of ((num, length, orientation), count) pairs in presentation order, each
+top num / ``_q`` over the module's one denominator, and, filled in the same
+step, ``_counts``, the multiplicity of each (top numerator, top
+denominator, length) with the top in lowest terms, which equality and hash
+read.  ``FUModule(towers)`` writes one row per tower over the lcm of their
+denominators, ``homology`` and ``kunneth`` one row per distinct tower
+(``_module_from_counts``), and ``place_towers`` one row per term over 1.
+``towers`` is a view, built on first read with one ``Fraction`` and one
+``Tower`` per row (the constructor keeps the tuple it was given as that
+view), so a module that is only compared, counted, ranked or cut to its
+torsion builds none.  ``canonical()`` and ``_module_from_counts`` sort rows
+by one integer key, ``_row_key``.
 
 Towers, modules and the package's other records derive from ``_Value``,
 which reads equality, hash and repr off the fields named by ``_fields``
@@ -32,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -135,6 +137,8 @@ class Tower(_Value):
     def __init__(self, top: Grading, length: Length, orientation: Optional[Orientation] = None):
         if type(top) is not Fraction:
             top = Fraction(top)
+        if orientation not in (DOWN, UP, None):
+            raise ValueError(f"tower orientation must be DOWN, UP or None, got {orientation!r}")
         if length == INFINITE:
             if orientation is not None:
                 raise ValueError("free towers are always unoriented")
@@ -202,42 +206,50 @@ class Tower(_Value):
 _RANK = {DOWN: 0, UP: 1, None: 2}
 
 
-def _canonical_order(towers) -> list:
-    """``towers`` by descending top, then descending length.
-
-    Orientation only breaks the remaining ties (down < up < unoriented).
-    Each top is compared as the integer ``top * L``, with L the lcm of the
-    tops' denominators: the same order as the gradings', in integers.
-    """
-    lcm = math.lcm(*(t.top.denominator for t in towers))
-
-    def key(t):
-        return -t.top.numerator * (lcm // t.top.denominator), -t.length, _RANK[t.orientation]
-
-    return sorted(towers, key=key)
+def _row_key(row) -> tuple:
+    """Sort key of a row: descending top, then descending length, then down < up < unoriented."""
+    (num, length, orientation), _ = row
+    return -num, -length, _RANK[orientation]
 
 
 class FUModule(_Value):
     """Finite direct sum of towers, kept in presentation order.
 
-    ``==`` and ``hash`` compare isomorphism classes: the multiset of
-    (top, length) pairs, read from the multiplicity table ``_counts``
-    (keyed by top numerator, top denominator and length).
-    ``canonical()`` returns a copy sorted by descending top, then
-    descending length.  A module built from counts (``_module_from_counts``)
-    stores them and builds ``towers`` on first read.  Instances are
-    immutable: assigning or deleting an attribute raises ``AttributeError``.
+    The module stores its integer rows ``_rows`` over the denominator
+    ``_q`` and their multiplicities ``_counts``; ``towers`` is built from
+    the rows on first read, or kept as given to the constructor.  ``==``
+    and ``hash`` compare isomorphism classes: the multiset of (top, length)
+    pairs, read from ``_counts``.  ``canonical()`` returns a copy sorted by
+    descending top, then descending length.  Instances are immutable:
+    assigning or deleting an attribute raises ``AttributeError``.
     """
 
     def __init__(self, towers=()):
-        self.__dict__["towers"] = tuple(towers)
+        towers = tuple(towers)
+        for t in towers:
+            if not isinstance(t, Tower):
+                raise ValueError(f"a module is a sequence of Towers, got {t!r}")
+        q = math.lcm(*(t.top.denominator for t in towers))
+        rows = [((t.top.numerator * (q // t.top.denominator), t.length, t.orientation), 1) for t in towers]
+        self._store(rows, q)
+        self.__dict__["towers"] = towers
+
+    def _store(self, rows: list, q: int) -> "FUModule":
+        """Store ``rows`` over q and their ``_counts``, each top in lowest terms; return the module."""
+        counts = {}
+        for (num, length, _), k in rows:
+            g = math.gcd(num, q)
+            key = num // g, q // g, length
+            counts[key] = counts.get(key, 0) + k
+        self.__dict__.update(_rows=rows, _q=q, _counts=counts)
+        return self
 
     @_view
     def towers(self) -> tuple:
-        """The ``Tower`` of each distinct row of ``_rows``, repeated by its count, in row order."""
+        """The ``Tower`` of each row of ``_rows``, repeated by its count, in row order."""
         q, out = self._q, []
-        for (num, length), k in self._rows:
-            out += [Tower(Fraction(num, q), length)] * k
+        for (num, length, orientation), k in self._rows:
+            out += [Tower(Fraction(num, q), length, orientation)] * k
         return tuple(out)
 
     def __iter__(self) -> Iterator[Tower]:
@@ -257,28 +269,12 @@ class FUModule(_Value):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FUModule({list(self.towers)!r})"
 
-    @_view
-    def _counts(self) -> dict:
-        """Multiplicity of each (top numerator, top denominator, length), orientations ignored."""
-        return dict(Counter([(t.top.numerator, t.top.denominator, t.length) for t in self.towers]))
-
     def canonical(self) -> "FUModule":
-        """A copy sorted by descending top, then descending length.
-
-        The tops are compared as one exact integer key each, never as
-        ``Fraction``s.
-        """
-        return FUModule(tuple(_canonical_order(self.towers)))
+        """A copy sorted by descending top, then descending length, on the integer ``_row_key``."""
+        return _from_rows(sorted(self._rows, key=_row_key), self._q)
 
     def torsion(self) -> "FUModule":
-        rows = vars(self).get("_rows")
-        if rows is not None:
-            return _from_rows([row for row in rows if row[0][1] != INFINITE], self._q)
-        m = FUModule(tuple(t for t in self.towers if not t.is_free))
-        counts = vars(self).get("_counts")
-        if counts is not None:
-            m.__dict__["_counts"] = {key: k for key, k in counts.items() if key[2] != INFINITE}
-        return m
+        return _from_rows([row for row in self._rows if row[0][1] != INFINITE], self._q)
 
     @property
     def free_towers(self) -> tuple:
@@ -291,7 +287,7 @@ class FUModule(_Value):
     @property
     def rank(self) -> int:
         """Total F2-dimension of the torsion part (sum of finite lengths)."""
-        return sum(t.length for t in self.towers if not t.is_free)
+        return sum([length * k for (_, length, _), k in self._rows if length != INFINITE])
 
     def to_json(self) -> dict:
         return {"towers": [t.to_json() for t in self.towers]}
@@ -303,27 +299,15 @@ class FUModule(_Value):
         return FUModule(tuple(Tower.from_json(t) for t in obj["towers"]))
 
 
-def _module_from_counts(counts: dict, q: int) -> FUModule:
-    """Canonical module of ``counts[num, length]`` shared unoriented towers topped at num / q.
-
-    The keys are sorted as integers, by descending num and then length,
-    into the module's ``_rows``; its ``towers`` are built from them on
-    first read, one ``Tower`` per row.
-    """
-    return _from_rows(sorted(counts.items(), key=lambda item: (-item[0][0], -item[0][1])), q)
-
-
 def _from_rows(rows: list, q: int) -> FUModule:
-    """The module of ``rows``, ((num, length), count) pairs in presentation order over q.
+    """The module of ``rows``: ((num, length, orientation), count) pairs, tops over q."""
+    return object.__new__(FUModule)._store(rows, q)
 
-    Its ``_counts`` are keyed by each top num / q in lowest terms.
-    """
-    m, counts = object.__new__(FUModule), {}
-    for (num, length), k in rows:
-        g = math.gcd(num, q)
-        counts[num // g, q // g, length] = k
-    m.__dict__.update(_rows=rows, _q=q, _counts=counts)
-    return m
+
+def _module_from_counts(counts: dict, q: int) -> FUModule:
+    """Canonical module of ``counts[num, length]`` unoriented towers topped at num / q."""
+    rows = [((num, length, None), k) for (num, length), k in counts.items()]
+    return _from_rows(sorted(rows, key=_row_key), q)
 
 
 def shift(m: FUModule, sigma: Grading) -> FUModule:
@@ -346,15 +330,12 @@ def reflect(m: FUModule) -> FUModule:
 def signed_rank(m: FUModule) -> int:
     """Count elements of down towers positively and of up towers negatively."""
     total = 0
-    for t in m:
-        if t.is_free:
+    for (_, length, orientation), k in m._rows:
+        if length == INFINITE:
             continue
-        if t.orientation is DOWN:
-            total += t.length
-        elif t.orientation is UP:
-            total -= t.length
-        else:
+        if orientation is None:
             raise ValueError("signed rank requires every finite tower to be oriented")
+        total += length * k if orientation is DOWN else -length * k
     return total
 
 
@@ -364,15 +345,14 @@ def kunneth(a: FUModule, b: FUModule) -> FUModule:
     Over the PID F2[U] the tensor of two towers is a tower of the minimum
     length topped at the sum of tops, and each pair of finite towers adds a
     Tor term of the same length topped at d + e - 2*max(l, m) + 1 (the Tor
-    summand sits one homological degree higher).  It works on multiplicities,
-    once per pair of distinct towers, with every top as an integer over the
-    lcm L of the tops' denominators; each distinct output top becomes one
-    ``Fraction``.  Output is unoriented and canonically sorted.
+    summand sits one homological degree higher).  It works on the rows,
+    once per pair of rows, with every top as an integer over the lcm L of
+    the two denominators.  Output is unoriented and canonically sorted.
     """
-    lcm = math.lcm(*(den for m in (a, b) for _, den, _ in m._counts))
+    lcm = math.lcm(a._q, b._q)
 
     def scaled(m):
-        return [(num * (lcm // den), ln, k) for (num, den, ln), k in m._counts.items()]
+        return [(num * (lcm // m._q), ln, k) for (num, ln, _), k in m._rows]
 
     out, right = {}, scaled(b)
     for s, ls, m in scaled(a):

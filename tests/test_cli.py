@@ -468,3 +468,39 @@ def test_worked_example_bad_input_is_usage_error(argv):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith("worked_examples.py: error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_output_is_byte_identical_across_hash_seeds(tmp_path):
+    """String hashing is randomized per process; no output may depend on it."""
+    lc = parse_expression("X5 - X4 - X4 + X2 + X1")
+    module = hf_conn(lc, F(2)).to_json()
+    (tmp_path / "module.json").write_text(json.dumps(module))
+    for name, d in (("a", 2), ("b", -2)):
+        placed = hf_conn(lc, F(d)).to_json()
+        (tmp_path / f"{name}.json").write_text(json.dumps({"module": placed, "d": str(d)}))
+    commands = [
+        ["connected", "--expr", "X5 - X4 + X3 + X2", "--d", "3/2"],
+        ["decode", "--file", str(tmp_path / "module.json"), "--d", "2"],
+        ["sum", "--file", str(tmp_path / "a.json"), "--file", str(tmp_path / "b.json")],
+        ["render", "--expr", "X5 - X4 + X2", "--format", "svg"],
+        ["homology", "--expr", "X3 - X2 + X1", "--witnesses"],
+    ]
+    src = os.path.dirname(os.path.dirname(ilocal.__file__))
+    # the ten children run at once, which keeps this test near the cost of two
+    children = {
+        (k, seed): subprocess.Popen(
+            [sys.executable, "-m", "ilocal.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        )
+        for k, argv in enumerate(commands)
+        for seed in ("0", "1")
+    }
+    outputs = {}
+    for key, proc in children.items():
+        out, err = proc.communicate(timeout=20)
+        assert proc.returncode == 0, err.decode()
+        outputs[key] = out
+    for k, argv in enumerate(commands):
+        assert outputs[k, "0"] and outputs[k, "0"] == outputs[k, "1"], argv

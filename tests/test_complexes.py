@@ -508,7 +508,7 @@ class TestStoredFields:
         g = GeometricComplex(cells_of(("x", 1, 0), ("y", 0, 2)), {"x": {"y"}})
         for c in (g, build_xi(2), build_misordered(1, 3), complex_from_json(obj),
                   complex_from_json(plain)):
-            assert not {"bdry", "J", "_dim", "_num", "cells"} & vars(c).keys()
+            assert not {"bdry", "J", "cells"} & vars(c).keys()
 
     @pytest.mark.trusted_derived
     def test_split_over_a_derived_base_builds_no_cells(self, monkeypatch):
@@ -525,8 +525,8 @@ class TestStoredFields:
         s = SplitComplex(d, d.J)
         assert built == []
         assert "cells" not in vars(d) and "cells" not in vars(s)
-        assert (s._dim, s._num, s._q, s.bdry, s.tau, s.J, s.fixed) == (
-            d._dim, d._num, d._q, d.bdry, d.tau, d.J, d.fixed
+        assert (s._ids, list(s._dims), list(s._nums), s._q, s.bdry, s.tau, s.J, s.fixed) == (
+            d._ids, list(d._dims), list(d._nums), d._q, d.bdry, d.tau, d.J, d.fixed
         )
 
     def test_q_is_the_denominator_of_tau(self, split_corpus, pair_corpus):

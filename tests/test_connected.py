@@ -68,6 +68,12 @@ class TestLinearCombination:
         with pytest.raises(ValueError):
             LC(((1, 0),))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True, F(1)])
+    def test_rejects_a_sign_that_is_not_an_int(self, sign):
+        # 1.0 == 1 and True == 1, but simplify needs an int count of terms
+        with pytest.raises(ValueError, match="term sign must be"):
+            LC(((sign, 2),))
+
     def test_json_round_trip(self):
         lc = LC(((1, 5), (-1, 2)))
         assert LC.from_json(lc.to_json()) == lc

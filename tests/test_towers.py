@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -50,6 +51,11 @@ class TestTower:
             T(F(0), 0)
         with pytest.raises(ValueError):
             T(F(0), -2)
+
+    @pytest.mark.parametrize("orientation", ["down", "up", 1, True, "DOWN"])
+    def test_rejects_an_orientation_that_is_not_down_up_or_none(self, orientation):
+        with pytest.raises(ValueError, match="orientation must be DOWN, UP or None"):
+            T(F(0), 2, orientation)
 
     def test_json_round_trip(self):
         for t in (T(F(1, 2), 3, UP), T(F(-5), INFINITE), T(F(0), 1)):
@@ -252,6 +258,13 @@ def test_shared_towers_compare_like_distinct_ones():
     assert shared == distinct and hash(shared) == hash(distinct)
     assert shared.towers == distinct.towers
     assert shared.to_json() == distinct.to_json()
+
+
+@pytest.mark.parametrize("items", [[1, 2], "ab", [T(F(0), 1), (F(0), 1)], [None]])
+def test_module_rejects_an_item_that_is_not_a_tower(items):
+    bad = next(x for x in items if not isinstance(x, Tower))
+    with pytest.raises(ValueError, match="got " + re.escape(repr(bad))):
+        FUModule(items)
 
 
 def test_modules_reject_assignment():
