@@ -36,22 +36,25 @@ complex and reuses that validation: it takes over the boundary and the
 grading tables and checks only J.
 
 A splitting picks one cell of each J-pair.  Inside the library it is a
-``_Flags`` object, one byte per position, 1 at each chosen cell; a given
-id splitting is checked once, by ``validate_splitting``, and turned into
-flags, and flags are never checked again.  The canonical splitting, the
-lexicographically smaller id of each pair, is stored that way as
-``_canon``; ``canonical_splitting`` returns ``_canonical``, the same cells
-by id, built from the flags on first read.  ``dual`` and ``double`` carry
-the flags over.  Starring every id keeps the order of a pair unless one id
-is a proper prefix of the other and the next character sorts below ``*``
-("a" < "a!" but "a!*" < "a*"), so each split complex also keeps
-``_prefixed``, the positions whose id is a proper prefix of their
-partner's, and ``dual`` repairs only those; a ``"*"`` next keeps the pair a
-prefix pair, any other character ends it.  No pair of a representative is
-a prefix pair, so there ``_prefixed`` is empty.  ``_named`` is the set of
-ids that ``doubling`` may give a new cell (those matching ``_NEW_NAME``);
-its name probe reads it in place of the ids, and it is empty for a dual,
-whose ids all end in ``*``.
+``_Flags`` object, one byte per position, 1 at each chosen cell, and
+``_flags`` is the one way in: it checks a given id splitting once and turns
+it into flags, takes ``None`` for the canonical splitting, passes flags
+unchecked and raises ``NotSplit`` for a complex that is not split.  The
+canonical splitting, the smaller id of each J-pair, is stated once, as the
+``_canon`` flags; ``pairs()``, ``canonical_splitting`` and the JSON's ``J``
+list read them.  Only ``dual`` and ``double`` store flags, and neither
+creates a prefix pair, one whose smaller id is a proper prefix of the
+other.  ``double`` keeps its input's ids, so it stores its input's flags
+plus the new pair's.  Starring every id keeps the order of every pair but a
+prefix pair, which it may flip ("a" < "a!" but "a!*" < "a*"); so each split
+complex has ``_prefixed``, the positions whose id is a proper prefix of
+their partner's, and ``dual`` stores its input's flags only when that is
+empty.  Otherwise it stores no splitting field, and ``_canon``,
+``_prefixed`` and ``_named`` are built from its starred ids on first read.
+No pair of a representative is a prefix pair.  ``_named`` is the set of ids
+that ``doubling`` may give a new cell (those matching ``_NEW_NAME``); its
+name probe reads it in place of the ids, and it is empty for a dual, whose
+ids all end in ``*``.
 
 Instances are immutable.  They store their cells by position: ``_ids``
 is the tuple that ``ids()`` returns, and in that order ``_dims`` and
@@ -59,20 +62,19 @@ is the tuple that ``ids()`` returns, and in that order ``_dims`` and
 tau's denominator), ``_adj`` each cell's boundary as a tuple of positions
 and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
 complex also stores ``_jpos``, the position of each cell's J-partner, and
-``_fpos``, the position of its fixed cell, whose id is ``fixed``.  One
-private step, ``_store``, assigns every stored field (these tables, tau,
-the width, and where its caller has them, ``_coadj``, ``_index`` and the
-splitting fields ``_canon``, ``_prefixed`` and ``_named``), and every
-construction ends there.  The id-keyed tables are views built on first
-read: ``bdry`` (each boundary as a frozenset of ids), ``J`` (each id's
-partner), the ``Cell`` objects of ``cells``, ``_canonical`` and
-``_index`` (each id's position, the one map from ids to positions); so
-are ``_mnum``, by position, and ``_coadj`` and the splitting fields where
-they are not stored.  A complex that is only reduced, mapped or derived
-from never builds the id tables: ``dual`` and ``double`` store no index
-and no id splitting, so ``representative`` builds neither.  ``fu_bdry``, the suite
-and the JSON read ``bdry``, a given splitting or chain the index, all else
-the positions.
+``_fpos``, the position of its fixed cell.  One private step, ``_store``,
+assigns every stored field (these tables, tau, the width, and where its
+caller has them, ``_coadj``, ``_index`` and the splitting fields ``_canon``,
+``_prefixed`` and ``_named``), and every construction ends there.  The
+id-keyed tables are views built on first read: ``bdry`` (each boundary as a
+frozenset of ids), ``J`` (each id's partner), the ``Cell`` objects of
+``cells``, ``fixed`` (the fixed cell's id) and ``_index`` (each id's
+position, the one map from ids to positions); so are ``_mnum``, by
+position, and ``_coadj`` and the splitting fields where they are not
+stored.  A complex that is only reduced, mapped or derived from never
+builds the id tables: ``dual`` and ``double`` store no index, so
+``representative`` builds none.  ``fu_bdry``, the suite and the JSON read
+``bdry``, a given splitting or chain the index, all else the positions.
 
 Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full on positions: ids are mapped
@@ -83,12 +85,12 @@ ones and are valid by construction: each computes the positional tables,
 tau, the width, J and the fixed cell of its result from the tables of its
 inputs, and ``_derived`` stores them without validating again; tau is
 one ``Fraction`` made from its integer numerator and denominator, with no
-``Fraction`` arithmetic.  ``dual``
-keeps every position, so it shares ``_jpos``, carries the splitting fields
+``Fraction`` arithmetic.  ``dual`` keeps every position, so it shares
+``_jpos``, carries the splitting fields unless its input has a prefix pair,
 and swaps boundary and coboundary: its ``_adj`` is its input's ``_coadj``
-and its ``_coadj`` its input's ``_adj``.  ``double`` copies its input's tables and edits the
-cells next to eta in both (see ``doubling``); ``tensor`` leaves its
-coboundary a view and keeps the index it built.  The one check that
+and its ``_coadj`` its input's ``_adj``.  ``double`` copies its input's
+tables and edits the cells next to eta in both (see ``doubling``);
+``tensor`` leaves its coboundary a view and keeps the index it built.  The one check that
 depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
 and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
 
@@ -387,7 +389,7 @@ class SplitComplex(GeometricComplex):
 
     @_view
     def fixed(self) -> str:
-        """The fixed cell's id; stored unless the ids are built on first read."""
+        """The fixed cell's id, read from ``_fpos`` on first read."""
         return self._ids[self._fpos]
 
     @_view
@@ -398,14 +400,9 @@ class SplitComplex(GeometricComplex):
 
     @_view
     def _canon(self) -> _Flags:
-        """The canonical splitting as flags: 1 at the smaller id of each J-pair."""
+        """The canonical splitting as flags, 1 at the smaller id of each J-pair: the one rule."""
         ids = self._ids
         return _Flags([cid < ids[jp] for cid, jp in zip(ids, self._jpos)])
-
-    @_view
-    def _canonical(self) -> FrozenSet[str]:
-        """The ids flagged in ``_canon``; ``canonical_splitting``."""
-        return frozenset(compress(self._ids, self._canon))
 
     @_view
     def _prefixed(self) -> Tuple[int, ...]:
@@ -419,12 +416,11 @@ class SplitComplex(GeometricComplex):
         return frozenset(filter(_NEW_NAME.fullmatch, self._ids))
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
-        """The two-element J-orbits in ``ids()`` order, each reported once as (min, max)."""
+        """The two-element J-orbits in ``ids()`` order, each once, its ``_canon`` cell first."""
         ids = self._ids
-        for cid, jp in zip(ids, self._jpos):
-            jid = ids[jp]
-            if cid < jid:
-                yield cid, jid
+        for cid, jp, flag in zip(ids, self._jpos, self._canon):
+            if flag:
+                yield cid, ids[jp]
 
 
 def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
@@ -443,19 +439,17 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
     over its denominator ``_q``.  ``coadj``, ``index`` and a split
     complex's splitting fields (``canon`` with ``prefixed`` and ``named``)
     are stored when the caller has them, and otherwise built on first
-    read.  A product of prefix-free factors passes no
-    ``ids`` but the factors' ids as ``idparts`` and the id ranks as
-    ``idrank`` (see ``tensor``); its ids, index and fixed cell are then
-    built on first read.  The fields are assigned in one fixed order, the
-    ids first and the deferred-id fields last.
+    read, as ``fixed`` always is.  A product of prefix-free factors passes
+    no ``ids`` but the factors' ids as ``idparts`` and the id ranks as
+    ``idrank`` (see ``tensor``); its ids and index are then built on first
+    read.  The fields are assigned in one fixed order, the ids first and
+    the deferred-id fields last.
     """
     if ids is not None:
         c._ids = ids
     c._dims, c._adj, c.tau, c._nums, c._q, c._width = dims, adj, tau, nums, tau.denominator, width
     if jpos is not None:
         c._jpos, c._fpos = jpos, fpos
-        if ids is not None:
-            c.fixed = ids[fpos]
     if coadj is not None:
         c._coadj = coadj
     if index is not None:
@@ -481,19 +475,27 @@ def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
 
 def canonical_splitting(sc: SplitComplex) -> FrozenSet[str]:
     """Lexicographically smallest member of each J-orbit pair; NotSplit unless ``sc`` is split."""
+    flags = _flags(sc, None)
+    return frozenset(compress(sc._ids, flags))
+
+
+def _flags(sc: SplitComplex, splitting) -> _Flags:
+    """A splitting of ``sc`` as flags; NotSplit unless ``sc`` is split.
+
+    This is the one check of a given splitting.  ``None`` stands for the
+    canonical one, ``_canon``, and flags pass as they are; a collection of
+    ids is checked in full, and the first cell that fails, in sorted order,
+    is named.
+    """
+    if type(splitting) is _Flags:
+        return splitting
     if not isinstance(sc, SplitComplex):
         raise NotSplit("a splitting requires a split complex")
-    return sc._canonical
-
-
-def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> FrozenSet[str]:
-    """The checked splitting ``chosen``; ``None`` stands for the canonical one."""
-    # a complex that is not split fails in canonical_splitting
-    if chosen is None or not isinstance(sc, SplitComplex):
-        return canonical_splitting(sc)
-    if isinstance(chosen, str):  # would be read as its characters
-        raise ValueError(f"a splitting must be a collection of cell ids, got {chosen!r}")
-    chosen = tuple(chosen)
+    if splitting is None:
+        return sc._canon
+    if isinstance(splitting, str):  # would be read as its characters
+        raise ValueError(f"a splitting must be a collection of cell ids, got {splitting!r}")
+    chosen = tuple(splitting)
     if sc.fixed in chosen:
         raise ValueError("a splitting never contains the fixed cell")
     # ids are strings, and only strings can be hashed and ordered below
@@ -502,7 +504,7 @@ def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> Fro
         raise ValueError(f"splitting mentions unknown cell {odd!r}")
     chosen = frozenset(chosen)
     ids, at, jpos = sc._ids, sc._index, sc._jpos
-    for cid in sorted(chosen):  # the first cell that fails in sorted order is named
+    for cid in sorted(chosen):
         p = at.get(cid)
         if p is None:
             raise ValueError(f"splitting mentions unknown cell {cid!r}")
@@ -510,16 +512,7 @@ def validate_splitting(sc: SplitComplex, chosen: Optional[Iterable[str]]) -> Fro
             raise ValueError(f"splitting contains both members of the pair ({cid!r}, {ids[jpos[p]]!r})")
     if len(chosen) * 2 + 1 != len(sc):
         raise ValueError("splitting must pick exactly one cell from each J-pair")
-    return chosen
-
-
-def _flags(sc: SplitComplex, splitting) -> _Flags:
-    """A splitting of ``sc`` as flags: ``None`` is the canonical one, flags pass as they are."""
-    if type(splitting) is _Flags:
-        return splitting
-    if splitting is None and isinstance(sc, SplitComplex):
-        return sc._canon
-    return _Flags(map(validate_splitting(sc, splitting).__contains__, sc._ids))
+    return _Flags(map(chosen.__contains__, ids))
 
 
 def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
@@ -680,8 +673,9 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
     width is unchanged.  Each e* keeps e's position, so J keeps its
     positions and the boundary and coboundary trade places.  The canonical
-    flags carry over, repaired at the prefix pairs (see the module
-    docstring); no starred id matches ``_NEW_NAME``.
+    flags carry over unless the input has a prefix pair, whose order
+    starring may flip (see the module docstring); no starred id matches
+    ``_NEW_NAME``.
     """
     n, q = c.max_dim(), c._q
     shift = -n * q
@@ -692,18 +686,9 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     tau = Fraction((shift - c.tau.numerator) % (2 * q), q)
     if not isinstance(c, SplitComplex):
         return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)
-    jpos, canon, prefixed = c._jpos, c._canon, c._prefixed
-    if prefixed:
-        # the character after the prefix, against the "*" that now follows it
-        nxt = [c._ids[jpos[p]][len(c._ids[p])] for p in prefixed]
-        flags = bytearray(canon)
-        for p, ch in zip(prefixed, nxt):
-            if ch < "*":
-                flags[p], flags[jpos[p]] = 0, 1
-        canon = _Flags(flags)
-        prefixed = tuple([p for p, ch in zip(prefixed, nxt) if ch == "*"])
-    return _derived(ids, dims, c._coadj, tau, nums, c._width, jpos, c._fpos, c._adj, None, canon,
-                    prefixed)
+    # starring keeps the order of every pair but a prefix pair
+    return _derived(ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos, c._adj, None,
+                    None if c._prefixed else c._canon)
 
 
 # -- JSON ---------------------------------------------------------------

@@ -184,16 +184,8 @@ def representative(lc: LinearCombination) -> SplitComplex:
     return s
 
 
-class _ChainOfTowers(_Value):
-    _fields = ("length", "count", "hi", "lo")
-
-    def __init__(self, length: int, count: int, hi: Grading, lo: Grading):
-        # hi and lo are the maximal and minimal occupied gradings
-        d = self.__dict__
-        d["length"], d["count"], d["hi"], d["lo"] = length, count, hi, lo
-
-
 def _chains(m: FUModule):
+    """(length, count, hi, lo) of each chain, longest first; hi and lo are its extreme gradings."""
     by_length = {}
     for t in m:
         by_length.setdefault(t.length, []).append(t)
@@ -205,9 +197,7 @@ def _chains(m: FUModule):
                 raise NotInXForm(
                     f"towers of length {length} do not concatenate into a chain"
                 )
-        chains.append(
-            _ChainOfTowers(length, len(tops), tops[0], tops[-1] - 2 * (length - 1))
-        )
+        chains.append((length, len(tops), tops[0], tops[-1] - 2 * (length - 1)))
     return chains
 
 
@@ -222,16 +212,16 @@ def decode(m: FUModule, d: Grading) -> LinearCombination:
         raise ValueError("decode expects a torsion-only module")
     terms = []
     prev = None
-    for chain in _chains(shift(m, d - 1)):
+    for length, count, hi, lo in _chains(shift(m, d - 1)):
         # both rules together would need hi - lo = -1, but hi - lo is even,
         # so at most one sign matches
-        if _head(prev, 1) == chain.hi:
-            sign, tail = 1, chain.lo
-        elif _head(prev, -1) == chain.lo:
-            sign, tail = -1, chain.hi
+        if _head(prev, 1) == hi:
+            sign, tail = 1, lo
+        elif _head(prev, -1) == lo:
+            sign, tail = -1, hi
         else:
-            raise NotInXForm(f"no placement rule matches the chain of length {chain.length}")
-        terms.extend([(sign, chain.length)] * chain.count)
+            raise NotInXForm(f"no placement rule matches the chain of length {length}")
+        terms.extend([(sign, length)] * count)
         prev = (sign, tail)
     # each chain is spaced as a run of one sign and headed by the sign's
     # rule, so hf_conn(result, d) == m: the towers of m reassemble

@@ -37,20 +37,21 @@ three, and the coboundary is left to be built on first read.  ``double``
 also records on its result the least suffix the next name probe may start
 from, so a run of doublings probes each name once.
 
-``double`` reads its splitting as flags by position (see ``complexes``):
-``None`` stands for the input's stored canonical flags, and a given id
-splitting is checked once and turned into flags, so both take one path.
-The flags decide which cells of eta's coboundary keep eta and which pairs
-gain theta; ``decompose`` gets them with the positions of d(eta), and the
-result's ``splitting`` is built from them on first read.  Whatever the
-splitting, the double stores its canonical flags: x's pairs keep their
-ids, and of the new pair J.omega is the smaller, as "J.omega" < "omega",
-so they are the input's plus J.omega.  The new names are probed against
-``_named``, the input's ids that match ``_NEW_NAME``, and the double's set
-is the input's less eta plus the three new names.  So ``double`` reads no
-index, and a double's index, like a dual's, is built only on first read:
-no step of ``representative`` builds an id table.  The local maps read the
-flags off the double they share.
+``double`` reads its splitting as flags by position through
+``complexes._flags``, the one check of a given splitting: ``None`` stands
+for the input's canonical flags, and a given id splitting is checked and
+turned into flags, so both take one path.  The flags decide which cells of
+eta's coboundary keep eta and which pairs gain theta; ``decompose`` gets
+them with the positions of d(eta), and the result's ``splitting`` is built
+from them on first read.  Whatever the splitting, the double stores its
+canonical flags, and with them its prefix pairs: x's pairs keep their ids,
+and of the new pair, which is no prefix pair, J.omega is the smaller, as
+"J.omega" < "omega", so they are the input's flags plus J.omega.  The new
+names are probed against ``_named``, the input's ids that match
+``_NEW_NAME``, and the double's set is the input's less eta plus the three
+new names.  So ``double`` reads no index, and a double's index, like a
+dual's, is built only on first read: no step of ``representative`` builds
+an id table.  The local maps read the flags off the double they share.
 
 The double is locally equivalent to the tensor product with the basis
 complex of index delta; the maps realizing this are

@@ -66,7 +66,8 @@ def grading_from_json(value, what: str, error=ValueError) -> Grading:
             raise TypeError("boolean grading")
         if exponent and abs(int(exponent[1])) > MAX_GRADING_EXPONENT:
             raise ValueError("exponent out of range")
-        return Fraction(value)
+        # a float reads as its shortest decimal, so 0.1 is 1/10, not its binary expansion
+        return Fraction(repr(value) if type(value) is float else value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise error(f"{what} has invalid grading {value!r}") from None
 

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ilocal import complexes
-from ilocal.complexes import GeometricComplex, SplitComplex, canonical_splitting
+from ilocal.complexes import GeometricComplex, SplitComplex
 from ilocal.homology import ChainMap
 from ilocal.suite import random_geometric_complex, random_split_complex
 
@@ -40,10 +40,10 @@ def revalidate_derived(request, monkeypatch):
     are compared row by row, each as a set, and the id boundary built from
     them with the one the constructor checked; a stored coboundary must be
     the transpose of the boundary, row by row as sets, a stored index the
-    constructor's, and a stored canonical splitting (by id, or as the flags
-    ``_canon``), prefix pairs ``_prefixed``, new-name set ``_named``, id
-    ranks and prefix-free flag the ones the rebuilt complex computes (a
-    product whose ids are deferred builds them here).  J is rebuilt from
+    constructor's, and stored canonical flags ``_canon``, prefix pairs
+    ``_prefixed``, new-name set ``_named``, id ranks and prefix-free flag
+    the ones the rebuilt complex computes (a product whose ids are deferred
+    builds them here).  J is rebuilt from
     ``_jpos``, so the constructor checks the stored partners, and their
     positions and the fixed cell's must be the ones it finds.
     """
@@ -65,8 +65,6 @@ def revalidate_derived(request, monkeypatch):
             assert [set(row) for row in stored["_coadj"]] == [set(row) for row in ref._coadj]
         if "_index" in stored:
             assert stored["_index"] == ref._index
-        if "_canonical" in stored:
-            assert stored["_canonical"] == canonical_splitting(ref)
         for name in ("_canon", "_prefixed", "_named"):
             if name in stored:
                 assert stored[name] == getattr(ref, name), name

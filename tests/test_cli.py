@@ -147,6 +147,21 @@ class TestConnectedDecodeSum:
         assert code == 1 and out == ""
         assert err == "error: tower length must be a positive integer or INFINITE, got inf\n"
 
+    @pytest.mark.parametrize("command, obj, want", [
+        ("render", {"towers": [{"top": 0.1, "length": 1}]}, "1/10 |  o\n"),
+        ("homology", {"tau": 0.1, "cells": [{"id": "a", "dim": 0, "gr": 0.1}]},
+         [{"top": "1/10", "length": "inf", "orientation": None}]),
+        ("connected", {"terms": [{"sign": "+", "index": 2}], "d": 0.1},
+         [{"top": "-9/10", "length": 2, "orientation": "down"}]),
+    ], ids=["module", "complex", "class"])
+    def test_a_json_float_grading_reads_as_its_decimal(self, capsys, tmp_path, command, obj, want):
+        # 0.1 is 1/10, not the binary expansion 3602879701896397/36028797018963968
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 0, err
+        assert (out if command == "render" else json.loads(out)["towers"]) == want
+
     def test_sum(self, capsys, tmp_path):
         for name, expr, d in (("a", "X4", "2"), ("b", "X3", "-2")):
             module = hf_conn(parse_expression(expr), F(d))

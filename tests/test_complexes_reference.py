@@ -412,6 +412,21 @@ def test_splitting_fields_follow_the_ids_through_duals_and_doubles(split_corpus)
     assert min(seen.values()) >= 15, seen
 
 
+def test_pairs_follow_the_id_rule(split_corpus):
+    # pairs(), and with it the JSON's J list, reads the canonical flags that
+    # dual and double carry; each pair must still be (u, J(u)) with
+    # u < J(u), in ids() order, also where starring flips a prefix pair
+    rng = random.Random("pairs by ids")
+    for sc in split_corpus:
+        for c in (sc, prefix_relabelled(rng, sc)):
+            for x in (c, dual(c)):
+                doubled = double(x, rng.choice(admissible_deltas(x, cap=2)),
+                                 random_splitting(rng, x)).complex
+                for y in (x, doubled, dual(doubled)):
+                    ids, J = y.ids(), y.J
+                    assert list(y.pairs()) == [(u, J[u]) for u in ids if u < J[u]]
+
+
 def test_fresh_names_after_doubling_a_fixed_omega():
     # eta is "omega", so the first double takes suffix 2; without eta,
     # suffix 1 is free again and the next double takes it

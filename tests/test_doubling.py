@@ -30,7 +30,7 @@ from ilocal import (
     local_map_g,
     verify_local_pair,
 )
-from ilocal.complexes import _flags, _Flags, validate_splitting
+from ilocal.complexes import _flags, _Flags
 from ilocal.suite import (
     admissible_deltas,
     check_local_pair,
@@ -288,7 +288,7 @@ def test_operations_on_splittings_reject_a_complex_that_is_not_split(name):
 
 
 NON_STRING_MEMBER_CALLS = {
-    "validate_splitting": validate_splitting,
+    "_flags": _flags,
     "double": lambda x, s: double(x, 1, s),
     "decompose": lambda x, s: decompose(x, ["a"], s),
     "local_map_f": lambda x, s: local_map_f(x, 1, s),
@@ -332,7 +332,6 @@ class TestStoredSplitting:
             # x's flags, omega unflagged at eta's position, then J.omega and theta
             stored = vars(c)["_canon"]
             assert stored == x._canon + b"\x01\x00"
-            assert "_canonical" not in vars(c)
             # conftest's revalidate_derived compares them with the rebuilt
             # complex's; the id splitting is built from them on first read
             assert canonical_splitting(c) == canonical_splitting(x) | {dr.j_omega}
@@ -374,6 +373,9 @@ class TestStoredSplitting:
         ("a*", False, True),  # "a*" < "a**", still a prefix pair
     ], ids=["flips", "ends", "stays"])
     def test_dual_repairs_only_the_prefix_pairs(self, first, partner, flips, stays):
+        # starring keeps the order of every pair but a prefix pair, so dual
+        # carries its input's flags only when no pair is one; otherwise it
+        # stores no splitting field and they are rebuilt from its ids
         pair = [Cell("a", 0, F(0)), Cell(partner, 0, F(0))]
         cells = (pair if first else pair[::-1]) + [Cell("b", 1, F(-2))]
         x = SplitComplex(GeometricComplex(cells, {"b": {"a", partner}}),
@@ -381,15 +383,24 @@ class TestStoredSplitting:
         p, jp = (0, 1) if first else (1, 0)  # the positions of "a" and its partner
         assert canonical_splitting(x) == {"a"} and x._prefixed == (p,)
         d = dual(x)
-        stored = vars(d)
+        assert not {"_canon", "_prefixed", "_named"} & vars(d).keys()
         want = bytearray(3)
         want[jp if flips else p] = 1
-        assert stored["_canon"] == want
-        assert stored["_prefixed"] == ((p,) if stays else ())
-        assert stored["_named"] == frozenset()
+        assert (d._canon, d._prefixed, d._named) == (want, (p,) if stays else (), frozenset())
         assert canonical_splitting(d) == {partner + "*" if flips else "a*"}
-        # starring again keeps the order; conftest checks every stored field
-        assert canonical_splitting(dual(d)) == {partner + "**" if flips else "a**"}
+        # once the prefix pair ends, the second dual carries the first's
+        # flags; conftest checks every stored field against the ids
+        dd = dual(d)
+        assert ("_canon" in vars(dd)) is not stays
+        assert canonical_splitting(dd) == {partner + "**" if flips else "a**"}
+        for c in (d, dd):
+            ids, J = c.ids(), c.J
+            smaller = {cid for cid in ids if cid < J[cid]}
+            assert canonical_splitting(c) == smaller
+            assert complex_to_json(c)["J"] == sorted([cid, J[cid]] for cid in smaller)
+            dr, given = double(c, 1), double(c, 1, smaller)
+            assert dr.splitting == given.splitting == smaller | {dr.omega}
+            assert complex_to_json(dr.complex) == complex_to_json(given.complex)
 
 
 class TestVerifyLocalPair:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -20,7 +21,7 @@ from ilocal import (
 )
 from ilocal.homology import homology
 from ilocal.suite import random_geometric_complex
-from ilocal.towers import _module_from_counts
+from ilocal.towers import _module_from_counts, grading_from_json
 
 from conftest import oriented_equal
 
@@ -69,6 +70,20 @@ class TestTower:
         for load in (Tower.from_json, lambda t: FUModule.from_json({"towers": [t]})):
             with pytest.raises(ValueError, match="positive integer or INFINITE, got"):
                 load({"top": 0, "length": length})
+
+
+class TestGradingFromJson:
+    @pytest.mark.parametrize("value, want", [
+        (0.1, F(1, 10)), (-2.5, F(-5, 2)), (1e-3, F(1, 1000)), (3.0, F(3)), (1e22, F(10**22)),
+    ])
+    def test_a_float_reads_as_its_shortest_decimal(self, value, want):
+        assert grading_from_json(value, "tower top") == want
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "NaN"])
+    def test_a_float_that_is_not_finite_is_refused(self, text):
+        value = json.loads(text)
+        with pytest.raises(ValueError, match=rf"^tower top has invalid grading {re.escape(repr(value))}$"):
+            grading_from_json(value, "tower top")
 
 
 class TestShift:

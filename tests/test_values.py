@@ -15,7 +15,7 @@ import pytest
 
 import ilocal
 from ilocal.complexes import Cell
-from ilocal.connected import LinearCombination, LocalClass, _ChainOfTowers
+from ilocal.connected import LinearCombination, LocalClass
 from ilocal.doubling import DoubleResult, VerifyReport
 from ilocal.homology import ReductionResult
 from ilocal.suite import SuiteConfig, SuiteReport, SuiteResult
@@ -64,12 +64,6 @@ VALUE_CASES = {
         lambda: LocalClass(d=F(2), combo=LinearCombination()),
         (LinearCombination(), F(2)),
         "LocalClass(combo=LinearCombination(terms=()), d=Fraction(2, 1))",
-    ),
-    "_ChainOfTowers": (
-        lambda: _ChainOfTowers(2, 3, F(4), F(-6)),
-        lambda: _ChainOfTowers(lo=F(-6), hi=F(4), count=3, length=2),
-        (2, 3, F(4), F(-6)),
-        "_ChainOfTowers(length=2, count=3, hi=Fraction(4, 1), lo=Fraction(-6, 1))",
     ),
     "VerifyReport": (
         lambda: VerifyReport(True, False, False, False, {"check": "x"}),
@@ -135,7 +129,6 @@ def test_value_classes_differ_when_one_field_differs():
     assert Cell("a", 1, 2) != Cell("b", 1, 2) and Cell("a", 0, 2) != Cell("a", 1, 2)
     assert LinearCombination(((1, 2),)) != LinearCombination(((-1, 2),))
     assert LocalClass(LinearCombination(), 0) != LocalClass(LinearCombination(), 2)
-    assert _ChainOfTowers(2, 3, F(4), F(-6)) != _ChainOfTowers(2, 3, F(4), F(-8))
     assert VerifyReport(True, True, True, True) != VerifyReport(True, True, True, False)
     assert SuiteConfig() != SuiteConfig(max_cells=11)
     assert len({Tower(1, 2), Tower(F(1), 2), Tower(1, 2, DOWN)}) == 2
