@@ -1,27 +1,28 @@
 """Benchmark smoke runs: pinned seed-1 output digests and traced call counts.
 
-Runs ``perfbench/run.py`` at seed 1 for 3 s per run and checks
+Runs ``perfbench/run.py`` at seed 1 for 3 s per run, once per workload, and
+checks in every run that no case failed and that the sha256 over the outputs
+of the first untraced pass equals the pinned digest (it depends neither on
+``--seconds``, nor on tracing, nor on the checkout or work directory).  Only
+``cli_session`` runs untraced; the other three runs are traced and also check
 
-* every workload, untraced: no failed case, and the sha256 over the outputs
-  of the first pass equals the pinned digest (it depends neither on
-  ``--seconds`` nor on the checkout or work directory);
-* ``representative_sweep``, traced: double and dual are called, and only
-  the trivial start of each case is validated (one ``GeometricComplex`` and
-  one ``SplitComplex`` construction per pool case);
-* ``local_verify``, traced: one double, one tensor and one decompose per
-  pool case, two homology calls per case and no ``induced_map`` (the
-  U-localized check is decided at U = 1 on the two reductions), and four
-  chain-witness reads per verify;
-* ``tensor_kunneth``, traced: one homology per pool case and all 108
-  tensors of the 20-case pool built, since homology and Kunneth are never
-  memoised across cases.
+* ``representative_sweep``: double and dual are called, and only the trivial
+  start of each case is validated (one ``GeometricComplex`` and one
+  ``SplitComplex`` construction per pool case);
+* ``local_verify``: one double, one tensor and one decompose per pool case,
+  two homology calls per case and no ``induced_map`` (the U-localized check
+  is decided at U = 1 on the two reductions), and four chain-witness reads
+  per verify;
+* ``tensor_kunneth``: one homology per pool case and all 108 tensors of the
+  20-case pool built, since homology and Kunneth are never memoised across
+  cases.
 
 Standard library only; run from anywhere:
 
     python3 scripts/bench_smoke.py
 
 Each run's two result lines are printed; the exit status is 1 if any check
-failed, with one line per failure.
+failed, with one line per failing run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / ".perfbench" / "spans"
 
 PINNED = {
     "representative_sweep": "7a1699e04aa1369aca0f68fa4037aa2ed1384deaca926da1a6dd407b067a66a9",
@@ -53,36 +53,23 @@ def run(workload: str, trace: int):
     return json.loads(detail)["detail"], json.loads(result)
 
 
-def check_digest(workload: str):
-    detail, r = run(workload, 0)
-    digest, pinned = detail["digest"], PINNED[workload]
-    if r["failed"] != 0 or digest != pinned:
-        return f"failed cases: {r['failed']}; output digest {digest}, pinned {pinned}"
-    return None
-
-
-def check_representative_sweep():
-    detail, r = run("representative_sweep", 1)
+def representative_sweep_off(detail, r):
     pool = detail["pool_cases"]
     value = lambda name: r["metrics"][name]["value"]
     zero = [name for name in ("doubling.double.calls", "complexes.dual.calls") if value(name) == 0]
     # dual and double derive valid complexes; only the trivial start is validated
     constructors = ("complexes.GeometricComplex.calls", "complexes.SplitComplex.calls")
     off = {name: value(name) for name in constructors if value(name) != pool}
-    if r["failed"] != 0 or zero or off:
-        return (f"failed cases: {r['failed']}; layers that read 0: {zero}; "
-                f"pool cases: {pool}; constructor calls off that count: {off}")
+    if zero or off:
+        return f"layers that read 0: {zero}; pool cases: {pool}; constructor calls off that count: {off}"
     return None
 
 
-def check_local_verify():
-    before = set(SPANS.glob("local_verify-*.json.gz"))
-    detail, r = run("local_verify", 1)
+def local_verify_off(detail, r):
     pool = detail["pool_cases"]
     # the result lists only BENCHMARK.json's per-layer metrics; induced_map's
     # calls are counted in the spans of the traced pass that gave them
-    (spans_path,) = set(SPANS.glob("local_verify-*.json.gz")) - before
-    with gzip.open(spans_path, "rt", encoding="utf-8") as fh:
+    with gzip.open(ROOT / detail["spans_file"], "rt", encoding="utf-8") as fh:
         spans = json.load(fh)["spans"]
     value = {name: m["value"] for name, m in r["metrics"].items()}
     value["homology.induced_map.calls"] = sum(s[0] == "homology.induced_map" for s in spans)
@@ -92,13 +79,10 @@ def check_local_verify():
     want.update({"homology.induced_map.calls": 0, "homology.homology.calls": 2 * pool,
                  "homology.chain_witness.per_verify": 4.0})
     off = {name: value[name] for name, n in want.items() if value[name] != n}
-    if r["failed"] != 0 or off:
-        return f"failed cases: {r['failed']}; pool cases: {pool}; calls off that count: {off}"
-    return None
+    return f"pool cases: {pool}; calls off that count: {off}" if off else None
 
 
-def check_tensor_kunneth():
-    detail, r = run("tensor_kunneth", 1)
+def tensor_kunneth_off(detail, r):
     pool = detail["pool_cases"]
     value = lambda name: r["metrics"][name]["value"]
     # homology and Kunneth are computed afresh in every case, never memoised
@@ -106,23 +90,32 @@ def check_tensor_kunneth():
     # pool (20 cases of 6 to 8 factors) are all built
     want = {"homology.homology.calls": pool, "complexes.tensor.calls": 108}
     off = {name: value(name) for name, n in want.items() if value(name) != n}
-    if r["failed"] != 0 or pool != 20 or off:
-        return f"failed cases: {r['failed']}; pool cases: {pool}; calls off: {off}"
-    return None
+    return f"pool cases: {pool}; calls off: {off}" if pool != 20 or off else None
+
+
+# the traced runs and the check of their call counts; a workload not named
+# here runs untraced
+TRACED = {
+    "representative_sweep": representative_sweep_off,
+    "local_verify": local_verify_off,
+    "tensor_kunneth": tensor_kunneth_off,
+}
 
 
 def main() -> int:
-    checks = [(f"{w} digest", lambda w=w: check_digest(w)) for w in PINNED]
-    checks += [
-        ("representative_sweep traced", check_representative_sweep),
-        ("local_verify traced", check_local_verify),
-        ("tensor_kunneth traced", check_tensor_kunneth),
-    ]
     failures = []
-    for name, check in checks:
-        message = check()
-        if message is not None:
-            failures.append(f"{name}: {message}")
+    for workload, pinned in PINNED.items():
+        check = TRACED.get(workload)
+        detail, r = run(workload, int(check is not None))
+        problems = [f"failed cases: {r['failed']}"] if r["failed"] != 0 else []
+        if detail["digest"] != pinned:
+            problems.append(f"output digest {detail['digest']}, pinned {pinned}")
+        off = check and check(detail, r)
+        if off:
+            problems.append(off)
+        if problems:
+            traced = "traced" if check else "untraced"
+            failures.append(f"{workload} {traced}: {'; '.join(problems)}")
     for line in failures:
         print(line, file=sys.stderr)
     return 1 if failures else 0

@@ -6,6 +6,8 @@ monomial matrix reduction, runs the tower-placement algorithm for connected
 homology, and decodes connected modules back to combinations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .complexes import (
     Cell,
     GeometricComplex,
@@ -69,67 +71,9 @@ from .towers import (
     signed_rank,
 )
 
-__all__ = [
-    "Cell",
-    "ChainMap",
-    "DOWN",
-    "DoubleResult",
-    "ExpressionError",
-    "FUModule",
-    "GeometricComplex",
-    "Grading",
-    "INFINITE",
-    "InvalidComplex",
-    "LinearCombination",
-    "LocalClass",
-    "NotAChainMap",
-    "NotInXForm",
-    "NotSimplified",
-    "NotSplit",
-    "Orientation",
-    "ReductionResult",
-    "SplitComplex",
-    "SuiteConfig",
-    "SuiteReport",
-    "Tower",
-    "UP",
-    "VerifyReport",
-    "WidthExceeded",
-    "build_misordered",
-    "build_trivial",
-    "build_xi",
-    "canonical_splitting",
-    "complex_from_json",
-    "complex_to_json",
-    "compose",
-    "connect_sum",
-    "connected_homology",
-    "decode",
-    "decompose",
-    "double",
-    "dual",
-    "format_expression",
-    "half",
-    "hf_conn",
-    "homology",
-    "induced_map",
-    "is_u_localized_iso",
-    "kunneth",
-    "local_map_f",
-    "local_map_g",
-    "parse_expression",
-    "place_towers",
-    "predict_mu_bar",
-    "predict_rokhlin_parity",
-    "reflect",
-    "render",
-    "render_ascii",
-    "render_svg",
-    "representative",
-    "run_suite",
-    "shift",
-    "signed_rank",
-    "simplify",
-    "tensor",
-    "verify_local_pair",
-]
+# the public names are exactly those the imports above bind; the package's
+# submodules, which those imports also bind, are not part of them
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

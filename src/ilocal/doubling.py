@@ -353,13 +353,7 @@ class VerifyReport(_Value):
         return self.chain_map and self.j_equivariant and self.gf_identity and self.u_localized_iso
 
     def to_json(self) -> dict:
-        return {
-            "chain_map": self.chain_map,
-            "j_equivariant": self.j_equivariant,
-            "gf_identity": self.gf_identity,
-            "u_localized_iso": self.u_localized_iso,
-            "witness": self.witness,
-        }
+        return dict(zip(self._fields, self._astuple()))
 
 
 def verify_local_pair(f: ChainMap, g: ChainMap) -> VerifyReport:
@@ -374,7 +368,7 @@ def verify_local_pair(f: ChainMap, g: ChainMap) -> VerifyReport:
     if not (_same_complex(f.target, g.source) and _same_complex(g.target, f.source)):
         raise ValueError("maps do not form a pair: f: A -> B needs g: B -> A")
     for name, m in (("f", f), ("g", g)):
-        w = m.grading_witness() or m.chain_witness()
+        w = m.chain_witness()
         if w is not None:
             return VerifyReport(False, False, False, False, {"check": "chain_map", "map": name, **w})
     for name, m in (("f", f), ("g", g)):

@@ -450,7 +450,7 @@ class ChainMap:
 
     def check(self) -> None:
         """Raise NotAChainMap unless grading-preserving and a chain map."""
-        w = self.grading_witness() or self.chain_witness()
+        w = self.chain_witness()
         if w is not None:
             raise NotAChainMap(str(w))
 

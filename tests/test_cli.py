@@ -493,15 +493,23 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     for name, d in (("a", 2), ("b", -2)):
         placed = hf_conn(lc, F(d)).to_json()
         (tmp_path / f"{name}.json").write_text(json.dumps({"module": placed, "d": str(d)}))
+    for i in (2, 3):
+        (tmp_path / f"x{i}.json").write_text(json.dumps(complex_to_json(build_xi(i))))
     commands = [
         ["connected", "--expr", "X5 - X4 + X3 + X2", "--d", "3/2"],
         ["decode", "--file", str(tmp_path / "module.json"), "--d", "2"],
         ["sum", "--file", str(tmp_path / "a.json"), "--file", str(tmp_path / "b.json")],
         ["render", "--expr", "X5 - X4 + X2", "--format", "svg"],
         ["homology", "--expr", "X3 - X2 + X1", "--witnesses"],
+        ["build", "--expr", "X5 - X4 + X3 + X2"],
+        ["dual", "--expr", "X4 - X2"],
+        ["double", "--expr", "X3 - X2", "--delta", "2"],
+        ["half", "--expr", "X4 + X2", "--delta", "1"],
+        ["verify", "--expr", "X4 - X3", "--delta", "3"],
+        ["tensor", "--file", str(tmp_path / "x2.json"), "--file", str(tmp_path / "x3.json")],
     ]
     src = os.path.dirname(os.path.dirname(ilocal.__file__))
-    # the ten children run at once, which keeps this test near the cost of two
+    # the children run at once, which keeps this test near the cost of a few
     children = {
         (k, seed): subprocess.Popen(
             [sys.executable, "-m", "ilocal.cli", *argv],
