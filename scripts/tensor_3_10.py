@@ -19,7 +19,7 @@ Prints one line with the build, homology and express times and the peak
 RSS; exits 1 with a one-line message if a check fails.  Standard library
 only; run from anywhere, under the memory limit that CI sets:
 
-    (ulimit -v 800000; python3 scripts/tensor_3_10.py)
+    (ulimit -v 200000; python3 scripts/tensor_3_10.py)
 """
 
 from __future__ import annotations

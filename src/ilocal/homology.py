@@ -1,33 +1,46 @@
 """Homology of geometric complexes over F2[U], with induced-map support.
 
 Cells are totally ordered by decreasing gr (ties: lower dim first, then id),
-so every boundary points strictly earlier and the single F2 boundary matrix
-can be column-reduced in the persistence style, columns as integer bitmasks
-built one at a time as the reduction reads them.  A column of dimension d
-adds only columns of dimension d, so the reduction runs one dimension at a
-time, from the top down, in the global order within each, and gives the
-same R and pivots as one pass over the whole order.  It clears (Chen &
+so every boundary points strictly earlier and the F2 boundary matrix can be
+column-reduced in the persistence style.  The boundary lowers dim by exactly
+one, so the matrix splits into one block per dimension: the column of a
+cell of dimension d has its rows among the cells of dimension d - 1.  As
+standard persistence does with one boundary matrix per dimension (Bauer,
+Kerber, Reininghaus & Wagner, "PHAT"), each cell gets a rank within its
+own dimension, in the global order restricted to that dimension, which
+keeps its relative order there.  Column j of dimension d is R[j], an
+integer bitmask over the ranks of dimension d - 1, with V[j], one over the
+ranks of d; the columns are built one at a time as the reduction reads
+them.  A column of dimension d adds only columns of dimension d, so the
+reduction runs one dimension at a time, from the top down, and every
+pivot, column addition and clearing step is the one pass over the whole
+order would take: only the bit positions differ.  It clears (Chen &
 Kerber, "Persistent Homology Computation with a Twist"): a cell already hit
 as a pivot by a column one dimension up is a cycle whose column reduces to
-zero, so that column is never built.  This needs bdry o bdry = 0, which
+zero, so that column is never built, and its V is that column's R, which
+already sits on this dimension's ranks.  This needs bdry o bdry = 0, which
 every complex has by construction; the result is not defined for a
-skeleton without it.
+skeleton without it.  The columns take memory quadratic in the size of
+each dimension, not in the number of cells.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
 gradings do.  Ties are broken by id through the complex's id ranks
 ``_idrank`` (a product of prefix-free factors stores them without joining
 an id, see ``complexes``; any other complex sorts its ids once on first
-read): each cell's key (-gr, dim, id) is one integer, (dim - num*span)*n
-+ rank with span one more than the range of the dims.  The dims differ by
-less than span and the ranks lie in [0, n), so the integers sort as the
-triples do.  The sort gives ``_perm``, the position in ``ids()`` of each
-rank, which the result stores; the ids by rank, ``_order``, are a view.
-The columns come from positions: each is read from the complex's
-positional boundary ``_adj``, whose positions index ``ids()``, through one
-list from positions to ranks, ``_rank``, the inverse of ``_perm``, so no
-id is looked up while the columns are built and the reduction builds no
-map keyed by cell id; ``express`` reaches a cell's rank through the
-complex's ``_index``.
+read).  Within one dimension each cell's key (-gr, id) is one integer,
+rank - num*n: the ranks lie in [0, n), so the integers sort as the pairs
+do, and each dimension's cells are sorted on their own.  The result
+stores, per dimension, the positions in ``ids()`` of its cells by rank
+(``_perm``, which ``homology`` writes) and the rank of each position
+within its dimension (``_rank``).  Every reader of R, V and the pivots maps
+a bitmask of ranks back to positions through ``_cells``, the one such map;
+the global order is read back on the (-gr, dim, rank) of a position
+(``ReductionResult._key``), since cells of two dimensions never tie on
+(-gr, dim).  The columns come from positions: each is read from the
+complex's positional boundary ``_adj`` through ``_rank``, so no id is
+looked up while the columns are built and the reduction builds no map
+keyed by cell id; ``express`` reaches a cell's rank through the complex's
+``_index``.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -39,8 +52,9 @@ table on first read, so a caller that needs only the reduction builds no
 
 The reduced columns {R_j != 0} together with the unpaired cycle columns form
 an F2 basis of the cycle space with distinct pivots, so any homogeneous
-cycle can be expressed over the homology generators by pivot elimination;
-that is what evaluating an induced map needs.  The result keeps the
+cycle can be expressed over the homology generators by pivot elimination,
+one dimension at a time, since no basis cycle leaves its dimension; that
+is what evaluating an induced map needs.  The result keeps the
 reduction (R, V and the pivot owners) and each tower's column and length;
 the module itself needs nothing more.  The cycle representatives and the
 pivot basis of ``express`` are built from them on first read.  Every
@@ -73,10 +87,10 @@ the homology in each degree is the F2 homology, at U = 1, of the cells in
 that degree's parity, and a grading-preserving chain map acts on it as its
 pattern does.  The columns of the reduction are the boundary at U = 1, so
 with free rank one on both sides f is an isomorphism after inverting U
-exactly when its pattern, read at the positions ``_perm`` gives, maps the
-source's free cycle V[j] to a cycle that is not a boundary: one that the
-target's pivots (its reduced columns, a basis of the boundaries) do not
-reduce to zero.  ``induced_map`` and
+exactly when its pattern, read at the positions of the source's free cycle
+V[j], maps it to a cycle that is not a boundary: one that the target's
+pivots (its reduced columns, a basis of the boundaries) do not reduce to
+zero in some dimension.  ``induced_map`` and
 ``express`` still read f(z) over the F2[U] tower generators, where a free
 entry is the same verdict.
 """
@@ -84,7 +98,8 @@ entry is the same verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import filterfalse
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import GeometricComplex, SplitComplex, complex_to_json
 from .errors import NotAChainMap, NotSplit
@@ -107,9 +122,13 @@ class ReductionResult:
     representatives depend on the reduction order and are excluded from
     module equality.  Both are built on first read from the reduction and
     ``_towers`` and then cached: a free tower's cycle is V[j], a torsion
-    tower's is R[j], killed by V[j].  A chain's degree is the Maslov degree
-    of its top cell in ``_order``, the ids by rank, which is built from
-    ``_perm`` on first read.
+    tower's is R[j], killed by V[j].  The reduction is stored per
+    dimension d: R[d][j] and V[d][j] for the cell of rank j within d, over
+    the ranks within d - 1 and d, and the pivots of d by rank (see the
+    module docstring); ``_cells`` reads a bitmask back as positions.  The
+    towers are stored as ``homology`` finds them, one dimension at a time,
+    and read in the global order of their columns (``_generators``).  A
+    chain's degree is the Maslov degree of its top cell.
     """
 
     _fields = ("complex", "_counts", "_perm", "_rank", "_R", "_V", "_owner", "_towers")
@@ -118,17 +137,31 @@ class ReductionResult:
     def __init__(self, complex: GeometricComplex, _counts, _perm, _rank, _R, _V, _owner, _towers):
         self.complex = complex
         self._counts = _counts  # (q * M(top), length) -> towers
-        self._perm = _perm  # the position in complex.ids() of each rank
-        self._rank = _rank  # the rank of each position, the inverse of _perm
-        self._R = _R  # reduced columns, as bitmasks over the ranks
-        self._V = _V  # R[j] is the sum of the columns in V[j]
-        self._owner = _owner  # pivot -> the column whose R has it
-        self._towers = _towers  # (column j, length) per tower
+        self._perm = _perm  # dim -> the positions in complex.ids() of its cells, by rank
+        self._rank = _rank  # the rank of each position within its dimension
+        self._R = _R  # dim d -> reduced columns, as bitmasks over the ranks of d - 1
+        self._V = _V  # dim d -> bitmasks over the ranks of d; R[d][j] sums the columns in V[d][j]
+        self._owner = _owner  # dim d -> {pivot rank: the column of d + 1 whose R has it}
+        self._towers = _towers  # (position of the column's cell, length) per tower
+
+    def _key(self, i: int) -> Tuple[int, int, int]:
+        """Position i's place in the global order (-gr, dim, id).
+
+        Within one dimension the ranks follow that order, and cells of two
+        dimensions never tie on (-gr, dim), so no id is compared.
+        """
+        return -self.complex._nums[i], self.complex._dims[i], self._rank[i]
 
     @_view
     def _order(self) -> Tuple[str, ...]:
-        """The cell ids by rank, read off ``_perm`` on first read."""
-        return tuple(map(self.complex._ids.__getitem__, self._perm))
+        """The cell ids in the global order, sorted on first read."""
+        return tuple(map(self.complex._ids.__getitem__, sorted(range(len(self._rank)), key=self._key)))
+
+    @_view
+    def _generators(self) -> List[Tuple[int, int, Length]]:
+        """(dim, rank, length) of each tower's column, in the global order."""
+        dims, rank, key = self.complex._dims, self._rank, self._key
+        return [(dims[i], rank[i], length) for i, length in sorted(self._towers, key=lambda t: key(t[0]))]
 
     @_view
     def module(self) -> FUModule:
@@ -136,36 +169,59 @@ class ReductionResult:
 
     @_view
     def free_cycles(self) -> Tuple[Tuple[Grading, HomogeneousChain], ...]:
-        return tuple(self._chain(self._V[j]) for j in _free_columns(self))
+        return tuple(self._chain(d, self._V[d][j]) for d, j, k in self._generators if k == INFINITE)
 
     @_view
     def torsion_pairs(self) -> Tuple[Tuple[HomogeneousChain, HomogeneousChain, int], ...]:
         return tuple(
-            (self._chain(self._V[j])[1], self._chain(self._R[j])[1], length)
-            for j, length in self._towers
+            (self._chain(d, self._V[d][j])[1], self._chain(d - 1, self._R[d][j])[1], length)
+            for d, j, length in self._generators
             if length != INFINITE
         )
 
     @_view
-    def _basis(self) -> Dict[int, Tuple[int, Optional[Tuple[str, int, Length]]]]:
-        """Pivot -> (basis cycle, (kind, index, length)), for ``express``.
+    def _basis(self) -> Dict[Tuple[int, int], Tuple[int, Optional[Tuple[str, int, Length]]]]:
+        """(dim, pivot rank) -> (basis cycle, (kind, index, length)), for ``express``.
 
         A pair that cancels outright (k = 0) has no tower and carries None.
         """
         R, V = self._R, self._V
-        basis = {i: (R[j], None) for i, j in self._owner.items()}
+        basis = {(d, i): (R[d + 1][j], None) for d, own in self._owner.items() for i, j in own.items()}
         count = {"free": 0, "torsion": 0}
-        for j, length in self._towers:
-            kind, vec = ("free", V[j]) if length == INFINITE else ("torsion", R[j])
-            basis[vec.bit_length() - 1] = (vec, (kind, count[kind], length))
+        for d, j, length in self._generators:
+            kind, e, vec = ("free", d, V[d][j]) if length == INFINITE else ("torsion", d - 1, R[d][j])
+            basis[e, vec.bit_length() - 1] = (vec, (kind, count[kind], length))
             count[kind] += 1
         return basis
 
-    def _chain(self, vec: int) -> Tuple[Grading, HomogeneousChain]:
-        """The cells of ``vec`` as a homogeneous chain at its top cell's degree."""
-        order, c = self._order, self.complex
-        degree = c.maslov(order[vec.bit_length() - 1])
-        return degree, {order[b]: c.u_power(order[b], degree) for b in _bits(vec)}
+    def _chain(self, d: int, vec: int) -> Tuple[Grading, HomogeneousChain]:
+        """The cells of ``vec`` (ranks within d) as a homogeneous chain at its top cell's degree."""
+        ids, c = self.complex._ids, self.complex
+        cells = [ids[i] for i in _cells(self._perm, d, vec)]
+        degree = c.maslov(cells[0])
+        return degree, {cid: c.u_power(cid, degree) for cid in reversed(cells)}
+
+    def _ranks(self, positions: Iterable[int]) -> Dict[int, int]:
+        """The cells at ``positions`` as one bitmask per dimension, over the ranks within it."""
+        dims, rank, vecs = self.complex._dims, self._rank, {}
+        for i in positions:
+            vecs[dims[i]] = vecs.get(dims[i], 0) | 1 << rank[i]
+        return vecs
+
+    def _position(self, cid: str, exp, degree: Optional[Fraction] = None) -> int:
+        """The position of the term U^exp cid, the one check of a chain's terms.
+
+        ValueError unless ``cid`` is a cell and ``exp`` an int k >= 0, and,
+        given a degree, unless the term has that degree.
+        """
+        i = self.complex._index.get(cid)
+        if i is None:
+            raise ValueError(f"chain mentions unknown cell {cid!r}")
+        if type(exp) is not int or exp < 0:
+            raise ValueError(f"chain carries invalid U-exponent {exp!r} at {cid!r}")
+        if degree is not None and self.complex.degree_of(cid, exp) != degree:
+            raise ValueError(f"chain is not homogeneous of degree {degree} at {cid!r}")
+        return i
 
     def express(self, chain: HomogeneousChain, degree: Grading):
         """Write the class of a homogeneous cycle over the tower generators.
@@ -177,34 +233,29 @@ class ReductionResult:
         names an unknown cell or carries a U-exponent that is not an integer
         k >= 0.
         """
-        degree, at, rank = Fraction(degree), self.complex._index, self._rank
-        vec = 0
-        for cid, exp in chain.items():
-            i = at.get(cid)
-            if i is None:
-                raise ValueError(f"chain mentions unknown cell {cid!r}")
-            if type(exp) is not int or exp < 0:
-                raise ValueError(f"chain carries invalid U-exponent {exp!r} at {cid!r}")
-            if self.complex.degree_of(cid, exp) != degree:
-                raise ValueError(f"chain is not homogeneous of degree {degree} at {cid!r}")
-            vec |= 1 << rank[i]
-        out, basis = [], self._basis
-        while vec:
-            p = vec.bit_length() - 1
-            if p not in basis:
-                raise ValueError("chain is not a cycle")
-            cycle, tower = basis[p]
-            vec ^= cycle
-            if tower is not None:
-                kind, index, length = tower
-                c = self.complex.u_power(self._order[p], degree)
-                if c < length:
-                    out.append((kind, index, c))
-        return out
+        degree, c, out, basis = Fraction(degree), self.complex, [], self._basis
+        # no basis cycle leaves its dimension, so each dimension is eliminated
+        # alone, from its top rank down; the terms then come in the global
+        # order of their pivots, from the top down
+        for d, vec in self._ranks([self._position(*term, degree) for term in chain.items()]).items():
+            while vec:
+                cycle, tower = basis.get((d, vec.bit_length() - 1), (None, None))
+                if cycle is None:
+                    raise ValueError("chain is not a cycle")
+                if tower is not None:
+                    top = next(_cells(self._perm, d, vec))
+                    k = c._lift(top, degree.numerator, degree.denominator)
+                    if k < tower[2]:
+                        out.append((self._key(top), (tower[0], tower[1], k)))
+                vec ^= cycle
+        return [term for _, term in sorted(out, reverse=True)]
 
     def chain_degree(self, chain: HomogeneousChain) -> Grading:
+        """The degree of a homogeneous chain at its first term; ValueError as ``express`` raises it."""
         if not chain:
             raise ValueError("an empty chain has no degree")
+        for cid, exp in chain.items():
+            self._position(cid, exp)
         cid, exp = next(iter(chain.items()))
         return self.complex.degree_of(cid, exp)
 
@@ -231,22 +282,37 @@ class ReductionResult:
         }
 
 
-def _reduce(column: Callable[[int], int], js: Sequence[int], clear: bool = False):
-    """Reduce the F2 column bitmasks ``column(j)``, j in ``js`` order, a permutation of range(n).
+def _cells(perm: Mapping[int, Sequence[int]], d: int, vec: int) -> Iterator[int]:
+    """The positions of the cells of ``vec``, a bitmask over the ranks within dimension d, top first.
+
+    ``perm[d]`` lists dimension d's positions by rank; this is the one map
+    back from the ranks by which R, V and the pivots name cells.  Reading
+    only the top costs no big-integer operation.
+    """
+    while vec:
+        yield perm[d][vec.bit_length() - 1]
+        vec ^= 1 << vec.bit_length() - 1
+
+
+def _reduce(adj, cells: Sequence, rank, above: Mapping[int, int], R_above: Sequence[int]):
+    """Reduce the F2 columns of ``cells``, in order: column j has the bits rank[t], t in adj[cells[j]].
 
     R[j] is the sum of the columns in V[j], and owner[pivot] = j; the V[j]
     with R[j] == 0 are a basis of the nullspace.  A column adds only the
-    columns reduced before it that share its pivot.  ``clear`` needs rows
-    indexed like the columns and a matrix that squares to zero: a column
-    whose index is already a pivot then reduces to zero, so it is not built,
-    and V[j] = R[owner[j]], whose columns sum to zero.
+    columns reduced before it that share its pivot.  ``above`` and
+    ``R_above`` are the pivot owners and reduced columns of a matrix whose
+    rows are these columns and whose product with this one is zero (the
+    dimension above, for clearing): a column that is a pivot there then
+    reduces to zero, so it is not built, and V[j] = R_above[above[j]],
+    whose columns sum to zero.
     """
-    R, V, owner = [0] * len(js), [0] * len(js), {}
-    for j in js:
-        if clear and j in owner:
-            V[j] = R[owner[j]]
-            continue
-        col, v = column(j), 1 << j
+    R, V, owner = [0] * len(cells), [0] * len(cells), {}
+    for j, k in above.items():
+        V[j] = R_above[k]
+    for j in filterfalse(above.__contains__, range(len(cells))):
+        col, v = 0, 1 << j
+        for t in adj[cells[j]]:
+            col |= 1 << rank[t]
         while col:
             i = col.bit_length() - 1
             if i not in owner:
@@ -265,50 +331,39 @@ def homology(c: GeometricComplex) -> ReductionResult:
     Defined for complexes (bdry o bdry = 0), which every construction
     guarantees; see the module docstring.
     """
-    # the numerators share the denominator q > 0, so this is (-gr, dim, id),
-    # as one integer: the dims differ by less than span and the id ranks are
-    # below n, so these sort as the triples do.  perm[r] is the position in
-    # ids() of rank r, and rank[i], from the inverse permutation, the rank
-    # of position i; nums and dims are read by rank
-    adj, q, nums, dims = c._adj, c._q, c._nums, c._dims
-    n, span = len(dims), max(dims, default=0) - min(dims, default=0) + 1
-    keys = [(d - k * span) * n + r for k, d, r in zip(nums, dims, c._idrank)]
-    perm = sorted(range(n), key=keys.__getitem__)
-    nums, dims = list(map(nums.__getitem__, perm)), list(map(dims.__getitem__, perm))
-    rank = [0] * n
-    for r, i in enumerate(perm):
-        rank[i] = r
-
-    def column(j):
-        col = 0
-        for t in adj[perm[j]]:
-            col |= 1 << rank[t]
-        return col
+    # each dimension's cells in the order (-gr, id), and each position's rank
+    # within its dimension; the numerators share the denominator q > 0 and
+    # the id ranks lie in [0, n), so the key r - num * n sorts as the pairs do
+    adj, q, nums, dims, n = c._adj, c._q, c._nums, c._dims, len(c._dims)
+    keys = [r - k * n for k, r in zip(nums, c._idrank)]
+    cells, rank = {d: [] for d in sorted(set(dims), reverse=True)}, [0] * n
+    for i, d in enumerate(dims):
+        cells[d].append(i)
+    for row in cells.values():
+        row.sort(key=keys.__getitem__)
+        for j, i in enumerate(row):
+            rank[i] = j
 
     # dimensions from the top down, so each pivot is known before its own
-    # column is read; the sort is stable, keeping the order within each
-    js = sorted(range(n), key=dims.__getitem__, reverse=True)
-    R, V, owner = _reduce(column, js, clear=True)
-
-    # a column reducing to zero unpaired is a free tower topped at its own
-    # cell; one that pivots at i is a torsion tower topped at i, of length
-    # its U-exponent (none when that is 0)
-    gens, counts = [], {}
-    for j, col in enumerate(R):
-        if col:
-            top = col.bit_length() - 1
-            # the pivot lies above column j by a gap in 2qZ: boundary steps add up
-            length = (nums[top] - nums[j]) // (2 * q)
-            if not length:
-                continue
-        elif j in owner:
-            continue
-        else:
-            top, length = j, INFINITE
-        gens.append((j, length))
-        key = (q * dims[top] + nums[top], length)
-        counts[key] = counts.get(key, 0) + 1
-    return ReductionResult(c, counts, perm, rank, R, V, owner, tuple(gens))
+    # column is read; owner[d] holds the pivots of d, owned by columns of
+    # d + 1 (none across a gap in the dims, whose columns are zero).  Of the
+    # columns not cleared, one that pivots at t is a torsion tower topped at
+    # t, of length its U-exponent (none when that is 0), and one reducing to
+    # zero is a free tower topped at its own cell
+    R, V, owner, above, towers, counts = {}, {}, {}, {}, [], {}
+    for d, row in cells.items():
+        below, owner[d] = cells.get(d - 1), above
+        R[d], V[d], above = _reduce(adj, row, rank, above, R.get(d + 1))
+        for j in filterfalse(owner[d].__contains__, range(len(row))):
+            col, i = R[d][j], row[j]
+            t = below[col.bit_length() - 1] if col else i
+            # the pivot lies above column i by a gap in 2qZ: boundary steps add up
+            length = (nums[t] - nums[i]) // (2 * q) if col else INFINITE
+            if length:
+                towers.append((i, length))
+                key = (q * dims[t] + nums[t], length)
+                counts[key] = counts.get(key, 0) + 1
+    return ReductionResult(c, counts, cells, rank, R, V, owner, tuple(towers))
 
 
 # -- chain maps ----------------------------------------------------------
@@ -537,9 +592,9 @@ def induced_map(
     return images
 
 
-def _free_columns(result: ReductionResult) -> List[int]:
-    """The columns of ``result``'s free towers, one per unit of free rank."""
-    return [j for j, length in result._towers if length == INFINITE]
+def _free_columns(result: ReductionResult) -> List[Tuple[int, int]]:
+    """The (dim, rank) of ``result``'s free columns, one per unit of free rank, in stored order."""
+    return [(result.complex._dims[i], result._rank[i]) for i, k in result._towers if k == INFINITE]
 
 
 def is_u_localized_iso(
@@ -561,16 +616,16 @@ def is_u_localized_iso(
     if len(free) != 1 or len(tgt_free) != 1:
         raise ValueError("U-localized iso test requires free rank one on both sides")
     f.check()
-    # f(z) on the target's positions, for z the free cycle as source ranks
-    perm, pattern, image = src_result._perm, f._pattern, 0
-    for b in _bits(src_result._V[free[0]]):
-        image ^= pattern[perm[b]]
-    # as target ranks, reduced by the pivots of the target's boundaries
-    rank, R, owner = tgt_result._rank, tgt_result._R, tgt_result._owner
-    vec = sum([1 << rank[t] for t in _bits(image)])
-    while vec:
-        p = vec.bit_length() - 1
-        if p not in owner:
-            return True
-        vec ^= R[owner[p]]
+    # f(z) on the target's positions, for z the free cycle
+    (d, j), pattern, image = free[0], f._pattern, 0
+    for i in _cells(src_result._perm, d, src_result._V[d][j]):
+        image ^= pattern[i]
+    # as target ranks, each dimension reduced by the pivots of its boundaries
+    R, owner = tgt_result._R, tgt_result._owner
+    for e, vec in tgt_result._ranks(_bits(image)).items():
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in owner[e]:
+                return True
+            vec ^= R[e + 1][owner[e][p]]
     return False

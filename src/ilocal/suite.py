@@ -55,8 +55,7 @@ def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.Geom
         layer = [c for c in cells if c.dim == base_dim]
         lower = [c for c in cells if c.dim == base_dim - 1]
         lpos = {c.id: i for i, c in enumerate(lower)}
-        cols = [sum(1 << lpos[t] for t in bdry.get(c.id, ())) for c in layer]
-        R, V, _ = _reduce(cols.__getitem__, range(len(cols)))
+        R, V, _ = _reduce([bdry.get(c.id, ()) for c in layer], range(len(layer)), lpos, {}, ())
         cycles = [v for r, v in zip(R, V) if not r]
         if cycles and rng.random() < 0.8:
             combo = 0

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -165,6 +166,20 @@ class TestExpress:
         result = homology(build_xi(2))
         with pytest.raises(ValueError, match=r"^chain is not homogeneous of degree 0 at 'b'$"):
             result.express({"a": 0, "b": 0}, 0)
+
+    @pytest.mark.parametrize("chain, message", [
+        ({"z": 0}, "chain mentions unknown cell 'z'"),
+        ({"a": 0, "z": 0}, "chain mentions unknown cell 'z'"),
+        # degree_of would read these as degree 2 and the float -1.0
+        ({"a": -1}, "chain carries invalid U-exponent -1 at 'a'"),
+        ({"a": 0.5}, "chain carries invalid U-exponent 0.5 at 'a'"),
+    ])
+    def test_chain_degree_rejects_terms_as_express_does(self, chain, message):
+        result = homology(build_xi(2))
+        for read in (result.chain_degree, lambda ch: result.express(ch, 0)):
+            with pytest.raises(ValueError) as info:
+                read(chain)
+            assert str(info.value) == message
 
 
 class TestLazyRepresentatives:
@@ -505,6 +520,56 @@ def reduction_cases(rng):
     return [random_geometric_complex(rng, max_cells=12), random_basis_tensor(rng), representative(lc)]
 
 
+def per_dimension(c, order, R, V, owner, towers):
+    """The global pass's tables on ``homology``'s per-dimension index.
+
+    Each cell's rank is its place among the cells of its dimension in
+    ``order``; R[j] must name cells one dimension below column j, and V[j]
+    cells of its own dimension.  Returns the fields of a ``ReductionResult``
+    from ``_perm`` on.
+    """
+    n, dims = len(order), c._dims
+    pos = [c._index[cid] for cid in order]
+    perm, rank = {}, [0] * n
+    for i in pos:
+        row = perm.setdefault(dims[i], [])
+        rank[i] = len(row)
+        row.append(i)
+
+    def local(vec, d):
+        out = 0
+        for b in bits(vec):
+            assert dims[pos[b]] == d
+            out |= 1 << rank[pos[b]]
+        return out
+
+    by_dim = {d: [g for g in range(n) if dims[pos[g]] == d] for d in perm}
+    owners = {d: {} for d in perm}
+    for p, j in owner.items():
+        owners[dims[pos[p]]][rank[pos[p]]] = rank[pos[j]]
+    return (perm, rank, {d: [local(R[g], d - 1) for g in gs] for d, gs in by_dim.items()},
+            {d: [local(V[g], d) for g in gs] for d, gs in by_dim.items()}, owners,
+            tuple((pos[j], length) for j, length in towers))
+
+
+def named(result):
+    """Each column's R and V, and each pivot's owner, as the cell ids they name.
+
+    Read off the result's per-dimension table, so that reductions compare
+    whatever ranks they use.
+    """
+    ids, perm = result.complex.ids(), result._perm
+
+    def cells(d, vec):
+        return frozenset(ids[perm[d][b]] for b in bits(vec))
+
+    columns = {ids[i]: (cells(d - 1, result._R[d][j]), cells(d, result._V[d][j]))
+               for d, row in perm.items() for j, i in enumerate(row)}
+    owners = {ids[perm[d][p]]: ids[perm[d + 1][j]]
+              for d, own in result._owner.items() for p, j in own.items()}
+    return columns, owners
+
+
 def check_against_global_reduction(c):
     order, pos, R, V, owner = global_reduction(c)
     towers = []
@@ -516,20 +581,27 @@ def check_against_global_reduction(c):
         elif j not in owner:
             towers.append((j, INFINITE))
     result = homology(c)
-    rank = [pos[cid] for cid in c.ids()]
-    perm = [c._index[cid] for cid in order]
+    perm, rank, *reduction = per_dimension(c, order, R, V, owner, towers)
     # towers per (q * Maslov grading of the top cell, length), computed on
     # Fractions; each q * M is an integer, which the module's counts take
     tops = [c._q * c.maslov(order[j if length == INFINITE else R[j].bit_length() - 1])
             for j, length in towers]
     assert all(top.denominator == 1 for top in tops)
     counts = Counter((top.numerator, length) for top, (_, length) in zip(tops, towers))
-    ref = ReductionResult(c, dict(counts), perm, rank, R, V, owner, tuple(towers))
+    ref = ReductionResult(c, dict(counts), perm, rank, *reduction)
     assert (result._perm, result._rank) == (perm, rank)
     assert result._order == ref._order == order
-    assert result._R == R
-    assert result._owner == owner
-    assert result._towers == ref._towers
+    # each column's R and each pivot's owner name the cells of the global
+    # pass, and so does V, except where clearing skipped the column: its V
+    # is the R of the column that owns its cell
+    columns, owners = named(result)
+    assert owners == {order[p]: order[j] for p, j in owner.items()}
+    for j, cid in enumerate(order):
+        r, v = columns[cid]
+        assert r == {order[b] for b in bits(R[j])}, cid
+        assert v == (columns[owners[cid]][0] if cid in owners else {order[b] for b in bits(V[j])}), cid
+    assert set(result._towers) == set(ref._towers)
+    assert result._generators == ref._generators
     assert ref.module == result.module
     assert result.free_cycles == ref.free_cycles
     assert result.torsion_pairs == ref.torsion_pairs
@@ -538,19 +610,19 @@ def check_against_global_reduction(c):
     # R[j] is the sum of the boundary columns of the cells in V[j], for every
     # column, including those whose index is a pivot; V[j] tops at cell j,
     # so the V[j] with R[j] == 0 stay a basis of the cycles
-    columns = [sum(1 << pos[t] for t in c.bdry[cid]) for cid in order]
-    for j in range(len(order)):
-        total = 0
-        for k in bits(result._V[j]):
-            total ^= columns[k]
-        assert total == result._R[j], j
-        assert result._V[j].bit_length() - 1 == j
+    for cid, (r, v) in columns.items():
+        total = set()
+        for k in v:
+            total ^= c.bdry[k]
+        assert total == r, cid
+        assert max(v, key=pos.__getitem__) == cid
     # every cycle of the global reduction expresses alike, and each tower's
     # own cycle reads back as its generator
-    for j, col in enumerate(R):
-        if not col:
-            degree, chain = ref._chain(V[j])
-            assert result.express(chain, degree) == ref.express(chain, degree)
+    for d, row in ref._perm.items():
+        for j in range(len(row)):
+            if not ref._R[d][j]:
+                degree, chain = ref._chain(d, ref._V[d][j])
+                assert result.express(chain, degree) == ref.express(chain, degree)
     check_generators_express_as_themselves(result)
 
 
@@ -568,12 +640,118 @@ def test_reduction_matches_global_order_reduction(seed):
         check_against_global_reduction(c)
 
 
+# -- express across dimensions, against one global pass ---------------------
+
+
+def ref_express(c):
+    """``express`` on one global pass: one pivot basis over all cells, read from the top rank down."""
+    order, pos, R, V, owner = global_reduction(c)
+    basis, count = {p: (R[j], None) for p, j in owner.items()}, {"free": 0, "torsion": 0}
+    for j, col in enumerate(R):
+        if col:
+            kind, vec, length = "torsion", col, torsion_length(c, order[j], order[col.bit_length() - 1])
+            if not length:
+                continue
+        elif j in owner:
+            continue
+        else:
+            kind, vec, length = "free", V[j], INFINITE
+        basis[vec.bit_length() - 1] = (vec, (kind, count[kind], length))
+        count[kind] += 1
+
+    def express(chain, degree):
+        vec, out = sum(1 << pos[cid] for cid in chain), []
+        while vec:
+            top = order[vec.bit_length() - 1]
+            cycle, tower = basis[vec.bit_length() - 1]
+            if tower is not None and c.u_power(top, degree) < tower[2]:
+                out.append((tower[0], tower[1], c.u_power(top, degree)))
+            vec ^= cycle
+        return out
+
+    return express
+
+
+def stacked(base):
+    """Two copies of ``base``, the second two dimensions up at the same Maslov gradings."""
+    cells = [Cell(p + x.id, x.dim + 2 * up, x.gr - 2 * up)
+             for up, p in enumerate("LU") for x in base.cells.values()]
+    bdry = {p + cid: {p + t for t in ts} for p in "LU" for cid, ts in base.bdry.items()}
+    return GeometricComplex(cells, bdry, base.tau)
+
+
+def sums_of_generators(rng, result, draws):
+    """Homogeneous cycles: random sums of tower generators, each U-shifted down to the lowest degree."""
+    gens = list(result.free_cycles) + [(result.chain_degree(z), z) for _, z, _ in result.torsion_pairs]
+    for _ in range(draws):
+        picked = [g for g in gens if rng.random() < 0.5]
+        if not picked:
+            continue
+        low, chain = min(d for d, _ in picked), {}
+        for d, ch in picked:
+            k = (d - low) / 2
+            if k.denominator == 1:
+                for cid, e in ch.items():
+                    if chain.pop(cid, None) is None:
+                        chain[cid] = e + int(k)
+        if chain:
+            yield chain, low
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_express_across_dimensions_matches_one_global_pass(seed):
+    # a cycle of the stacked complex holds cells of two dimensions, which
+    # express eliminates apart and orders back into the global order
+    rng = random.Random(seed)
+    for c in (stacked(random_geometric_complex(rng, max_cells=8)), stacked(random_basis_tensor(rng))):
+        result, ref = homology(c), ref_express(c)
+        for chain, degree in sums_of_generators(rng, result, 8):
+            assert result.express(chain, degree) == ref(chain, degree)
+
+
+def test_express_of_a_cycle_in_two_dimensions():
+    c = stacked(tensor(build_xi(2), dual(build_xi(1))))
+    result, ref = homology(c), ref_express(c)
+    (d0, z0), (d1, z1) = result.free_cycles
+    assert d0 == d1 and {c.cells[cid].dim for cid in z0} != {c.cells[cid].dim for cid in z1}
+    # the terms come from the top of the global order down, so the later generator first
+    both = {**z0, **z1}
+    assert result.express(both, d0) == ref(both, d0) == [("free", 1, 0), ("free", 0, 0)]
+    # U times a torsion generator of each copy, at one degree
+    mixed = [(z, result.chain_degree(z)) for _, z, _ in result.torsion_pairs]
+    for (z, d), (w, e) in itertools.combinations(mixed, 2):
+        if d == e and {c.cells[cid].dim for cid in z} != {c.cells[cid].dim for cid in w}:
+            chain = {cid: k + 1 for cid, k in {**z, **w}.items()}
+            assert result.express(chain, d - 2) == ref(chain, d - 2)
+
+
 def test_reduction_of_the_empty_complex():
     c = GeometricComplex([], {})
     check_against_global_reduction(c)
     result = homology(c)
-    assert result.module == FUModule() and result._R == [] and result._owner == {}
+    assert result.module == FUModule() and named(result) == ({}, {})
     assert result.witnesses_json() == {"free": [], "torsion": []}
+
+
+def check_columns_within_dimension(c, result):
+    """Every stored R[j] and V[j] is no wider than its slice: the cells of dim(j) - 1 and dim(j)."""
+    size = Counter(cell.dim for cell in c.cells.values())
+    for d in result._R:
+        assert all(col.bit_length() <= size[d - 1] for col in result._R[d]), d
+        assert all(v.bit_length() <= size[d] for v in result._V[d]), d
+        assert len(result._R[d]) == len(result._V[d]) == size[d]
+    # the slices part the cells
+    assert sorted(i for row in result._perm.values() for i in row) == list(range(len(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_columns_are_no_wider_than_their_dimension(seed):
+    rng = random.Random(seed)
+    lc = random_combination(rng, 10, 8, allow_cancelling=rng.random() < 0.3)
+    for c in (random_basis_tensor(rng), representative(lc), random_geometric_complex(rng, 12)):
+        check_columns_within_dimension(c, homology(c))
 
 
 # -- iterated tensors, reduced from positions alone -------------------------
@@ -612,7 +790,7 @@ def check_iterated_tensor(factors):
         expected = kunneth(expected, homology(f).module)
     assert result.module == expected
     ref = homology(rebuilt(product))
-    assert (result._order, result._R, result._owner) == (ref._order, ref._R, ref._owner)
+    assert (result._order, named(result)) == (ref._order, named(ref))
     assert result.witnesses_json() == ref.witnesses_json()
 
 
@@ -687,7 +865,7 @@ def check_id_chain(factors):
         product = tensor(product, f)
     deferred = "_idparts" in vars(product)
     result, want = homology(product), homology(ref)
-    assert (result._order, result._R, result._owner) == (want._order, want._R, want._owner)
+    assert (result._order, named(result)) == (want._order, named(want))
     # the integer keys order the cells as the (-gr, dim, id) triples do
     assert result._order == global_reduction(ref)[0]
     assert result.witnesses_json() == want.witnesses_json()
