@@ -17,7 +17,6 @@ import argparse
 
 from ilocal import (
     build_trivial,
-    connected_homology,
     double,
     dual,
     hf_conn,
@@ -25,6 +24,7 @@ from ilocal import (
     local_map_f,
     local_map_g,
     parse_expression,
+    place_towers,
     render_ascii,
     render_svg,
     simplify,
@@ -78,7 +78,7 @@ def main() -> int:
     grs = sorted({c.gr for c in s.cells.values()}, reverse=True)
     print("grading levels of the representative:", ", ".join(str(g) for g in grs))
     torsion = homology(s).module.torsion()
-    placed = connected_homology(simplify(lc))
+    placed = place_towers(lc)  # cancelling pairs permitted, as the representative keeps them
     print("torsion homology of representative: ", module_str(torsion))
     print("placement algorithm:                 ", module_str(placed))
     agree = torsion == placed

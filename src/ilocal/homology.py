@@ -153,11 +153,6 @@ class ReductionResult:
         return -self.complex._nums[i], self.complex._dims[i], self._rank[i]
 
     @_view
-    def _order(self) -> Tuple[str, ...]:
-        """The cell ids in the global order, sorted on first read."""
-        return tuple(map(self.complex._ids.__getitem__, sorted(range(len(self._rank)), key=self._key)))
-
-    @_view
     def _generators(self) -> List[Tuple[int, int, Length]]:
         """(dim, rank, length) of each tower's column, in the global order."""
         dims, rank, key = self.complex._dims, self._rank, self._key

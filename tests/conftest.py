@@ -1,12 +1,13 @@
+import pickle
 import random
 import sys
 
 import pytest
 
-from ilocal import complexes
-from ilocal.complexes import GeometricComplex, SplitComplex
-from ilocal.homology import ChainMap
+from ilocal.complexes import GeometricComplex, SplitComplex, _derived
+from ilocal.homology import ChainMap, _derived_map
 from ilocal.suite import random_geometric_complex, random_split_complex
+from ilocal.towers import _view
 
 ACCEPTANCE_SEED = 1
 
@@ -26,61 +27,129 @@ def pytest_configure(config):
     )
 
 
+COMPLEX_TABLES = ("_ids", "_dims", "_nums", "_adj", "tau", "_q", "_width")
+
+#: The stored fields of each kind of derived object that are not views,
+#: compared by name with the rebuilt reference's; a map's source and target
+#: are the reference's own.  Every other stored field must be a
+#: ``towers._view``, compared with its builder run on the reference.
+TABLES = {
+    GeometricComplex: COMPLEX_TABLES,
+    SplitComplex: COMPLEX_TABLES + ("_jpos", "_fpos"),
+    ChainMap: ("source", "target", "_pattern", "_grading"),
+}
+
+#: position rows whose order is free, compared row by row as sets
+FREE_ROWS = {"_adj", "_coadj"}
+
+
+def same(name, stored, built):
+    """Whether a stored field equals the reference's: sequences as lists, free rows as sets."""
+    if stored == built:
+        return True
+    if name in FREE_ROWS:
+        return list(map(set, stored)) == list(map(set, built))
+    seq = (list, tuple)
+    return isinstance(stored, seq) and isinstance(built, seq) and list(stored) == list(built)
+
+
+def state(obj, stored):
+    """A frozen copy of the class of ``obj`` and of ``stored``, its stored fields.
+
+    ``pickle`` writes them exactly, a map's source and target with every
+    field they hold, so equal copies are equal states; and equal states
+    give the same rebuild and the same comparisons, so each is checked once.
+    """
+    return pickle.dumps((type(obj), stored), pickle.HIGHEST_PROTOCOL)
+
+
+def compare_stored(obj, stored, ref):
+    """Every field in ``stored`` (``vars(obj)`` as derived) against the reference ``ref``.
+
+    A product whose ids are deferred stores ``_idparts``, which is compared
+    through the ``_ids`` built from it.
+    """
+    tables = TABLES[type(obj)]
+    for name in tables:
+        assert same(name, getattr(obj, name), getattr(ref, name)), name
+    for name, value in stored.items():
+        if name in tables or name == "_idparts":
+            continue
+        view = getattr(type(obj), name, None)
+        assert isinstance(view, _view), f"stored field {name!r} is neither a compared table nor a view"
+        assert same(name, value, view.build(ref)), name
+
+
+def patch_derived(request, monkeypatch, checked_states, factory, rebuild):
+    """Check each object that ``factory`` returns, in every ``ilocal`` module binding it.
+
+    ``rebuild`` builds the reference through the public validating
+    constructors; ``compare_stored`` then compares every stored field.  A
+    state in ``checked_states`` (see ``state``) is not rebuilt again.
+    """
+    if request.node.get_closest_marker("trusted_derived"):
+        return
+    name = factory.__name__
+
+    def checked(*args, **kwargs):
+        obj = factory(*args, **kwargs)
+        stored = dict(vars(obj))
+        key = state(obj, stored)
+        if key not in checked_states:
+            compare_stored(obj, stored, rebuild(obj))
+            checked_states.add(key)
+        return obj
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("ilocal.") and getattr(mod, name, None) is factory:
+            monkeypatch.setattr(mod, name, checked)
+
+
+def rebuilt_complex(c):
+    """``c`` rebuilt from its cells, boundary, tau and J through the validating constructors."""
+    ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
+    return SplitComplex(ref, c.J) if isinstance(c, SplitComplex) else ref
+
+
+def rebuilt_map(m):
+    """``m`` rebuilt through ``ChainMap`` from its ``assignment`` view, read without keeping it."""
+    view = ChainMap.assignment.build(m)
+    ref = ChainMap(m.source, m.target, view)
+    assert list(ref.assignment.items()) == list(view.items())
+    return ref
+
+
+@pytest.fixture(scope="session")
+def checked_states():
+    """The states of derived objects rebuilt and compared so far in this session."""
+    return set()
+
+
 @pytest.fixture(autouse=True)
-def revalidate_derived(request, monkeypatch):
+def revalidate_derived(request, monkeypatch, checked_states):
     """Check every complex that ``dual``, ``tensor`` and ``double`` derive.
 
     They skip validation and store the grading tables they computed; here
     each result is rebuilt through the validating constructors from its
-    cells, boundary and tau, and what they record must be what was stored.
-    The cells are read back from the stored tables, so this checks the
-    boundary, width, J and fixed cell against them; the tables themselves
-    are compared with the Fraction formulas by ``TestDerivedGradings`` and
-    ``TestDouble::test_cells_on_random_complexes``.  The stored positions
-    are compared row by row, each as a set, and the id boundary built from
-    them with the one the constructor checked; a stored coboundary must be
-    the transpose of the boundary, row by row as sets, a stored index the
-    constructor's, and stored canonical flags ``_canon``, prefix pairs
-    ``_prefixed``, new-name set ``_named``, id ranks and prefix-free flag
-    the ones the rebuilt complex computes (a product whose ids are deferred
-    builds them here).  J is rebuilt from
-    ``_jpos``, so the constructor checks the stored partners, and their
-    positions and the fixed cell's must be the ones it finds.
+    cells, boundary, tau and J, and every field it stored must be what the
+    rebuilt complex records.  The cells are read back from the stored
+    tables, so this checks the boundary, width, J and fixed cell against
+    them; the tables themselves are compared with the Fraction formulas by
+    ``TestDerivedGradings`` and ``TestDouble::test_cells_on_random_complexes``.
+    The stored tables (``TABLES``) are compared by name, the positions row
+    by row, each as a set; J is rebuilt from ``_jpos``, so the constructor
+    checks the stored partners, and their positions and the fixed cell's
+    must be the ones it finds.  Every other stored field must be a
+    ``towers._view`` (a stored coboundary, index, canonical flags, id ranks
+    and the like) and equal its builder run on the rebuilt complex; one
+    that is neither fails the test, naming it.  A product whose ids are
+    deferred builds them here.
     """
-    if request.node.get_closest_marker("trusted_derived"):
-        return
-    derived = complexes._derived
-
-    def checked(*args, **kwargs):
-        c = derived(*args, **kwargs)
-        stored = vars(c).copy()
-        ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
-        if isinstance(c, SplitComplex):
-            ref = SplitComplex(ref, c.J)
-            assert (c.fixed, c._fpos, list(c._jpos)) == (ref.fixed, ref._fpos, ref._jpos)
-        assert (c.bdry, c._q, c._width, c.tau) == (ref.bdry, ref._q, ref._width, ref.tau)
-        assert (c._ids, list(c._dims), list(c._nums)) == (ref._ids, ref._dims, ref._nums)
-        assert [set(row) for row in c._adj] == [set(row) for row in ref._adj]
-        if "_coadj" in stored:
-            assert [set(row) for row in stored["_coadj"]] == [set(row) for row in ref._coadj]
-        if "_index" in stored:
-            assert stored["_index"] == ref._index
-        for name in ("_canon", "_prefixed", "_named"):
-            if name in stored:
-                assert stored[name] == getattr(ref, name), name
-        if "_idrank" in stored:
-            assert list(stored["_idrank"]) == ref._idrank
-        if "_prefix_free" in stored:
-            assert stored["_prefix_free"] == ref._prefix_free
-        return c
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("ilocal.") and getattr(mod, "_derived", None) is derived:
-            monkeypatch.setattr(mod, "_derived", checked)
+    patch_derived(request, monkeypatch, checked_states, _derived, rebuilt_complex)
 
 
 @pytest.fixture(autouse=True)
-def recheck_derived_maps(request, monkeypatch):
+def recheck_derived_maps(request, monkeypatch, checked_states):
     """Check every chain map that ``homology._derived_map`` builds.
 
     Such a map stores its F2 pattern alone, and each term was lifted once
@@ -88,23 +157,9 @@ def recheck_derived_maps(request, monkeypatch):
     ``ChainMap`` from its ``assignment`` view, read without keeping it in
     the map, and the pattern and the grading verdict the constructor finds
     must be the stored ones; its normalised dict must be the view, in the
-    same order.
+    same order.  Its state includes its source's and target's.
     """
-    if request.node.get_closest_marker("trusted_derived"):
-        return
-    derived = sys.modules["ilocal.homology"]._derived_map
-
-    def checked(*args):
-        m = derived(*args)
-        view = ChainMap.assignment.build(m)
-        ref = ChainMap(m.source, m.target, view)
-        assert (m._pattern, m.grading_witness()) == (ref._pattern, ref.grading_witness())
-        assert list(ref.assignment.items()) == list(view.items())
-        return m
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("ilocal.") and getattr(mod, "_derived_map", None) is derived:
-            monkeypatch.setattr(mod, "_derived_map", checked)
+    patch_derived(request, monkeypatch, checked_states, _derived_map, rebuilt_map)
 
 
 @pytest.fixture(scope="session")

@@ -468,21 +468,33 @@ class TestRenderAndSuite:
         assert code == 1
 
 
-@pytest.mark.parametrize("argv", [["--d", "abc"], ["--expr", "X0"]], ids=["d", "expr"])
-def test_worked_example_bad_input_is_usage_error(argv):
-    """Exit 1 of the walk script means a failed check, so bad input exits 2 in one line."""
+def run_worked_example(*argv):
+    """Run ``scripts/worked_examples.py`` with ``argv`` in a child process."""
     script = Path(__file__).parents[1] / "scripts" / "worked_examples.py"
     src = os.path.dirname(os.path.dirname(ilocal.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script), *argv],
         capture_output=True,
         text=True,
         timeout=20,
         env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+@pytest.mark.parametrize("argv", [["--d", "abc"], ["--expr", "X0"]], ids=["d", "expr"])
+def test_worked_example_bad_input_is_usage_error(argv):
+    """Exit 1 of the walk script means a failed check, so bad input exits 2 in one line."""
+    proc = run_worked_example(*argv)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines()[-1].startswith("worked_examples.py: error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_worked_example_with_a_cancelling_pair_agrees():
+    """The representative keeps a cancelling pair, so the walk compares it with its placement."""
+    proc = run_worked_example("--expr", "X2 + X1 - X1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "agree: True" in proc.stdout.splitlines()
 
 
 def test_output_is_byte_identical_across_hash_seeds(tmp_path):
