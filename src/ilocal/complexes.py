@@ -430,7 +430,12 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
            index: Optional[Dict[str, int]] = None, canon: Optional[_Flags] = None,
            prefixed: Tuple[int, ...] = (), named: FrozenSet[str] = frozenset(),
            idparts: Optional[tuple] = None, idrank: Optional[List[int]] = None) -> GeometricComplex:
-    """Assign the stored fields of ``c``; nothing else assigns them.
+    """Assign the stored fields of ``c``; nothing else assigns them, but for one.
+
+    ``doubling.double`` sets ``_fresh_from`` on the double after ``_derived``
+    returns.  The ``revalidate_derived`` fixture of ``tests/conftest.py``
+    takes its snapshot of a derived complex before that assignment, so
+    ``test_fresh_names_equal_the_probe_from_one`` checks that field instead.
 
     ``ids``, ``dims``, ``nums``, ``adj`` and, for a split complex, ``jpos``
     and ``canon`` are in one order, which is ``ids()``; ``adj``, ``jpos``

@@ -274,8 +274,10 @@ def _j_equivariant_map(src: SplitComplex, tgt: SplitComplex, images: dict) -> Ch
 def _basis_complex(delta: int) -> SplitComplex:
     """X_delta, shared by every local pair with this delta.
 
-    Complexes are immutable, so sharing it is safe, and ``tensor`` then
-    reads its positional boundary without building it again.
+    Complexes are immutable, so sharing it is safe.  Per local pair, the
+    sharing saves the two validating constructions of ``_xi_complex`` and
+    the ``_prefix_free`` and ``_idrank`` views that ``tensor`` reads; its
+    boundary ``_adj`` is stored at construction either way.
     """
     return _xi_complex(delta)
 

@@ -397,10 +397,11 @@ class ChainMap:
 
     ``assignment[x]`` is the set of (target cell, U-exponent) terms of f(x);
     cells missing from the mapping are sent to zero.  The constructor's one
-    pass over the terms validates them, runs the grading check, builds the
-    F2 pattern ``_pattern`` (see the module docstring) and keeps
-    ``assignment`` as each source cell in ``ids()`` order with its frozenset
-    of terms, which a map from ``_derived_map`` builds on first read.  The
+    pass over the terms validates them, runs the grading check, whose
+    witness it keeps as ``_grading``, builds the F2 pattern ``_pattern``
+    (see the module docstring) and keeps ``assignment`` as each source cell
+    in ``ids()`` order with its frozenset of terms, which a map from
+    ``_derived_map`` builds on first read.  The
     chain verdict is kept from its first read.  Each check returns None or
     the same witness dict on every call.
     """
@@ -454,9 +455,6 @@ class ChainMap:
         """The target cells of ``mask``, sorted, each with its lift to the degree m over the source's q."""
         ids, lift, q = self.target.ids(), self.target._lift, self.source._q
         return sorted([ids[t], lift(t, m, q)] for t in _bits(mask))
-
-    def grading_witness(self) -> Optional[dict]:
-        return self._grading
 
     @_view
     def _chain_verdict(self) -> Optional[dict]:

@@ -165,14 +165,6 @@ class Tower(_Value):
         for k in range(self.length):
             yield self.top - 2 * k
 
-    @property
-    def tail(self) -> Grading:
-        if self.orientation is DOWN:
-            return self.bottom
-        if self.orientation is UP:
-            return self.top
-        raise ValueError("an unoriented tower has no tail")
-
     def shifted(self, sigma: Grading) -> "Tower":
         return Tower(self.top - Fraction(sigma), self.length, self.orientation)
 

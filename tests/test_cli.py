@@ -412,6 +412,14 @@ class TestRenderAndSuite:
         code, out, err = run(capsys, "connected", "--expr", "X0")
         assert code == 1 and "offset" in err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter reads integers of any length")
+    def test_over_long_literal_is_an_expression_error(self, capsys):
+        digits = sys.get_int_max_str_digits() + 1
+        code, out, err = run(capsys, "build", "--expr", "X" + "1" * digits)
+        assert (code, out) == (1, "")
+        assert err == f"expression error: number too long ({digits} digits) (at offset 1)\n"
+
     @pytest.mark.parametrize(
         "obj, message",
         [

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,53 @@ class TestParse:
         with pytest.raises(ExpressionError) as err:
             parse_expression("X2 - 99999999999*X1")
         assert err.value.offset == 5
+
+
+# every error path of the parser, with its message and offset
+ERRORS = [
+    ("+X1", "expected 'X'", 0),
+    ("2X1", "expected '*'", 1),
+    ("2*", "expected 'X'", 2),
+    ("2*3*X1", "expected 'X'", 2),
+    ("X", "expected an index after 'X'", 1),
+    ("X-1", "expected an index after 'X'", 1),
+    ("X1 X2", "expected '+' or '-' between terms", 3),
+    ("X1*X2", "expected '+' or '-' between terms", 2),
+    ("X1 2", "expected '+' or '-' between terms", 3),
+    ("--X1", "expected 'X'", 1),
+    ("-", "expected 'X'", 1),
+    ("", "expected 'X'", 0),
+    ("   ", "expected 'X'", 3),
+    ("X3 +", "expected 'X'", 4),
+    ("-0", "multiplicity must be positive", 1),
+    ("0 0", "multiplicity must be positive", 0),
+    ("X0", "index must be positive in 'X0'", 0),
+    ("X1 + X00", "index must be positive in 'X0'", 5),
+    ("+X1 Y", "unexpected character 'Y'", 4),
+    (f"X2 + {MAX_TERMS}*X1", f"expression expands to more than {MAX_TERMS} terms", 5),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", ERRORS, ids=[repr(e[0]) for e in ERRORS])
+def test_error_message_and_offset(text, message, offset):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
+@pytest.mark.parametrize("text, terms", [("X 5", ((1, 5),)), (" 0 ", ())])
+def test_spaced_inputs_accepted(text, terms):
+    assert parse_expression(text) == LC(terms)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+def test_over_long_literal_is_an_expression_error():
+    # int() refuses more digits than the interpreter's limit
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ExpressionError, match=f"number too long \\({len(digits)} digits\\)") as err:
+        parse_expression(f"X2 - X{digits}")
+    assert err.value.offset == 6
 
 
 class TestFormat:

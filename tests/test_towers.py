@@ -39,9 +39,10 @@ class TestTower:
     def test_head_tail_orientations(self):
         down = T(F(0), 3, DOWN)
         up = T(F(0), 3, UP)
-        # the head is the top of a down tower and the bottom of an up tower
-        assert (down.top, down.tail) == (F(0), F(-4))
-        assert (up.bottom, up.tail) == (F(-4), F(0))
+        # the head is the top of a down tower and the bottom of an up tower,
+        # and the tail is its other end
+        assert (down.top, down.bottom) == (F(0), F(-4))
+        assert (up.bottom, up.top) == (F(-4), F(0))
 
     def test_free_tower_is_unoriented(self):
         with pytest.raises(ValueError):
