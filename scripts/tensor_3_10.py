@@ -4,10 +4,13 @@ Checks that
 
 * the product has 3^10 = 59,049 cells and its homology equals the
   iterated Kunneth product of the factors' homologies;
-* the build, the reduction and the comparison with the Kunneth module
-  leave the product's ids unbuilt (its factors are prefix-free, so its ids
-  are a view, built on first read) and build no ``towers`` tuple of either
-  module;
+* the product stores its ten factors as its leaves, and the build, the
+  reduction and the comparison with the Kunneth module leave its ids, its
+  positional boundary and coboundary (``_adj``, ``_coadj``) and its J
+  (``_jpos``) unbuilt: its tables are folded from the leaves on first
+  read, its ids only because the factors are prefix-free, and the
+  reduction reads the boundary as offsets (``_off``); nor do they build a
+  ``towers`` tuple of either module;
 * the free generator reads back through ``express`` as ``[("free", 0, 0)]``;
 * no id table (``bdry``, ``J`` or ``cells``) of the product is built:
   ``express`` maps ids through the product's ``_index``;
@@ -38,6 +41,9 @@ from ilocal.towers import kunneth  # noqa: E402
 #: the id-keyed tables of a complex, each a view built on first read
 ID_TABLES = {"bdry", "J", "cells"}
 
+#: the product's tables that its build, homology and Kunneth comparison leave unread
+UNREAD = {"_ids", "_adj", "_coadj", "_jpos"}
+
 
 def main() -> None:
     factors = [dual(build_xi(i)) if i % 2 == 0 else build_xi(i) for i in range(1, 11)]
@@ -54,8 +60,12 @@ def main() -> None:
         expected = kunneth(expected, homology(f).module)
     if len(product) != 3 ** 10 or module != expected:
         raise SystemExit("the homology of the product differs from the iterated Kunneth formula")
-    if "_ids" in vars(product):
-        raise SystemExit("the build, reduction and module comparison built the product's ids")
+    if len(vars(product).get("_factors", ())) != len(factors):
+        raise SystemExit(f"the product stores {len(vars(product).get('_factors', ()))} leaves, "
+                         f"not its {len(factors)} factors")
+    built = UNREAD & vars(product).keys()
+    if built:
+        raise SystemExit(f"the build, reduction and module comparison built {sorted(built)}")
     if "towers" in vars(module) or "towers" in vars(expected):
         raise SystemExit("the module comparison built a towers tuple")
     t3 = time.perf_counter()

@@ -62,17 +62,18 @@ is the tuple that ``ids()`` returns, and in that order ``_dims`` and
 tau's denominator), ``_adj`` each cell's boundary as a tuple of positions
 and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
 complex also stores ``_jpos``, the position of each cell's J-partner, and
-``_fpos``, the position of its fixed cell.  One private step, ``_store``,
-assigns every stored field (these tables, tau, the width, and where its
-caller has them, ``_coadj``, ``_index`` and the splitting fields ``_canon``,
-``_prefixed`` and ``_named``), and every construction ends there.  The
-id-keyed tables are views built on first read: ``bdry`` (each boundary as a
-frozenset of ids), ``J`` (each id's partner), the ``Cell`` objects of
-``cells``, ``fixed`` (the fixed cell's id) and ``_index`` (each id's
-position, the one map from ids to positions); so are ``_mnum``, by
-position, and ``_coadj`` and the splitting fields where they are not
-stored.  A complex that is only reduced, mapped or derived from never
-builds the id tables: ``dual`` and ``double`` store no index, so
+``_fpos``, the position of its fixed cell.  A product stores its leaves
+instead of these tables (see below).  One private step, ``_store``,
+assigns every stored field (these tables or the leaves, tau, the width,
+and where its caller has them, ``_coadj``, ``_index`` and the splitting
+fields ``_canon``, ``_prefixed`` and ``_named``), and every construction
+ends there.  The id-keyed tables are views built on first read: ``bdry``
+(each boundary as a frozenset of ids), ``J`` (each id's partner), the
+``Cell`` objects of ``cells``, ``fixed`` (the fixed cell's id) and
+``_index`` (each id's position, the one map from ids to positions); so are
+``_mnum``, by position, and ``_coadj`` and the splitting fields where they
+are not stored.  A complex that is only reduced, mapped or derived from
+never builds the id tables: ``dual`` and ``double`` store no index, so
 ``representative`` builds none.  ``fu_bdry``, the suite and the JSON read
 ``bdry``, a given splitting or chain the index, all else the positions.
 
@@ -81,42 +82,53 @@ Complexes that enter from outside (the public constructors, the builders,
 to positions once, every check reads the positional tables, and ``_store``
 keeps them with the index; the id tables and the coboundary stay views.
 ``dual``, ``tensor`` and ``double`` derive new complexes from validated
-ones and are valid by construction: each computes the positional tables,
-tau, the width, J and the fixed cell of its result from the tables of its
-inputs, and ``_derived`` stores them without validating again; tau is
-one ``Fraction`` made from its integer numerator and denominator, with no
-``Fraction`` arithmetic.  ``dual`` keeps every position, so it shares
-``_jpos``, carries the splitting fields unless its input has a prefix pair,
-and swaps boundary and coboundary: its ``_adj`` is its input's ``_coadj``
-and its ``_coadj`` its input's ``_adj``.  ``double`` copies its input's
-tables and edits the cells next to eta in both (see ``doubling``);
-``tensor`` leaves its coboundary a view and keeps the index it built.  The one check that
-depends on the input stays: ids of a tensor can repeat (``"a⊗b" ⊗ "c"``
-and ``"a" ⊗ "b⊗c"``), which raises the same error as in the constructor.
+ones and are valid by construction: each computes the positional tables
+(``tensor`` the leaves), tau, the width, J and the fixed cell of its
+result from its inputs, and ``_derived`` stores them without validating
+again; tau is one ``Fraction`` made from its integer numerator and
+denominator, with no ``Fraction`` arithmetic.  ``dual`` keeps every
+position, so it shares ``_jpos``, carries the splitting fields unless its
+input has a prefix pair, and swaps boundary and coboundary: its ``_adj`` is
+its input's ``_coadj`` and its ``_coadj`` its input's ``_adj``.
+``double`` copies its input's tables and edits the cells next to eta in
+both (see ``doubling``).
 
-A product's ids are a view too when both factors are prefix-free.  Every
-complex has two first-read views, ``_prefix_free`` (no id is a proper
-prefix of another) and ``_idrank`` (the rank of each position's id in
-sorted order).  For prefix-free U and V, the ids ``u1⊗v1`` and ``u2⊗v2``
-first differ inside the u's, since neither u is a prefix of the other, or
-inside the v's when u1 = u2.  So the joined ids are distinct, prefix-free
-again, and sorted as (rank u, rank v).  ``tensor`` then stores the ranks
-``r1[i]*n2 + r2[j]``, marks the product prefix-free and keeps the
-factors' ids, not the factors, in ``_idparts``: the id tuples of the
-complexes whose ids are built, down each factor whose ids are deferred.
-Joined left to right they give the ids of any nesting, with no recursion.
-The ids, the index and a split product's ``fixed`` are built from them on
-first read, so a product that is only reduced and compared as a module
-never joins an id string.  Otherwise ``tensor`` joins the ids at once and
-checks them for repeats.
+A product keeps ``_factors``, the flat tuple of its leaves: a factor that
+is not a product is one leaf, and so is a product once one of its tables
+(``_PRODUCT_TABLES``) is read; an unread product is flattened into its
+leaves.  It is a ``_Product`` (``_SplitProduct`` when split), whose views
+build these tables, so every other complex reads its stored tables as
+plain instance fields: a view of the same name on its class would slow
+every such read.  Each table is folded once from the leaves (``_mixed``),
+in mixed radix (Van Loan, "The ubiquitous Kronecker product"): with stride
+s_m the product of the later leaves' sizes, cell (i_1, ..., i_k) sits at
+i_1*s_1 + ... + i_k*s_k, u-major, as in any nesting of pairwise products.
+Dims add; gr numerators add over the product of the leaf denominators and
+are divided back to q once; J and the id ranks add the leaves' entries
+times their strides.  ``_off`` holds each boundary as offsets from the
+cell's own position: a boundary pair moves leaf m from i to t, so the cell
+moves by (t - i)*s_m, and a row is the leaves' scaled offset rows joined.
+``homology`` reduces a product on ``_off``; ``_adj`` (position plus
+offset) serves the readers that want positions.  A complex that is not a
+product reads ``_off`` off its ``_adj``.
+
+Every complex has the first-read views ``_prefix_free`` (no id is a proper
+prefix of another) and ``_idrank`` (the rank of each id in sorted order).
+For prefix-free U and V, the ids ``u1⊗v1`` and ``u2⊗v2`` first differ
+inside the u's, or inside the v's when u1 = u2; so they are distinct,
+prefix-free again and sorted as (rank u, rank v).  A product of
+prefix-free leaves stores ``_prefix_free`` and folds its ranks, and joins
+its ids only when they are read.  Otherwise ``tensor`` joins the ids at
+once and checks them for repeats (``"a⊗b" ⊗ "c"`` and ``"a" ⊗ "b⊗c"``),
+raising the constructor's error.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from itertools import compress
+from math import prod
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidComplex, NotSplit
@@ -264,9 +276,9 @@ class GeometricComplex:
         return dict(zip(self._ids, range(len(self._ids))))
 
     @_view
-    def _ids(self) -> Tuple[str, ...]:
-        """A product's ids, joined from its factors' on first read (see ``tensor``)."""
-        return reduce(_joined_ids, self._idparts)
+    def _off(self) -> List[Tuple[int, ...]]:
+        """Each cell's boundary as offsets t - i from its own position i, read off ``_adj``."""
+        return [tuple([t - i for t in ts]) for i, ts in enumerate(self._adj)]
 
     @_view
     def _prefix_free(self) -> bool:
@@ -423,13 +435,74 @@ class SplitComplex(GeometricComplex):
                 yield cid, ids[jp]
 
 
-def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
-           adj: List[Tuple[int, ...]], tau: Grading, nums: List[int], width: Union[int, float],
-           jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
+class _Product(GeometricComplex):
+    """A tensor product stored as its leaves, ``_factors``; its tables are views (see ``tensor``)."""
+
+    @_view
+    def _ids(self) -> Tuple[str, ...]:
+        return _joined_ids(self._factors)
+
+    @_view
+    def _strides(self) -> List[int]:
+        """Each leaf's place value in the positions: the product of the later leaves' sizes."""
+        out, s = [], 1
+        for f in reversed(self._factors):
+            out.append(s)
+            s *= len(f)
+        return out[::-1]
+
+    @_view
+    def _dims(self) -> List[int]:
+        return _mixed([f._dims for f in self._factors])
+
+    @_view
+    def _nums(self) -> List[int]:
+        """The leaves' numerators summed over the product of their denominators, then over q."""
+        qs = [f._q for f in self._factors]
+        big = prod(qs)
+        sums = _mixed([f._nums if p == big else [k * (big // p) for k in f._nums]
+                       for f, p in zip(self._factors, qs)])
+        r = big // self._q
+        return sums if r == 1 else [s // r for s in sums]
+
+    @_view
+    def _off(self) -> List[Tuple[int, ...]]:
+        """The leaves' offset rows, each scaled by its leaf's stride, concatenated."""
+        return _mixed([f._off if s == 1 else [tuple([o * s for o in row]) for row in f._off]
+                       for f, s in zip(self._factors, self._strides)])
+
+    @_view
+    def _adj(self) -> List[Tuple[int, ...]]:
+        """Each position plus its ``_off`` row."""
+        return [tuple([i + o for o in row]) for i, row in enumerate(self._off)]
+
+    @_view
+    def _idrank(self) -> List[int]:
+        """The leaves' ranks times their strides, summed, if ``tensor`` stored ``_prefix_free``.
+
+        It stores it, before any rank is read, only when every leaf is
+        prefix-free (see the module docstring); otherwise the ids are sorted.
+        """
+        if vars(self).get("_prefix_free"):
+            return _mixed(_placed(self, "_idrank"))
+        return GeometricComplex._idrank.build(self)
+
+
+class _SplitProduct(_Product, SplitComplex):
+    """A tensor product of split complexes, stored as its leaves."""
+
+    @_view
+    def _jpos(self) -> List[int]:
+        return _mixed(_placed(self, "_jpos"))
+
+
+def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: Optional[List[int]],
+           adj: Optional[List[Tuple[int, ...]]], tau: Grading, nums: Optional[List[int]],
+           width: Union[int, float], jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
            coadj: Optional[List[Tuple[int, ...]]] = None,
            index: Optional[Dict[str, int]] = None, canon: Optional[_Flags] = None,
            prefixed: Tuple[int, ...] = (), named: FrozenSet[str] = frozenset(),
-           idparts: Optional[tuple] = None, idrank: Optional[List[int]] = None) -> GeometricComplex:
+           factors: Optional[tuple] = None, prefix_free: bool = False) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them, but for one.
 
     ``doubling.double`` sets ``_fresh_from`` on the double after ``_derived``
@@ -444,35 +517,44 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: List[int],
     over its denominator ``_q``.  ``coadj``, ``index`` and a split
     complex's splitting fields (``canon`` with ``prefixed`` and ``named``)
     are stored when the caller has them, and otherwise built on first
-    read, as ``fixed`` always is.  A product of prefix-free factors passes
-    no ``ids`` but the factors' ids as ``idparts`` and the id ranks as
-    ``idrank`` (see ``tensor``); its ids and index are then built on first
-    read.  The fields are assigned in one fixed order, the ids first and
-    the deferred-id fields last.
+    read, as ``fixed`` always is.  A product passes its leaves as
+    ``factors`` in place of the tables, which are then built on first read,
+    and ``prefix_free`` when every leaf is prefix-free; otherwise it passes
+    the ids and the index too (see ``tensor``).  The fields are assigned in
+    one fixed order, the ids first.
     """
     if ids is not None:
         c._ids = ids
-    c._dims, c._adj, c.tau, c._nums, c._q, c._width = dims, adj, tau, nums, tau.denominator, width
-    if jpos is not None:
-        c._jpos, c._fpos = jpos, fpos
+    if factors is None:
+        c._dims, c._adj, c._nums = dims, adj, nums
+        if jpos is not None:
+            c._jpos = jpos
+    else:
+        c._factors = factors
+        if prefix_free:
+            c._prefix_free = True
+    c.tau, c._q, c._width = tau, tau.denominator, width
+    if fpos is not None:
+        c._fpos = fpos
     if coadj is not None:
         c._coadj = coadj
     if index is not None:
         c._index = index
     if canon is not None:
         c._canon, c._prefixed, c._named = canon, prefixed, named
-    if idparts is not None:
-        c._idparts, c._idrank, c._prefix_free = idparts, idrank, True
     return c
 
 
 def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
-             index=None, canon=None, prefixed=(), named=frozenset(), idparts=None,
-             idrank=None) -> GeometricComplex:
+             index=None, canon=None, prefixed=(), named=frozenset(), factors=None,
+             prefix_free=False) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
-    c = object.__new__(GeometricComplex if jpos is None else SplitComplex)
+    if factors is None:
+        c = object.__new__(GeometricComplex if fpos is None else SplitComplex)
+    else:
+        c = object.__new__(_Product if fpos is None else _SplitProduct)
     return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canon,
-                  prefixed, named, idparts, idrank)
+                  prefixed, named, factors, prefix_free)
 
 
 # -- splittings ---------------------------------------------------------
@@ -594,78 +676,75 @@ def build_misordered(x: int, y: int) -> SplitComplex:
 # -- tensor and dual ----------------------------------------------------
 
 
+#: the tables a product builds from its leaves; once one is read, the product is a leaf
+_PRODUCT_TABLES = frozenset(("_ids", "_dims", "_nums", "_off", "_adj", "_jpos", "_idrank"))
+
+
 def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     """Tensor product: cells are pairs, dim and gr add, Leibniz boundary.
 
     Cell (i, j), the pair of the i-th cell of c1 and the j-th of c2, sits at
-    position i*n2 + j, n2 = len(c2): cells are listed u-major.  Its boundary
-    d(u⊗v) = du⊗v + u⊗dv is read from the factors' positions alone, so an
-    iterated tensor builds no id boundary.  If both factors are split the
-    product is split with J acting coordinatewise, J(i*n2 + j) =
-    J(i)*n2 + J(j); its fixed cell is the pair of fixed cells.  A sum of
-    gradings from the cosets of tau1 and tau2 lies in the coset of their
-    sum, so its reduced denominator is that coset's denominator q, and the
-    numerators n1/q1 + n2/q2 over q are the exact integers
-    (n1*q2 + n2*q1)*q // (q1*q2).  Each boundary pair of the product moves
-    one factor along a boundary pair of that factor, so the width is the
-    least factor width, counting a factor only when the other has cells.
-    The id of cell (i, j) is "u⊗v"; when both factors are prefix-free the
-    ids are built on first read (see the module docstring).
+    position i*n2 + j, n2 = len(c2): cells are listed u-major.  The product
+    stores the leaves of both factors, a factor being flattened into its
+    own while none of its tables is read, and folds each table from them in
+    mixed radix on first read (see the module docstring); so an iterated
+    tensor builds no intermediate product.  Its boundary d(u⊗v) = du⊗v +
+    u⊗dv is ``_off``, the leaves' offset rows joined.  If both factors are
+    split the product is split with J acting coordinatewise; its fixed cell
+    is the pair of fixed cells.  A sum of gradings from the cosets of tau1
+    and tau2 lies in the coset of their sum, whose reduced denominator is
+    q.  Each boundary pair of the product moves one factor along a boundary
+    pair of that factor, so the width is the least factor width, counting a
+    factor only when the other has cells.  The id of cell (i, j) is "u⊗v".
     """
-    n1, n2 = len(c1), len(c2)
-    n = n1 * n2
+    leaves1, leaves2 = _leaves(c1), _leaves(c2)
+    n1, n2 = prod(map(len, leaves1)), prod(map(len, leaves2))
     q1, q2 = c1._q, c2._q
-    q12, dims1 = q1 * q2, c1._dims
+    q12 = q1 * q2
     # tau1 + tau2 mod 2, over q1*q2; Fraction reduces it to the denominator q
     tau = Fraction((c1.tau.numerator * q2 + c2.tau.numerator * q1) % (2 * q12), q12)
-    q = tau.denominator
-    scaled1 = [k * q2 * q for k in c1._nums]
-    # one column (the cells u⊗v for one v) at a time, interleaved u-major
-    dims, nums = [None] * n, [None] * n
-    for j, (d2, k) in enumerate(zip(c2._dims, c2._nums)):
-        scaled = k * q1 * q
-        dims[j::n2] = map(d2.__add__, dims1)
-        nums[j::n2] = [(s + scaled) // q12 for s in scaled1]
-    if c1._prefix_free and c2._prefix_free:
-        # ids distinct, prefix-free and ranked (rank u, rank v): see the module docstring
-        r2, ids, at = c2._idrank, None, None
-        idparts = _id_parts(c1) + _id_parts(c2)
-        idrank = [a + b for a in [r * n2 for r in c1._idrank] for b in r2]
-    else:
-        ids, idparts, idrank = _joined_ids(c1._ids, c2._ids), None, None
-        at = dict(zip(ids, range(n)))
-        if len(at) != n:
-            raise _duplicate_id(ids)
-    # column j: du⊗v at a*n2 + j for a in du, then u⊗dv at i*n2 + b for b in dv
-    adj, lefts = [None] * n, [tuple([t * n2 for t in ts]) for ts in c1._adj]
-    for j, ts2 in enumerate(c2._adj):
-        col = [tuple([t + j for t in left]) for left in lefts] if j else lefts
-        if ts2:
-            col = list(map(tuple.__add__, col, zip(*[range(t, t + n, n2) for t in ts2])))
-        adj[j::n2] = col
     least = min(c1._width if n2 else INFINITE, c2._width if n1 else INFINITE)
-    if isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex):
-        jpos2 = c2._jpos
-        jpos = [a + b for a in [k * n2 for k in c1._jpos] for b in jpos2]
-        return _derived(ids, dims, adj, tau, nums, least, jpos, c1._fpos * n2 + c2._fpos,
-                        index=at, idparts=idparts, idrank=idrank)
-    return _derived(ids, dims, adj, tau, nums, least, index=at, idparts=idparts, idrank=idrank)
+    split = isinstance(c1, SplitComplex) and isinstance(c2, SplitComplex)
+    # a product whose ids were joined here is a leaf of the next, so free
+    # holds exactly when every leaf is prefix-free, as ``_idrank`` needs
+    leaves, free, ids, at = leaves1 + leaves2, c1._prefix_free and c2._prefix_free, None, None
+    if not free:
+        ids = _joined_ids(leaves)
+        at = dict(zip(ids, range(len(ids))))
+        if len(at) != len(ids):
+            raise _duplicate_id(ids)
+    return _derived(ids, None, None, tau, None, least, None,
+                    c1._fpos * n2 + c2._fpos if split else None, index=at, factors=leaves,
+                    prefix_free=free)
 
 
-def _id_parts(c: GeometricComplex) -> Tuple[Tuple[str, ...], ...]:
-    """The id tuples whose join is ``c``'s ids: its own if built, else its factors'."""
-    ids = vars(c).get("_ids")
-    return (ids,) if ids is not None else c._idparts
+def _leaves(c: GeometricComplex) -> tuple:
+    """The leaves ``c`` stands for in a product: its own while none of its tables is read."""
+    leaves = vars(c).get("_factors")
+    return leaves if leaves is not None and _PRODUCT_TABLES.isdisjoint(vars(c)) else (c,)
 
 
-def _joined_ids(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The ids u⊗v, u-major, for u in ``left`` and v in ``right``."""
-    n2 = len(right)
-    ids = [None] * (len(left) * n2)
-    for j, v in enumerate(right):
-        tail = TENSOR_SEP + v
-        ids[j::n2] = [u + tail for u in left]
-    return tuple(ids)
+def _joined_ids(leaves: tuple) -> Tuple[str, ...]:
+    """The ids "u⊗v⊗..." of the product of ``leaves``, in its order."""
+    first, *rest = leaves
+    return tuple(_mixed([first._ids] + [[TENSOR_SEP + v for v in f._ids] for f in rest]))
+
+
+def _placed(product: _Product, table: str) -> List[List[int]]:
+    """Each leaf's positional ``table`` times the leaf's stride."""
+    return [getattr(f, table) if s == 1 else [p * s for p in getattr(f, table)]
+            for f, s in zip(product._factors, product._strides)]
+
+
+def _mixed(columns: list) -> list:
+    """The sums a_1 + ... + a_k over the picks a_m of ``columns[m]``, u-major (the last fastest).
+
+    One left fold; ``+`` adds ints, joins strings and concatenates tuples.
+    """
+    acc, *rest = columns
+    for col in rest:
+        acc = [a + b for a in acc for b in col]
+    return acc
 
 
 def dual(c: GeometricComplex) -> GeometricComplex:

@@ -276,8 +276,9 @@ def _basis_complex(delta: int) -> SplitComplex:
 
     Complexes are immutable, so sharing it is safe.  Per local pair, the
     sharing saves the two validating constructions of ``_xi_complex`` and
-    the ``_prefix_free`` and ``_idrank`` views that ``tensor`` reads; its
-    boundary ``_adj`` is stored at construction either way.
+    the ``_prefix_free`` view that ``tensor`` reads and the ``_idrank`` and
+    ``_off`` views from which the product folds its own; its boundary
+    ``_adj`` is stored at construction either way.
     """
     return _xi_complex(delta)
 

@@ -25,22 +25,25 @@ each dimension, not in the number of cells.
 The order is computed on the integer numerators that validation stores:
 every gr shares one positive denominator, so they order the cells as the
 gradings do.  Ties are broken by id through the complex's id ranks
-``_idrank`` (a product of prefix-free factors stores them without joining
-an id, see ``complexes``; any other complex sorts its ids once on first
-read).  Within one dimension each cell's key (-gr, id) is one integer,
-rank - num*n: the ranks lie in [0, n), so the integers sort as the pairs
-do, and each dimension's cells are sorted on their own.  The result
-stores, per dimension, the positions in ``ids()`` of its cells by rank
-(``_perm``, which ``homology`` writes) and the rank of each position
+``_idrank`` (a product of prefix-free leaves folds them from its leaves'
+without joining an id, see ``complexes``; any other complex sorts its ids
+once on first read).  Within one dimension each cell's key (-gr, id) is
+one integer, rank - num*n: the ranks lie in [0, n), so the integers sort
+as the pairs do, and each dimension's cells are sorted on their own.  The
+result stores, per dimension, the positions in ``ids()`` of its cells by
+rank (``_perm``, which ``homology`` writes) and the rank of each position
 within its dimension (``_rank``).  Every reader of R, V and the pivots maps
 a bitmask of ranks back to positions through ``_cells``, the one such map;
 the global order is read back on the (-gr, dim, rank) of a position
 (``ReductionResult._key``), since cells of two dimensions never tie on
-(-gr, dim).  The columns come from positions: each is read from the
-complex's positional boundary ``_adj`` through ``_rank``, so no id is
-looked up while the columns are built and the reduction builds no map
-keyed by cell id; ``express`` reaches a cell's rank through the complex's
-``_index``.
+(-gr, dim).  The columns come from positions, through ``_rank``, by one
+column builder that reads each cell's boundary row from one of two
+sources: a product's ``_off``, offsets from the cell's own position, which
+the builder adds to that position, or any other complex's ``_adj``,
+positions, to which it adds 0.  So a product's positional rows are never
+built for its reduction, no id is looked up while the columns are built
+and the reduction builds no map keyed by cell id; ``express`` reaches a
+cell's rank through the complex's ``_index``.
 A reduced column pivoting at cell z kills the homogeneous cycle lifted from
 it after k = (gr(z) - gr(source)) / 2 powers of U, contributing the torsion
 tower T_{M(z)}(k) (k = 0 pairs cancel outright); columns that reduce to zero
@@ -289,8 +292,12 @@ def _cells(perm: Mapping[int, Sequence[int]], d: int, vec: int) -> Iterator[int]
         vec ^= 1 << vec.bit_length() - 1
 
 
-def _reduce(adj, cells: Sequence, rank, above: Mapping[int, int], R_above: Sequence[int]):
-    """Reduce the F2 columns of ``cells``, in order: column j has the bits rank[t], t in adj[cells[j]].
+def _reduce(rows, relative: bool, cells: Sequence, rank, above: Mapping[int, int],
+            R_above: Sequence[int]):
+    """Reduce the F2 columns of ``cells``, in order: column j has the bits rank[b + t], t in rows[p].
+
+    Here p = cells[j], and the base b is p when the rows are ``relative``
+    (offsets from each cell's position) and 0 when they are positions.
 
     R[j] is the sum of the columns in V[j], and owner[pivot] = j; the V[j]
     with R[j] == 0 are a basis of the nullspace.  A column adds only the
@@ -305,9 +312,10 @@ def _reduce(adj, cells: Sequence, rank, above: Mapping[int, int], R_above: Seque
     for j, k in above.items():
         V[j] = R_above[k]
     for j in filterfalse(above.__contains__, range(len(cells))):
-        col, v = 0, 1 << j
-        for t in adj[cells[j]]:
-            col |= 1 << rank[t]
+        col, v, p = 0, 1 << j, cells[j]
+        base = p if relative else 0
+        for t in rows[p]:
+            col |= 1 << rank[base + t]
         while col:
             i = col.bit_length() - 1
             if i not in owner:
@@ -329,7 +337,7 @@ def homology(c: GeometricComplex) -> ReductionResult:
     # each dimension's cells in the order (-gr, id), and each position's rank
     # within its dimension; the numerators share the denominator q > 0 and
     # the id ranks lie in [0, n), so the key r - num * n sorts as the pairs do
-    adj, q, nums, dims, n = c._adj, c._q, c._nums, c._dims, len(c._dims)
+    q, nums, dims, n = c._q, c._nums, c._dims, len(c._dims)
     keys = [r - k * n for k, r in zip(nums, c._idrank)]
     cells, rank = {d: [] for d in sorted(set(dims), reverse=True)}, [0] * n
     for i, d in enumerate(dims):
@@ -346,9 +354,12 @@ def homology(c: GeometricComplex) -> ReductionResult:
     # t, of length its U-exponent (none when that is 0), and one reducing to
     # zero is a free tower topped at its own cell
     R, V, owner, above, towers, counts = {}, {}, {}, {}, [], {}
+    # a product's boundary is read as offsets from each cell (see complexes)
+    relative = "_factors" in vars(c)
+    rows = c._off if relative else c._adj
     for d, row in cells.items():
         below, owner[d] = cells.get(d - 1), above
-        R[d], V[d], above = _reduce(adj, row, rank, above, R.get(d + 1))
+        R[d], V[d], above = _reduce(rows, relative, row, rank, above, R.get(d + 1))
         for j in filterfalse(owner[d].__contains__, range(len(row))):
             col, i = R[d][j], row[j]
             t = below[col.bit_length() - 1] if col else i

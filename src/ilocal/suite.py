@@ -55,7 +55,8 @@ def random_geometric_complex(rng: random.Random, max_cells: int = 12) -> cx.Geom
         layer = [c for c in cells if c.dim == base_dim]
         lower = [c for c in cells if c.dim == base_dim - 1]
         lpos = {c.id: i for i, c in enumerate(lower)}
-        R, V, _ = _reduce([bdry.get(c.id, ()) for c in layer], range(len(layer)), lpos, {}, ())
+        rows = [[lpos[t] for t in bdry.get(c.id, ())] for c in layer]
+        R, V, _ = _reduce(rows, False, range(len(layer)), range(len(lower)), {}, ())
         cycles = [v for r, v in zip(R, V) if not r]
         if cycles and rng.random() < 0.8:
             combo = 0

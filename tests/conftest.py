@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ilocal.complexes import GeometricComplex, SplitComplex, _derived
+from ilocal.complexes import (GeometricComplex, SplitComplex, _derived, _leaves, _Product,
+                              _SplitProduct)
 from ilocal.homology import ChainMap, _derived_map
 from ilocal.suite import random_geometric_complex, random_split_complex
 from ilocal.towers import _view
@@ -28,19 +29,27 @@ def pytest_configure(config):
 
 
 COMPLEX_TABLES = ("_ids", "_dims", "_nums", "_adj", "tau", "_q", "_width")
+SPLIT_TABLES = COMPLEX_TABLES + ("_jpos", "_fpos")
+
+#: the tables a product builds from its leaves besides the stored ones of
+#: other complexes, compared by name with the reference's views
+PRODUCT_TABLES = ("_off", "_idrank")
 
 #: The stored fields of each kind of derived object that are not views,
 #: compared by name with the rebuilt reference's; a map's source and target
-#: are the reference's own.  Every other stored field must be a
-#: ``towers._view``, compared with its builder run on the reference.
+#: are the reference's own, and a product's are the tables it builds from
+#: its leaves.  Every other stored field must be a ``towers._view``,
+#: compared with its builder run on the reference.
 TABLES = {
     GeometricComplex: COMPLEX_TABLES,
-    SplitComplex: COMPLEX_TABLES + ("_jpos", "_fpos"),
+    SplitComplex: SPLIT_TABLES,
+    _Product: COMPLEX_TABLES + PRODUCT_TABLES,
+    _SplitProduct: SPLIT_TABLES + PRODUCT_TABLES,
     ChainMap: ("source", "target", "_pattern", "_grading"),
 }
 
 #: position rows whose order is free, compared row by row as sets
-FREE_ROWS = {"_adj", "_coadj"}
+FREE_ROWS = {"_adj", "_coadj", "_off"}
 
 
 def same(name, stored, built):
@@ -66,14 +75,20 @@ def state(obj, stored):
 def compare_stored(obj, stored, ref):
     """Every field in ``stored`` (``vars(obj)`` as derived) against the reference ``ref``.
 
-    A product whose ids are deferred stores ``_idparts``, which is compared
-    through the ``_ids`` built from it.
+    A product stores ``_factors``, its leaves, in place of its tables: two
+    or more complexes, none of them a product whose tables are all unread
+    (``tensor`` flattens those).  It is compared through every table it
+    builds from them (``TABLES``).
     """
     tables = TABLES[type(obj)]
+    if "_factors" in stored:
+        leaves = stored["_factors"]
+        assert len(leaves) >= 2
+        assert all(_leaves(f) == (f,) for f in leaves), "a leaf is a product with unread tables"
     for name in tables:
         assert same(name, getattr(obj, name), getattr(ref, name)), name
     for name, value in stored.items():
-        if name in tables or name == "_idparts":
+        if name in tables or name == "_factors":
             continue
         view = getattr(type(obj), name, None)
         assert isinstance(view, _view), f"stored field {name!r} is neither a compared table nor a view"
@@ -142,8 +157,9 @@ def revalidate_derived(request, monkeypatch, checked_states):
     must be the ones it finds.  Every other stored field must be a
     ``towers._view`` (a stored coboundary, index, canonical flags, id ranks
     and the like) and equal its builder run on the rebuilt complex; one
-    that is neither fails the test, naming it.  A product whose ids are
-    deferred builds them here.
+    that is neither fails the test, naming it.  A product builds every
+    table from its leaves here, so a product it checks is a leaf of the
+    next.
     """
     patch_derived(request, monkeypatch, checked_states, _derived, rebuilt_complex)
 

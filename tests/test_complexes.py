@@ -560,7 +560,8 @@ def boundary_forms_agree(c):
 
 @pytest.mark.trusted_derived
 class TestBoundaryForms:
-    """Every complex stores its boundary as positions, ``_adj``; the id
+    """Every complex but a product stores its boundary as positions,
+    ``_adj``, which a product builds from its leaves on first read; the id
     boundary is built from it on first read, as is the index of positions
     where it is not stored.  The validating constructor checks positions
     too, so a validated complex builds no id boundary either."""
@@ -583,12 +584,15 @@ class TestBoundaryForms:
         made = [sc, g, build_xi(rng.randint(1, 4)), build_misordered(1, 3),
                 complex_from_json(complex_to_json(sc))]
         assert self.stored(g) == ["_adj"]
-        for c in (dual(sc), dual(g), double(sc, 0).complex,
-                  tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))):
+        for c in (dual(sc), dual(g), double(sc, 0).complex):
             assert self.stored(c) == ["_adj"]
             made.append(c)
-        for c in made:
-            assert "_adj" in vars(c)
+        # a product stores its leaves and builds its positions on first read
+        products = [tensor(sc, build_xi(2)), tensor(g, sc), tensor(dual(sc), tensor(g, g))]
+        for c in products:
+            assert "_factors" in vars(c) and self.stored(c) == []
+        for c in made + products:
+            assert "_adj" in vars(c) or c in products
             boundary_forms_agree(c)
             assert self.stored(c) == ["bdry", "_adj"]
             self.index_agrees(c)

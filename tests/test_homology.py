@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -31,6 +33,7 @@ from ilocal import (
     representative,
     tensor,
 )
+from ilocal.complexes import _PRODUCT_TABLES, complex_to_json
 from ilocal.homology import ReductionResult
 from ilocal.suite import (
     check_duality,
@@ -863,7 +866,8 @@ def check_id_chain(factors):
             assert str(info.value) == str(error)
             return
         product = tensor(product, f)
-    deferred = "_idparts" in vars(product)
+    # a product of prefix-free leaves stores them, and no ids, until its ids are read
+    deferred = "_factors" in vars(product) and "_ids" not in vars(product)
     result, want = homology(product), homology(ref)
     assert (global_order(result), named(result)) == (global_order(want), named(want))
     # the integer keys order the cells as the (-gr, dim, id) triples do
@@ -926,5 +930,114 @@ def test_deferred_ids_join_alike_in_any_nesting_and_depth():
     assert long.ids() == ("⊗".join(["eta"] * 2001),) and long.fixed == long.ids()[0]
     # a factor with a prefix pair gets its ids at once
     prefixed = GeometricComplex([Cell("p", 1, F(-4)), Cell("p!", 0, F(0))], {"p": {"p!"}})
-    assert "_ids" in vars(tensor(build_xi(1), prefixed))
-    assert "_idparts" not in vars(tensor(build_xi(1), prefixed))
+    product = tensor(build_xi(1), prefixed)
+    assert "_ids" in vars(product)
+    assert not all(f._prefix_free for f in product._factors)
+
+
+# -- products folded from their leaves -------------------------------------
+
+#: a complex with a prefix pair ("p" is a prefix of "p!"), whose products join their ids at once
+PREFIXED = GeometricComplex([Cell("p", 1, F(-4)), Cell("p!", 0, F(0))], {"p": {"p!"}})
+
+#: a bound on the cells of one product, so the cell-by-cell reference stays cheap
+MAX_PRODUCT_CELLS = 400
+
+
+def leaf_pool(rng):
+    """Makers of the factors of the folded products, each a fresh draw."""
+    return [
+        lambda: build_xi(rng.randint(1, 3)),
+        lambda: dual(build_xi(rng.randint(1, 3))),
+        lambda: PLAIN,
+        lambda: random_geometric_complex(rng, max_cells=4),
+        lambda: random_split_complex(rng, max_cells=5),
+        lambda: dual(random_split_complex(rng, max_cells=5)),
+        lambda: PREFIXED,
+    ]
+
+
+def product_factor_lists(rng):
+    """Lists of 2 to 5 factors.
+
+    The first holds the empty complex in one draw of four, and the last two
+    complexes with tau = 1/2, whose product has q = 1.
+    """
+    pool = leaf_pool(rng)
+    lists = [[rng.choice(pool)() for _ in range(rng.randint(2, 5))] for _ in range(3)]
+    if rng.random() < 0.25:
+        lists[0][rng.randrange(len(lists[0]))] = GeometricComplex([], {})
+    halves = [fractional_xi(rng.randint(1, 2), F(1, 2)), dual(fractional_xi(1, F(-3, 2)))]
+    assert (halves[0].tau, halves[1].tau) == (F(1, 2), F(1, 2))
+    rest = [rng.choice(pool)() for _ in range(rng.randint(0, 3))]
+    lists.append(rng.sample(halves + rest, len(halves) + len(rest)))
+    for factors in lists:
+        while len(factors) > 2 and math.prod(map(len, factors)) > MAX_PRODUCT_CELLS:
+            factors.pop(rng.randrange(len(factors)))
+    return lists
+
+
+def nested_product(rng, factors, read):
+    """The product of ``factors`` in a random nesting, and the leaves it must store.
+
+    A product whose factors are not both prefix-free joins its ids at once.
+    With ``read``, one intermediate product has one of its tables read as
+    soon as it is built.  Either makes the intermediate a leaf of the next
+    product; any other intermediate is flattened into its own leaves.
+    """
+    # products are numbered as they are built; the last is the whole product
+    chosen = rng.randrange(len(factors) - 2) if read and len(factors) > 2 else None
+    built = itertools.count()
+
+    def build(fs):
+        """The product of ``fs``, the leaves it stores and those it stands for in a product."""
+        if len(fs) == 1:
+            return fs[0], None, (fs[0],)
+        k = rng.randint(1, len(fs) - 1)
+        (a, _, la), (b, _, lb) = build(fs[:k]), build(fs[k:])
+        p = tensor(a, b)
+        joined = not (a._prefix_free and b._prefix_free)
+        assert ("_ids" in vars(p)) == joined
+        if next(built) == chosen:
+            tables = sorted(_PRODUCT_TABLES - (set() if isinstance(p, SplitComplex) else {"_jpos"}))
+            getattr(p, rng.choice(tables))
+            return p, la + lb, (p,)
+        return p, la + lb, (p,) if joined else la + lb
+
+    return build(factors)[:2]
+
+
+def check_folded_product(product, ref):
+    """Every table of ``product`` against ``ref``, the same product built cell by cell."""
+    # the reduction reads the offsets alone, and matches the global one
+    result = homology(product)
+    assert not {"_adj", "_coadj", "_jpos"} & vars(product).keys()
+    check_against_global_reduction(product)
+    # a product's class is the product class of the reference's
+    assert isinstance(product, type(ref))
+    assert isinstance(product, SplitComplex) == isinstance(ref, SplitComplex)
+    assert (product.tau, product._q, product._width) == (ref.tau, ref._q, ref._width)
+    assert product.ids() == ref.ids()
+    for name in ("_dims", "_nums", "_idrank") + (("_jpos",) if isinstance(ref, SplitComplex) else ()):
+        assert list(getattr(product, name)) == list(getattr(ref, name)), name
+    for name in ("_adj", "_coadj"):
+        assert list(map(set, getattr(product, name))) == list(map(set, getattr(ref, name))), name
+    if isinstance(ref, SplitComplex):
+        assert product._fpos == ref._fpos
+    assert json.dumps(complex_to_json(product)) == json.dumps(complex_to_json(ref))
+    assert global_order(result) == global_order(homology(ref))
+
+
+@pytest.mark.trusted_derived
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_products_fold_their_leaves_as_the_constructors_build_them(seed):
+    rng = random.Random(seed)
+    for factors in product_factor_lists(rng):
+        ref = factors[0]
+        for f in factors[1:]:
+            ref = ref_tensor(ref, f)
+        for read in (False, True):
+            product, leaves = nested_product(rng, factors, read)
+            assert product._factors == leaves
+            check_folded_product(product, ref)
