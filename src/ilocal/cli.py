@@ -49,12 +49,6 @@ def _load_complex(parser: argparse.ArgumentParser, args) -> cx.GeometricComplex:
     return cx.complex_from_json(_read_json(args.file))
 
 
-def _require_split(c: cx.GeometricComplex) -> cx.SplitComplex:
-    if not isinstance(c, cx.SplitComplex):
-        raise ValueError("this operation needs a split complex (J and fixed cell)")
-    return c
-
-
 def _int_within(minimum: int, maximum: float = float("inf")):
     """An argparse type: an integer from ``minimum`` up to ``maximum``."""
 
@@ -113,13 +107,7 @@ def _cmd_decode(parser, args) -> int:
     module = FUModule.from_json(_read_json(args.file))
     d = grading_from_json(args.d, "--d")
     lc = cn.decode(module, d)
-    _emit(
-        {
-            "terms": lc.to_json(),
-            "d": grading_to_str(d),
-            "expr": format_expression(lc),
-        }
-    )
+    _emit({**cn.LocalClass(lc, d).to_json(), "expr": format_expression(lc)})
     return 0
 
 
@@ -141,15 +129,13 @@ def _cmd_sum(parser, args) -> int:
 
 
 def _cmd_double(parser, args) -> int:
-    sc = _require_split(_load_complex(parser, args))
-    result = db.double(sc, args.delta)
+    result = db.double(_load_complex(parser, args), args.delta)
     _emit({"complex": cx.complex_to_json(result.complex), "labels": result.labels_json()})
     return 0
 
 
 def _cmd_half(parser, args) -> int:
-    sc = _require_split(_load_complex(parser, args))
-    _emit(cx.complex_to_json(db.half(sc, args.delta)))
+    _emit(cx.complex_to_json(db.half(_load_complex(parser, args), args.delta)))
     return 0
 
 
@@ -174,7 +160,7 @@ def _cmd_tensor(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    sc = _require_split(_load_complex(parser, args))
+    sc = _load_complex(parser, args)
     f = db.local_map_f(sc, args.delta)
     g = db.local_map_g(sc, args.delta)
     _emit(db.verify_local_pair(f, g).to_json())

@@ -545,16 +545,16 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: Optional[L
     return c
 
 
-def _derived(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
+def _derived(cls, ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
              index=None, canon=None, prefixed=(), named=frozenset(), factors=None,
              prefix_free=False) -> GeometricComplex:
-    """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked."""
-    if factors is None:
-        c = object.__new__(GeometricComplex if fpos is None else SplitComplex)
-    else:
-        c = object.__new__(_Product if fpos is None else _SplitProduct)
-    return _store(c, ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index, canon,
-                  prefixed, named, factors, prefix_free)
+    """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked.
+
+    The caller names its class ``cls``: ``GeometricComplex`` or
+    ``SplitComplex``, or for a product ``_Product`` or ``_SplitProduct``.
+    """
+    return _store(object.__new__(cls), ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index,
+                  canon, prefixed, named, factors, prefix_free)
 
 
 # -- splittings ---------------------------------------------------------
@@ -713,8 +713,8 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
         at = dict(zip(ids, range(len(ids))))
         if len(at) != len(ids):
             raise _duplicate_id(ids)
-    return _derived(ids, None, None, tau, None, least, None,
-                    c1._fpos * n2 + c2._fpos if split else None, index=at, factors=leaves,
+    cls, fpos = (_SplitProduct, c1._fpos * n2 + c2._fpos) if split else (_Product, None)
+    return _derived(cls, ids, None, None, tau, None, least, None, fpos, index=at, factors=leaves,
                     prefix_free=free)
 
 
@@ -769,10 +769,11 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     # -n - tau mod 2 over q, which stays tau's reduced denominator
     tau = Fraction((shift - c.tau.numerator) % (2 * q), q)
     if not isinstance(c, SplitComplex):
-        return _derived(ids, dims, c._coadj, tau, nums, c._width, coadj=c._adj)
+        return _derived(GeometricComplex, ids, dims, c._coadj, tau, nums, c._width,
+                        coadj=c._adj)
     # starring keeps the order of every pair but a prefix pair
-    return _derived(ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos, c._adj, None,
-                    None if c._prefixed else c._canon)
+    return _derived(SplitComplex, ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos,
+                    c._adj, None, None if c._prefixed else c._canon)
 
 
 # -- JSON ---------------------------------------------------------------

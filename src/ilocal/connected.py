@@ -72,12 +72,7 @@ class LinearCombination(_Value):
 
     @property
     def simplified(self) -> bool:
-        signs = {}
-        for sign, index in self.terms:
-            if signs.get(index, sign) != sign:
-                return False
-            signs[index] = sign
-        return True
+        return simplify(self) == self
 
     def to_json(self) -> list:
         return [{"sign": "+" if s > 0 else "-", "index": i} for s, i in self.terms]

@@ -243,8 +243,8 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, None,
-                       canon, prefixed, (named - {eta}) | {omega, j_omega, theta})
+    doubled = _derived(SplitComplex, new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1,
+                       coadj, None, canon, prefixed, (named - {eta}) | {omega, j_omega, theta})
     doubled._fresh_from = _next_probe(named, eta, k)
     dr = object.__new__(DoubleResult)
     vars(dr).update(complex=doubled, omega=omega, j_omega=j_omega, theta=theta, eta=eta, zeta=zeta,

@@ -12,12 +12,13 @@ order never participate in comparison.
 
 Every module stores one integer table and nothing else: ``_rows``, a list
 of ((num, length, orientation), count) pairs in presentation order, each
-top num / ``_q`` over the module's one denominator, and, filled in the same
-step, ``_counts``, the multiplicity of each (top numerator, top
-denominator, length) with the top in lowest terms, which equality and hash
-read.  ``FUModule(towers)`` writes one row per tower over the lcm of their
-denominators, ``homology`` and ``kunneth`` one row per distinct tower
-(``_module_from_counts``), and ``place_towers`` one row per term over 1.
+top num / ``_q`` over the module's one denominator.  ``_counts``, the
+multiplicity of each (top numerator, top denominator, length) with the top
+in lowest terms, which equality, hash, ``len`` and ``free_rank`` read, is a
+view built from the rows on first read.  ``FUModule(towers)`` writes one
+row per tower over the lcm of their denominators, ``homology`` and
+``kunneth`` one row per distinct tower (``_module_from_counts``), and
+``place_towers`` one row per term over 1.
 ``towers`` is a view, built on first read with one ``Fraction`` and one
 ``Tower`` per row (the constructor keeps the tuple it was given as that
 view), so a module that is only compared, counted, ranked or cut to its
@@ -209,12 +210,13 @@ class FUModule(_Value):
     """Finite direct sum of towers, kept in presentation order.
 
     The module stores its integer rows ``_rows`` over the denominator
-    ``_q`` and their multiplicities ``_counts``; ``towers`` is built from
-    the rows on first read, or kept as given to the constructor.  ``==``
-    and ``hash`` compare isomorphism classes: the multiset of (top, length)
-    pairs, read from ``_counts``.  ``canonical()`` returns a copy sorted by
-    descending top, then descending length.  Instances are immutable:
-    assigning or deleting an attribute raises ``AttributeError``.
+    ``_q`` and nothing else.  Their multiplicities ``_counts`` are a view
+    built from the rows on first read; ``towers`` is too, or is kept as
+    given to the constructor.  ``==`` and ``hash`` compare isomorphism
+    classes: the multiset of (top, length) pairs, read from ``_counts``.
+    ``canonical()`` returns a copy sorted by descending top, then
+    descending length.  Instances are immutable: assigning or deleting an
+    attribute raises ``AttributeError``.
     """
 
     def __init__(self, towers=()):
@@ -228,14 +230,19 @@ class FUModule(_Value):
         self.__dict__["towers"] = towers
 
     def _store(self, rows: list, q: int) -> "FUModule":
-        """Store ``rows`` over q and their ``_counts``, each top in lowest terms; return the module."""
-        counts = {}
-        for (num, length, _), k in rows:
+        """Store ``rows`` over q; return the module."""
+        self.__dict__.update(_rows=rows, _q=q)
+        return self
+
+    @_view
+    def _counts(self) -> dict:
+        """The multiplicity of each (top numerator, top denominator, length), the top in lowest terms."""
+        q, counts = self._q, {}
+        for (num, length, _), k in self._rows:
             g = math.gcd(num, q)
             key = num // g, q // g, length
             counts[key] = counts.get(key, 0) + k
-        self.__dict__.update(_rows=rows, _q=q, _counts=counts)
-        return self
+        return counts
 
     @_view
     def towers(self) -> tuple:
@@ -312,11 +319,9 @@ def shift(m: FUModule, sigma: Grading) -> FUModule:
 def reflect(m: FUModule) -> FUModule:
     """Reflect every occupied grading g to 1 - g; orientations flip.
 
-    Only defined for torsion modules; the free part of a dual is handled by
-    its callers.
+    Only defined for torsion modules (``Tower.reflected`` refuses a free
+    tower); the free part of a dual is handled by its callers.
     """
-    if m.free_rank:
-        raise ValueError("reflect is only defined for torsion-only modules")
     return FUModule(tuple(t.reflected() for t in m))
 
 

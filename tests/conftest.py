@@ -8,9 +8,14 @@ from ilocal.complexes import (GeometricComplex, SplitComplex, _derived, _leaves,
                               _SplitProduct)
 from ilocal.homology import ChainMap, _derived_map
 from ilocal.suite import random_geometric_complex, random_split_complex
-from ilocal.towers import _view
+from ilocal.towers import FUModule, _view
 
 ACCEPTANCE_SEED = 1
+
+
+def mod(*towers):
+    """The module of ``towers``, in the order given."""
+    return FUModule(tuple(towers))
 
 
 def oriented_equal(a, b) -> bool:

@@ -18,7 +18,6 @@ from ilocal import (
     LinearCombination,
     NotInXForm,
     Tower,
-    FUModule,
     build_trivial,
     build_xi,
     connect_sum,
@@ -44,13 +43,9 @@ from ilocal.suite import (
     random_splitting,
 )
 
-from conftest import ACCEPTANCE_SEED
+from conftest import ACCEPTANCE_SEED, mod
 
 T = Tower
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 def report(number, name, elapsed, budget, detail):

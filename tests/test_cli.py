@@ -199,6 +199,12 @@ class TestConnectedDecodeSum:
             ("sum", {"module": {"towers": []}, "d": True}, "'d' has invalid grading True"),
             ("connected", {"terms": [], "d": False}, "'d' has invalid grading False"),
             ("connected", {"terms": [{"sign": "+", "index": 2.5}], "d": "0"}, "got 2.5"),
+            ("connected", {"terms": {"sign": "+", "index": 2}, "d": "0"},
+             "error: terms must be a JSON list\n"),
+            ("connected", {"terms": [{"index": 2}], "d": "0"},
+             "error: terms[0] must be an object with 'sign' and 'index'\n"),
+            ("connected", {"terms": [{"sign": "*", "index": 2}], "d": "0"},
+             "error: term sign must be '+' or '-', got '*'\n"),
         ],
         ids=[
             "decode-towers-not-a-list",
@@ -218,6 +224,9 @@ class TestConnectedDecodeSum:
             "sum-boolean-d",
             "connected-boolean-d",
             "connected-fractional-index",
+            "connected-terms-not-a-list",
+            "connected-term-without-sign",
+            "connected-sign-not-plus-or-minus",
         ],
     )
     def test_malformed_class_file_is_domain_error(self, capsys, tmp_path, command, obj, message):
@@ -276,6 +285,35 @@ class TestComplexOps:
 
         obj = run_json(capsys, "dual", "--file", str(path))
         assert {c["id"] for c in obj["cells"]} == {"a*", "Ja*", "b*"}
+
+    @pytest.mark.parametrize("command", ["double", "half", "verify"])
+    @pytest.mark.parametrize("delta, message", [
+        ("1", "a splitting requires a split complex"),
+        # the delta is checked first
+        ("-1", "doubling parameter must be a non-negative integer, got -1"),
+    ], ids=["not-split", "not-split-and-bad-delta"])
+    def test_needs_a_split_complex(self, capsys, tmp_path, command, delta, message):
+        obj = complex_to_json(build_xi(3))
+        del obj["J"], obj["fixed"]
+        path = tmp_path / "x3.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command, "--file", str(path), "--delta", delta)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, message", [
+        ("sum", "sum needs at least two --file inputs"),
+        ("tensor", "tensor needs exactly two --file inputs"),
+    ])
+    def test_one_file_is_usage_error(self, capsys, tmp_path, command, message):
+        path = tmp_path / "x1.json"
+        path.write_text(json.dumps(complex_to_json(build_xi(1))))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--file", str(path)])
+        captured = capsys.readouterr()
+        assert e.value.code == 2 and captured.out == ""
+        # argparse prints its usage, then the error on the last line
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == f"ilocal: error: {message}"
 
     def test_tensor(self, capsys, tmp_path):
         path = tmp_path / "x1.json"
@@ -423,11 +461,25 @@ class TestRenderAndSuite:
     @pytest.mark.parametrize(
         "obj, message",
         [
-            ({"cells": [{"id": "x", "dim": 0.5, "gr": "0"}]}, "non-integer dimension 0.5"),
-            ({"cells": [{"id": "x", "dim": True, "gr": "0"}]}, "non-integer dimension True"),
-            ({"cells": [{"id": "x", "dim": 0, "gr": "1/0"}]}, "invalid grading '1/0'"),
-            ({"cells": 5}, "'cells' list"),
-            ([], "'cells' list"),
+            ({"cells": [{"id": "x", "dim": 0.5, "gr": "0"}]},
+             "cell 'x' has non-integer dimension 0.5"),
+            ({"cells": [{"id": "x", "dim": True, "gr": "0"}]},
+             "cell 'x' has non-integer dimension True"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "1/0"}]}, "cell 'x' has invalid grading '1/0'"),
+            ({"cells": 5}, "a complex must be a JSON object with a 'cells' list"),
+            ([], "a complex must be a JSON object with a 'cells' list"),
+            ({"cells": [{"id": "", "dim": 0, "gr": "0"}]},
+             "cell id must be a non-empty string, got ''"),
+            ({"cells": [{"id": 7, "dim": 0, "gr": "0"}]}, "cell id must be a non-empty string, got 7"),
+            ({"cells": ["x"]}, "cells[0] must be an object with 'id', 'dim' and 'gr'"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "0"}], "bdry": [["x"]]},
+             "'bdry' must be a list of [id, id] pairs"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "0"}], "bdry": {"x": "y"}},
+             "'bdry' must be a list of [id, id] pairs"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "0"}], "J": [["x", 1]], "fixed": "x"},
+             "'J' must be a list of [id, id] pairs"),
+            ({"cells": [{"id": "x", "dim": 0, "gr": "0"}], "fixed": 0},
+             "'fixed' must be a cell id, got 0"),
             (
                 {
                     "cells": [{"id": cid, "dim": 0, "gr": "0"} for cid in "xyz"],
@@ -450,6 +502,13 @@ class TestRenderAndSuite:
             "zero-denominator-gr",
             "cells-not-a-list",
             "top-level-list",
+            "empty-id",
+            "integer-id",
+            "cell-not-an-object",
+            "bdry-pair-of-one",
+            "bdry-not-a-list",
+            "J-pair-with-a-number",
+            "fixed-not-a-string",
             "contradictory-J",
             "repeated-bdry-pair",
         ],
@@ -458,9 +517,7 @@ class TestRenderAndSuite:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "homology", "--file", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", [["homology"], ["decode", "--d", "0"]])
     def test_deeply_nested_file_is_domain_error(self, capsys, tmp_path, command):

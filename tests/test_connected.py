@@ -17,7 +17,6 @@ from ilocal import (
     NotSimplified,
     Tower,
     UP,
-    FUModule,
     canonical_splitting,
     complex_to_json,
     connect_sum,
@@ -43,14 +42,10 @@ from ilocal.suite import (
     random_even_d,
 )
 
-from conftest import oriented_equal
+from conftest import mod, oriented_equal
 
 T = Tower
 LC = LinearCombination
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 class TestLinearCombination:

@@ -38,11 +38,9 @@ from ilocal.suite import (
     random_splitting,
 )
 
+from conftest import mod
+
 T = Tower
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 def signature(sc):

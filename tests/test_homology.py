@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -42,16 +43,13 @@ from ilocal.suite import (
     random_geometric_complex,
     random_split_complex,
 )
+from conftest import mod
 from test_complexes_reference import fractional_xi, global_order, ref_tensor
 
 # the package exports the function homology under the module's name
 homology_module = importlib.import_module("ilocal.homology")
 
 T = Tower
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 class TestHomology:
@@ -269,6 +267,15 @@ class TestChainMap:
         c = build_xi(1)
         with pytest.raises(ValueError, match=f"'a' carries invalid U-exponent {exp!r}"):
             ChainMap(c, c, {"a": {("a", exp)}})
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({"z": set()}, "assignment mentions unknown source cell 'z'"),
+        ({"a": {("z", 0)}}, "image of 'a' mentions unknown target cell 'z'"),
+    ], ids=["source", "target"])
+    def test_unknown_cell_rejected(self, assignment, message):
+        c = build_xi(1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChainMap(c, c, assignment)
 
     def test_non_chain_map_rejected(self):
         c = build_xi(1)

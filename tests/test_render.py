@@ -3,13 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ilocal import DOWN, Tower, UP, FUModule, INFINITE, render, render_ascii, render_svg
+from ilocal import DOWN, Tower, UP, INFINITE, render, render_ascii, render_svg
+
+from conftest import mod
 
 T = Tower
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 class TestAscii:

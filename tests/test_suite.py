@@ -65,10 +65,10 @@ def test_mutated_doubling_rule_fails_with_witness(monkeypatch):
     """
     derived = ilocal.doubling._derived
 
-    def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
+    def mutated(cls, ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
         # theta is the fixed cell, at position fpos
         adj = [tuple(t for t in ts if t != fpos) for ts in adj]
-        return derived(ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
+        return derived(cls, ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
 
     monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
     report = run_suite(11, SMALL)
@@ -116,11 +116,11 @@ class TestCheckWitnesses:
         assert check_doubling_homology(x, 1) is None
         derived = ilocal.doubling._derived
 
-        def mutated(ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
+        def mutated(cls, ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
             # drop the target of theta, at position fpos, whose id sorts first
             adj = list(adj)
             adj[fpos] = tuple(sorted(adj[fpos], key=ids.__getitem__)[1:])
-            return derived(ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
+            return derived(cls, ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
 
         monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
         w = check_doubling_homology(x, 1)
@@ -239,3 +239,16 @@ def test_cli_stdout_matches_golden_digest(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("ILOCAL_SEED", raising=False)
     assert main(["suite", *argv]) == 0
     assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_cli_exits_1_when_a_planted_rule_fails(capsys, monkeypatch):
+    # the wrong Kunneth rule of TestCheckWitnesses::test_kunneth_rule
+    monkeypatch.delenv("ILOCAL_SEED", raising=False)
+    kunneth = ilocal.towers.kunneth
+    monkeypatch.setattr(ilocal.towers, "kunneth", lambda a, b: kunneth(a, b).torsion())
+    assert main(["suite", "--seed", "3", "--cases", "2"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert [s["name"] for s in report["suites"] if s["failures"]] == ["kunneth"]
+    assert captured.err == "suite failed; see counterexamples above\n"

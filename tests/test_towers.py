@@ -13,23 +13,21 @@ from ilocal import (
     INFINITE,
     UP,
     FUModule,
+    LinearCombination,
     Tower,
     kunneth,
+    place_towers,
     reflect,
     shift,
     signed_rank,
 )
 from ilocal.homology import homology
 from ilocal.suite import random_geometric_complex
-from ilocal.towers import _module_from_counts, grading_from_json
+from ilocal.towers import _from_rows, _module_from_counts, grading_from_json
 
-from conftest import oriented_equal
+from conftest import mod, oriented_equal
 
 T = Tower
-
-
-def mod(*towers):
-    return FUModule(tuple(towers))
 
 
 class TestTower:
@@ -64,6 +62,16 @@ class TestTower:
             assert Tower.from_json(t.to_json()) == t
         assert T(F(-5), INFINITE).to_json()["length"] == "inf"
         assert FUModule.from_json({"towers": [{"top": 0, "length": "inf"}]}).free_rank == 1
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda: T(F(0), INFINITE).bottom, "a free tower has no bottom element"),
+        (lambda: list(T(F(0), INFINITE).gradings()),
+         "a free tower occupies infinitely many gradings"),
+        (lambda: Tower.from_json([0, 1]), "a tower must be a JSON object with 'top' and 'length'"),
+    ], ids=["bottom", "gradings", "from-json-list"])
+    def test_refusals(self, read, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read()
 
     @pytest.mark.parametrize("length", [1e400, float("inf"), float("-inf"), "Infinity"])
     def test_json_free_tower_is_only_the_string_inf(self, length):
@@ -126,8 +134,9 @@ class TestReflect:
         assert out.towers[0].orientation is UP
 
     def test_rejects_free_towers(self):
-        with pytest.raises(ValueError):
-            reflect(mod(T(F(0), INFINITE)))
+        for m in (mod(T(F(0), INFINITE)), mod(T(F(0), 2), T(F(0), INFINITE))):
+            with pytest.raises(ValueError, match="^cannot reflect a free tower$"):
+                reflect(m)
 
 
 class TestSignedRank:
@@ -290,9 +299,30 @@ def test_modules_reject_assignment():
         for name in ("towers", "_counts", "_rows", "other"):
             with pytest.raises(AttributeError):
                 setattr(m, name, ())
-        with pytest.raises(AttributeError):
-            del m.towers
+            with pytest.raises(AttributeError):
+                delattr(m, name)
         assert (m.to_json(), hash(m), len(m)) == before
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _from_rows([((1, 3, DOWN), 2), ((0, INFINITE, None), 1)], 2),
+    lambda: _module_from_counts({(1, 3): 2, (0, INFINITE): 1}, 2),
+    lambda: place_towers(LinearCombination(((1, 3), (-1, 2), (1, 1)))),
+    lambda: kunneth(mod(T(F(1, 2), 3)), mod(T(F(0), INFINITE))),
+    lambda: homology(random_geometric_complex(random.Random(5), 8)).module,
+    lambda: _from_rows([((1, 3, DOWN), 2), ((0, INFINITE, None), 1)], 2).canonical(),
+    lambda: _from_rows([((1, 3, DOWN), 2), ((0, INFINITE, None), 1)], 2).torsion(),
+], ids=["rows", "counts", "place_towers", "kunneth", "homology", "canonical", "torsion"])
+def test_a_built_module_stores_its_rows_until_a_view_is_read(build):
+    # _counts and towers are first-read views of the rows
+    reads = {"_counts": (lambda m: m == m, len, hash, lambda m: m.free_rank),
+             "towers": (lambda m: [t for t in m], lambda m: m.to_json())}
+    for view, readers in reads.items():
+        for read in readers:
+            m = build()
+            assert vars(m).keys() == {"_rows", "_q"}
+            read(m)
+            assert vars(m).keys() == {"_rows", "_q", view}
 
 
 @settings(max_examples=60, deadline=None)
