@@ -70,7 +70,7 @@ fields ``_canon``, ``_prefixed`` and ``_named``), and every construction
 ends there.  The id-keyed tables are views built on first read: ``bdry``
 (each boundary as a frozenset of ids), ``J`` (each id's partner), the
 ``Cell`` objects of ``cells``, ``fixed`` (the fixed cell's id) and
-``_index`` (each id's position, the one map from ids to positions); so are
+``_index`` (each id's position); so are
 ``_mnum``, by position, and ``_coadj`` and the splitting fields where they
 are not stored.  A complex that is only reduced, mapped or derived from
 never builds the id tables: ``dual`` and ``double`` store no index, so
@@ -81,6 +81,9 @@ Complexes that enter from outside (the public constructors, the builders,
 ``complex_from_json``) are validated in full on positions: ids are mapped
 to positions once, every check reads the positional tables, and ``_store``
 keeps them with the index; the id tables and the coboundary stay views.
+``_indexed`` is the one map from ids to positions: validation, ``tensor``
+and the ``_index`` view build the index with it, and it names the first
+repeated id.
 ``dual``, ``tensor`` and ``double`` derive new complexes from validated
 ones and are valid by construction: each computes the positional tables
 (``tensor`` the leaves), tau, the width, J and the fixed cell of its
@@ -157,21 +160,26 @@ class Cell(_Value):
             raise InvalidComplex(f"cell {id!r} has non-integer dimension {dim!r}")
         if type(gr) is not Fraction:
             gr = Fraction(gr)
-        d = self.__dict__
-        d["id"], d["dim"], d["gr"] = id, dim, gr
+        self._set(id, dim, gr)
 
     @property
     def maslov(self) -> Grading:
         return self.gr + self.dim
 
 
-def _duplicate_id(ids: Iterable[str]) -> InvalidComplex:
-    """The error naming the first repeated id of ``ids``, which has one."""
-    seen = set()
-    for cid in ids:
-        if cid in seen:
-            return InvalidComplex(f"duplicate cell id {cid!r}")
-        seen.add(cid)
+def _indexed(ids: Tuple[str, ...]) -> Dict[str, int]:
+    """Each id's position in ``ids``: the one map from ids to positions.
+
+    InvalidComplex names the first id that repeats.
+    """
+    at = dict(zip(ids, range(len(ids))))
+    if len(at) != len(ids):
+        seen = set()
+        for cid in ids:
+            if cid in seen:
+                raise InvalidComplex(f"duplicate cell id {cid!r}")
+            seen.add(cid)
+    return at
 
 
 def _bdry_squared_error(ids: Tuple[str, ...], adj: List[Tuple[int, ...]]) -> Optional[str]:
@@ -196,9 +204,7 @@ class GeometricComplex:
     def _validate(self, cells, bdry, tau):
         """Map ids to positions once, check a new complex on them in ``bdry``'s order; store it."""
         ids = tuple([c.id for c in cells])
-        at = dict(zip(ids, range(len(ids))))
-        if len(at) != len(ids):
-            raise _duplicate_id(ids)
+        at = _indexed(ids)
         sources = list(map(at.get, bdry))
         if None in sources:
             raise InvalidComplex(f"bdry source {list(bdry)[sources.index(None)]!r} is not a cell")
@@ -272,8 +278,8 @@ class GeometricComplex:
 
     @_view
     def _index(self) -> Dict[str, int]:
-        """Each cell's position in ``ids()``: the one map from ids to positions."""
-        return dict(zip(self._ids, range(len(self._ids))))
+        """Each cell's position in ``ids()``, built by ``_indexed``."""
+        return _indexed(self._ids)
 
     @_view
     def _off(self) -> List[Tuple[int, ...]]:
@@ -710,9 +716,7 @@ def tensor(c1: GeometricComplex, c2: GeometricComplex) -> GeometricComplex:
     leaves, free, ids, at = leaves1 + leaves2, c1._prefix_free and c2._prefix_free, None, None
     if not free:
         ids = _joined_ids(leaves)
-        at = dict(zip(ids, range(len(ids))))
-        if len(at) != len(ids):
-            raise _duplicate_id(ids)
+        at = _indexed(ids)
     cls, fpos = (_SplitProduct, c1._fpos * n2 + c2._fpos) if split else (_Product, None)
     return _derived(cls, ids, None, None, tau, None, least, None, fpos, index=at, factors=leaves,
                     prefix_free=free)
@@ -808,15 +812,11 @@ def _pairs_from_json(obj: dict, key: str) -> Iterator[list]:
 def complex_from_json(obj: dict) -> GeometricComplex:
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise InvalidComplex("a complex must be a JSON object with a 'cells' list")
-    cells, grs = [], {}
+    cells = []
     for k, e in enumerate(obj["cells"]):
         if not isinstance(e, dict) or not {"id", "dim", "gr"} <= e.keys():
             raise InvalidComplex(f"cells[{k}] must be an object with 'id', 'dim' and 'gr'")
-        # each distinct grading string is parsed once
-        value = e["gr"]
-        gr = grs.get(value) if type(value) is str else None
-        if gr is None:
-            gr = grs[value] = grading_from_json(value, f"cell {e['id']!r}", InvalidComplex)
+        gr = grading_from_json(e["gr"], f"cell {e['id']!r}", InvalidComplex)
         cells.append(Cell(e["id"], e["dim"], gr))
     bdry: Dict[str, list] = {}
     for src, tgt in _pairs_from_json(obj, "bdry"):

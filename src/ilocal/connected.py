@@ -62,7 +62,7 @@ class LinearCombination(_Value):
                 raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
             if type(index) is not int or index < 1:
                 raise ValueError(f"term index must be a positive integer, got {index!r}")
-        self.__dict__["terms"] = tuple(sorted(terms, key=lambda t: (-t[1], -t[0])))
+        self._set(tuple(sorted(terms, key=lambda t: (-t[1], -t[0]))))
 
     def __iter__(self):
         return iter(self.terms)
@@ -98,7 +98,7 @@ class LocalClass(_Value):
     _fields = ("combo", "d")
 
     def __init__(self, combo: LinearCombination, d: Grading):
-        self.__dict__["combo"], self.__dict__["d"] = combo, Fraction(d)
+        self._set(combo, Fraction(d))
 
     def to_json(self) -> dict:
         return {"terms": self.combo.to_json(), "d": grading_to_str(self.d)}

@@ -125,9 +125,7 @@ class DoubleResult(_Value):
 
     def __init__(self, complex: SplitComplex, omega: str, j_omega: str, theta: str, eta: str,
                  zeta: Chain, splitting: FrozenSet[str]):
-        d = self.__dict__
-        d["complex"], d["omega"], d["j_omega"], d["theta"] = complex, omega, j_omega, theta
-        d["eta"], d["zeta"], d["splitting"] = eta, zeta, splitting
+        self._set(complex, omega, j_omega, theta, eta, zeta, splitting)
 
     @_view
     def splitting(self) -> FrozenSet[str]:
@@ -347,9 +345,7 @@ class VerifyReport(_Value):
 
     def __init__(self, chain_map: bool, j_equivariant: bool, gf_identity: bool,
                  u_localized_iso: bool, witness: Optional[dict] = None):
-        d = self.__dict__
-        d["chain_map"], d["j_equivariant"], d["gf_identity"] = chain_map, j_equivariant, gf_identity
-        d["u_localized_iso"], d["witness"] = u_localized_iso, witness
+        self._set(chain_map, j_equivariant, gf_identity, u_localized_iso, witness)
 
     @property
     def passed(self) -> bool:

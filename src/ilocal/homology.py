@@ -76,9 +76,10 @@ the derived differential's, so each further check is a bitmask identity.  The ch
 source position x, the XOR of the patterns over its ``_adj`` row with the
 XOR of the target's ``_adj`` rows over its pattern; the J check compares the pattern of Jx with the
 pattern of x permuted by the target's J.  The first position where the two
-masks differ is the witness, and only then are ids read: each differing
-target cell, with its lift to M(x) - 1 for the chain check and to M(x) for
-the J check.  A map that fails the grading check has no pattern to check,
+masks differ is the witness, and only then are ids read: ``_witness``, the
+one builder of both checks' witness dicts, lists each differing target
+cell with its lift to M(x) - 1 for the chain check and to M(x) for the J
+check.  A map that fails the grading check has no pattern to check,
 so both checks then report the grading witness.  ``verify_local_pair``
 reads g o f = id as "the XOR of g's patterns over f's pattern at position
 i is ``1 << i``"; ``compose`` and
@@ -462,10 +463,17 @@ class ChainMap:
 
     # -- checks; each returns None or a witness dict ---------------------
 
-    def _lifted_terms(self, mask: int, m: int) -> List[List]:
-        """The target cells of ``mask``, sorted, each with its lift to the degree m over the source's q."""
-        ids, lift, q = self.target.ids(), self.target._lift, self.source._q
-        return sorted([ids[t], lift(t, m, q)] for t in _bits(mask))
+    def _witness(self, i: int, diff: int, m: int, reason: str) -> dict:
+        """The witness at source position i: the target cells of ``diff``, sorted, each lifted to m.
+
+        m is a degree over the source's q.
+        """
+        ids, lift, q = self.target._ids, self.target._lift, self.source._q
+        return {
+            "cell": self.source._ids[i],
+            "difference": sorted([ids[t], lift(t, m, q)] for t in _bits(diff)),
+            "reason": reason,
+        }
 
     @_view
     def _chain_verdict(self) -> Optional[dict]:
@@ -479,11 +487,7 @@ class ChainMap:
             for t in ts:
                 diff ^= pattern[t]
             if diff:
-                return {
-                    "cell": src._ids[i],
-                    "difference": self._lifted_terms(diff, src._mnum[i] - src._q),
-                    "reason": "d(f(x)) differs from f(d(x))",
-                }
+                return self._witness(i, diff, src._mnum[i] - src._q, "d(f(x)) differs from f(d(x))")
         return None
 
     def chain_witness(self) -> Optional[dict]:
@@ -500,11 +504,7 @@ class ChainMap:
         for i, (mask, jp, m) in enumerate(zip(pattern, src._jpos, src._mnum)):
             diff = pattern[jp] ^ _xor_rows(j_bits, mask)
             if diff:
-                return {
-                    "cell": src._ids[i],
-                    "difference": self._lifted_terms(diff, m),
-                    "reason": "f(Jx) differs from J(f(x))",
-                }
+                return self._witness(i, diff, m, "f(Jx) differs from J(f(x))")
         return None
 
     def check(self) -> None:

@@ -157,10 +157,8 @@ class SuiteConfig(tw._Value):
                  representative_cases: int = 40, roundtrip_cases: int = 150,
                  duality_cases: int = 25, max_terms: int = 4, max_index: int = 6,
                  max_cells: int = 10):
-        self.__dict__.update(kunneth_cases=kunneth_cases, doubling_cases=doubling_cases,
-                             local_cases=local_cases, representative_cases=representative_cases,
-                             roundtrip_cases=roundtrip_cases, duality_cases=duality_cases,
-                             max_terms=max_terms, max_index=max_index, max_cells=max_cells)
+        self._set(kunneth_cases, doubling_cases, local_cases, representative_cases,
+                  roundtrip_cases, duality_cases, max_terms, max_index, max_cells)
 
 
 class SuiteResult(tw._Value):  # mutable, so unhashable
@@ -168,8 +166,7 @@ class SuiteResult(tw._Value):  # mutable, so unhashable
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, name: str, cases: int = 0, failures: Optional[List[dict]] = None):
-        self.name, self.cases = name, cases
-        self.failures = [] if failures is None else failures
+        self._set(name, cases, [] if failures is None else failures)
 
     @property
     def passed(self) -> bool:
@@ -181,7 +178,7 @@ class SuiteReport(tw._Value):
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, seed: int, results: List[SuiteResult]):
-        self.seed, self.results = seed, results
+        self._set(seed, results)
 
     @property
     def passed(self) -> bool:

@@ -19,16 +19,16 @@ view built from the rows on first read.  ``FUModule(towers)`` writes one
 row per tower over the lcm of their denominators, ``homology`` and
 ``kunneth`` one row per distinct tower (``_module_from_counts``), and
 ``place_towers`` one row per term over 1.
-``towers`` is a view, built on first read with one ``Fraction`` and one
-``Tower`` per row (the constructor keeps the tuple it was given as that
-view), so a module that is only compared, counted, ranked or cut to its
-torsion builds none.  ``canonical()`` and ``_module_from_counts`` sort rows
-by one integer key, ``_row_key``.
+``towers`` is always a view, built from the rows on first read with one
+``Fraction`` and one ``Tower`` per row, so a module that is only compared,
+counted, ranked or cut to its torsion builds none.  ``canonical()`` and
+``_module_from_counts`` sort rows by one integer key, ``_row_key``.
 
 Towers, modules and the package's other records derive from ``_Value``,
 which reads equality, hash and repr off the fields named by ``_fields``
-(written by each ``__init__``) and refuses assignment and deletion; unlike
-``dataclasses``, it generates no code when a class is made.
+(written by ``_set``, in that order, at the end of each ``__init__``) and
+refuses assignment and deletion; unlike ``dataclasses``, it generates no
+code when a class is made.
 """
 
 from __future__ import annotations
@@ -93,7 +93,15 @@ class _view:
 
 
 class _Value:
-    """An immutable record compared, hashed and printed by its tuple of ``_fields``."""
+    """An immutable record compared, hashed and printed by its tuple of ``_fields``.
+
+    A subclass that names ``_fields`` checks its arguments in ``__init__``
+    and ends it in one ``_set`` call, which writes the fields.
+    """
+
+    def _set(self, *values) -> None:
+        """Write ``values`` to the fields named by ``_fields``, in that order."""
+        self.__dict__.update(zip(self._fields, values))
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -146,8 +154,7 @@ class Tower(_Value):
                 raise ValueError("free towers are always unoriented")
         elif not (type(length) is int and length > 0):
             raise ValueError(self._BAD_LENGTH.format(length))
-        d = self.__dict__
-        d["top"], d["length"], d["orientation"] = top, length, orientation
+        self._set(top, length, orientation)
 
     @property
     def is_free(self) -> bool:
@@ -211,8 +218,8 @@ class FUModule(_Value):
 
     The module stores its integer rows ``_rows`` over the denominator
     ``_q`` and nothing else.  Their multiplicities ``_counts`` are a view
-    built from the rows on first read; ``towers`` is too, or is kept as
-    given to the constructor.  ``==`` and ``hash`` compare isomorphism
+    built from the rows on first read, and so is ``towers``, however the
+    module was built.  ``==`` and ``hash`` compare isomorphism
     classes: the multiset of (top, length) pairs, read from ``_counts``.
     ``canonical()`` returns a copy sorted by descending top, then
     descending length.  Instances are immutable: assigning or deleting an
@@ -227,7 +234,6 @@ class FUModule(_Value):
         q = math.lcm(*(t.top.denominator for t in towers))
         rows = [((t.top.numerator * (q // t.top.denominator), t.length, t.orientation), 1) for t in towers]
         self._store(rows, q)
-        self.__dict__["towers"] = towers
 
     def _store(self, rows: list, q: int) -> "FUModule":
         """Store ``rows`` over q; return the module."""

@@ -183,6 +183,21 @@ class TestExpress:
             assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_geometric_complex(random.Random(3), 8),
+    lambda: build_misordered(1, 2),
+    lambda: tensor(build_xi(1), dual(build_xi(2))),
+], ids=["plain", "split", "product"])
+def test_a_result_stores_its_eight_fields_until_a_view_is_read(build):
+    for view in ("module", "free_cycles", "torsion_pairs", "_generators", "_basis"):
+        result = homology(build())
+        assert tuple(vars(result)) == ReductionResult._fields
+        getattr(result, view)
+        # the representatives and the basis read the generators, and nothing reads more
+        assert view in vars(result)
+        assert vars(result).keys() - set(ReductionResult._fields) <= {view, "_generators"}
+
+
 class TestLazyRepresentatives:
     @pytest.mark.parametrize("read", ["module", "free_cycles", "torsion_pairs", "witnesses_json"])
     def test_built_on_first_read(self, monkeypatch, read):

@@ -312,7 +312,10 @@ def test_modules_reject_assignment():
     lambda: homology(random_geometric_complex(random.Random(5), 8)).module,
     lambda: _from_rows([((1, 3, DOWN), 2), ((0, INFINITE, None), 1)], 2).canonical(),
     lambda: _from_rows([((1, 3, DOWN), 2), ((0, INFINITE, None), 1)], 2).torsion(),
-], ids=["rows", "counts", "place_towers", "kunneth", "homology", "canonical", "torsion"])
+    # mixed denominators, a free tower and every orientation
+    lambda: FUModule((T(F(1, 2), 3, DOWN), T(F(2, 3), 1, UP), T(F(5), 2), T(F(0), INFINITE))),
+], ids=["rows", "counts", "place_towers", "kunneth", "homology", "canonical", "torsion",
+        "constructor"])
 def test_a_built_module_stores_its_rows_until_a_view_is_read(build):
     # _counts and towers are first-read views of the rows
     reads = {"_counts": (lambda m: m == m, len, hash, lambda m: m.free_rank),

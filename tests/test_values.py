@@ -113,6 +113,7 @@ def test_value_classes_compare_hash_and_print_their_fields(name):
     positional, keyword, values, text = VALUE_CASES[name]
     a, b = positional(), keyword()
     assert a is not b
+    assert tuple(vars(a)) == tuple(vars(b)) == type(a)._fields
     assert fields(a, field_names(a)) == values and fields(b, field_names(b)) == values
     assert a == b and not a != b
     assert a != values and not a == values
@@ -152,6 +153,7 @@ def test_double_results_compare_by_identity_and_refuse_assignment():
     names = ("complex", "omega", "j_omega", "theta", "eta", "zeta", "splitting")
     k = DoubleResult(**dict(zip(names, DOUBLE_FIELDS)))
     assert fields(a, names) == fields(k, names) == DOUBLE_FIELDS
+    assert tuple(vars(a)) == tuple(vars(k)) == names
     assert a == a and a != b and a != k
     assert hash(a) == object.__hash__(a) and len({a, b, k}) == 3
     assert repr(a) == repr(k) == (
@@ -184,6 +186,8 @@ def test_reduction_results_compare_by_identity_and_stay_mutable():
 def test_suite_results_compare_by_value_stay_mutable_and_are_unhashable():
     a, b = SuiteResult("x"), SuiteResult(name="x", cases=0, failures=[])
     assert (a.name, a.cases, a.failures) == ("x", 0, [])
+    assert tuple(vars(a)) == tuple(vars(b)) == ("name", "cases", "failures")
+    assert tuple(vars(SuiteReport(1, []))) == ("seed", "results")
     assert a == b and not a != b and a != SuiteResult("x", 1) and a != ("x", 0, [])
     assert repr(a) == "SuiteResult(name='x', cases=0, failures=[])"
     a.failures.append({"case": 1})
