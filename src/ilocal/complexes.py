@@ -63,16 +63,17 @@ tau's denominator), ``_adj`` each cell's boundary as a tuple of positions
 and ``_coadj``, the transpose of ``_adj``, each cell's coboundary.  A split
 complex also stores ``_jpos``, the position of each cell's J-partner, and
 ``_fpos``, the position of its fixed cell.  A product stores its leaves
-instead of these tables (see below).  One private step, ``_store``,
-assigns every stored field (these tables or the leaves, tau, the width,
-and where its caller has them, ``_coadj``, ``_index`` and the splitting
-fields ``_canon``, ``_prefixed`` and ``_named``), and every construction
-ends there.  The id-keyed tables are views built on first read: ``bdry``
-(each boundary as a frozenset of ids), ``J`` (each id's partner), the
-``Cell`` objects of ``cells``, ``fixed`` (the fixed cell's id) and
-``_index`` (each id's position); so are
-``_mnum``, by position, and ``_coadj`` and the splitting fields where they
-are not stored.  A complex that is only reduced, mapped or derived from
+instead of these tables, and a complex derived by ``dual`` or ``double``
+its form in place of ``_ids``, ``_dims`` and ``_nums`` (see below).  One
+private step, ``_store``, assigns every stored field (these tables, the
+leaves or the form, tau, the width, and where its caller has them,
+``_coadj``, ``_index`` and the splitting fields ``_canon``, ``_prefixed``
+and ``_named``), and every construction ends there.  The id-keyed tables
+are views built on first read: ``bdry`` (each boundary as a frozenset of
+ids), ``J`` (each id's partner), the ``Cell`` objects of ``cells``,
+``fixed`` (the fixed cell's id) and ``_index`` (each id's position); so
+are ``_mnum``, by position, and ``_coadj`` and the splitting fields where
+they are not stored.  A complex that is only reduced, mapped or derived from
 never builds the id tables: ``dual`` and ``double`` store no index, so
 ``representative`` builds none.  ``fu_bdry``, the suite and the JSON read
 ``bdry``, a given splitting or chain the index, all else the positions.
@@ -92,9 +93,34 @@ again; tau is one ``Fraction`` made from its integer numerator and
 denominator, with no ``Fraction`` arithmetic.  ``dual`` keeps every
 position, so it shares ``_jpos``, carries the splitting fields unless its
 input has a prefix pair, and swaps boundary and coboundary: its ``_adj`` is
-its input's ``_coadj`` and its ``_coadj`` its input's ``_adj``.
-``double`` copies its input's tables and edits the cells next to eta in
-both (see ``doubling``).
+its input's ``_coadj`` and its ``_coadj`` its input's ``_adj``; it builds
+no list at all.  ``double`` copies its input's tables and edits the cells
+next to eta in both (see ``doubling``).
+
+The result of ``dual``, or of ``double`` of such a result, is a
+``_Starred`` (``_SplitStarred`` when split), which stores its form
+(``_form``): ``_stems``, each cell's id without the stars of later duals;
+``_born``, the number of duals applied when each cell was made;
+``_stars``, the number applied so far; the base lists ``_bdims`` and
+``_bnums`` with one ``_sign`` and two offsets, ``_doff`` and ``_noff``;
+and ``_lo`` and ``_hi``, the least and greatest dim (both 0 for no cell).
+A cell's id is its stem plus ``_stars - born`` stars, and its dim and
+numerator are ``_doff + _sign*d`` and ``_noff + _sign*k`` for its base
+entries d and k.  ``_ids``, ``_dims`` and ``_nums`` are views of the class
+pair built from the form on first read; as for a product, a view of the
+same name on ``GeometricComplex`` would slow every read of another
+complex's stored table.  ``max_dim`` reads ``_hi``, ``_min_dim`` ``_lo``
+and ``len`` the length of ``_born``.  A dual maps d to n - d and k to -n*q - k for n = ``_hi``,
+an affine map again: it shares its input's stems, birth counts and base
+lists, adds one to ``_stars``, negates the sign, takes the offsets to n -
+``_doff`` and -n*q - ``_noff`` and its dims span 0 to n - ``_lo``.
+``double`` drops eta's stem and appends its three new names, born at
+``_stars``, and their gradings to the base lists in stored coordinates.
+Any other complex is its own stems at zero stars under the identity map,
+so its dual and its double take the same path; its double, whose form is
+then its own tables, stores them as a plain split complex.  ``decompose``
+and ``double`` name the few cells they report through the stems (``_id``),
+so no step of ``representative`` builds the ids.
 
 A product keeps ``_factors``, the flat tuple of its leaves: a factor that
 is not a product is one leaf, and so is a product once one of its tables
@@ -282,6 +308,11 @@ class GeometricComplex:
         return _indexed(self._ids)
 
     @_view
+    def _born(self) -> List[int]:
+        """Each cell's star count when it was made: 0, as no ``dual`` derived it."""
+        return [0] * len(self)
+
+    @_view
     def _off(self) -> List[Tuple[int, ...]]:
         """Each cell's boundary as offsets t - i from its own position i, read off ``_adj``."""
         return [tuple([t - i for t in ts]) for i, ts in enumerate(self._adj)]
@@ -313,6 +344,10 @@ class GeometricComplex:
     def ids(self) -> Tuple[str, ...]:
         return self._ids
 
+    def _id(self, p: int) -> str:
+        """The id at position p, which a derived complex reads off its stems."""
+        return self._ids[p]
+
     def __len__(self) -> int:
         return len(self._dims)
 
@@ -324,6 +359,9 @@ class GeometricComplex:
 
     def max_dim(self) -> int:
         return max(self._dims, default=0)
+
+    def _min_dim(self) -> int:
+        return min(self._dims, default=0)
 
     def degree_of(self, cid: str, k: int) -> Grading:
         """Maslov degree M(cid) - 2k of the chain U^k cid."""
@@ -502,13 +540,72 @@ class _SplitProduct(_Product, SplitComplex):
         return _mixed(_placed(self, "_jpos"))
 
 
+class _Starred(GeometricComplex):
+    """A complex derived by ``dual`` or ``double``, stored in its form (``_form``).
+
+    Its ids, dims and gr numerators are views of that form: each id its
+    stem plus one star for each dual since the cell was made, and the
+    gradings the base lists under the one affine map.
+    """
+
+    @_view
+    def _ids(self) -> Tuple[str, ...]:
+        stars = self._stars
+        return tuple([s + "*" * (stars - b) for s, b in zip(self._stems, self._born)])
+
+    @_view
+    def _dims(self) -> List[int]:
+        return _affine(self._bdims, self._sign, self._doff)
+
+    @_view
+    def _nums(self) -> List[int]:
+        return _affine(self._bnums, self._sign, self._noff)
+
+    def _id(self, p: int) -> str:
+        return self._stems[p] + "*" * (self._stars - self._born[p])
+
+    def __len__(self) -> int:
+        return len(self._born)
+
+    def max_dim(self) -> int:
+        return self._hi
+
+    def _min_dim(self) -> int:
+        return self._lo
+
+
+class _SplitStarred(_Starred, SplitComplex):
+    """A split complex derived by ``dual`` or ``double``, stored in its form."""
+
+
+def _affine(base: List[int], sign: int, off: int) -> List[int]:
+    """off + sign * v for each v of ``base``; ``base`` itself under the identity."""
+    if sign < 0:
+        return [off - v for v in base]
+    return [off + v for v in base] if off else base
+
+
+def _form(c: GeometricComplex) -> tuple:
+    """The stored form of ``c`` (see the module docstring) but its birth counts and dim span.
+
+    (stems, stars, base dims, base nums, sign, dim offset, num offset); a
+    complex not derived by ``dual`` or ``double`` is its own stems at zero
+    stars under the identity map.  ``_born``, ``_min_dim`` and ``max_dim``
+    read the rest, which is built only for a ``_Starred`` result.
+    """
+    if isinstance(c, _Starred):
+        return c._stems, c._stars, c._bdims, c._bnums, c._sign, c._doff, c._noff
+    return c._ids, 0, c._dims, c._nums, 1, 0, 0
+
+
 def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: Optional[List[int]],
            adj: Optional[List[Tuple[int, ...]]], tau: Grading, nums: Optional[List[int]],
            width: Union[int, float], jpos: Optional[List[int]] = None, fpos: Optional[int] = None,
            coadj: Optional[List[Tuple[int, ...]]] = None,
            index: Optional[Dict[str, int]] = None, canon: Optional[_Flags] = None,
            prefixed: Tuple[int, ...] = (), named: FrozenSet[str] = frozenset(),
-           factors: Optional[tuple] = None, prefix_free: bool = False) -> GeometricComplex:
+           factors: Optional[tuple] = None, prefix_free: bool = False,
+           form: Optional[tuple] = None) -> GeometricComplex:
     """Assign the stored fields of ``c``; nothing else assigns them, but for one.
 
     ``doubling.double`` sets ``_fresh_from`` on the double after ``_derived``
@@ -526,13 +623,23 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: Optional[L
     read, as ``fixed`` always is.  A product passes its leaves as
     ``factors`` in place of the tables, which are then built on first read,
     and ``prefix_free`` when every leaf is prefix-free; otherwise it passes
-    the ids and the index too (see ``tensor``).  The fields are assigned in
-    one fixed order, the ids first.
+    the ids and the index too (see ``tensor``).  A result of ``dual`` or
+    ``double`` passes its ``form``: stems, birth counts, stars, base dims and
+    numerators, sign, the two offsets and the least and greatest dim, in
+    place of the ids, dims and numerators;
+    its base lists are stored as ``_bdims`` and ``_bnums`` and its ids,
+    dims and numerators are then built on first read.
+    The fields are assigned in one fixed order, the ids or the form first.
     """
-    if ids is not None:
+    if form is not None:
+        (c._stems, c._born, c._stars, c._bdims, c._bnums, c._sign, c._doff, c._noff, c._lo,
+         c._hi) = form
+    elif ids is not None:
         c._ids = ids
     if factors is None:
-        c._dims, c._adj, c._nums = dims, adj, nums
+        if form is None:
+            c._dims, c._nums = dims, nums
+        c._adj = adj
         if jpos is not None:
             c._jpos = jpos
     else:
@@ -553,14 +660,14 @@ def _store(c: GeometricComplex, ids: Optional[Tuple[str, ...]], dims: Optional[L
 
 def _derived(cls, ids, dims, adj, tau, nums, width, jpos=None, fpos=None, coadj=None,
              index=None, canon=None, prefixed=(), named=frozenset(), factors=None,
-             prefix_free=False) -> GeometricComplex:
+             prefix_free=False, form=None) -> GeometricComplex:
     """The result of ``dual``, ``tensor`` or ``double``, stored by ``_store`` unchecked.
 
     The caller names its class ``cls``: ``GeometricComplex`` or
     ``SplitComplex``, or for a product ``_Product`` or ``_SplitProduct``.
     """
     return _store(object.__new__(cls), ids, dims, adj, tau, nums, width, jpos, fpos, coadj, index,
-                  canon, prefixed, named, factors, prefix_free)
+                  canon, prefixed, named, factors, prefix_free, form)
 
 
 # -- splittings ---------------------------------------------------------
@@ -627,12 +734,12 @@ def decompose(sc: SplitComplex, chain: Iterable[str], chosen: Iterable[str]):
                 raise ValueError(f"chain mentions unknown cell {cid!r}")
             positions.add(p)
         chain = positions
-    ids, jpos = sc._ids, sc._jpos
+    jpos, name = sc._jpos, sc._id
     # c of a pair alone or Jc alone gives c to a, and Jc, alone or not, c to b
     a = {p if chosen[p] else jpos[p] for p in chain if jpos[p] not in chain}
     b = {jpos[p] for p in chain if not chosen[p] and jpos[p] != p}
     eps = 1 if sc._fpos in chain else 0
-    return frozenset(map(ids.__getitem__, a)), frozenset(map(ids.__getitem__, b)), eps
+    return frozenset(map(name, a)), frozenset(map(name, b)), eps
 
 
 # -- builders -----------------------------------------------------------
@@ -760,24 +867,27 @@ def dual(c: GeometricComplex) -> GeometricComplex:
     F2[U]-complex unchanged.  Over the same denominator q, the numerator k
     of gr becomes -n*q - k, and every boundary pair keeps its gap, so the
     width is unchanged.  Each e* keeps e's position, so J keeps its
-    positions and the boundary and coboundary trade places.  The canonical
-    flags carry over unless the input has a prefix pair, whose order
-    starring may flip (see the module docstring); no starred id matches
-    ``_NEW_NAME``.
+    positions and the boundary and coboundary trade places.  The result
+    keeps its input's form with one more star and the affine map composed
+    with d -> n - d and k -> -n*q - k (see the module docstring), so it
+    builds no list and reads n off ``_hi``.  The canonical flags carry over
+    unless the input has a prefix pair, whose order starring may flip; no
+    starred id matches ``_NEW_NAME``.
     """
+    stems, stars, dims, nums, sign, doff, noff = _form(c)
     n, q = c.max_dim(), c._q
     shift = -n * q
-    ids = tuple([cid + "*" for cid in c._ids])
-    dims = [n - d for d in c._dims]
-    nums = [shift - k for k in c._nums]
     # -n - tau mod 2 over q, which stays tau's reduced denominator
     tau = Fraction((shift - c.tau.numerator) % (2 * q), q)
+    # one more star on every id; n - d and shift - k of the mapped d and k
+    form = (stems, c._born, stars + 1, dims, nums, -sign, n - doff, shift - noff, 0,
+            n - c._min_dim())
     if not isinstance(c, SplitComplex):
-        return _derived(GeometricComplex, ids, dims, c._coadj, tau, nums, c._width,
-                        coadj=c._adj)
+        return _derived(_Starred, None, None, c._coadj, tau, None, c._width, coadj=c._adj,
+                        form=form)
     # starring keeps the order of every pair but a prefix pair
-    return _derived(SplitComplex, ids, dims, c._coadj, tau, nums, c._width, c._jpos, c._fpos,
-                    c._adj, None, None if c._prefixed else c._canon)
+    return _derived(_SplitStarred, None, None, c._coadj, tau, None, c._width, c._jpos, c._fpos,
+                    c._adj, None, None if c._prefixed else c._canon, form=form)
 
 
 # -- JSON ---------------------------------------------------------------

@@ -23,19 +23,28 @@ d(J.omega) = d(omega) = d(eta).
 On positions, ``double`` copies the tables of x and edits only the cells
 next to eta, in the boundary ``_adj`` and the coboundary ``_coadj`` alike.
 Omega takes eta's position, and J.omega and theta the two after the last
-cell.  Eta's coboundary, read from ``_coadj`` rather than by scanning the
-rows, lists the chosen cells with eta in their boundary, which keep it as
-omega, and their unchosen partners, which switch it for J.omega; so eta's
-column splits into omega's and J.omega's.  The theta flag is a parity over
-the coboundaries of the switched cells; flagged pairs gain theta, and
-theta's column lists them.  Each cell of d(eta) gains J.omega in its
-column, omega and J.omega gain theta in theirs, and ``_jpos`` and the
-splitting fields are copied and edited too.  Every complex the library
-builds has eta last, so these edited tables are the double's.  Otherwise
-the positions are renumbered so that omega, J.omega and theta are the last
-three, and the coboundary is left to be built on first read.  ``double``
-also records on its result the least suffix the next name probe may start
-from, so a run of doublings probes each name once.
+cell.  Ids and gradings are edited in x's stored coordinates
+(``complexes._form``): omega takes eta's place among the stems, J.omega
+and theta are appended, all three born at x's star count, so their ids are
+their names; and the gradings go onto x's base lists through the inverse
+of its map, theta's base dim being eta's plus the sign.  A complex that
+``dual`` and ``double`` did not derive is its own tables at zero stars
+under the identity map, so it takes the same path, and its double stores
+the edited tables as they are: a plain split complex, like its input,
+that builds no view when ``homology`` or a local map reads it.  Eta's coboundary,
+read from ``_coadj`` rather than by scanning the rows, lists the chosen
+cells with eta in their boundary, which keep it as omega, and their
+unchosen partners, which switch it for J.omega; so eta's column splits
+into omega's and J.omega's.  The theta flag is a parity over the
+coboundaries of the switched cells; flagged pairs gain theta, and theta's
+column lists them.  Each cell of d(eta) gains J.omega in its column, omega
+and J.omega gain theta in theirs, and ``_jpos`` and the splitting fields
+are copied and edited too.  Every complex the library builds has eta last,
+so these edited tables are the double's.  Otherwise the positions are
+renumbered so that omega, J.omega and theta are the last three, and the
+coboundary is left to be built on first read.  ``double`` also records on
+its result the least suffix the next name probe may start from, so a run
+of doublings probes each name once.
 
 ``double`` reads its splitting as flags by position through
 ``complexes._flags``, the one check of a given splitting: ``None`` stands
@@ -93,6 +102,9 @@ from .complexes import (
     _derived,
     _Flags,
     _flags,
+    _form,
+    _SplitStarred,
+    _Starred,
     _xi_complex,
     decompose,
     dual,
@@ -116,8 +128,8 @@ class DoubleResult(_Value):
 
     ``eta`` is the replaced fixed cell of the input, ``zeta`` the chosen-side
     half of d(eta), ``splitting`` the chosen cells plus omega.  ``double``
-    keeps the input's ids and the flags of its splitting in place of
-    ``splitting``, which is then built on first read.
+    keeps the input and the flags of its splitting in place of
+    ``splitting``, which is then built on first read from the input's ids.
     """
 
     _fields = ("complex", "omega", "j_omega", "theta", "eta", "zeta", "splitting")
@@ -130,7 +142,7 @@ class DoubleResult(_Value):
     @_view
     def splitting(self) -> FrozenSet[str]:
         """The flagged ids of the input plus omega, for a result of ``double``."""
-        return frozenset(compress(self._ids, self._chosen)) | {self.omega}
+        return frozenset(compress(self._input._ids, self._chosen)) | {self.omega}
 
     def labels_json(self) -> dict:
         return {
@@ -184,9 +196,10 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
     chosen = _flags(x, splitting)
-    ids, jpos, adj, coadj = x._ids, x._jpos, x._adj, x._coadj
-    n, e = len(ids), x._fpos
-    eta, d_eta, cob = ids[e], adj[e], coadj[e]
+    stems, stars, dims, nums, sign, doff, noff = _form(x)
+    jpos, adj, coadj = x._jpos, x._adj, x._coadj
+    n, e = len(jpos), x._fpos
+    eta, d_eta, cob = x._id(e), adj[e], coadj[e]
     _, zeta, _ = decompose(x, d_eta, chosen)
     named = x._named
     k, (omega, j_omega, theta) = _fresh_names(named, x._fresh_from)
@@ -215,12 +228,13 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
         coadj[t] += (n,)
     coadj[e] = keep + (n + 1,)
     coadj += [switch + (n + 1,), tuple(theta_col)]
-    dim_e, num_e = x._dims[e], x._nums[e]
-    dims = x._dims + [dim_e, dim_e + 1]
-    nums = x._nums + [num_e, num_e - 2 * delta * x._q]
+    # in stored coordinates, through the sign: theta is one dim up and 2*delta down in gr
+    dim_e, num_e = dims[e], nums[e]
+    dims = dims + [dim_e, dim_e + sign]
+    nums = nums + [num_e, num_e - sign * 2 * delta * x._q]
     new_jpos = jpos + [e, n + 1]
     new_jpos[e] = n
-    new_ids = ids[:e] + (omega,) + ids[e + 1:] + (j_omega, theta)
+    stems = stems[:e] + (omega,) + stems[e + 1:] + (j_omega, theta)
     # x's pairs keep their ids, and of the new pair J.omega is the smaller,
     # as "J.omega" < "omega"; omega takes eta's flag, 0
     canon, prefixed = _Flags(x._canon + b"\1\0"), x._prefixed
@@ -230,7 +244,7 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
         # coboundary is left to be built on first read
         order = [*range(e), *range(e + 1, n), e, n, n + 1]
         moved = [*range(e), n - 1, *range(e, n - 1), n, n + 1].__getitem__
-        new_ids = tuple(map(new_ids.__getitem__, order))
+        stems = tuple(map(stems.__getitem__, order))
         dims, nums = [dims[p] for p in order], [nums[p] for p in order]
         new_jpos = [moved(new_jpos[p]) for p in order]
         adj = [tuple(map(moved, adj[p])) for p in order]
@@ -241,12 +255,26 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
     # d(t) for some t in d(c); d(c) ∋ t and d(t) ∋ eta each have gap >= W,
     # so its gap is >= 2W - 2*delta >= W >= 2*delta.
-    doubled = _derived(SplitComplex, new_ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1,
-                       coadj, None, canon, prefixed, (named - {eta}) | {omega, j_omega, theta})
+    if isinstance(x, _Starred):
+        # the new cells are born at x's star count, so their ids are their stems;
+        # theta's dim, one above eta's, is the one dim the double adds
+        born = x._born + [stars, stars]
+        born[e] = stars
+        if e != n - 1:
+            born = [born[p] for p in order]
+        form = (stems, born, stars, dims, nums, sign, doff, noff, x._lo,
+                max(x._hi, doff + sign * dim_e + 1))
+        cls, ids, dims, nums = _SplitStarred, None, None, None
+    else:
+        # x's form is its own tables at zero stars, so its double stores them
+        cls, ids, form = SplitComplex, stems, None
+    doubled = _derived(cls, ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, None,
+                       canon, prefixed, (named - {eta}) | {omega, j_omega, theta}, None, False,
+                       form)
     doubled._fresh_from = _next_probe(named, eta, k)
     dr = object.__new__(DoubleResult)
     vars(dr).update(complex=doubled, omega=omega, j_omega=j_omega, theta=theta, eta=eta, zeta=zeta,
-                    _ids=ids, _chosen=chosen)
+                    _input=x, _chosen=chosen)
     return dr
 
 

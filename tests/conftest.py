@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from ilocal.complexes import (GeometricComplex, SplitComplex, _derived, _leaves, _Product,
-                              _SplitProduct)
+                              _SplitProduct, _SplitStarred, _Starred)
 from ilocal.homology import ChainMap, _derived_map
 from ilocal.suite import random_geometric_complex, random_split_complex
 from ilocal.towers import FUModule, _view
@@ -40,16 +41,26 @@ SPLIT_TABLES = COMPLEX_TABLES + ("_jpos", "_fpos")
 #: other complexes, compared by name with the reference's views
 PRODUCT_TABLES = ("_off", "_idrank")
 
+#: the form a complex derived by ``dual`` or ``double`` stores in place of
+#: its ids, dims and numerators, compared through the views built from it
+FORM = ("_stems", "_born", "_stars", "_bdims", "_bnums", "_sign", "_doff", "_noff")
+
+#: its stored least and greatest dim, and how each is read off the reference
+SPAN = {"_lo": min, "_hi": max}
+
 #: The stored fields of each kind of derived object that are not views,
 #: compared by name with the rebuilt reference's; a map's source and target
-#: are the reference's own, and a product's are the tables it builds from
-#: its leaves.  Every other stored field must be a ``towers._view``,
-#: compared with its builder run on the reference.
+#: are the reference's own, a product's are the tables it builds from its
+#: leaves, and a derived complex's ids, dims and numerators are those its
+#: views build from ``FORM``.  Every other stored field must be a
+#: ``towers._view``, compared with its builder run on the reference.
 TABLES = {
     GeometricComplex: COMPLEX_TABLES,
     SplitComplex: SPLIT_TABLES,
     _Product: COMPLEX_TABLES + PRODUCT_TABLES,
     _SplitProduct: SPLIT_TABLES + PRODUCT_TABLES,
+    _Starred: COMPLEX_TABLES,
+    _SplitStarred: SPLIT_TABLES,
     ChainMap: ("source", "target", "_pattern", "_grading"),
 }
 
@@ -77,13 +88,24 @@ def state(obj, stored):
     return pickle.dumps((type(obj), stored), pickle.HIGHEST_PROTOCOL)
 
 
+def read(obj, stored, name):
+    """The table ``name`` of ``obj``; a derived complex's view is built without keeping it."""
+    view = getattr(type(obj), name, None)
+    if isinstance(obj, _Starred) and name not in stored and isinstance(view, _view):
+        return view.build(obj)
+    return getattr(obj, name)
+
+
 def compare_stored(obj, stored, ref):
     """Every field in ``stored`` (``vars(obj)`` as derived) against the reference ``ref``.
 
     A product stores ``_factors``, its leaves, in place of its tables: two
     or more complexes, none of them a product whose tables are all unread
     (``tensor`` flattens those).  It is compared through every table it
-    builds from them (``TABLES``).
+    builds from them (``TABLES``).  A complex derived by ``dual`` or
+    ``double`` stores its ``FORM`` in place of its ids, dims and numerators;
+    it is compared through the views built from it, which it does not keep,
+    and its ``SPAN`` against the reference's dims.
     """
     tables = TABLES[type(obj)]
     if "_factors" in stored:
@@ -91,9 +113,12 @@ def compare_stored(obj, stored, ref):
         assert len(leaves) >= 2
         assert all(_leaves(f) == (f,) for f in leaves), "a leaf is a product with unread tables"
     for name in tables:
-        assert same(name, getattr(obj, name), getattr(ref, name)), name
+        assert same(name, read(obj, stored, name), getattr(ref, name)), name
+    if isinstance(obj, _Starred):
+        for name, pick in SPAN.items():
+            assert stored[name] == pick(ref._dims, default=0), name
     for name, value in stored.items():
-        if name in tables or name == "_factors":
+        if name in tables or name == "_factors" or name in FORM or name in SPAN:
             continue
         view = getattr(type(obj), name, None)
         assert isinstance(view, _view), f"stored field {name!r} is neither a compared table nor a view"
@@ -126,7 +151,12 @@ def patch_derived(request, monkeypatch, checked_states, factory, rebuild):
 
 
 def rebuilt_complex(c):
-    """``c`` rebuilt from its cells, boundary, tau and J through the validating constructors."""
+    """``c`` rebuilt from its cells, boundary, tau and J through the validating constructors.
+
+    They are read off a shallow copy, so that ``c`` keeps none of the views
+    they build.
+    """
+    c = copy.copy(c)
     ref = GeometricComplex(c.cells.values(), c.bdry, c.tau)
     return SplitComplex(ref, c.J) if isinstance(c, SplitComplex) else ref
 

@@ -24,6 +24,7 @@ from ilocal import (
     dual,
     tensor,
 )
+from ilocal.complexes import _Starred
 from ilocal.suite import random_geometric_complex, random_split_complex
 
 
@@ -540,6 +541,74 @@ class TestStoredFields:
         assert {c.tau.denominator for c in complexes} > {1}
         for c in complexes:
             assert c._q == c.tau.denominator
+
+
+class TestStoredForm:
+    """``dual``, and ``double`` of a dual, store their results as stems, star
+    counts and base gradings under one affine map; ids, dims and numerators
+    are views of them, built on first read, and ``max_dim`` and ``len`` read
+    fields.  The double of any other complex stores its tables."""
+
+    VIEWS = {"_ids", "_dims", "_nums"}
+
+    @staticmethod
+    def tables(c):
+        return list(c._ids), list(c._dims), list(c._nums)
+
+    @staticmethod
+    def dualized(ref, q):
+        """The tables of the dual: one more star, dim n - d and numerator -n*q - k."""
+        ids, dims, nums = ref
+        n = max(dims, default=0)
+        return [cid + "*" for cid in ids], [n - d for d in dims], [-n * q - k for k in nums]
+
+    @staticmethod
+    def doubled(ref, dr, delta, q):
+        """The tables of the double: eta's cell goes, omega, J.omega and theta come last."""
+        ids, dims, nums = ref
+        e = ids.index(dr.eta)
+        d, k = dims[e], nums[e]
+        keep = [p for p in range(len(ids)) if p != e]
+        return ([ids[p] for p in keep] + [dr.omega, dr.j_omega, dr.theta],
+                [dims[p] for p in keep] + [d, d, d + 1],
+                [nums[p] for p in keep] + [k, k, k - 2 * delta * q])
+
+    def check(self, c, ref):
+        ids, dims, _ = ref
+        if not isinstance(c, _Starred):  # the double of a complex not derived stores its tables
+            assert self.tables(c) == tuple(ref)
+            return
+        assert not self.VIEWS & vars(c).keys()
+        assert (len(c), c.max_dim()) == (len(ids), max(dims, default=0))
+        assert (vars(c)["_lo"], vars(c)["_hi"]) == (min(dims, default=0), max(dims, default=0))
+        assert not self.VIEWS & vars(c).keys()
+        assert self.tables(c) == tuple(ref)
+        assert self.VIEWS <= vars(c).keys()
+
+    def test_chains_store_no_table_until_read(self, split_corpus, pair_corpus):
+        rng = random.Random("stored form")
+        one_cell = GeometricComplex(cells_of(("x", 2, 0)), {})
+        starts = list(split_corpus) + [c for pair in pair_corpus for c in pair]
+        starts += [GeometricComplex([], {}), one_cell, build_trivial()]
+        for x in starts:
+            c, ref = x, self.tables(x)
+            for _ in range(rng.randint(1, 6)):
+                deltas = range(min(2, c.width() // 2) + 1)
+                if isinstance(c, SplitComplex) and rng.random() < 0.5:
+                    delta = rng.choice(deltas)
+                    dr = double(c, delta)
+                    assert isinstance(dr.complex, _Starred) == isinstance(c, _Starred)
+                    c, ref = dr.complex, self.doubled(ref, dr, delta, c._q)
+                else:
+                    c, ref = dual(c), self.dualized(ref, c._q)
+                self.check(c, ref)
+            assert dual(dual(c))._ids == tuple(cid + "**" for cid in c._ids)
+
+    def test_two_duals_add_two_stars(self, split_corpus, pair_corpus):
+        for x in list(split_corpus) + [c for pair in pair_corpus for c in pair]:
+            dd = dual(dual(x))
+            assert not self.VIEWS & vars(dd).keys()
+            assert dd._ids == tuple(cid + "**" for cid in x._ids)
 
 
 def boundary_forms_agree(c):

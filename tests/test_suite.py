@@ -117,9 +117,9 @@ class TestCheckWitnesses:
         derived = ilocal.doubling._derived
 
         def mutated(cls, ids, dims, adj, tau, nums, width, jpos=None, fpos=None, *rest):
-            # drop the target of theta, at position fpos, whose id sorts first
+            # drop J.omega, the cell just before theta (at position fpos), from d(theta)
             adj = list(adj)
-            adj[fpos] = tuple(sorted(adj[fpos], key=ids.__getitem__)[1:])
+            adj[fpos] = tuple(t for t in adj[fpos] if t != fpos - 1)
             return derived(cls, ids, dims, adj, tau, nums, width, jpos, fpos, *rest)
 
         monkeypatch.setattr(ilocal.doubling, "_derived", mutated)
