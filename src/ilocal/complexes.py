@@ -225,10 +225,8 @@ class GeometricComplex:
 
     def __init__(self, cells: Iterable[Cell], bdry: Mapping[str, Iterable[str]],
                  tau: Grading = None):
-        self._validate(tuple(cells), dict(bdry), tau)
-
-    def _validate(self, cells, bdry, tau):
         """Map ids to positions once, check a new complex on them in ``bdry``'s order; store it."""
+        cells, bdry = tuple(cells), dict(bdry)
         ids = tuple([c.id for c in cells])
         at = _indexed(ids)
         sources = list(map(at.get, bdry))
@@ -439,9 +437,7 @@ class SplitComplex(GeometricComplex):
         for cid, ts, jp in zip(ids, adj, jpos):
             if {jpos[t] for t in ts} != set(adj[jp]):
                 raise NotSplit(f"J does not commute with bdry at cell {cid!r}")
-        # base's coboundary is shared if it has stored or built one
-        _store(self, ids, dims, adj, base.tau, nums, base._width, jpos, at[fixed[0]],
-               vars(base).get("_coadj"), at)
+        _store(self, ids, dims, adj, base.tau, nums, base._width, jpos, at[fixed[0]], index=at)
 
     @_view
     def fixed(self) -> str:

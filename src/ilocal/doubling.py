@@ -22,29 +22,32 @@ d(J.omega) = d(omega) = d(eta).
 
 On positions, ``double`` copies the tables of x and edits only the cells
 next to eta, in the boundary ``_adj`` and the coboundary ``_coadj`` alike.
-Omega takes eta's position, and J.omega and theta the two after the last
-cell.  Ids and gradings are edited in x's stored coordinates
-(``complexes._form``): omega takes eta's place among the stems, J.omega
-and theta are appended, all three born at x's star count, so their ids are
-their names; and the gradings go onto x's base lists through the inverse
-of its map, theta's base dim being eta's plus the sign.  A complex that
-``dual`` and ``double`` did not derive is its own tables at zero stars
-under the identity map, so it takes the same path, and its double stores
-the edited tables as they are: a plain split complex, like its input,
-that builds no view when ``homology`` or a local map reads it.  Eta's coboundary,
-read from ``_coadj`` rather than by scanning the rows, lists the chosen
-cells with eta in their boundary, which keep it as omega, and their
-unchosen partners, which switch it for J.omega; so eta's column splits
-into omega's and J.omega's.  The theta flag is a parity over the
-coboundaries of the switched cells; flagged pairs gain theta, and theta's
-column lists them.  Each cell of d(eta) gains J.omega in its column, omega
-and J.omega gain theta in theirs, and ``_jpos`` and the splitting fields
-are copied and edited too.  Every complex the library builds has eta last,
-so these edited tables are the double's.  Otherwise the positions are
-renumbered so that omega, J.omega and theta are the last three, and the
-coboundary is left to be built on first read.  ``double`` also records on
-its result the least suffix the next name probe may start from, so a run
-of doublings probes each name once.
+Every complex the library builds has eta last.  A complex from outside
+that lists eta before another cell is rebuilt once on entry, through the
+validating constructors, with its cells in their order but eta last and
+its splitting flags moved alike; so there is one edit path, with eta at
+position n - 1 of n cells.  Omega takes eta's position, and J.omega and
+theta the two after it, so the new cells are the last three and nothing
+is moved after the edit.  Ids and gradings are edited in x's stored
+coordinates (``complexes._form``): omega takes eta's place among the
+stems, J.omega and theta are appended, all three born at x's star count,
+so their ids are their names; and the gradings go onto x's base lists
+through the inverse of its map, theta's base dim being eta's plus the
+sign.  A complex that ``dual`` and ``double`` did not derive, a rebuilt
+one among them, is its own tables at zero stars under the identity map,
+so it takes the same path, and its double stores the edited tables as
+they are: a plain split complex, like its input, that builds no view
+when ``homology`` or a local map reads it.  Eta's coboundary, read from
+``_coadj`` rather than by scanning the rows, lists the chosen cells with
+eta in their boundary, which keep it as omega, and their unchosen
+partners, which switch it for J.omega; so eta's column splits into
+omega's and J.omega's.  The theta flag is a parity over the coboundaries
+of the switched cells; flagged pairs gain theta, and theta's column lists
+them.  Each cell of d(eta) gains J.omega in its column, omega and J.omega
+gain theta in theirs, and ``_jpos`` and the splitting fields are copied
+and edited too; the double stores them all, its coboundary included.
+``double`` also records on its result the least suffix the next name
+probe may start from, so a run of doublings probes each name once.
 
 ``double`` reads its splitting as flags by position through
 ``complexes._flags``, the one check of a given splitting: ``None`` stands
@@ -78,8 +81,8 @@ lift to grading-preserving F2[U]-maps by inserting U-powers, each found by
 the one lift rule of ``complexes`` (``GeometricComplex._lift``), and g o f
 is the identity on the nose.  Both are built on positions as F2 patterns
 (``homology._derived_map``), with no id of the double or the tensor: in the
-double, x's cell p sits at p - (p > e) for eta at e, and omega, J.omega and
-theta at n - 1, n and n + 1, whether or not eta is last; in the tensor,
+double, x's cell p sits at p - (p > e) for eta at e in x as given, and
+omega, J.omega and theta at n - 1, n and n + 1; in the tensor,
 (p, a), (p, Ja) and (p, b) sit at 3p, 3p + 1 and 3p + 2.  Both maps are
 built from the same double and the same tensor: a one-slot cache keeps the
 last pair, so f followed by g on the same arguments builds each once.  The
@@ -98,6 +101,7 @@ from typing import FrozenSet, Iterable, Optional
 from .complexes import (
     _NEW_NAME,
     Chain,
+    GeometricComplex,
     SplitComplex,
     _derived,
     _Flags,
@@ -195,19 +199,26 @@ def _check_delta(x: SplitComplex, delta: int) -> None:
 def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = None) -> DoubleResult:
     """Double a split complex with parameter delta (needs 2*delta <= width)."""
     _check_delta(x, delta)
-    chosen = _flags(x, splitting)
+    given = chosen = _flags(x, splitting)
+    src, n, e = x, len(x), x._fpos
+    if e != n - 1:
+        # only a complex from outside lists eta before another cell: it is
+        # rebuilt once with eta last, its flags moved alike
+        cells = list(x.cells.values())
+        x = SplitComplex(GeometricComplex(cells[:e] + cells[e + 1:] + [cells[e]], x.bdry, x.tau),
+                         x.J)
+        chosen, e = _Flags(chosen[:e] + chosen[e + 1:] + b"\0"), n - 1
     stems, stars, dims, nums, sign, doff, noff = _form(x)
     jpos, adj, coadj = x._jpos, x._adj, x._coadj
-    n, e = len(jpos), x._fpos
     eta, d_eta, cob = x._id(e), adj[e], coadj[e]
     _, zeta, _ = decompose(x, d_eta, chosen)
     named = x._named
     k, (omega, j_omega, theta) = _fresh_names(named, x._fresh_from)
 
-    # tables edited in x's positions, where e is eta and stands for omega,
-    # n is J.omega and n + 1 theta.  The coboundary of eta holds the chosen
-    # cells with eta in their boundary and their unchosen partners, which
-    # switch eta for J.omega
+    # tables edited in x's positions, where e = n - 1 is eta and stands for
+    # omega, n is J.omega and n + 1 theta.  The coboundary of eta holds the
+    # chosen cells with eta in their boundary and their unchosen partners,
+    # which switch eta for J.omega
     keep = tuple([s for s in cob if chosen[s]])
     switch = tuple([s for s in cob if not chosen[s]])
     # a chosen cell gets theta when an odd number of the switched cells lie
@@ -232,24 +243,11 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     dim_e, num_e = dims[e], nums[e]
     dims = dims + [dim_e, dim_e + sign]
     nums = nums + [num_e, num_e - sign * 2 * delta * x._q]
-    new_jpos = jpos + [e, n + 1]
-    new_jpos[e] = n
-    stems = stems[:e] + (omega,) + stems[e + 1:] + (j_omega, theta)
+    new_jpos = jpos[:e] + [n, e, n + 1]
+    stems = stems[:e] + (omega, j_omega, theta)
     # x's pairs keep their ids, and of the new pair J.omega is the smaller,
     # as "J.omega" < "omega"; omega takes eta's flag, 0
-    canon, prefixed = _Flags(x._canon + b"\1\0"), x._prefixed
-
-    if e != n - 1:
-        # eta's slot is dropped and omega takes position n - 1; the
-        # coboundary is left to be built on first read
-        order = [*range(e), *range(e + 1, n), e, n, n + 1]
-        moved = [*range(e), n - 1, *range(e, n - 1), n, n + 1].__getitem__
-        stems = tuple(map(stems.__getitem__, order))
-        dims, nums = [dims[p] for p in order], [nums[p] for p in order]
-        new_jpos = [moved(new_jpos[p]) for p in order]
-        adj = [tuple(map(moved, adj[p])) for p in order]
-        canon, prefixed = _Flags(map(canon.__getitem__, order)), tuple(map(moved, prefixed))
-        coadj = None
+    canon = _Flags(x._canon + b"\1\0")
     # The width is exactly 2*delta, the theta -> omega gap.  Edges of x, and
     # c -> omega or omega -> t in place of c -> eta or eta -> t, keep their
     # gaps >= W >= 2*delta, W the width of x.  A c -> theta edge needs eta in
@@ -258,23 +256,19 @@ def double(x: SplitComplex, delta: int, splitting: Optional[Iterable[str]] = Non
     if isinstance(x, _Starred):
         # the new cells are born at x's star count, so their ids are their stems;
         # theta's dim, one above eta's, is the one dim the double adds
-        born = x._born + [stars, stars]
-        born[e] = stars
-        if e != n - 1:
-            born = [born[p] for p in order]
-        form = (stems, born, stars, dims, nums, sign, doff, noff, x._lo,
+        form = (stems, x._born[:e] + [stars] * 3, stars, dims, nums, sign, doff, noff, x._lo,
                 max(x._hi, doff + sign * dim_e + 1))
         cls, ids, dims, nums = _SplitStarred, None, None, None
     else:
         # x's form is its own tables at zero stars, so its double stores them
         cls, ids, form = SplitComplex, stems, None
     doubled = _derived(cls, ids, dims, adj, x.tau, nums, 2 * delta, new_jpos, n + 1, coadj, None,
-                       canon, prefixed, (named - {eta}) | {omega, j_omega, theta}, None, False,
+                       canon, x._prefixed, (named - {eta}) | {omega, j_omega, theta}, None, False,
                        form)
     doubled._fresh_from = _next_probe(named, eta, k)
     dr = object.__new__(DoubleResult)
     vars(dr).update(complex=doubled, omega=omega, j_omega=j_omega, theta=theta, eta=eta, zeta=zeta,
-                    _input=x, _chosen=chosen)
+                    _input=src, _chosen=given)
     return dr
 
 

@@ -25,7 +25,7 @@ from ilocal import (
     tensor,
 )
 from ilocal.complexes import _Starred
-from ilocal.suite import random_geometric_complex, random_split_complex
+from ilocal.suite import admissible_deltas, random_geometric_complex, random_split_complex
 
 
 class TestBuilders:
@@ -152,17 +152,17 @@ class TestValidation:
         # validation of its base); dual, tensor and double derive complexes
         # that are valid by construction and run no validation of their own
         calls = []
-        validate, check_j = GeometricComplex._validate, SplitComplex.__init__
+        validate, check_j = GeometricComplex.__init__, SplitComplex.__init__
 
         def counting_validate(self, *args):
             calls.append("validate")
-            return validate(self, *args)
+            validate(self, *args)
 
         def counting_check_j(self, base, J):
             calls.append("J")
             check_j(self, base, J)
 
-        monkeypatch.setattr(GeometricComplex, "_validate", counting_validate)
+        monkeypatch.setattr(GeometricComplex, "__init__", counting_validate)
         monkeypatch.setattr(SplitComplex, "__init__", counting_check_j)
         x = build_xi(2)
         calls.clear()
@@ -176,6 +176,39 @@ class TestValidation:
             calls.clear()
             assert isinstance(make(), SplitComplex)
             assert calls == []
+
+    @pytest.mark.trusted_derived
+    def test_double_rebuilds_a_fixed_cell_listed_first_once(self, monkeypatch, split_corpus):
+        # every complex the library builds, and its dual, has its fixed cell
+        # last and is doubled as it is; read back with the fixed cell listed
+        # first, it is rebuilt once with that cell last, and its double is
+        # the same complex with the same labels
+        calls = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args):
+                calls.append(cls.__name__)
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        counting(GeometricComplex)
+        counting(SplitComplex)
+        for sc in split_corpus:
+            obj = complex_to_json(sc)
+            obj["cells"].sort(key=lambda cell: cell["id"] != sc.fixed)
+            first = complex_from_json(obj)
+            assert first.ids()[0] == sc.fixed
+            rebuilt = ["GeometricComplex", "SplitComplex"] if len(sc) > 1 else []
+            for x, x_first in ((sc, first), (dual(sc), dual(first))):
+                for delta in admissible_deltas(sc):
+                    calls.clear()
+                    dr = double(x, delta)
+                    assert calls == []
+                    moved = double(x_first, delta)
+                    assert calls == rebuilt
+                    assert complex_to_json(moved.complex) == complex_to_json(dr.complex)
+                    assert moved.labels_json() == dr.labels_json()
 
 
 def cells_of(*specs):

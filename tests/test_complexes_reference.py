@@ -286,8 +286,8 @@ def shuffled(rng, c):
 
 def test_double_and_half_match_id_boundaries_in_any_cell_order(split_corpus):
     # every complex the library builds has its fixed cell last; a shuffled
-    # order moves eta, so double renumbers the positions after it and
-    # leaves the coboundary to be built on first read
+    # order moves eta, so double rebuilds its input with eta last and the
+    # double stores its edited coboundary
     rng = random.Random("shuffled cell order")
     moved = cases = 0
     for sc in split_corpus:
@@ -301,7 +301,7 @@ def test_double_and_half_match_id_boundaries_in_any_cell_order(split_corpus):
                 ref, labels = frozenset_double(x, delta, chosen)
                 assert complex_to_json(dr.complex) == complex_to_json(ref)
                 assert dr.labels_json() == labels
-                # the edited coboundary (a view where eta moved) and partners
+                # the edited coboundary and partners
                 c = dr.complex
                 assert [set(row) for row in c._coadj] == [set(row) for row in ref._coadj]
                 assert (list(c._jpos), c._fpos) == (ref._jpos, ref._fpos)
@@ -386,9 +386,10 @@ def test_splitting_fields_follow_the_ids_through_duals_and_doubles(split_corpus)
     # dual and double carry the canonical flags, the prefix pairs and the
     # new-name set; each must equal what the ids of the result give, by the
     # plain formulas here, through flips, kept and ended prefix pairs and
-    # double's renumbering (a shuffled cell order moves eta)
+    # double's rebuild of an input whose eta is not last (a shuffled cell
+    # order moves eta)
     rng = random.Random("splitting fields")
-    seen = dict.fromkeys(("flipped", "kept", "ended", "renumbered", "given"), 0)
+    seen = dict.fromkeys(("flipped", "kept", "ended", "rebuilt", "given"), 0)
     for sc in split_corpus * 2:
         c = prefix_relabelled(rng, sc)
         for _ in range(4):
@@ -400,7 +401,7 @@ def test_splitting_fields_follow_the_ids_through_duals_and_doubles(split_corpus)
                 seen["kept"] += bool(prefixed & set(c._prefixed))
                 seen["ended"] += bool(prefixed - set(c._prefixed))
             else:
-                seen["renumbered"] += c.ids()[-1] != c.fixed
+                seen["rebuilt"] += c.ids()[-1] != c.fixed
                 splitting = random_splitting(rng, c) if rng.random() < 0.5 else None
                 seen["given"] += splitting is not None
                 c = double(c, rng.choice(admissible_deltas(c, cap=2)), splitting).complex
